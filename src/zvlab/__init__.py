@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .coupling import (
-    CoupledSde,
     CouplingConfig,
     harnack_power_check,
     log_harnack_check,
@@ -16,17 +15,13 @@ from .fields import (
     GridFunction,
     GridSpec,
     NormSpec,
-    decompose_lipschitz_drift,
     holder_seminorm,
     lp_lq_norm,
-    mollify,
     sample_field,
-    sup_norm,
-    weighted_lp_norm,
 )
 from .pde import lambda_sweep, solve_backward, solve_phi_system
 from .report import CheckRecord, RunReport
-from .scenarios import Scenario, get_scenario, scenario_names, scenario_registry
+from .scenarios import Scenario, get_scenario, scenario_names
 from .sde import (
     SdeModel,
     SimSpec,
@@ -41,7 +36,6 @@ from .zvonkin import ZvonkinMap, bilipschitz_certificate, build_zvonkin
 __all__ = [
     "CheckRecord",
     "CoefficientSet",
-    "CoupledSde",
     "CouplingConfig",
     "GridFunction",
     "GridSpec",
@@ -53,7 +47,6 @@ __all__ = [
     "ZvonkinMap",
     "bilipschitz_certificate",
     "build_zvonkin",
-    "decompose_lipschitz_drift",
     "get_scenario",
     "harnack_power_check",
     "holder_seminorm",
@@ -62,18 +55,14 @@ __all__ = [
     "lambda_sweep",
     "log_harnack_check",
     "lp_lq_norm",
-    "mollify",
     "original_model",
     "sample_field",
     "scenario_names",
-    "scenario_registry",
     "simulate_pair",
     "solve_backward",
     "solve_phi_system",
-    "sup_norm",
     "transform_consistency",
     "transformed_model",
     "verify_martingale",
     "verify_moment_bound",
-    "weighted_lp_norm",
 ]

@@ -19,17 +19,17 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .coupling import (CoupledSde, CouplingConfig, calibrate_k1,
-                       coalescence_report, gamma_threshold, h5_certificate,
-                       harnack_power_check, log_harnack_check, simulate_pair,
-                       transformed_pair, verify_martingale,
+from .coupling import (CouplingConfig, calibrate_k1, coalescence_report,
+                       gamma_threshold, h5_certificate, harnack_power_check,
+                       log_harnack_check, simulate_pair, verify_martingale,
                        verify_moment_bound)
 from .fields import GridSpec, NormSpec
 from .pde import solve_phi_system
 from .report import RunReport, combined_exit_code, csv_payload, json_payload
 from .scenarios import Scenario, get_scenario, scenario_names
-from .sde import (SimSpec, bump_family_report, integrate, interval_bump,
-                  krylov_estimate, original_model, transformed_model)
+from .sde import (SdeModel, SimSpec, bump_family_report, integrate,
+                  interval_bump, krylov_estimate, original_model,
+                  transformed_model)
 from .zvonkin import (bilipschitz_certificate, build_zvonkin,
                       ellipticity_certificate, roundtrip_certificate,
                       transformed_constants)
@@ -90,10 +90,8 @@ def _coupling_inputs(sc: Scenario, grid: GridSpec, args):
     """
     if sc.coupling is not None:
         cs = sc.coupling
-        def sigma_inv(t, x):
-            return np.linalg.inv(sc.coeffs.sigma(t, x))
-        pair = CoupledSde(d=sc.d, drift=sc.coeffs.b1, sigma=sc.coeffs.sigma,
-                          sigma_inv=sigma_inv, name=sc.name)
+        pair = SdeModel(d=sc.d, drift=sc.coeffs.b1, sigma=sc.coeffs.sigma,
+                        name=sc.name)
         consts = {"K_T": cs.K_T, "delta_T": cs.delta_T, "lam_T": cs.lam_T,
                   "alpha": cs.alpha, "declared": True}
         return pair, consts, np.array(cs.x), np.array(cs.y)
@@ -104,7 +102,7 @@ def _coupling_inputs(sc: Scenario, grid: GridSpec, args):
     # part); any upper bound is a valid constant, so floor them
     consts["K_T"] = max(consts["K_T"], 0.05)
     consts["delta_T"] = max(consts["delta_T"], 0.05)
-    pair = transformed_pair(zm)
+    pair = transformed_model(zm)
     x = np.full(sc.d, 0.25)
     return pair, consts, x, -x
 
@@ -158,10 +156,9 @@ def stage_build_transform(rep: RunReport, sc: Scenario, args, pairs=4000):
             "pass" if el["passed"] else "fail", threshold=el["upper_bound"])
     if sc.coeffs.b0 is None:
         # no singular part: the transform must be the identity bit-for-bit
-        zd = transformed_model(zm)
         pts = np.linspace(-grid.L / 2, grid.L / 2, 41)[:, None]
-        same = bool(np.all(zd.drift(0.5 * grid.T, pts)
-                           == sc.coeffs.b1(0.5 * grid.T, pts)))
+        Z, _, _ = zm.transformed(0.5 * grid.T, pts)
+        same = bool(np.all(Z == sc.coeffs.b1(0.5 * grid.T, pts)))
         rep.add("identity-drift-nodes", float(same),
                 "pass" if same else "fail", threshold=1.0,
                 provenance="identity")

@@ -15,7 +15,7 @@ route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -161,14 +161,14 @@ class GridFunction:
 
     values shape: (m+1, n[, n][, d][, d]) for scalar/vector/matrix kinds.
     Evaluation off the grid is multilinear in space and linear in time;
-    queries outside the box are clamped to the boundary and counted in
-    clamp_count.
+    queries outside the box are clamped to the boundary.  eval keeps no
+    count of them, so worker threads can share one instance; interp_space
+    returns the count to callers that need it.
     """
 
     grid: GridSpec
     values: np.ndarray
     kind: str = "scalar"
-    clamp_count: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if self.kind not in _COMP_DIMS:
@@ -206,8 +206,7 @@ class GridFunction:
 
     def eval(self, t: float, x: np.ndarray) -> np.ndarray:
         sl = self.time_slice(t)
-        out, clamped = interp_space(self.grid, sl, x)
-        self.clamp_count += clamped
+        out, _ = interp_space(self.grid, sl, x)
         return out
 
     def scaled(self, c: float) -> "GridFunction":

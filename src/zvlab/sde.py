@@ -32,10 +32,12 @@ ESCAPE_ERROR = 0.20       # hard failure: domain too small for the scenario
 class SdeModel:
     """Drift/diffusion pair; optional fused stepper for stateful evaluation.
 
-    A stepper(t, X, state) -> (drift, sigma, state) lets coupled evaluators
-    (e.g. the transformed SDE, whose drift and diffusion share one map
-    inversion warm-started from the previous step) avoid duplicate work.
-    state is None or a per-row array; rows are masked together with X.
+    The one model type of both path engines: the plain ensemble and the
+    coupled pair.  A stepper(t, X, state) -> (drift, sigma, state) lets
+    coupled evaluators (e.g. the transformed SDE, whose drift and diffusion
+    share one map inversion warm-started from the previous step) avoid
+    duplicate work.  state is None or a per-row array; rows are masked
+    together with X.
     """
 
     d: int
@@ -192,27 +194,14 @@ def original_model(coeffs, d: int) -> SdeModel:
 
 
 def transformed_model(zmap) -> SdeModel:
-    """Model for the transformed SDE driven by (Z, Sigma).
-
-    One map inversion per step serves both coefficients; the previous
-    step's preimage warm-starts the fixed point.
-    """
-    cs = zmap.coeffs
-    lam = zmap.lam
-    eye = np.eye(zmap.grid.d)
+    """Model for the transformed SDE driven by (Z, Sigma), for either path
+    engine.  One map inversion per step serves both coefficients; the
+    previous step's preimage warm-starts the fixed point."""
 
     def stepper(t, Y, state):
-        x, _ = zmap.invert(t, Y, x0=state, on_escape="flag")
-        b = lam * zmap.phi.eval(t, x)
-        for ev in (cs.b1, cs.b2):
-            if ev is not None:
-                b = b + np.asarray(ev(t, x), dtype=float)
-        G = zmap.grad_phi_at(t, x)
-        s = np.einsum("...ij,...jk->...ik", eye + G, np.asarray(cs.sigma(t, x), dtype=float))
-        return b, s, x
+        return zmap.transformed(t, Y, x0=state, on_escape="flag")
 
-    return SdeModel(d=zmap.grid.d, drift=zmap.transformed_drift(),
-                    sigma=zmap.transformed_sigma(), stepper=stepper, name="Y")
+    return SdeModel(d=zmap.grid.d, stepper=stepper, name="Y")
 
 
 # ---------------------------------------------------------------------------

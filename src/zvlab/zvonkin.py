@@ -18,7 +18,7 @@ and makes the inversion fixed point a contraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,8 +80,6 @@ class ZvonkinMap:
     trace: list
     solution: PdeSolution
     invert_tol: float = INVERT_TOL
-    stats: dict = field(default_factory=lambda: {"invert_iters_max": 0,
-                                                 "invert_calls": 0})
 
     # -- point evaluation ---------------------------------------------------
 
@@ -106,8 +104,9 @@ class ZvonkinMap:
 
         Iterates outside the doubled box mean y sits too close to the wall
         for the interpolated map: on_escape="raise" raises InverseEscape,
-        "flag" counts the rows in stats and keeps the clamped-field fixed
-        point (bulk sampling mode).
+        "flag" keeps the clamped-field fixed point (bulk sampling mode) and
+        leaves the caller to count the rows of x outside the box.  Both
+        errors name t and the worst row of y.
         """
         tol = self.invert_tol if tol is None else tol
         y = np.asarray(y, dtype=float)
@@ -119,19 +118,24 @@ class ZvonkinMap:
         its = 0
         for its in range(1, max_iter + 1):
             xn = pts - self.phi.eval(t, x)
-            delta = float(np.max(np.abs(xn - x)))
+            step = np.abs(xn - x)
+            delta = float(np.max(step))
             x = xn
             if delta <= tol:
                 break
         else:
-            raise RuntimeError(f"map inversion stalled: last update {delta:.3e}")
-        out = int(np.count_nonzero(np.abs(x).max(axis=-1) > 2.0 * self.grid.L))
-        if out:
-            if on_escape == "raise":
-                raise InverseEscape(f"{out} preimage(s) outside the doubled box")
-            self.stats["inverse_escapes"] = self.stats.get("inverse_escapes", 0) + out
-        self.stats["invert_calls"] += 1
-        self.stats["invert_iters_max"] = max(self.stats["invert_iters_max"], its)
+            i = int(np.argmax(step.max(axis=-1)))
+            raise RuntimeError(
+                f"map inversion stalled at t={t:.6g}: last update {delta:.3e} "
+                f"after max_iter={max_iter} sweeps, worst row {i} y={pts[i]}")
+        if on_escape == "raise":
+            size = np.abs(x).max(axis=-1)
+            out = int(np.count_nonzero(size > 2.0 * self.grid.L))
+            if out:
+                i = int(np.argmax(size))
+                raise InverseEscape(
+                    f"{out} preimage(s) outside the doubled box at t={t:.6g}: "
+                    f"worst row {i} y={pts[i]} maps back to x={x[i]}")
         return (x[0], its) if single else (x, its)
 
     def grad_phi_at(self, t: float, x: np.ndarray, step: float | None = None) -> np.ndarray:
@@ -152,35 +156,26 @@ class ZvonkinMap:
 
     # -- transformed coefficients -------------------------------------------
 
-    def transformed_drift(self):
-        """Evaluator Z(t, y) = (b1 + b2 + lam phi)(t, Phi_t^{-1}(y))."""
+    def transformed(self, t: float, y: np.ndarray, x0: np.ndarray | None = None,
+                    on_escape: str = "raise"):
+        """(Z, Sigma, x) at the points y (N, d), with x = Phi_t^{-1}(y):
+
+            Z     = (b1 + b2 + lam phi)(t, x),
+            Sigma = ((I + grad phi) sigma)(t, x).
+
+        One inversion serves both; x0 and on_escape go to invert, and x can
+        warm-start the next call.
+        """
+        x, _ = self.invert(t, y, x0=x0, on_escape=on_escape)
         cs = self.coeffs
-
-        def Z(t, y):
-            y = np.asarray(y, dtype=float)
-            x, _ = self.invert(t, y)
-            val = self.lam * (self.phi.eval(t, x) if x.ndim > 1
-                              else self.phi.eval(t, x[None, :])[0])
-            for ev in (cs.b1, cs.b2):
-                if ev is not None:
-                    val = val + np.asarray(ev(t, x), dtype=float)
-            return val
-
-        return Z
-
-    def transformed_sigma(self):
-        """Evaluator Sigma(t, y) = ((I + grad phi) sigma)(t, Phi_t^{-1}(y))."""
-        cs = self.coeffs
-        eye = np.eye(self.grid.d)
-
-        def Sigma(t, y):
-            y = np.asarray(y, dtype=float)
-            x, _ = self.invert(t, y)
-            G = self.grad_phi_at(t, x)
-            sig = np.asarray(cs.sigma(t, x), dtype=float)
-            return np.einsum("...ij,...jk->...ik", eye + G, sig)
-
-        return Sigma
+        Z = self.lam * self.phi.eval(t, x)
+        for ev in (cs.b1, cs.b2):
+            if ev is not None:
+                Z = Z + np.asarray(ev(t, x), dtype=float)
+        G = self.grad_phi_at(t, x)
+        Sigma = np.einsum("...ij,...jk->...ik", np.eye(self.grid.d) + G,
+                          np.asarray(cs.sigma(t, x), dtype=float))
+        return Z, Sigma, x
 
 
 def build_zvonkin(coeffs: CoefficientSet, grid: GridSpec,
@@ -278,12 +273,11 @@ def ellipticity_certificate(zmap: ZvonkinMap, n_points: int = 256, seed: int = 2
     hi = 0.9 * g.L * np.ones(g.d)
     ys = _rng.uniform_points(seed, 24, n_points, lo, hi)
     ts = _rng.uniform_points(seed, 25, 4, 0.0, g.T)
-    Sigma = zmap.transformed_sigma()
     emin = np.inf
     emax = 0.0
     for t in ts:
         t = float(t)
-        S = Sigma(t, ys)
+        _, S, _ = zmap.transformed(t, ys)
         abar = 0.5 * np.einsum("...ij,...kj->...ik", S, S)
         eig = np.linalg.eigvalsh(abar)
         emin = min(emin, float(eig.min()))
@@ -310,16 +304,14 @@ def transformed_constants(zmap: ZvonkinMap, n_pairs: int = 128, seed: int = 26,
     xs = _rng.uniform_points(seed, 27, n_pairs, lo, hi)
     ys = _rng.uniform_points(seed, 28, n_pairs, lo, hi)
     ts = _rng.uniform_points(seed, 29, 4, 0.0, g.T)
-    Z = zmap.transformed_drift()
-    Sigma = zmap.transformed_sigma()
     K = -np.inf
     delta = 0.0
     lam_T = np.inf
     lip_Z = 0.0
     for t in ts:
         t = float(t)
-        zx, zy = Z(t, xs), Z(t, ys)
-        sx, sy = Sigma(t, xs), Sigma(t, ys)
+        zx, sx, _ = zmap.transformed(t, xs)
+        zy, sy, _ = zmap.transformed(t, ys)
         diff = xs - ys
         d2 = np.sum(diff ** 2, axis=-1)
         dist = np.sqrt(d2)

@@ -19,17 +19,17 @@ import pytest
 from scipy.linalg import expm
 
 from zvlab.cli import main as cli_main
-from zvlab.coupling import (CoupledSde, CouplingConfig, calibrate_k1,
-                            coalescence_report, gamma0, gamma_threshold,
-                            harnack_power_check, log_harnack_check,
-                            simulate_pair, theta_for_gamma, transformed_pair,
+from zvlab.coupling import (CouplingConfig, calibrate_k1, coalescence_report,
+                            gamma0, gamma_threshold, harnack_power_check,
+                            log_harnack_check, simulate_pair, theta_for_gamma,
                             verify_martingale, verify_moment_bound, within)
 from zvlab.fields import CoefficientSet, GridSpec, NormSpec, constant_sigma
 from zvlab.flow import gronwall_bound, solve_flow, solve_inverse_flow
 from zvlab.pde import DecayPrediction, PdeProblem, lambda_sweep, solve_backward
 from zvlab.scenarios import get_scenario
-from zvlab.sde import (SimSpec, bump_family_report, integrate, interval_bump,
-                       krylov_estimate, original_model, transform_consistency)
+from zvlab.sde import (SdeModel, SimSpec, bump_family_report, integrate,
+                       interval_bump, krylov_estimate, original_model,
+                       transform_consistency, transformed_model)
 from zvlab.zvonkin import (bilipschitz_certificate, build_zvonkin,
                            transformed_constants)
 
@@ -61,8 +61,7 @@ def additive_pair():
     def sigma(t, x):
         return np.ones(x.shape[:-1] + (1, 1))
 
-    return CoupledSde(d=1, drift=sc.coeffs.total_drift, sigma=sigma,
-                      sigma_inv=sigma)
+    return SdeModel(d=1, drift=sc.coeffs.total_drift, sigma=sigma)
 
 
 def additive_cfg(**kw):
@@ -118,7 +117,7 @@ def transformed_setup():
         grid = replace(sc.grid, n=201, m=200)
         zm = build_zvonkin(sc.coeffs, grid)
         consts = transformed_constants(zm, n_pairs=256, seed=77)
-        _shared["tpair"] = (transformed_pair(zm), consts)
+        _shared["tpair"] = (transformed_model(zm), consts)
     return _shared["tpair"]
 
 

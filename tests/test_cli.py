@@ -54,14 +54,17 @@ def test_full_pipeline_trivial_identity(capsys):
 
 
 def test_csv_identical_across_worker_counts(capsys, monkeypatch):
-    outs = []
-    for w in ("1", "3"):
-        monkeypatch.setenv("ZVLAB_THREADS", w)
-        code, out, _ = run_cli(capsys, "full-pipeline", "--scenario",
-                               "trivial-zero", "--seed", "1", "--fast")
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
+    # 9000 paths are two blocks, so the transformed pair's warm-start state
+    # is carried on two threads at once
+    for argv in (("full-pipeline", "--scenario", "trivial-zero"),
+                 ("couple", "--scenario", "singular-1d", "--paths", "9000")):
+        outs = []
+        for w in ("1", "3"):
+            monkeypatch.setenv("ZVLAB_THREADS", w)
+            code, out, _ = run_cli(capsys, *argv, "--seed", "1", "--fast")
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
 
 def test_out_dir_and_json_format(capsys, tmp_path):

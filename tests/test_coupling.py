@@ -13,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from zvlab.coupling import (CoupledSde, CouplingConfig, build_coupling_grid,
+from zvlab.coupling import (CouplingConfig, build_coupling_grid,
                             calibrate_k1, coalescence_report, eta, gamma0,
                             gamma_threshold, h5_certificate,
                             harnack_power_check, log_harnack_check,
                             moment_bound_rhs, power_harnack_exponent,
                             simulate_pair, theta_for_gamma, verify_martingale,
                             verify_moment_bound, within)
+from zvlab.sde import SdeModel
 
 E1 = 1.0 - math.exp(-1.0)      # 0.6321205588285577
 
@@ -31,14 +32,14 @@ def unit_cfg(**kw):
     return CouplingConfig(**base)
 
 
-def additive_pair(drift_slope=0.0):
+def additive_pair(drift_slope=0.0, sigma_scale=1.0):
     def drift(t, x):
         return drift_slope * x
 
     def sigma(t, x):
-        return np.ones(x.shape[:-1] + (1, 1))
+        return np.full(x.shape[:-1] + (1, 1), sigma_scale)
 
-    return CoupledSde(d=1, drift=drift, sigma=sigma, sigma_inv=sigma)
+    return SdeModel(d=1, drift=drift, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +167,14 @@ def test_grid_builder_structure():
 # pair simulation against the deterministic distance ODE
 
 
-def test_distance_ode_oracle():
-    # additive noise cancels in the difference: dD = -D/eta dt exactly
+@pytest.mark.parametrize("c", [1.0, 2.5])
+def test_distance_ode_oracle(c):
+    # additive noise cancels in the difference: dD = -D/eta dt exactly; with
+    # sigma = c the correction sigma_Y sigma_X^{-1} g is g only if the engine
+    # applies the inverse (c = 1 is its own inverse and cannot tell)
     cfg = unit_cfg(m=10_000, n_paths=4, K_T=0.01)
-    res = simulate_pair(additive_pair(), [0.25], [-0.25], cfg, seed=101)
+    res = simulate_pair(additive_pair(sigma_scale=c), [0.25], [-0.25], cfg,
+                        seed=101)
     dists = res.dist_at_eps
     # per-path rounding of the shared-noise additions only; the difference
     # dynamics are deterministic

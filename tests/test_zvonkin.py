@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from zvlab.fields import CoefficientSet, GridSpec, constant_sigma
-from zvlab.zvonkin import (LambdaSearchError, bilipschitz_certificate,
-                           build_zvonkin, ellipticity_certificate,
+from zvlab.zvonkin import (InverseEscape, LambdaSearchError,
+                           bilipschitz_certificate, build_zvonkin,
+                           ellipticity_certificate,
                            interp_lipschitz_sup, roundtrip_certificate,
                            transformed_constants)
 
@@ -87,19 +88,35 @@ def test_singular_build_and_inversion(singular_map):
     assert its_warm <= its_cold <= 40
 
 
+def test_inversion_errors_name_the_input(singular_map):
+    zm = singular_map
+    y = np.array([[0.0], [0.05], [1.0]])
+    with pytest.raises(RuntimeError, match="stalled") as ei:
+        zm.invert(0.37, y, max_iter=1)
+    msg = str(ei.value)
+    assert "t=0.37" in msg and "max_iter=1" in msg and "worst row" in msg
+    # beyond 2L the clamped map is flat, so the fixed point converges to y
+    y_out = np.array([[0.0], [1.0], [2.5 * zm.grid.L]])
+    with pytest.raises(InverseEscape) as ei:
+        zm.invert(0.37, y_out)
+    msg = str(ei.value)
+    assert "t=0.37" in msg and "worst row 2" in msg and "y=[5.]" in msg
+    x, _ = zm.invert(0.37, y_out, on_escape="flag")
+    assert np.abs(x[2]).max() > 2.0 * zm.grid.L
+
+
 def test_singular_part_cancels_in_transformed_drift(singular_map):
     zm = singular_map
-    Z = zm.transformed_drift()
     y = np.linspace(-1.8, 1.8, 181)[:, None]
     for t in (0.0, 0.37, 0.9):
-        vals = Z(t, y)
+        vals, _, _ = zm.transformed(t, y)
         assert np.all(np.isfinite(vals))
         # b1 = b2 = 0 here, so |Z| <= lam * sup|phi| exactly; the raw b0
         # near the origin is an order of magnitude larger
         assert np.abs(vals).max() <= zm.lam * zm.phi.sup() * (1 + 1e-9)
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = np.abs(singular_b0(0.0, np.array([[0.01]])))[0, 0]
-    assert raw > 5 * np.abs(Z(0.0, np.array([[0.01]]))).max()
+    assert raw > 5 * np.abs(zm.transformed(0.0, np.array([[0.01]]))[0]).max()
 
 
 def test_certificates_on_singular_map(singular_map):
@@ -119,13 +136,11 @@ def test_transformed_coefficients_interior_oracle():
     cs = CoefficientSet(sigma=SIG1, b0=const_b0(c), kappa1=0.5, kappa2=0.5)
     zm = build_zvonkin(cs, grid)
     assert zm.lam == 10.0
-    Z = zm.transformed_sigma()
-    drift = zm.transformed_drift()
     y = np.linspace(-2.0, 2.0, 41)[:, None]
     for t in (0.0, 0.5):
         oracle = c * (1 - np.exp(-zm.lam * (grid.T - t)))
-        assert np.abs(drift(t, y) - oracle).max() <= 1e-3 * max(oracle, 1e-2)
-        S = Z(t, y)
+        drift, S, _ = zm.transformed(t, y)
+        assert np.abs(drift - oracle).max() <= 1e-3 * max(oracle, 1e-2)
         assert np.abs(S - 1.0).max() <= 5e-3    # grad phi vanishes away from walls
 
 
