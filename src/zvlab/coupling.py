@@ -166,7 +166,8 @@ def power_harnack_exponent(cfg: CouplingConfig, r: float,
 
 
 # Both copies of a pair are one sde.SdeModel.  perfbench/spans.py still
-# patches step_eval through this name, so it stays until that is retargeted.
+# patches step_eval through this name, and binds its unused third argument,
+# so both stay until that is retargeted.
 CoupledSde = SdeModel
 
 
@@ -190,8 +191,8 @@ def h5_certificate(pair: SdeModel, cfg: CouplingConfig, seed: int = 5,
     min_eig = math.inf
     stop = cfg.T - cfg.stop_gap
     for t in np.linspace(0.0, stop, t_samples):
-        bx, sx, _ = pair.step_eval(t, xs, None)
-        by, sy, _ = pair.step_eval(t, ys, None)
+        bx, sx = pair.step_eval(t, xs, None)
+        by, sy = pair.step_eval(t, ys, None)
         diff = xs - ys
         r = np.linalg.norm(diff, axis=-1)
         ds = sx - sy
@@ -331,7 +332,6 @@ def _advance_pair_block(pair, x0, y0, cfg, grid, seed, block_index, width):
     Y = np.broadcast_to(y0, (width, d)).astype(float).copy()
     glued = np.zeros(width, dtype=bool)
     alive = np.ones(width, dtype=bool)
-    state_x = state_y = None
     A = np.zeros(width)
     B = np.zeros(width)
     A_rec = np.empty((width, grid.sample_idx.size))
@@ -347,8 +347,8 @@ def _advance_pair_block(pair, x0, y0, cfg, grid, seed, block_index, width):
         t = grid.ts[k]
         dt = grid.dts[k]
         dW = normals[:, k] * sqdt[k]
-        bX, sX, state_x = pair.step_eval(t, X, state_x)
-        bY, sY, state_y = pair.step_eval(t, Y, state_y)
+        bX, sX = pair.step_eval(t, X, None)
+        bY, sY = pair.step_eval(t, Y, None)
         sXi = np.linalg.inv(sX)     # only the X copy's inverse enters u
         D = X - Y
         dist = np.linalg.norm(D, axis=-1)
@@ -484,9 +484,15 @@ def coalescence_report(res: CouplingResult) -> dict:
             "glued_fraction": float(res.glued.mean())}
 
 
-def _check_positive(fvals, label):
-    if np.min(fvals) <= 0:
+def _positive_values(i, f, res):
+    """(label, f(Y_T), f(X_T)) for test function number i.  Every check
+    takes log f or f^gamma, so f must be positive on both samples."""
+    label = getattr(f, "__name__", f"f{i}")
+    fY = np.asarray(f(res.final_Y), dtype=float)
+    fX = np.asarray(f(res.final_X), dtype=float)
+    if min(np.min(fY), np.min(fX)) <= 0:
         raise ValueError(f"test function {label} must be positive on the sample")
+    return label, fY, fX
 
 
 def harnack_power_check(pair: SdeModel, fs, x, y, cfg: CouplingConfig,
@@ -506,11 +512,7 @@ def harnack_power_check(pair: SdeModel, fs, x, y, cfg: CouplingConfig,
     g = cfg.gamma
     checks = []
     for i, f in enumerate(fs):
-        label = getattr(f, "__name__", f"f{i}")
-        fY = np.asarray(f(res.final_Y), dtype=float)
-        fX = np.asarray(f(res.final_X), dtype=float)
-        _check_positive(fY, label)
-        _check_positive(fX, label)
+        label, fY, fX = _positive_values(i, f, res)
         base, base_se = _exp_stats(logR, fY)
         lhs = base ** g
         rel_lhs = g * base_se / base
@@ -545,11 +547,7 @@ def log_harnack_check(pair: SdeModel, fs, x, y, cfg: CouplingConfig,
     quad = k1_hat * res.r ** 2 / (kappa1 * cfg.T)
     checks = []
     for i, f in enumerate(fs):
-        label = getattr(f, "__name__", f"f{i}")
-        fY = np.asarray(f(res.final_Y), dtype=float)
-        fX = np.asarray(f(res.final_X), dtype=float)
-        _check_positive(fY, label)
-        _check_positive(fX, label)
+        label, fY, fX = _positive_values(i, f, res)
         lhs, lhs_se = _exp_stats(logR, np.log(fY))
         mx = float(fX.mean())
         mx_se = float(fX.std(ddof=1)) / math.sqrt(fX.size)
@@ -581,9 +579,10 @@ def calibrate_k1(pair: SdeModel, fs, x, y, cfg: CouplingConfig,
         raise ValueError("calibration needs x != y")
     logR = res.log_weights()
     needed = []
-    for f in fs:
-        lhs, _ = _exp_stats(logR, np.log(np.asarray(f(res.final_Y), dtype=float)))
-        mx = float(np.asarray(f(res.final_X), dtype=float).mean())
+    for i, f in enumerate(fs):
+        _, fY, fX = _positive_values(i, f, res)
+        lhs, _ = _exp_stats(logR, np.log(fY))
+        mx = float(fX.mean())
         needed.append((lhs - math.log(mx)) * kappa1 * cfg.T / res.r ** 2)
     k1 = safety * max(max(needed), 0.01)
     return {"k1_hat": k1, "needed": needed, "safety": safety, "r": res.r}

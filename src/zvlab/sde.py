@@ -30,14 +30,13 @@ ESCAPE_ERROR = 0.20       # hard failure: domain too small for the scenario
 
 @dataclass
 class SdeModel:
-    """Drift/diffusion pair; optional fused stepper for stateful evaluation.
+    """Drift/diffusion pair, or one fused stepper(t, X) -> (drift, sigma).
 
     The one model type of both path engines: the plain ensemble and the
-    coupled pair.  A stepper(t, X, state) -> (drift, sigma, state) lets
-    coupled evaluators (e.g. the transformed SDE, whose drift and diffusion
-    share one map inversion warm-started from the previous step) avoid
-    duplicate work.  state is None or a per-row array; rows are masked
-    together with X.
+    coupled pair.  The stepper lets evaluators that share work (e.g. the
+    transformed SDE, whose drift and diffusion share one map inversion)
+    do it once per step.  step_eval's third argument is unused; the
+    engines pass None.
     """
 
     d: int
@@ -48,9 +47,9 @@ class SdeModel:
 
     def step_eval(self, t, X, state):
         if self.stepper is not None:
-            return self.stepper(t, X, state)
+            return self.stepper(t, X)
         return (np.asarray(self.drift(t, X), dtype=float),
-                np.asarray(self.sigma(t, X), dtype=float), None)
+                np.asarray(self.sigma(t, X), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,6 @@ def _advance_block(models, x0s, spec, block_index, width):
     X = [np.broadcast_to(np.asarray(x0s[i], dtype=float), (width, d)).copy()
          for i in range(n_models)]
     alive = [np.ones(width, dtype=bool) for _ in range(n_models)]
-    states = [None] * n_models
     paths = [np.empty((width, spec.n_steps + 1, d)) for _ in range(n_models)]
     for i in range(n_models):
         paths[i][:, 0] = X[i]
@@ -88,19 +86,12 @@ def _advance_block(models, x0s, spec, block_index, width):
                 paths[i][:, k + 1] = X[i]
                 continue
             if al.all():
-                b, s, st = model.step_eval(t, X[i], states[i])
+                b, s = model.step_eval(t, X[i], None)
                 X[i] = X[i] + b * spec.h + np.einsum("...ij,...j->...i", s, dW[:, k])
-                states[i] = st
             else:
                 idx = np.flatnonzero(al)
-                sub_state = None if states[i] is None else states[i][idx]
-                b, s, st = model.step_eval(t, X[i][idx], sub_state)
+                b, s = model.step_eval(t, X[i][idx], None)
                 X[i][idx] += b * spec.h + np.einsum("...ij,...j->...i", s, dW[idx, k])
-                if st is not None:
-                    if states[i] is None:
-                        states[i] = np.broadcast_to(np.asarray(x0s[i], dtype=float),
-                                                    (width, d)).copy()
-                    states[i][idx] = st
             out = al & (np.abs(X[i]).max(axis=-1) > limit)
             if out.any():
                 alive[i][out] = False
@@ -195,11 +186,10 @@ def original_model(coeffs, d: int) -> SdeModel:
 
 def transformed_model(zmap) -> SdeModel:
     """Model for the transformed SDE driven by (Z, Sigma), for either path
-    engine.  One map inversion per step serves both coefficients; the
-    previous step's preimage warm-starts the fixed point."""
+    engine.  One map inversion per step serves both coefficients."""
 
-    def stepper(t, Y, state):
-        return zmap.transformed(t, Y, x0=state, on_escape="flag")
+    def stepper(t, Y):
+        return zmap.transformed(t, Y, on_escape="flag")
 
     return SdeModel(d=zmap.grid.d, stepper=stepper, name="Y")
 
@@ -420,7 +410,7 @@ def ito_residual(fields: ItoFields, model: SdeModel, x0, spec: SimSpec,
         for k in range(spec.n_steps):
             t = k * h
             xs = X[:, k]
-            b, s, _ = model.step_eval(t, xs, None)
+            b, s = model.step_eval(t, xs, None)
             a = 0.5 * np.einsum("...ij,...kj->...ik", s, s)
             gu = np.asarray(fields.grad(t, xs), dtype=float)
             Hu = np.asarray(fields.hess(t, xs), dtype=float)

@@ -79,12 +79,8 @@ class ZvonkinMap:
     grad_target: float
     trace: list
     solution: PdeSolution
-    invert_tol: float = INVERT_TOL
 
     # -- point evaluation ---------------------------------------------------
-
-    def phi_at(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self.phi.eval(t, np.asarray(x, dtype=float))
 
     def forward(self, t: float, x: np.ndarray) -> np.ndarray:
         """Phi_t(x) = x + phi(t, x)."""
@@ -93,14 +89,14 @@ class ZvonkinMap:
             return x + self.phi.eval(t, x[None, :])[0]
         return x + self.phi.eval(t, x)
 
-    def invert(self, t: float, y: np.ndarray, x0: np.ndarray | None = None,
-               tol: float | None = None, max_iter: int = INVERT_MAX_ITER,
+    def invert(self, t: float, y: np.ndarray, max_iter: int = INVERT_MAX_ITER,
                on_escape: str = "raise"):
         """Solve x + phi(t, x) = y by the contraction x <- y - phi(t, x).
 
+        The sweep starts at y, which is within sup |phi| of the solution.
         Convergence rate is grad_sup < 1, geometric; raises if the
-        successive-difference tolerance is not met in max_iter sweeps.
-        Returns (x, iterations).  x0 warm-starts (e.g. previous time step).
+        successive difference is not below INVERT_TOL in max_iter sweeps.
+        Returns (x, iterations).
 
         Iterates outside the doubled box mean y sits too close to the wall
         for the interpolated map: on_escape="raise" raises InverseEscape,
@@ -108,20 +104,17 @@ class ZvonkinMap:
         leaves the caller to count the rows of x outside the box.  Both
         errors name t and the worst row of y.
         """
-        tol = self.invert_tol if tol is None else tol
         y = np.asarray(y, dtype=float)
         single = y.ndim == 1
         pts = y[None, :] if single else y
-        x = pts.copy() if x0 is None else np.array(x0, dtype=float, copy=True)
-        if x.shape != pts.shape:
-            x = np.broadcast_to(x, pts.shape).copy()
+        x = pts
         its = 0
         for its in range(1, max_iter + 1):
             xn = pts - self.phi.eval(t, x)
             step = np.abs(xn - x)
             delta = float(np.max(step))
             x = xn
-            if delta <= tol:
+            if delta <= INVERT_TOL:
                 break
         else:
             i = int(np.argmax(step.max(axis=-1)))
@@ -156,17 +149,15 @@ class ZvonkinMap:
 
     # -- transformed coefficients -------------------------------------------
 
-    def transformed(self, t: float, y: np.ndarray, x0: np.ndarray | None = None,
-                    on_escape: str = "raise"):
-        """(Z, Sigma, x) at the points y (N, d), with x = Phi_t^{-1}(y):
+    def transformed(self, t: float, y: np.ndarray, on_escape: str = "raise"):
+        """(Z, Sigma) at the points y (N, d), with x = Phi_t^{-1}(y):
 
             Z     = (b1 + b2 + lam phi)(t, x),
             Sigma = ((I + grad phi) sigma)(t, x).
 
-        One inversion serves both; x0 and on_escape go to invert, and x can
-        warm-start the next call.
+        One inversion serves both; on_escape goes to invert.
         """
-        x, _ = self.invert(t, y, x0=x0, on_escape=on_escape)
+        x, _ = self.invert(t, y, on_escape=on_escape)
         cs = self.coeffs
         Z = self.lam * self.phi.eval(t, x)
         for ev in (cs.b1, cs.b2):
@@ -175,7 +166,7 @@ class ZvonkinMap:
         G = self.grad_phi_at(t, x)
         Sigma = np.einsum("...ij,...jk->...ik", np.eye(self.grid.d) + G,
                           np.asarray(cs.sigma(t, x), dtype=float))
-        return Z, Sigma, x
+        return Z, Sigma
 
 
 def build_zvonkin(coeffs: CoefficientSet, grid: GridSpec,
@@ -258,7 +249,7 @@ def roundtrip_certificate(zmap: ZvonkinMap, n_points: int = 256, seed: int = 22)
         pre, _ = zmap.invert(t, ys)
         img2 = pre + zmap.phi.eval(t, pre)
         worst_bwd = max(worst_bwd, float(np.max(np.abs(img2 - ys))))
-    tol = 10 * zmap.invert_tol
+    tol = 10 * INVERT_TOL
     return {"roundtrip_x": worst_fwd, "roundtrip_y": worst_bwd,
             "tol": tol, "passed": worst_fwd <= tol and worst_bwd <= tol}
 
@@ -277,7 +268,7 @@ def ellipticity_certificate(zmap: ZvonkinMap, n_points: int = 256, seed: int = 2
     emax = 0.0
     for t in ts:
         t = float(t)
-        _, S, _ = zmap.transformed(t, ys)
+        _, S = zmap.transformed(t, ys)
         abar = 0.5 * np.einsum("...ij,...kj->...ik", S, S)
         eig = np.linalg.eigvalsh(abar)
         emin = min(emin, float(eig.min()))
@@ -310,8 +301,8 @@ def transformed_constants(zmap: ZvonkinMap, n_pairs: int = 128, seed: int = 26,
     lip_Z = 0.0
     for t in ts:
         t = float(t)
-        zx, sx, _ = zmap.transformed(t, xs)
-        zy, sy, _ = zmap.transformed(t, ys)
+        zx, sx = zmap.transformed(t, xs)
+        zy, sy = zmap.transformed(t, ys)
         diff = xs - ys
         d2 = np.sum(diff ** 2, axis=-1)
         dist = np.sqrt(d2)

@@ -54,8 +54,8 @@ def test_full_pipeline_trivial_identity(capsys):
 
 
 def test_csv_identical_across_worker_counts(capsys, monkeypatch):
-    # 9000 paths are two blocks, so the transformed pair's warm-start state
-    # is carried on two threads at once
+    # 9000 paths are two blocks, so the transformed pair is stepped on two
+    # threads at once
     for argv in (("full-pipeline", "--scenario", "trivial-zero"),
                  ("couple", "--scenario", "singular-1d", "--paths", "9000")):
         outs = []

@@ -336,6 +336,13 @@ def test_power_harnack_requires_gamma_and_positive_f():
     with pytest.raises(ValueError, match="positive"):
         harnack_power_check(additive_pair(), [lambda z: z[:, 0]],
                             [0.2], [-0.2], cfg2, seed=1)
+    # the log checks take log f, so they refuse the same function
+    with pytest.raises(ValueError, match="positive"):
+        log_harnack_check(additive_pair(), [lambda z: z[:, 0]], [0.2], [-0.2],
+                          cfg, kappa1=0.5, k1_hat=1.0, seed=1)
+    with pytest.raises(ValueError, match="positive"):
+        calibrate_k1(additive_pair(), [lambda z: z[:, 0]], [0.2], [-0.2],
+                     cfg, kappa1=0.5, seed=1)
 
 
 def test_log_harnack_jensen_and_grid():

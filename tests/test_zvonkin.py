@@ -81,11 +81,12 @@ def test_singular_build_and_inversion(singular_map):
     assert zm.solution.capped_nodes == zm.grid.m + 1   # origin node per slice
     rt = roundtrip_certificate(zm)
     assert rt["passed"], rt
-    # warm start from the solution at a nearby time cannot be worse
+    # the sweep starts at y, within sup |phi| of the preimage, and needs
+    # well under max_iter = 40 sweeps
     y = np.linspace(-1.5, 1.5, 64)[:, None]
-    x_prev, its_cold = zm.invert(0.50, y)
-    _, its_warm = zm.invert(0.51, y, x0=x_prev)
-    assert its_warm <= its_cold <= 40
+    for t in (0.0, 0.5, 0.9):
+        _, its = zm.invert(t, y)
+        assert its <= 25
 
 
 def test_inversion_errors_name_the_input(singular_map):
@@ -109,7 +110,7 @@ def test_singular_part_cancels_in_transformed_drift(singular_map):
     zm = singular_map
     y = np.linspace(-1.8, 1.8, 181)[:, None]
     for t in (0.0, 0.37, 0.9):
-        vals, _, _ = zm.transformed(t, y)
+        vals, _ = zm.transformed(t, y)
         assert np.all(np.isfinite(vals))
         # b1 = b2 = 0 here, so |Z| <= lam * sup|phi| exactly; the raw b0
         # near the origin is an order of magnitude larger
@@ -139,7 +140,7 @@ def test_transformed_coefficients_interior_oracle():
     y = np.linspace(-2.0, 2.0, 41)[:, None]
     for t in (0.0, 0.5):
         oracle = c * (1 - np.exp(-zm.lam * (grid.T - t)))
-        drift, S, _ = zm.transformed(t, y)
+        drift, S = zm.transformed(t, y)
         assert np.abs(drift - oracle).max() <= 1e-3 * max(oracle, 1e-2)
         assert np.abs(S - 1.0).max() <= 5e-3    # grad phi vanishes away from walls
 
