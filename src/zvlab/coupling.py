@@ -323,6 +323,30 @@ def _exp_stats(logw: np.ndarray, vals=None) -> tuple[float, float]:
     return math.exp(m) * mu, math.exp(m) * sd / math.sqrt(n)
 
 
+def _sigma_inverse(s: np.ndarray, t: float) -> np.ndarray:
+    """Closed-form inverse of a (N, d, d) stack, d in {1, 2}: 1/s, or the
+    adjugate over the determinant.  A row that is singular, non-finite or
+    whose inverse overflows raises LinAlgError naming t and the worst row
+    (smallest |det|, non-finite first)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if s.shape[-1] == 1:
+            det = s[:, 0, 0]
+            inv = 1.0 / s
+        else:
+            a, b, c, e = s[:, 0, 0], s[:, 0, 1], s[:, 1, 0], s[:, 1, 1]
+            det = a * e - b * c
+            inv = np.stack([np.stack([e, -b], axis=-1),
+                            np.stack([-c, a], axis=-1)], axis=-2) / det[:, None, None]
+    bad = ~(np.isfinite(s).all(axis=(-2, -1)) & np.isfinite(inv).all(axis=(-2, -1)))
+    if bad.any():
+        key = np.where(np.isfinite(det), np.abs(det), -1.0)
+        i = int(np.argmin(np.where(bad, key, np.inf)))
+        raise np.linalg.LinAlgError(
+            f"{int(bad.sum())} singular or non-finite sigma row(s) at t={t:.6g}: "
+            f"worst row {i} sigma={s[i].tolist()} det={det[i]:.3e}")
+    return inv
+
+
 def _advance_pair_block(pair, x0, y0, cfg, grid, seed, block_index, width):
     d = pair.d
     n_steps = grid.dts.size
@@ -349,7 +373,7 @@ def _advance_pair_block(pair, x0, y0, cfg, grid, seed, block_index, width):
         dW = normals[:, k] * sqdt[k]
         bX, sX = pair.step_eval(t, X, None)
         bY, sY = pair.step_eval(t, Y, None)
-        sXi = np.linalg.inv(sX)     # only the X copy's inverse enters u
+        sXi = _sigma_inverse(sX, t)  # only the X copy's inverse enters u
         D = X - Y
         dist = np.linalg.norm(D, axis=-1)
         glued |= dist < floor

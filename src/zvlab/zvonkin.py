@@ -12,8 +12,10 @@ into dY = Z(t, Y) dt + Sigma(t, Y) dW with
 
 The singular part b0 is absorbed exactly.  lam is raised on a fixed
 quadrupling ladder until the interpolated phi has Lipschitz constant
-below grad_target, which makes Phi_t bi-Lipschitz with explicit bounds
-and makes the inversion fixed point a contraction.
+below grad_target, which makes Phi_t bi-Lipschitz with explicit bounds.
+In 1-d the interpolated Phi_t is then a strictly increasing piecewise-
+linear function, and its inverse is computed exactly, cell by cell; in
+2-d the inverse is the contraction fixed point x <- y - phi(t, x).
 """
 
 from __future__ import annotations
@@ -55,6 +57,29 @@ def interp_lipschitz_sup(phi_vals: np.ndarray, grid: GridSpec) -> float:
     return float(s.max())
 
 
+def _cell_index(knots: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """j in [0, n-2] with knots[j] <= y < knots[j+1], clamped at the ends,
+    for n strictly increasing knots; NaN gives 0.
+
+    Equals searchsorted(knots, y, "right") - 1 clipped, at a fraction of its
+    cost: a table on buckets a quarter of the smallest knot gap wide holds
+    the last knot at or below each bucket's left edge.  Two buckets span
+    less than one gap, so even when rounding puts y in a neighbouring
+    bucket the table is at most one cell off, and one step down and one
+    step up give the exact cell.
+    """
+    n = knots.size
+    w = 0.25 * float(np.min(np.diff(knots)))
+    nb = int((knots[-1] - knots[0]) / w) + 2
+    table = np.clip(np.searchsorted(knots, knots[0] + w * np.arange(nb),
+                                    side="right") - 1, 0, n - 2)
+    b = np.fmin(np.fmax((y - knots[0]) / w, 0.0), nb - 1.0).astype(np.int64)
+    j = table[b]
+    j -= y < knots[j]
+    j += y >= knots[j + 1]
+    return np.clip(j, 0, n - 2)
+
+
 class LambdaSearchError(RuntimeError):
     """The quadrupling ladder exhausted its steps without meeting the target."""
 
@@ -91,36 +116,32 @@ class ZvonkinMap:
 
     def invert(self, t: float, y: np.ndarray, max_iter: int = INVERT_MAX_ITER,
                on_escape: str = "raise"):
-        """Solve x + phi(t, x) = y by the contraction x <- y - phi(t, x).
+        """Solve x + phi(t, x) = y.  Returns (x, iterations).
 
-        The sweep starts at y, which is within sup |phi| of the solution.
-        Convergence rate is grad_sup < 1, geometric; raises if the
-        successive difference is not below INVERT_TOL in max_iter sweeps.
-        Returns (x, iterations).
+        1-d: exact.  Phi_t is piecewise linear on the nodes and strictly
+        increasing (grad_sup < 1), so each y lies in one cell of the node
+        images xs + phi_t(xs), extended past +-L by the slope-1 rays
+        where the clamped phi is constant; x = y - phi with phi affine
+        in that cell (phi = 0 gives back y bit for bit).  iterations = 1.
 
-        Iterates outside the doubled box mean y sits too close to the wall
-        for the interpolated map: on_escape="raise" raises InverseEscape,
-        "flag" keeps the clamped-field fixed point (bulk sampling mode) and
-        leaves the caller to count the rows of x outside the box.  Both
-        errors name t and the worst row of y.
+        2-d: the contraction x <- y - phi(t, x), started at y, which is
+        within sup |phi| of the solution.  Convergence rate is grad_sup
+        < 1, geometric; raises if the successive difference is not below
+        INVERT_TOL in max_iter sweeps.
+
+        Preimages outside the doubled box mean y sits too close to the
+        wall for the interpolated map: on_escape="raise" raises
+        InverseEscape, "flag" keeps the clamped-field solution (bulk
+        sampling mode) and leaves the caller to count the rows of x
+        outside the box.  Both errors name t and the worst row of y.
         """
         y = np.asarray(y, dtype=float)
         single = y.ndim == 1
         pts = y[None, :] if single else y
-        x = pts
-        its = 0
-        for its in range(1, max_iter + 1):
-            xn = pts - self.phi.eval(t, x)
-            step = np.abs(xn - x)
-            delta = float(np.max(step))
-            x = xn
-            if delta <= INVERT_TOL:
-                break
+        if self.grid.d == 1:
+            x, its = self._invert_1d(t, pts), 1
         else:
-            i = int(np.argmax(step.max(axis=-1)))
-            raise RuntimeError(
-                f"map inversion stalled at t={t:.6g}: last update {delta:.3e} "
-                f"after max_iter={max_iter} sweeps, worst row {i} y={pts[i]}")
+            x, its = self._invert_fixed_point(t, pts, max_iter)
         if on_escape == "raise":
             size = np.abs(x).max(axis=-1)
             out = int(np.count_nonzero(size > 2.0 * self.grid.L))
@@ -130,6 +151,31 @@ class ZvonkinMap:
                     f"{out} preimage(s) outside the doubled box at t={t:.6g}: "
                     f"worst row {i} y={pts[i]} maps back to x={x[i]}")
         return (x[0], its) if single else (x, its)
+
+    def _invert_1d(self, t: float, pts: np.ndarray) -> np.ndarray:
+        vals = self.phi.time_slice(t)[:, 0]            # same slice as phi.eval
+        img = self.grid.xs + vals
+        if not np.all(np.diff(img) > 0.0):
+            raise ValueError(f"Phi_t is not strictly increasing at t={t:.6g}")
+        y = pts[:, 0]
+        j = _cell_index(img, y)
+        f = np.clip((y - img[j]) / (img[j + 1] - img[j]), 0.0, 1.0)
+        phi = vals[j] * (1.0 - f) + vals[j + 1] * f
+        return (y - phi)[:, None]
+
+    def _invert_fixed_point(self, t: float, pts: np.ndarray, max_iter: int):
+        x = pts
+        for its in range(1, max_iter + 1):
+            xn = pts - self.phi.eval(t, x)
+            step = np.abs(xn - x)
+            delta = float(np.max(step))
+            x = xn
+            if delta <= INVERT_TOL:
+                return x, its
+        i = int(np.argmax(step.max(axis=-1)))
+        raise RuntimeError(
+            f"map inversion stalled at t={t:.6g}: last update {delta:.3e} "
+            f"after max_iter={max_iter} sweeps, worst row {i} y={pts[i]}")
 
     def grad_phi_at(self, t: float, x: np.ndarray, step: float | None = None) -> np.ndarray:
         """Jacobian of the interpolated phi by central differences, (..., d, d)."""

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from zvlab.coupling import (CouplingConfig, build_coupling_grid,
+from zvlab.coupling import (CouplingConfig, _sigma_inverse, build_coupling_grid,
                             calibrate_k1, coalescence_report, eta, gamma0,
                             gamma_threshold, h5_certificate,
                             harnack_power_check, log_harnack_check,
@@ -188,6 +188,27 @@ def test_distance_ode_oracle(c):
         target = 0.5 * math.exp(-integral)
         assert dists[0, j] == pytest.approx(target, rel=1e-3)
     assert res.clip_events == 0 and res.trunc_events == 0
+
+
+def test_sigma_inverse_closed_form():
+    rng = np.random.default_rng(5)
+    for d in (1, 2):
+        s = rng.normal(size=(500, d, d))
+        np.testing.assert_allclose(_sigma_inverse(s, 0.0), np.linalg.inv(s),
+                                   rtol=1e-10, atol=0.0)
+    s = rng.normal(size=(6, 2, 2))
+    s[4] = [[1.0, 2.0], [0.5, 1.0]]               # det == 0
+    with pytest.raises(np.linalg.LinAlgError, match=r"t=0\.37: worst row 4"):
+        _sigma_inverse(s, 0.37)
+    s1 = rng.normal(size=(6, 1, 1))
+    s1[1] = np.nan
+    s1[3] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match=r"2 singular .* worst row 1"):
+        _sigma_inverse(s1, 0.37)
+    # the pair engine raises at the first step of a degenerate pair
+    with pytest.raises(np.linalg.LinAlgError, match="t=0: worst row 0"):
+        simulate_pair(additive_pair(sigma_scale=0.0), [0.25], [-0.25],
+                      unit_cfg(m=10, n_paths=4), seed=1)
 
 
 def test_martingale_mean_one_and_negative_control():

@@ -7,11 +7,13 @@ peak slope exceeds the stationary value by a modest factor, so gradient
 comparisons carry a 10% band while interior values are sharp.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from zvlab.fields import CoefficientSet, GridSpec, constant_sigma
-from zvlab.zvonkin import (InverseEscape, LambdaSearchError,
+from zvlab.fields import CoefficientSet, GridFunction, GridSpec, constant_sigma
+from zvlab.zvonkin import (InverseEscape, LambdaSearchError, _cell_index,
                            bilipschitz_certificate, build_zvonkin,
                            ellipticity_certificate,
                            interp_lipschitz_sup, roundtrip_certificate,
@@ -32,7 +34,7 @@ def test_zero_drift_gives_identity_map():
     y = np.array([[0.3], [-1.7]])
     assert np.abs(zm.forward(0.5, y) - y).max() == 0.0
     x, its = zm.invert(0.5, y)
-    assert np.abs(x - y).max() == 0.0 and its <= 2
+    assert np.all(x == y) and its == 1     # exact: y - 0, bit for bit
 
 
 def test_lambda_ladder_and_boundary_layer_oracle():
@@ -81,22 +83,89 @@ def test_singular_build_and_inversion(singular_map):
     assert zm.solution.capped_nodes == zm.grid.m + 1   # origin node per slice
     rt = roundtrip_certificate(zm)
     assert rt["passed"], rt
-    # the sweep starts at y, within sup |phi| of the preimage, and needs
-    # well under max_iter = 40 sweeps
+    # the 1-d inverse is exact: one pass, no fixed-point sweeps
     y = np.linspace(-1.5, 1.5, 64)[:, None]
     for t in (0.0, 0.5, 0.9):
         _, its = zm.invert(t, y)
-        assert its <= 25
+        assert its == 1
 
 
-def test_inversion_errors_name_the_input(singular_map):
-    zm = singular_map
-    y = np.array([[0.0], [0.05], [1.0]])
+def reference_fixed_point(zm, t, y, sweeps=200):
+    x = y
+    for _ in range(sweeps):
+        x = y - zm.phi.eval(t, x)
+    return x
+
+
+def test_exact_1d_inverse(singular_map):
+    # phi vanishes on the walls; a time-dependent shift gives the rays
+    # past +-L non-zero offsets without changing grad phi
+    ts = singular_map.grid.ts[:, None, None]
+    shifted = replace(singular_map, phi=GridFunction(
+        singular_map.grid, singular_map.phi.values + 0.05 + 0.1 * ts, "vector"))
+    t = 0.37                                  # between time slices
+    L = singular_map.grid.L
+    y = np.linspace(-1.9 * L, 1.9 * L, 1001)[:, None]
+    for zm in (singular_map, shifted):
+        x, its = zm.invert(t, y, on_escape="flag")
+        assert its == 1
+        assert np.abs(zm.forward(t, x) - y).max() <= 1e-13
+        assert np.abs(x - reference_fixed_point(zm, t, y)).max() <= 1e-10
+        # past the images of +-L the clamped phi is constant: slope-1 rays
+        ends = zm.phi.eval(t, np.array([[-L], [L]]))
+        lo = y[:, 0] < -L + ends[0, 0]
+        hi = y[:, 0] > L + ends[1, 0]
+        assert lo.any() and hi.any()
+        assert np.all(x[lo] == y[lo] - ends[0])
+        assert np.all(x[hi] == y[hi] - ends[1])
+    assert ends[0, 0] > 0.05                  # the shifted map's rays are offset
+    # a map that folds over has no inverse
+    g = singular_map.grid
+    folded = replace(singular_map, phi=GridFunction(
+        g, np.broadcast_to(-1.5 * g.xs[:, None], (g.m + 1, g.n, 1)), "vector"))
+    with pytest.raises(ValueError, match="not strictly increasing at t=0.37"):
+        folded.invert(t, y)
+
+
+def test_cell_index_matches_searchsorted():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        n = int(rng.integers(3, 300))
+        xs = np.linspace(-2.0, 2.0, n)
+        slope = rng.uniform(-0.49, 0.49, n) * (xs[1] - xs[0])
+        knots = xs + np.cumsum(slope) + rng.normal()
+        gap = np.diff(knots).min()
+        # random points, every knot and its neighbours, the table's bucket
+        # edges, and points far outside
+        y = np.concatenate([
+            rng.uniform(knots[0] - 1.0, knots[-1] + 1.0, 1000),
+            knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+            knots[0] + 0.25 * gap * np.arange(4 * n),
+            [-np.inf, -1e300, 1e300, np.inf]])
+        ref = np.clip(np.searchsorted(knots, y, side="right") - 1, 0, n - 2)
+        assert np.array_equal(_cell_index(knots, y), ref)
+
+
+@pytest.fixture(scope="module")
+def small_2d_map():
+    grid = GridSpec(d=2, n=11, m=4, L=2.0, T=0.5)
+    cs = CoefficientSet(sigma=constant_sigma(np.eye(2)), b0=const_b0(0.3),
+                        kappa1=0.5, kappa2=0.5)
+    return build_zvonkin(cs, grid)
+
+
+def test_inversion_errors_name_the_input(singular_map, small_2d_map):
+    # only the 2-d fixed point can stall
+    y2 = np.array([[0.0, 0.0], [0.5, -0.3], [1.0, 1.0]])
+    x2, its = small_2d_map.invert(0.37, y2)
+    assert 1 < its <= 40
+    assert np.abs(small_2d_map.forward(0.37, x2) - y2).max() <= 1e-9
     with pytest.raises(RuntimeError, match="stalled") as ei:
-        zm.invert(0.37, y, max_iter=1)
+        small_2d_map.invert(0.37, y2, max_iter=1)
     msg = str(ei.value)
     assert "t=0.37" in msg and "max_iter=1" in msg and "worst row" in msg
-    # beyond 2L the clamped map is flat, so the fixed point converges to y
+    zm = singular_map
+    # beyond 2L the clamped map is flat, so the preimage is y - phi(L)
     y_out = np.array([[0.0], [1.0], [2.5 * zm.grid.L]])
     with pytest.raises(InverseEscape) as ei:
         zm.invert(0.37, y_out)
