@@ -10,17 +10,9 @@ from .coupling import (
     verify_martingale,
     verify_moment_bound,
 )
-from .fields import (
-    CoefficientSet,
-    GridFunction,
-    GridSpec,
-    NormSpec,
-    holder_seminorm,
-    lp_lq_norm,
-    sample_field,
-)
+from .fields import CoefficientSet, GridSpec, NormSpec
 from .pde import lambda_sweep, solve_backward, solve_phi_system
-from .report import CheckRecord, RunReport
+from .report import RunReport
 from .scenarios import Scenario, get_scenario, scenario_names
 from .sde import (
     SdeModel,
@@ -31,32 +23,26 @@ from .sde import (
     transform_consistency,
     transformed_model,
 )
-from .zvonkin import ZvonkinMap, bilipschitz_certificate, build_zvonkin
+from .zvonkin import bilipschitz_certificate, build_zvonkin
 
 __all__ = [
-    "CheckRecord",
     "CoefficientSet",
     "CouplingConfig",
-    "GridFunction",
     "GridSpec",
     "NormSpec",
     "RunReport",
     "Scenario",
     "SdeModel",
     "SimSpec",
-    "ZvonkinMap",
     "bilipschitz_certificate",
     "build_zvonkin",
     "get_scenario",
     "harnack_power_check",
-    "holder_seminorm",
     "integrate",
     "krylov_estimate",
     "lambda_sweep",
     "log_harnack_check",
-    "lp_lq_norm",
     "original_model",
-    "sample_field",
     "scenario_names",
     "simulate_pair",
     "solve_backward",

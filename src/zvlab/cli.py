@@ -24,7 +24,7 @@ from .coupling import (CouplingConfig, calibrate_k1, coalescence_report,
                        log_harnack_check, simulate_pair, verify_martingale,
                        verify_moment_bound)
 from .fields import GridSpec, NormSpec
-from .pde import solve_phi_system
+from .pde import PdeProblem, solve_phi_system, verify_apriori
 from .report import RunReport, combined_exit_code, csv_payload, json_payload
 from .scenarios import Scenario, get_scenario, scenario_names
 from .sde import (SdeModel, SimSpec, bump_family_report, integrate,
@@ -72,12 +72,12 @@ def _grid(sc: Scenario, args) -> GridSpec:
 
 
 def _n_paths(args, default: int) -> int:
-    if args.paths:
+    if args.paths is not None:
         return args.paths
     return default // FAST_DIVISOR if args.fast else default
 
 
-def _sim_spec(sc: Scenario, grid: GridSpec, args, n_paths: int) -> SimSpec:
+def _sim_spec(grid: GridSpec, args, n_paths: int) -> SimSpec:
     return SimSpec(T=grid.T, n_steps=max(grid.m, 100), n_paths=n_paths,
                    seed=args.seed, L=grid.L)
 
@@ -124,12 +124,19 @@ def _coupling_config(grid: GridSpec, args, consts, n_paths: int,
 
 def stage_solve_pde(rep: RunReport, sc: Scenario, args):
     grid = _grid(sc, args)
-    lam = args.lam if args.lam else 10.0
+    lam = args.lam if args.lam is not None else 10.0
     sol = solve_phi_system(sc.coeffs, grid, lam)
     sup_phi = float(np.abs(sol.u).max())
     rep.add("pde-lambda", lam, "info")
     rep.add("pde-sup-phi", sup_phi, "pass" if np.isfinite(sup_phi) else "fail")
     rep.add("pde-capped-nodes", float(sol.capped_nodes), "info")
+    if sc.b0_norm is not None:       # None exactly when b0 is None
+        # the L^p-L^q estimate: lam ||phi|| + ||(d_t + b1.grad) phi|| +
+        # ||phi||_{W^2} over ||b0||, in the scenario's (p, q)
+        problem = PdeProblem(grid=grid, coeffs=sc.coeffs, lam=lam,
+                             n_comp=grid.d, sources="b0")
+        ap = verify_apriori(sol, problem, sc.b0_norm)
+        rep.add("pde-apriori-ratio", ap["ratio"], "info")
 
 
 def stage_build_transform(rep: RunReport, sc: Scenario, args, pairs=4000):
@@ -174,7 +181,7 @@ def stage_build_transform(rep: RunReport, sc: Scenario, args, pairs=4000):
 
 def stage_simulate(rep: RunReport, sc: Scenario, args):
     grid = _grid(sc, args)
-    spec = _sim_spec(sc, grid, args, _n_paths(args, SIM_PATHS))
+    spec = _sim_spec(grid, args, _n_paths(args, SIM_PATHS))
     model = original_model(sc.coeffs, sc.d)
     ens = integrate(model, np.array(sc.x0), spec)
     rr = ens.rng_report
@@ -192,7 +199,7 @@ def stage_simulate(rep: RunReport, sc: Scenario, args):
 
 def stage_krylov(rep: RunReport, sc: Scenario, args):
     grid = _grid(sc, args)
-    spec = _sim_spec(sc, grid, args, _n_paths(args, SIM_PATHS))
+    spec = _sim_spec(grid, args, _n_paths(args, SIM_PATHS))
     model = original_model(sc.coeffs, sc.d)
     ns = sc.b0_norm if sc.b0_norm is not None else NormSpec(p=4.0, q=16.0, d=sc.d)
     ev, norm_fn = interval_bump(0.0, 0.05)
@@ -244,7 +251,7 @@ def stage_harnack(rep: RunReport, sc: Scenario, args):
     pair, consts, x, y = _coupling_inputs(sc, grid, args)
     base = _coupling_config(grid, args, consts, _n_paths(args, COUPLE_PATHS))
     thr = gamma_threshold(base)
-    gamma = args.gamma if args.gamma else (
+    gamma = args.gamma if args.gamma is not None else (
         DEFAULT_GAMMA if DEFAULT_GAMMA > thr else 2.0 * thr)
     if gamma <= thr:
         raise ValueError(f"gamma {gamma} is below the admissible threshold "
@@ -314,8 +321,14 @@ def _parse_grid(text):
     try:
         n, m = (int(v) for v in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError("expected n,m (two integers)")
+        raise argparse.ArgumentTypeError(f"expected n,m (two integers), got {text!r}")
     return n, m
+
+
+def _positive_int(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> _Parser:
@@ -326,7 +339,7 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--scenario", required=True)
     common.add_argument("--seed", type=int, default=1)
-    common.add_argument("--paths", type=int, default=None)
+    common.add_argument("--paths", type=_positive_int, default=None)
     common.add_argument("--grid", type=_parse_grid, default=None,
                         metavar="N,M", help="space,time node counts")
     common.add_argument("--lambda", dest="lam", type=float, default=None)

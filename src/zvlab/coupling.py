@@ -14,6 +14,7 @@ of the source derivation is degenerate for every admissible gamma (its
 denominator vanishes or goes negative); the corrected constant obtained
 by substituting theta(gamma) into the moment bound is used as the pass
 criterion, and the degenerate value is recorded alongside for reference.
+Every verdict here comes from one rule, decide().
 """
 
 from __future__ import annotations
@@ -62,24 +63,26 @@ class CouplingConfig:
 
     def __post_init__(self):
         if self.T <= 0 or self.L <= 0:
-            raise ValueError("T and L must be positive")
+            raise ValueError(f"T and L must be positive, got T={self.T}, L={self.L}")
         if self.m < 2 or self.m % 2:
-            raise ValueError("m must be even (halved segments need T/(2h) steps)")
+            raise ValueError("m must be even (halved segments need T/(2h) "
+                             f"steps), got {self.m}")
         if self.n_paths < 1:
-            raise ValueError("n_paths must be >= 1")
+            raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
         if min(self.K_T, self.delta_T, self.lam_T) <= 0:
-            raise ValueError("K_T, delta_T, lam_T must be positive")
+            raise ValueError("K_T, delta_T, lam_T must be positive, got "
+                             f"{self.K_T}, {self.delta_T}, {self.lam_T}")
         if not 0.5 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (1/2, 1]")
+            raise ValueError(f"alpha must lie in (1/2, 1], got {self.alpha}")
         if not 0.0 < self.theta < 2.0 * self.alpha:
-            raise ValueError("theta must lie in (0, 2 alpha)")
+            raise ValueError(f"theta must lie in (0, 2 alpha), got {self.theta}")
         if self.gamma is not None and self.gamma <= 1.0:
-            raise ValueError("gamma must exceed 1")
+            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
         if self.n_trunc <= 0:
-            raise ValueError("n_trunc must be positive")
+            raise ValueError(f"n_trunc must be positive, got {self.n_trunc}")
         gap = self.stop_gap
         if not 0.0 < gap < 0.1 * self.T:
-            raise ValueError("eps_stop must lie in (0, T/10)")
+            raise ValueError(f"eps_stop must lie in (0, T/10), got {gap}")
 
     @property
     def stop_gap(self) -> float:
@@ -205,15 +208,11 @@ def h5_certificate(pair: SdeModel, cfg: CouplingConfig, seed: int = 5,
         worst_aligned = max(worst_aligned, float(aligned.max()))
         a2 = np.einsum("...ij,...kj->...ik", sx, sx)
         min_eig = min(min_eig, float(np.linalg.eigvalsh(a2)[..., 0].min()))
-    return {
-        "one_sided": worst_one_sided, "aligned": worst_aligned, "min_eig": min_eig,
-        "K_T_ok": worst_one_sided <= cfg.K_T + 1e-9,
-        "delta_T_ok": worst_aligned <= cfg.delta_T + 1e-9,
-        "lam_T_ok": min_eig >= cfg.lam_T - 1e-9,
-        "passed": (worst_one_sided <= cfg.K_T + 1e-9
-                   and worst_aligned <= cfg.delta_T + 1e-9
-                   and min_eig >= cfg.lam_T - 1e-9),
-    }
+    oks = {"K_T_ok": within(worst_one_sided, cfg.K_T, 1e-9),
+           "delta_T_ok": within(worst_aligned, cfg.delta_T, 1e-9),
+           "lam_T_ok": within(cfg.lam_T, min_eig, 1e-9)}
+    return {"one_sided": worst_one_sided, "aligned": worst_aligned,
+            "min_eig": min_eig, **oks, "passed": all(oks.values())}
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +305,23 @@ def verdict_threshold(lhs: float, rhs: float, slack: float,
     return rhs + max(slack, floor)
 
 
+def decide(lhs: float, rhs: float, slack: float, scale: float = 1.0,
+           noise: float = 0.0, cap: float | None = None) -> tuple[str, float]:
+    """The one verdict rule: (verdict, threshold) for the claim lhs <= rhs.
+
+    The threshold is verdict_threshold(lhs, rhs, slack, scale).  With a
+    cap, a noise level above it gives "inconclusive" whatever lhs is;
+    otherwise the verdict is "pass" iff lhs <= threshold, else "fail".
+    """
+    thr = verdict_threshold(lhs, rhs, slack, scale)
+    if cap is not None and noise > cap:
+        return "inconclusive", thr
+    return ("pass" if lhs <= thr else "fail"), thr
+
+
 def within(lhs: float, rhs: float, slack: float, scale: float = 1.0) -> bool:
     """lhs <= rhs up to the statistical slack and the roundoff floor."""
-    return lhs <= verdict_threshold(lhs, rhs, slack, scale)
+    return decide(lhs, rhs, slack, scale)[0] == "pass"
 
 
 def _exp_stats(logw: np.ndarray, vals=None) -> tuple[float, float]:
@@ -489,10 +502,11 @@ def verify_moment_bound(res: CouplingResult) -> dict:
     lhs = lhs_all[i]
     rel = se_all[i] / lhs if lhs > 0 else 0.0
     rhs = moment_bound_rhs(res.cfg, res.r)
-    thr = verdict_threshold(lhs, rhs, 3.0 * rel * rhs)
+    verdict, thr = decide(lhs, rhs, 3.0 * rel * rhs)
     return {"gamma0": g0, "lhs": lhs, "rel_se": rel, "rhs": rhs,
             "threshold": thr, "lhs_by_time": lhs_all,
-            "worst_time": float(res.sample_times[i]), "passed": lhs <= thr}
+            "worst_time": float(res.sample_times[i]),
+            "passed": verdict == "pass"}
 
 
 def coalescence_report(res: CouplingResult) -> dict:
@@ -504,7 +518,7 @@ def coalescence_report(res: CouplingResult) -> dict:
     return {"eps": eps.tolist(), "medians": med.tolist(),
             "decreasing": bool(np.all(np.diff(med) < 0)),
             "final_scale_bound": scale,
-            "final_ok": bool(med[-1] <= scale),
+            "final_ok": within(float(med[-1]), scale, 0.0),
             "glued_fraction": float(res.glued.mean())}
 
 
@@ -546,11 +560,8 @@ def harnack_power_check(pair: SdeModel, fs, x, y, cfg: CouplingConfig,
         rhs = rhs_mean * math.exp(expo["corrected"])
         combined = math.hypot(rel_lhs, rel_rhs)
         # lhs = base**g carries g times the relative rounding of base
-        thr = verdict_threshold(lhs, rhs, 3.0 * combined * rhs, scale=g)
-        if combined > SE_REL_CAP:
-            verdict = "inconclusive"
-        else:
-            verdict = "pass" if lhs <= thr else "fail"
+        verdict, thr = decide(lhs, rhs, 3.0 * combined * rhs, scale=g,
+                              noise=combined, cap=SE_REL_CAP)
         checks.append({"f": label, "lhs": lhs, "rhs": rhs,
                        "combined_rel_se": combined, "threshold": thr,
                        "verdict": verdict})
@@ -579,11 +590,8 @@ def log_harnack_check(pair: SdeModel, fs, x, y, cfg: CouplingConfig,
         # both terms are absolute uncertainties in log units; lhs itself may
         # sit near zero, so a relative cap would be meaningless
         combined_abs = math.hypot(lhs_se, mx_se / mx)
-        thr = verdict_threshold(lhs, rhs, 3.0 * combined_abs)
-        if combined_abs > LOG_SE_CAP:
-            verdict = "inconclusive"
-        else:
-            verdict = "pass" if lhs <= thr else "fail"
+        verdict, thr = decide(lhs, rhs, 3.0 * combined_abs,
+                              noise=combined_abs, cap=LOG_SE_CAP)
         checks.append({"f": label, "lhs": lhs, "rhs": rhs,
                        "abs_se": combined_abs, "threshold": thr,
                        "verdict": verdict})

@@ -44,15 +44,15 @@ class GridSpec:
 
     def __post_init__(self):
         if self.d not in (1, 2):
-            raise ValueError("d must be 1 or 2")
+            raise ValueError(f"d must be 1 or 2, got {self.d}")
         if self.n < 3 or self.n % 2 == 0:
-            raise ValueError("n must be odd and >= 3")
+            raise ValueError(f"n must be odd and >= 3, got {self.n}")
         if self.m < 1:
-            raise ValueError("m must be >= 1")
+            raise ValueError(f"m must be >= 1, got {self.m}")
         if not (self.L > 0 and math.isfinite(self.L)):
-            raise ValueError("L must be positive and finite")
+            raise ValueError(f"L must be positive and finite, got {self.L}")
         if not (self.T > 0 and math.isfinite(self.T)):
-            raise ValueError("T must be positive and finite")
+            raise ValueError(f"T must be positive and finite, got {self.T}")
 
     @property
     def h(self) -> float:
@@ -105,28 +105,19 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Integrability pair (p, q), with the ambient dimension.
-
-    p1 is an optional second spatial exponent (>= p) used when a drift
-    norm enters an exponential constant; weighted=True requests the
-    (1+|x|^2)^{-p/2} spatial weight.
-    """
+    """Integrability pair (p, q), with the ambient dimension."""
 
     p: float
     q: float
     d: int = 1
-    p1: float | None = None
-    weighted: bool = False
 
     def __post_init__(self):
         if not (1.0 < self.p < math.inf):
-            raise ValueError("p must lie in (1, inf)")
+            raise ValueError(f"p must lie in (1, inf), got {self.p}")
         if not (1.0 < self.q < math.inf):
-            raise ValueError("q must lie in (1, inf)")
-        if self.p1 is not None and not (self.p <= self.p1):
-            raise ValueError("p1 must satisfy p1 >= p")
+            raise ValueError(f"q must lie in (1, inf), got {self.q}")
         if self.d not in (1, 2):
-            raise ValueError("d must be 1 or 2")
+            raise ValueError(f"d must be 1 or 2, got {self.d}")
 
     @property
     def beta(self) -> float:
@@ -326,29 +317,6 @@ def lp_lq_norm(g: GridFunction, ns: NormSpec, t0: float | None = None,
     return float(np.sum(inner * tw) ** (1.0 / ns.q))
 
 
-def sup_norm(g: GridFunction, t0: float | None = None, t1: float | None = None) -> float:
-    k0, k1 = _window_indices(g.grid, t0, t1)
-    return float(g.magnitude()[k0:k1 + 1].max())
-
-
-def weighted_lp_norm(g: GridFunction, ns: NormSpec, t: float) -> float:
-    """Single-slice spatial norm with weight (1+|x|^2)^{-p/2}."""
-    sl = g.time_slice(t)
-    if g.kind == "scalar":
-        mag = np.abs(sl)
-    elif g.kind == "vector":
-        mag = np.sqrt(np.sum(sl ** 2, axis=-1))
-    else:
-        mag = np.sqrt(np.sum(sl ** 2, axis=(-2, -1)))
-    xs = g.grid.xs
-    if g.grid.d == 1:
-        w2 = 1.0 + xs ** 2
-    else:
-        w2 = 1.0 + xs[:, None] ** 2 + xs[None, :] ** 2
-    integ = (mag ** ns.p) * w2 ** (-ns.p / 2.0) * g.grid.space_weights()
-    return float(np.sum(integ) ** (1.0 / ns.p))
-
-
 _HOLDER_WINDOW = 8       # near pairs within 2h * window
 _HOLDER_FAR_PAIRS = 10_000
 
@@ -414,111 +382,6 @@ def holder_seminorm(g: GridFunction, t: float, alpha: float) -> float:
     dist = np.sqrt(np.sum((nodes[ii] - nodes[jj]) ** 2, axis=-1))
     best = max(best, float((dmag / dist ** alpha).max(initial=0.0)))
     return best
-
-
-# ---------------------------------------------------------------------------
-# mollification and the Lipschitz drift split
-
-
-def bump_weights(radius: float, h: float) -> np.ndarray:
-    """Discrete bump kernel exp(-1/(1-(kh/r)^2)) on |kh| < r, unit mass."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    K = int(math.floor(radius / h))
-    ks = np.arange(-K, K + 1)
-    u = ks * h / radius
-    w = np.zeros(len(ks))
-    inside = np.abs(u) < 1.0
-    w[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-    s = w.sum()
-    if s <= 0:
-        # radius below one mesh width: identity kernel
-        w = np.zeros(1)
-        w[0] = 1.0
-        return w
-    return w / s
-
-
-def mollify(g: GridFunction, radius: float) -> GridFunction:
-    """Convolve each time slice with the bump kernel.
-
-    Near the boundary the kernel is renormalised over the part of its
-    support inside the box, so constants are preserved exactly and the
-    sup norm never grows.
-    """
-    grid = g.grid
-    w = bump_weights(radius, grid.h)
-    if len(w) == 1:
-        return GridFunction(grid, g.values.copy(), g.kind)
-    comp_nd = _COMP_DIMS[g.kind]
-    vals = g.values
-    flatcomp = vals.reshape(vals.shape[:1 + grid.d] + (-1,)) if comp_nd else vals[..., None]
-    out = np.empty_like(flatcomp)
-    ones = np.ones(grid.n)
-    if grid.d == 1:
-        denom = np.convolve(ones, w, mode="same")
-        for k in range(grid.m + 1):
-            for c in range(flatcomp.shape[-1]):
-                out[k, :, c] = np.convolve(flatcomp[k, :, c], w, mode="same") / denom
-    else:
-        from scipy.ndimage import convolve1d
-        denom1 = np.convolve(ones, w, mode="same")
-        denom = np.outer(denom1, denom1)
-        for k in range(grid.m + 1):
-            for c in range(flatcomp.shape[-1]):
-                tmp = convolve1d(flatcomp[k, :, :, c], w, axis=0, mode="constant")
-                tmp = convolve1d(tmp, w, axis=1, mode="constant")
-                out[k, :, :, c] = tmp / denom
-    res = out.reshape(vals.shape) if comp_nd else out[..., 0]
-    return GridFunction(grid, res, g.kind)
-
-
-def decompose_lipschitz_drift(b1: Evaluator, radius: float, grid: GridSpec,
-                              lip: float | None = None):
-    """Split a Lipschitz drift into a smooth part and a small remainder.
-
-    The smooth part is the bump mollification of the evaluator (done in
-    evaluator space, so no boundary effects); the remainder is the
-    pointwise difference.  |remainder| <= lip * radius wherever the
-    Lipschitz constant lip holds, and the smooth part keeps the same
-    Lipschitz bound.  Returns (smooth_ev, remainder_ev, report).
-    """
-    step = min(grid.h, radius / 4.0)
-    K = max(1, int(math.floor(radius / step)))
-    ks = np.arange(-K, K + 1)
-    u = ks * step / radius
-    w = np.zeros(len(ks))
-    inside = np.abs(u) < 1.0
-    w[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-    w = w / w.sum()
-    if grid.d == 1:
-        offs = (ks * step)[:, None]
-        wts = w
-    else:
-        ox, oy = np.meshgrid(ks * step, ks * step, indexing="ij")
-        offs = np.stack([ox.ravel(), oy.ravel()], axis=-1)
-        wts = np.outer(w, w).ravel()
-
-    def smooth(t, x):
-        x = np.asarray(x, dtype=float)
-        acc = None
-        for off, ww in zip(offs, wts):
-            v = np.asarray(b1(t, x - off), dtype=float) * ww
-            acc = v if acc is None else acc + v
-        return acc
-
-    def remainder(t, x):
-        return np.asarray(b1(t, x), dtype=float) - smooth(t, x)
-
-    report = {"radius": radius, "quad_points": len(wts), "lip": lip}
-    if lip is not None:
-        from . import rng as _rng
-        pts = _rng.uniform_points(2024, 3, 256, -grid.L * np.ones(grid.d), grid.L * np.ones(grid.d))
-        sup_rem = float(np.max(np.sqrt(np.sum(
-            np.asarray(remainder(0.0, pts)) ** 2, axis=-1))))
-        report["sup_remainder"] = sup_rem
-        report["sup_remainder_bound"] = lip * radius
-    return smooth, remainder, report
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,11 @@
-"""Characteristic flow of the Lipschitz drift and the conjugation operator.
+"""Characteristic flow of the Lipschitz drift.
 
 psi(t, x) follows dz/ds = b1(s, z) backward from z(T) = x; its gradient
 rides along through the variational system d(grad psi)/ds =
 grad b1(z) grad psi.  The inverse map psi^{-1}(t, y) is the same ODE
 integrated forward from (t, y) up to T, so both directions share one
-integrator and accuracy budget.  Conjugation moves fields along the
-stream:
-
-    (J g)(t, x)      = g(t, psi^{-1}(t, x)),
-    (J^{-1} g)(t, x) = g(t, psi(t, x)),
-
-which turns the material derivative (d_t + b1 . grad) into a plain d_t.
+integrator and accuracy budget.  The Gronwall bound
+sup |grad psi| <= exp(Lip(b1) T) is checked on the solved field.
 """
 
 from __future__ import annotations
@@ -20,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Evaluator, GridFunction, GridSpec, interp_space
-from . import rng as _rng
+from .fields import Evaluator, GridSpec
 
 TOL_FLOW = 1e-7
 
@@ -88,16 +82,6 @@ class FlowMap:
             return float(np.abs(g).max())
         s = np.linalg.svd(g.reshape(-1, self.grid.d, self.grid.d), compute_uv=False)
         return float(s.max())
-
-    def psi_field(self) -> GridFunction:
-        shape = (self.grid.m + 1,) + (self.grid.n,) * self.grid.d + (self.grid.d,)
-        return GridFunction(self.grid, self.psi.reshape(shape), "vector")
-
-    def psi_inv_field(self) -> GridFunction:
-        if self.psi_inv is None:
-            raise ValueError("inverse flow not solved yet")
-        shape = (self.grid.m + 1,) + (self.grid.n,) * self.grid.d + (self.grid.d,)
-        return GridFunction(self.grid, self.psi_inv.reshape(shape), "vector")
 
 
 def solve_flow(b1: Evaluator, grid: GridSpec, jac=None, lip: float | None = None,
@@ -173,91 +157,6 @@ def solve_inverse_flow(fm: FlowMap, b1: Evaluator, jac=None) -> FlowMap:
     fm.psi_inv = Z
     fm.grad_psi_inv = M
     return fm
-
-
-def composition_check(fm: FlowMap, b1: Evaluator, n_samples: int = 64,
-                      seed: int = 11, jac=None) -> float:
-    """sup |psi^{-1}(t, psi(t,x)) - x| via fresh forward integration.
-
-    Uses the stored psi values and re-integrates forward, so the defect
-    measures pure integrator error, not interpolation."""
-    grid = fm.grid
-    if jac is None:
-        jac = _fd_jacobian(b1, grid.d)
-    N = fm.psi.shape[1]
-    ks = np.floor(_rng.uniform_points(seed, 6, n_samples, 0, grid.m + 1)).astype(int)
-    ks = np.minimum(ks, grid.m)
-    iis = np.floor(_rng.uniform_points(seed, 7, n_samples, 0, N)).astype(int)
-    iis = np.minimum(iis, N - 1)
-    worst = 0.0
-    for k in np.unique(ks):
-        sel = iis[ks == k]
-        pos = fm.psi[k, sel].copy()
-        J = np.tile(np.eye(grid.d), (len(sel), 1, 1))
-        for j in range(k, grid.m):
-            pos, J = _rk4_pair(b1, jac, grid.ts[j], grid.ts[j + 1], pos, J,
-                               fm.n_sub, 2.0 * grid.L)
-        target = fm.grid.nodes()[sel]
-        worst = max(worst, float(np.max(np.sqrt(np.sum((pos - target) ** 2, axis=-1)))))
-    return worst
-
-
-def gradient_identity_check(fm: FlowMap, b1: Evaluator, n_samples: int = 32,
-                            seed: int = 12, jac=None) -> dict:
-    """Defect of inv(grad psi)(t,x) = (grad psi^{-1})(t, psi(t,x)).
-
-    Both sides are produced by fresh variational integrations at off-node
-    sample points, so the defect reflects integrator accuracy only.
-    """
-    grid = fm.grid
-    d = grid.d
-    if jac is None:
-        jac = _fd_jacobian(b1, d)
-    lo = -0.5 * grid.L * np.ones(d)
-    hi = 0.5 * grid.L * np.ones(d)
-    xs = _rng.uniform_points(seed, 8, n_samples, lo, hi)
-    if d == 1:
-        xs = xs.reshape(-1, 1)
-    ks = np.floor(_rng.uniform_points(seed, 9, n_samples, 0, grid.m)).astype(int)
-    worst_grad = 0.0
-    worst_comp = 0.0
-    for k in np.unique(ks):
-        sel = xs[ks == k]
-        pos = sel.copy()
-        J = np.tile(np.eye(d), (len(sel), 1, 1))
-        for j in range(grid.m, k, -1):
-            pos, J = _rk4_pair(b1, jac, grid.ts[j], grid.ts[j - 1], pos, J,
-                               fm.n_sub, 2.0 * grid.L)
-        back_pos, back_J = pos, J      # psi(t_k, x), grad psi(t_k, x)
-        pos2 = back_pos.copy()
-        M = np.tile(np.eye(d), (len(sel), 1, 1))
-        for j in range(k, grid.m):
-            pos2, M = _rk4_pair(b1, jac, grid.ts[j], grid.ts[j + 1], pos2, M,
-                                fm.n_sub, 2.0 * grid.L)
-        inv_grad = np.linalg.inv(back_J)
-        worst_grad = max(worst_grad, float(np.max(np.abs(inv_grad - M))))
-        worst_comp = max(worst_comp, float(np.max(np.abs(pos2 - sel))))
-    return {"grad_defect": worst_grad, "composition_defect": worst_comp}
-
-
-def apply_J(g: GridFunction, fm: FlowMap, inverse: bool = False):
-    """Conjugate a field along the stream; returns (field, clamp_count).
-
-    inverse=False gives J g (evaluate at psi^{-1}), inverse=True gives
-    J^{-1} g (evaluate at psi).  Points carried outside the box read the
-    clamped boundary value and are counted.
-    """
-    grid = g.grid
-    src = fm.psi if inverse else fm.psi_inv
-    if src is None:
-        raise ValueError("inverse flow not available; run solve_inverse_flow first")
-    out = np.empty_like(g.values)
-    clamps = 0
-    for k in range(grid.m + 1):
-        vals, c = interp_space(grid, g.values[k], src[k])
-        out[k] = vals.reshape(out[k].shape)
-        clamps += c
-    return GridFunction(grid, out, g.kind), clamps
 
 
 def gronwall_bound(fm: FlowMap, lip: float) -> bool:

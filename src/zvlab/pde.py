@@ -51,9 +51,9 @@ class PdeProblem:
 
     def __post_init__(self):
         if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+            raise ValueError(f"lam must be >= 0, got {self.lam}")
         if self.sources not in ("f", "b0"):
-            raise ValueError("sources must be 'f' or 'b0'")
+            raise ValueError(f"sources must be 'f' or 'b0', got {self.sources!r}")
 
 
 @dataclass
@@ -545,7 +545,8 @@ def verify_apriori(sol: PdeSolution, problem: PdeProblem, ns: NormSpec) -> dict:
     """Left/right sides of the maximal-regularity estimate on this grid.
 
     lhs = lam_eff ||u|| + ||(d_t + b1.grad) u|| + (||u|| + ||grad u|| + ||D2 u||),
-    rhs = ||f||; the ratio should be stable (within 25%) under grid
+    rhs = ||source|| (f, or b0 for the phi system), all in the mixed norm
+    of ns; the ratio should be stable (within 25%) under grid
     refinement, which is how the shape of the estimate is checked
     numerically without knowing its constant.
     """

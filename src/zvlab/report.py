@@ -46,10 +46,6 @@ class RunReport:
     def add(self, *args, **kw):
         self.checks.append(CheckRecord(*args, **kw))
 
-    def extend(self, other: "RunReport"):
-        self.checks.extend(other.checks)
-        self.timings.update(other.timings)
-
     @property
     def config_hash(self) -> str:
         blob = json.dumps(self.config, sort_keys=True, default=str)

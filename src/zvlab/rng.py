@@ -38,13 +38,6 @@ def block_normals(seed: int, block_index: int, n_steps: int, d: int,
     return gen.standard_normal((w, n_steps, d))
 
 
-def path_normals(seed: int, path_index: int, n_steps: int, d: int) -> np.ndarray:
-    """Increments of a single path, bit-identical to its lane in the block draw."""
-    lane = path_index % BLOCK
-    arr = block_normals(seed, path_index // BLOCK, n_steps, d, width=lane + 1)
-    return arr[lane].copy()
-
-
 def path_blocks(n_paths: int) -> list[tuple[int, int]]:
     """(block_index, width) covering path indices 0..n_paths-1 in order."""
     out = []

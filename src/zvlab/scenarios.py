@@ -5,8 +5,8 @@ Each scenario fixes everything a pipeline stage needs: the coefficient
 evaluators, the solve grid, the integrability exponents of the singular
 part with its closed-form norm where one exists, a start point for path
 ensembles, and (for the coupling testbeds) the one-sided/alignment/
-ellipticity constants with a start pair.  Admissibility flags are not
-stored; they are re-derived from the exponents on access so a stale
+ellipticity constants with a start pair.  Admissibility is not stored:
+b0_norm.classify() derives it from the exponents, so a stale
 declaration cannot survive an edit.
 """
 
@@ -49,14 +49,6 @@ class Scenario:
     @property
     def d(self) -> int:
         return self.grid.d
-
-    def flags(self) -> dict:
-        """Admissibility of the singular part, re-derived from exponents."""
-        if self.b0_norm is None:
-            return {"beta": 0.0, "krylov_admissible": True,
-                    "singular_admissible": True,
-                    "harnack_power_admissible": True}
-        return self.b0_norm.classify()
 
 
 def singular_b0(t, x):
@@ -166,7 +158,3 @@ def get_scenario(name: str) -> Scenario:
         raise KeyError(f"unknown scenario {name!r}; available: "
                        + ", ".join(scenario_names()))
     return _FACTORIES[name]()
-
-
-def scenario_registry() -> list:
-    return [get_scenario(n) for n in scenario_names()]

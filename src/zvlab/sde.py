@@ -7,10 +7,9 @@ combined in fixed order.  Paths that leave the doubled box are frozen at
 their exit value, flagged, and excluded from estimators with the count
 reported.
 
-The module also houses the three checks that ride on simulated paths:
-the transform-consistency curve E max_t |Phi_t(X_t) - Y_t|, the
-occupation-functional estimate against the mixed L^p_q norm, and the
-pathwise Ito-identity residual.
+The module also houses the two checks that ride on simulated paths:
+the transform-consistency curve E max_t |Phi_t(X_t) - Y_t| and the
+occupation-functional estimate against the mixed L^p_q norm.
 """
 
 from __future__ import annotations
@@ -59,6 +58,12 @@ class SimSpec:
     n_paths: int
     seed: int
     L: float                 # coefficient box half-width; escape at 2L
+
+    def __post_init__(self):
+        if self.n_paths < 1:
+            raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
+        if self.n_steps < 1:
+            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
 
     @property
     def h(self) -> float:
@@ -128,30 +133,27 @@ class PathEnsemble:
     escaped: np.ndarray             # (N,) bool
     escape_fraction: float
     rng_report: dict = field(default_factory=dict)
-    paths: np.ndarray | None = None  # (N, n_steps+1, d) when kept
 
 
-def integrate(model: SdeModel, x0, spec: SimSpec, keep_paths: bool = False,
+def integrate(model: SdeModel, x0, spec: SimSpec,
               workers: int | None = None) -> PathEnsemble:
     """Euler-Maruyama ensemble with escape freezing and RNG sanity stats."""
     x0 = np.asarray(x0, dtype=float)
     if spec.n_steps < 100:
-        raise ValueError("step too coarse: need n_steps >= 100 (h <= T/100)")
+        raise ValueError("step too coarse: need n_steps >= 100 (h <= T/100), "
+                         f"got {spec.n_steps}")
     if np.abs(x0).max() > 0.5 * spec.L:
         raise ValueError("x0 must lie in the inner half of the box")
 
     def block_fn(traj, off):
         dW = traj["dW"]
-        part = {
+        return {
             "terminal": traj["X"][0][:, -1],
             "escaped": ~traj["alive"][0],
             "sum_dw": dW.sum(axis=(0, 1)),
             "sum_dw2": (dW ** 2).sum(axis=(0, 1)),
             "count": dW.shape[0] * dW.shape[1],
         }
-        if keep_paths:
-            part["paths"] = traj["X"][0]
-        return part
 
     parts = run_blocks([model], [x0], spec, block_fn, workers)
     terminal = np.concatenate([p["terminal"] for p in parts])
@@ -172,10 +174,9 @@ def integrate(model: SdeModel, x0, spec: SimSpec, keep_paths: bool = False,
         "var_ok": bool(np.all(np.abs(var - spec.h) <= 0.05 * spec.h)),
         "escape_warn": frac > ESCAPE_WARN,
     }
-    paths = np.concatenate([p["paths"] for p in parts]) if keep_paths else None
     return PathEnsemble(model=model, x0=x0, spec=spec, terminal=terminal,
                         escaped=escaped, escape_fraction=frac,
-                        rng_report=rng_report, paths=paths)
+                        rng_report=rng_report)
 
 
 def original_model(coeffs, d: int) -> SdeModel:
@@ -365,87 +366,3 @@ def bump_family_report(model: SdeModel, x0, spec: SimSpec, ns: NormSpec,
             "median_ratio": med, "max_ratio": float(ratios.max()),
             "max_over_median": float(ratios.max() / med),
             "n_used": n_ok, "passed": bool(ratios.max() <= 3.0 * med)}
-
-
-# ---------------------------------------------------------------------------
-# pathwise Ito-identity residual
-
-
-@dataclass
-class ItoFields:
-    """Smooth test field and its derivatives for the identity check."""
-    u: object                  # (t, X) -> (w,)
-    du_dt: object
-    grad: object               # -> (w, d)
-    hess: object               # -> (w, d, d)
-
-
-def ito_fields_from_solution(sol) -> ItoFields:
-    """Interpolating evaluators from a solved scalar field."""
-    g = sol.grid
-    u_gf = GridFunction(g, sol.u[..., 0], "scalar")
-    shape_v = (g.m + 1,) + (g.n,) * g.d + (g.d,)
-    grad_gf = GridFunction(g, sol.grad()[..., 0, :].reshape(shape_v), "vector")
-    shape_m = (g.m + 1,) + (g.n,) * g.d + (g.d, g.d)
-    hess_gf = GridFunction(g, sol.hess()[..., 0, :, :].reshape(shape_m), "matrix")
-    dudt_gf = GridFunction(g, sol.du_dt()[..., 0], "scalar")
-    return ItoFields(u=u_gf.eval, du_dt=dudt_gf.eval,
-                     grad=grad_gf.eval, hess=hess_gf.eval)
-
-
-def ito_residual(fields: ItoFields, model: SdeModel, x0, spec: SimSpec,
-                 workers: int | None = None) -> dict:
-    """Per-path defect of u(T,X_T) = u(0,X_0) + int (d_t u + b.grad u
-    + tr(a D^2 u)) dt + int grad u . sigma dW, with the stochastic integral
-    on the same left-point Euler grid."""
-    h = spec.h
-
-    def block_fn(traj, off):
-        Xp = traj["X"][0]
-        dW = traj["dW"]
-        ok = traj["alive"][0]
-        X = Xp[ok]
-        w = X.shape[0]
-        acc = np.zeros(w)
-        for k in range(spec.n_steps):
-            t = k * h
-            xs = X[:, k]
-            b, s = model.step_eval(t, xs, None)
-            a = 0.5 * np.einsum("...ij,...kj->...ik", s, s)
-            gu = np.asarray(fields.grad(t, xs), dtype=float)
-            Hu = np.asarray(fields.hess(t, xs), dtype=float)
-            dr = (np.asarray(fields.du_dt(t, xs), dtype=float)
-                  + np.einsum("...i,...i->...", b, gu)
-                  + np.einsum("...ij,...ji->...", a, Hu))
-            acc += dr * h
-            acc += np.einsum("...i,...i->...",
-                             np.einsum("...ij,...j->...i", s, dW[ok, k]), gu)
-        defect = (np.asarray(fields.u(spec.T, X[:, -1]), dtype=float)
-                  - np.asarray(fields.u(0.0, X[:, 0]), dtype=float) - acc)
-        return (float(defect.sum()), float((defect ** 2).sum()),
-                float(np.abs(defect).sum()), int((defect > 0).sum()), w)
-
-    parts = run_blocks([model], [np.asarray(x0, dtype=float)], spec, block_fn, workers)
-    tot = tree_reduce(parts, lambda a, b: tuple(x + y for x, y in zip(a, b)))
-    s, s2, sa, npos, n = tot
-    mean = s / n
-    var = max(s2 / n - mean ** 2, 0.0)
-    se = math.sqrt(var / n)
-    from scipy.stats import binomtest
-    sign_p = binomtest(npos, n, 0.5).pvalue if n > 0 else 1.0
-    return {"mean": mean, "se": se, "mean_abs": sa / n, "sign_p": float(sign_p),
-            "n": n}
-
-
-def ito_scaling(fields: ItoFields, model: SdeModel, x0, T: float, L: float,
-                steps_list, n_paths: int, seed: int,
-                workers: int | None = None) -> dict:
-    """mean |defect| across step sizes with a log-log slope fit."""
-    means = []
-    for n_steps in steps_list:
-        spec = SimSpec(T=T, n_steps=int(n_steps), n_paths=n_paths, seed=seed, L=L)
-        means.append(ito_residual(fields, model, x0, spec, workers)["mean_abs"])
-    hs = [T / int(n) for n in steps_list]
-    slope = float(np.polyfit(np.log(hs), np.log(means), 1)[0])
-    ratios = [means[i + 1] / means[i] for i in range(len(means) - 1)]
-    return {"h": hs, "mean_abs": means, "slope": slope, "ratios": ratios}

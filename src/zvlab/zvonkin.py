@@ -177,12 +177,13 @@ class ZvonkinMap:
             f"map inversion stalled at t={t:.6g}: last update {delta:.3e} "
             f"after max_iter={max_iter} sweeps, worst row {i} y={pts[i]}")
 
-    def grad_phi_at(self, t: float, x: np.ndarray, step: float | None = None) -> np.ndarray:
-        """Jacobian of the interpolated phi by central differences, (..., d, d)."""
+    def grad_phi_at(self, t: float, x: np.ndarray) -> np.ndarray:
+        """Jacobian of the interpolated phi by central differences with
+        step h/2, (..., d, d)."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = x[None, :] if single else x
-        delta = 0.5 * self.grid.h if step is None else step
+        delta = 0.5 * self.grid.h
         d = self.grid.d
         cols = []
         for j in range(d):

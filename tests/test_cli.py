@@ -40,6 +40,26 @@ def test_bad_grid_usage_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--scenario", "trivial-zero", "--grid", "bad"])
     assert exc.value.code == 1
+    assert "got 'bad'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("simulate", "--paths", "-5"), "'-5'"),
+    (("krylov", "--paths", "-5"), "'-5'"),
+    (("simulate", "--paths", "0"), "'0'"),
+    (("simulate", "--grid", "4,10"), "got 4"),
+    (("solve-pde", "--lambda", "-1"), "got -1.0"),
+])
+def test_bad_input_exits_1_naming_the_value(capsys, argv, named):
+    # a bad flag value is a usage error whose message names that value,
+    # never a crash deep in the pipeline or a silent fall-back to a default
+    try:
+        code = main([argv[0], "--scenario", "trivial-zero", "--fast", *argv[1:]])
+    except SystemExit as exc:          # argparse rejects at parse time
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 1
+    assert named in err.splitlines()[-1]
 
 
 def test_full_pipeline_trivial_identity(capsys):
@@ -77,6 +97,15 @@ def test_out_dir_and_json_format(capsys, tmp_path):
     data = json.loads((tmp_path / "report.json").read_text())
     assert data[0]["scenario"] == "singular-1d"
     assert "solve-pde" in data[0]["timings_s"]
+    # the corrector's L^p-L^q estimate is one finite, positive info row on a
+    # scenario with a singular part, and absent without one
+    ratios = [r for r in parse_csv(csv_text) if r["check-id"] == "pde-apriori-ratio"]
+    assert len(ratios) == 1 and ratios[0]["verdict"] == "info"
+    assert 0.0 < float(ratios[0]["value"]) < float("inf")
+    code0, out0, _ = run_cli(capsys, "solve-pde", "--scenario", "trivial-zero",
+                             "--fast")
+    assert code0 == 0
+    assert "pde-apriori-ratio" not in {r["check-id"] for r in parse_csv(out0)}
     code2, out2, _ = run_cli(capsys, "solve-pde", "--scenario", "singular-1d",
                              "--fast", "--format", "json")
     assert code2 == 0

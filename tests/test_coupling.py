@@ -13,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from zvlab import coupling
 from zvlab.coupling import (CouplingConfig, _sigma_inverse, build_coupling_grid,
-                            calibrate_k1, coalescence_report, eta, gamma0,
-                            gamma_threshold, h5_certificate,
+                            calibrate_k1, coalescence_report, decide, eta,
+                            gamma0, gamma_threshold, h5_certificate,
                             harnack_power_check, log_harnack_check,
                             moment_bound_rhs, power_harnack_exponent,
-                            simulate_pair, theta_for_gamma, verify_martingale,
-                            verify_moment_bound, within)
+                            simulate_pair, theta_for_gamma, verdict_threshold,
+                            verify_martingale, verify_moment_bound, within)
 from zvlab.sde import SdeModel
 
 E1 = 1.0 - math.exp(-1.0)      # 0.6321205588285577
@@ -408,3 +409,58 @@ def test_constant_function_equal_points_pass_up_to_roundoff():
     c = pow_rep["checks"][0]
     assert within(c["lhs"], c["rhs"], 0.0, scale=16.0)
     assert within(c["rhs"], c["lhs"], 0.0, scale=16.0)
+
+
+def test_decide_is_the_one_verdict_rule():
+    eps = np.finfo(float).eps
+    # pass exactly at the threshold, fail one float step above it
+    verdict, thr = decide(1.0, 1.0, 0.5)
+    assert (verdict, thr) == ("pass", 1.5)
+    assert thr == verdict_threshold(1.0, 1.0, 0.5)
+    assert decide(1.5, 1.0, 0.5) == ("pass", 1.5)
+    assert decide(np.nextafter(1.5, 2.0), 1.0, 0.5) == ("fail", 1.5)
+    # noise above the cap is inconclusive even when lhs <= threshold; at
+    # the cap, or with no cap given, the comparison decides
+    assert decide(0.0, 1.0, 0.5, noise=0.2, cap=0.1) == ("inconclusive", 1.5)
+    assert decide(2.0, 1.0, 0.5, noise=0.2, cap=0.1) == ("inconclusive", 1.5)
+    assert decide(0.0, 1.0, 0.5, noise=0.1, cap=0.1) == ("pass", 1.5)
+    assert decide(0.0, 1.0, 0.5, noise=99.0) == ("pass", 1.5)
+    # with no slack the roundoff floor is 64 ulps of the larger operand,
+    # times scale
+    assert decide(1.0 + 64 * eps, 1.0, 0.0) == ("pass", 1.0 + 64 * eps)
+    assert decide(1.0 + 65 * eps, 1.0, 0.0)[0] == "fail"
+    assert decide(1.0 + 65 * eps, 1.0, 0.0, scale=2.0)[0] == "pass"
+    assert decide(1e6 * (1.0 + 60 * eps), 1e6, 0.0)[0] == "pass"
+    # within is the same rule, reduced to a bool
+    assert within(1.5, 1.0, 0.5) and not within(np.nextafter(1.5, 2.0), 1.0, 0.5)
+
+
+def test_every_coupling_check_decides_through_one_rule(monkeypatch):
+    calls = []
+    orig = coupling.decide
+
+    def spy(lhs, rhs, slack, scale=1.0, noise=0.0, cap=None):
+        out = orig(lhs, rhs, slack, scale, noise, cap)
+        calls.append((cap, out))
+        return out
+
+    monkeypatch.setattr(coupling, "decide", spy)
+    cfg = unit_cfg(n_paths=400, gamma=16.0)
+    fs = [lambda z: 1.5 + np.sin(z[:, 0])]
+    res = simulate_pair(additive_pair(), [0.3], [-0.3], cfg, seed=7)
+    verify_martingale(res)
+    assert len(calls) == 2 * res.sample_times.size          # both sides
+    calls.clear()
+    mb = verify_moment_bound(res)
+    assert calls == [(None, ("pass" if mb["passed"] else "fail",
+                             mb["threshold"]))]
+    calls.clear()
+    pw = harnack_power_check(additive_pair(), fs, [0.3], [-0.3], cfg, seed=7)
+    assert [(cap, v) for cap, (v, _) in calls] == [
+        (coupling.SE_REL_CAP, c["verdict"]) for c in pw["checks"]]
+    calls.clear()
+    lg = log_harnack_check(additive_pair(), fs, [0.3], [-0.3], cfg,
+                           kappa1=1.0, k1_hat=1.0, seed=7)
+    assert [(cap, v) for cap, (v, _) in calls] == [
+        (coupling.LOG_SE_CAP, c["verdict"]) for c in lg["checks"]]
+

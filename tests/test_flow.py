@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from zvlab.fields import GridSpec, GridFunction
-from zvlab.flow import (FlowEscape, apply_J, composition_check,
-                        gradient_identity_check, gronwall_bound, solve_flow,
+from zvlab.fields import GridSpec
+from zvlab.flow import (FlowEscape, gronwall_bound, solve_flow,
                         solve_inverse_flow)
 
 A = np.array([[-1.0, 0.3], [0.2, -0.5]])  # eigenvalues -1.1, -0.4
@@ -43,15 +42,6 @@ def test_matrix_exponential_oracle(linear_flow):
         assert err <= 1e-6, f"{name} defect {err:.3e} exceeds 1e-6"
 
 
-def test_composition_and_gradient_identity(linear_flow):
-    grid, fm = linear_flow
-    comp = composition_check(fm, linear_drift, jac=linear_jac)
-    assert comp <= 10 * fm.tol_flow
-    res = gradient_identity_check(fm, linear_drift, jac=linear_jac)
-    assert res["grad_defect"] <= 10 * fm.tol_flow
-    assert res["composition_defect"] <= 10 * fm.tol_flow
-
-
 def test_fd_jacobian_matches_analytic(linear_flow):
     # same solve without the analytic jacobian must agree to integrator accuracy
     grid, fm = linear_flow
@@ -77,57 +67,6 @@ def test_flow_escape_raises():
     grid = GridSpec(d=1, n=101, m=50, L=4.0, T=1.0)
     with pytest.raises(FlowEscape):
         solve_flow(lambda t, x: -x, grid, lip=1.0)   # 4*e > 2L = 8
-
-
-def const_drift(t, x):
-    return np.full_like(x, 0.8)
-
-
-@pytest.fixture(scope="module")
-def translation_flow():
-    grid = GridSpec(d=1, n=201, m=20, L=4.0, T=1.0)
-    fm = solve_flow(const_drift, grid, lip=0.0)
-    solve_inverse_flow(fm, const_drift)
-    return grid, fm
-
-
-def test_apply_J_translates(translation_flow):
-    grid, fm = translation_flow
-    xs = grid.xs
-    g = GridFunction(grid, np.broadcast_to(np.sin(xs), (grid.m + 1, grid.n)).copy(), "scalar")
-    Jg, clamps = apply_J(g, fm)
-    assert clamps > 0          # right edge reads beyond the box and is counted
-    interior = np.abs(xs) <= 3.0
-    for k in range(grid.m + 1):
-        shift = 0.8 * (grid.T - grid.ts[k])   # psi^{-1}(t, x) = x + c (T - t)
-        expected = np.sin(np.clip(xs + shift, -grid.L, grid.L))
-        assert np.abs(Jg.values[k][interior] - expected[interior]).max() <= 5e-4
-
-
-def test_J_round_trip(translation_flow):
-    grid, fm = translation_flow
-    xs = grid.xs
-    g = GridFunction(grid, np.broadcast_to(np.sin(xs), (grid.m + 1, grid.n)).copy(), "scalar")
-    Jinv_g, _ = apply_J(g, fm, inverse=True)
-    back, _ = apply_J(Jinv_g, fm)
-    interior = np.abs(xs) <= 2.2
-    assert np.abs(back.values[:, interior] - g.values[:, interior]).max() <= 1e-3
-
-
-def test_chain_rule_identity():
-    # grad(J g)(t,x) = grad psi^{-1}(t,x)^T  grad g(t, psi^{-1}(t,x))
-    grid = GridSpec(d=1, n=201, m=50, L=4.0, T=0.5)
-    fm = solve_flow(lambda t, x: -x, grid, lip=1.0)
-    solve_inverse_flow(fm, lambda t, x: -x)
-    xs = grid.xs
-    g = GridFunction(grid, np.broadcast_to(np.sin(xs), (grid.m + 1, grid.n)).copy(), "scalar")
-    Jg, _ = apply_J(g, fm)
-    interior = np.abs(xs) <= 2.0
-    for k in (0, grid.m // 2):
-        num = np.gradient(Jg.values[k], grid.h)
-        factor = np.exp(-(grid.T - grid.ts[k]))   # grad psi^{-1} for dx = -x dt
-        analytic = factor * np.cos(xs * factor)
-        assert np.abs(num[interior] - analytic[interior]).max() <= 2e-3
 
 
 def cubic_drift(t, x):

@@ -65,6 +65,26 @@ def test_manufactured_gaussian_self_convergence():
     assert e_coarse / e_fine >= 2.5
 
 
+def test_solution_derivatives_match_manufactured_oracle():
+    # the derivative fields that feed the L^p-L^q estimate (d_t u, grad u,
+    # D^2 u) against the manufactured solution's closed forms, at t = 0.4
+    grid, coeffs = gaussian_problem(161, 200, L=6.0)
+    sol = solve_backward(PdeProblem(grid=grid, coeffs=coeffs, lam=0.0))
+    k = 80
+    t = grid.ts[k]
+    inner = np.abs(grid.xs) <= 2.0
+    x = grid.xs[inner]
+    g = np.exp(-x ** 2 / 4.0)
+    assert np.abs(sol.u[k, inner, 0] - (grid.T - t) * g).max() <= 2e-3
+    assert np.abs(sol.du_dt()[k, inner, 0] + g).max() <= 5e-3
+    grad_true = (grid.T - t) * g * (-x / 2.0)
+    assert np.abs(sol.grad()[k, inner, 0, 0] - grad_true).max() <= 2e-3
+    hess_true = (grid.T - t) * g * (x ** 2 / 4.0 - 0.5)
+    assert np.abs(sol.hess()[k, inner, 0, 0, 0] - hess_true).max() <= 5e-3
+    # with no drift the material derivative is d_t u
+    assert np.array_equal(sol.material_derivative(), sol.du_dt())
+
+
 def test_constant_source_matches_ode_oracle():
     # spatially constant source, drift -x: the solution away from the walls
     # follows u' = lam*u + 1, u(T)=0, so sup|u| = (1 - exp(-lam*T))/lam

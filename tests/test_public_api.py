@@ -1,0 +1,30 @@
+"""The package's public API holds only what the CLI or the acceptance
+suite uses: every name in zvlab.__all__ must be imported by cli.py or by
+tests/test_acceptance.py."""
+
+import ast
+from pathlib import Path
+
+import zvlab
+
+ROOT = Path(__file__).resolve().parents[1]
+USERS = (ROOT / "src" / "zvlab" / "cli.py", ROOT / "tests" / "test_acceptance.py")
+
+
+def imported_names(path: Path) -> set:
+    """Names bound by `from zvlab... import` (absolute or relative) in a file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "zvlab"):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_export_is_used_by_cli_or_acceptance():
+    used = set().union(*(imported_names(p) for p in USERS))
+    unused = sorted(set(zvlab.__all__) - used)
+    assert not unused, f"exported but used by neither cli nor acceptance: {unused}"
+    assert len(set(zvlab.__all__)) == len(zvlab.__all__)
+    for name in zvlab.__all__:
+        assert hasattr(zvlab, name), name

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from zvlab.fields import GridSpec, NormSpec, lp_lq_norm, sample_field
-from zvlab.scenarios import (get_scenario, scenario_names, scenario_registry,
-                             singular_b0, singular_b0_lp_norm)
+from zvlab.scenarios import (get_scenario, scenario_names, singular_b0,
+                             singular_b0_lp_norm)
 
 ALL_NAMES = ["additive-1d", "holder-sigma", "ou-lipschitz",
              "singular-1d", "trivial-zero"]
@@ -15,8 +15,9 @@ ALL_NAMES = ["additive-1d", "holder-sigma", "ou-lipschitz",
 
 def test_registry_lists_all_scenarios():
     assert scenario_names() == ALL_NAMES
-    for sc in scenario_registry():
-        assert sc.name in ALL_NAMES
+    for name in scenario_names():
+        sc = get_scenario(name)
+        assert sc.name == name
         assert sc.grid.d == 1
         assert sc.coeffs.kappa1 > 0
 
@@ -28,7 +29,7 @@ def test_unknown_scenario_lists_available():
 
 def test_admissibility_flags_rederive():
     sc = get_scenario("singular-1d")
-    fl = sc.flags()
+    fl = sc.b0_norm.classify()
     # 1/4 + 2/16
     assert fl["beta"] == pytest.approx(0.375, abs=1e-15)
     assert fl["krylov_admissible"]
@@ -37,7 +38,7 @@ def test_admissibility_flags_rederive():
     # flags are derived, not stored: a non-admissible spec classifies as such
     assert not NormSpec(p=2.0, q=4.0, d=1).classify()["singular_admissible"]
     triv = get_scenario("trivial-zero")
-    assert triv.b0_norm is None and triv.flags()["beta"] == 0.0
+    assert triv.b0_norm is None and triv.coeffs.b0 is None
 
 
 def test_singular_drift_pointwise():
@@ -86,7 +87,7 @@ def test_holder_sigma_bounds():
 
 
 def test_coupling_setup_only_on_testbed():
-    for sc in scenario_registry():
+    for sc in map(get_scenario, scenario_names()):
         if sc.name == "additive-1d":
             assert sc.coupling is not None
             assert sc.coupling.K_T > 0 and sc.coupling.lam_T > 0

@@ -1,5 +1,5 @@
-"""Path-engine tests: reproducibility, closed-form SDE oracles, occupation
-functionals against exact mixed norms, and the pathwise Ito residual.
+"""Path-engine tests: reproducibility, closed-form SDE oracles, and
+occupation functionals against exact mixed norms.
 
 Statistical asserts run at fixed seeds, so they are deterministic fixtures:
 tolerances are 3-sigma scale but the outcomes never fluctuate between runs.
@@ -13,10 +13,8 @@ import pytest
 from zvlab import rng as zrng
 from zvlab.fields import (CoefficientSet, GridFunction, GridSpec, NormSpec,
                           constant_sigma)
-from zvlab.sde import (ItoFields, PathEnsemble, SdeModel, SimSpec,
-                       bump_family_report, integrate, interval_bump,
-                       ito_fields_from_solution, ito_residual, ito_scaling,
-                       k_pq, krylov_estimate, original_model,
+from zvlab.sde import (SdeModel, SimSpec, bump_family_report, integrate,
+                       interval_bump, k_pq, krylov_estimate,
                        transform_consistency, transformed_model)
 from zvlab.zvonkin import build_zvonkin
 
@@ -28,16 +26,23 @@ def brownian_model():
 
 
 def test_path_regeneration_bit_exact():
+    # path i lives in lane i % BLOCK of block i // BLOCK; a draw just wide
+    # enough to reach that lane regenerates it bit for bit
     seed = 42
     full = zrng.block_normals(seed, 0, 50, 1)
+    assert full.shape == (zrng.BLOCK, 50, 1)
     for i in (0, 1, 777, 8191):
-        lane = zrng.path_normals(seed, i, 50, 1)
+        lane = zrng.block_normals(seed, i // zrng.BLOCK, 50, 1, width=i + 1)[i]
         assert np.array_equal(lane, full[i])
-    # path 8192 lives in block 1, lane 0
-    assert np.array_equal(zrng.path_normals(seed, 8192, 50, 1),
-                          zrng.block_normals(seed, 1, 50, 1)[0])
-    # narrow draws are bit-identical prefixes of the full block draw
+    # path 8192 lives in block 1, lane 0, and differs from block 0's lane 0
+    lane0 = zrng.block_normals(seed, 1, 50, 1, width=1)[0]
+    assert np.array_equal(lane0, zrng.block_normals(seed, 1, 50, 1)[0])
+    assert not np.array_equal(lane0, full[0])
+    # narrow draws are bit-identical prefixes of the full block draw, and a
+    # width beyond BLOCK is capped at it
     assert np.array_equal(zrng.block_normals(seed, 0, 50, 1, width=7), full[:7])
+    assert np.array_equal(zrng.block_normals(seed, 0, 50, 1,
+                                             width=zrng.BLOCK + 5), full)
 
 
 def test_worker_count_invariance(monkeypatch):
@@ -105,6 +110,11 @@ def test_integrate_preconditions():
     with pytest.raises(ValueError, match="inner half"):
         integrate(model, np.array([3.5]),
                   SimSpec(T=1.0, n_steps=100, n_paths=8, seed=1, L=4.0))
+    # a spec with no paths or no steps is refused up front, naming the value
+    with pytest.raises(ValueError, match="n_paths must be >= 1, got -5"):
+        SimSpec(T=1.0, n_steps=100, n_paths=-5, seed=1, L=4.0)
+    with pytest.raises(ValueError, match="n_steps must be >= 1, got 0"):
+        SimSpec(T=1.0, n_steps=0, n_paths=8, seed=1, L=4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -194,88 +204,6 @@ def test_bump_family_ratios_bounded():
     assert rep["max_over_median"] <= 3.0
     # ratios scale like eps^{1-1/p}: wider bumps give larger ratios
     assert np.all(np.diff(rep["ratios"]) > 0)
-
-
-# ---------------------------------------------------------------------------
-# Ito residual
-
-
-def quadratic_fields():
-    return ItoFields(
-        u=lambda t, x: x[..., 0] ** 2,
-        du_dt=lambda t, x: np.zeros(x.shape[:-1]),
-        grad=lambda t, x: 2.0 * x,
-        hess=lambda t, x: np.full(x.shape[:-1] + (1, 1), 2.0),
-    )
-
-
-def test_ito_residual_constant_field_is_exact_zero():
-    fields = ItoFields(u=lambda t, x: np.full(x.shape[:-1], 3.7),
-                       du_dt=lambda t, x: np.zeros(x.shape[:-1]),
-                       grad=lambda t, x: np.zeros_like(x),
-                       hess=lambda t, x: np.zeros(x.shape[:-1] + (1, 1)))
-    spec = SimSpec(T=1.0, n_steps=200, n_paths=256, seed=13, L=8.0)
-    rep = ito_residual(fields, brownian_model(), np.array([0.0]), spec)
-    assert rep["mean"] == 0.0 and rep["mean_abs"] == 0.0
-
-
-def test_ito_residual_matches_quadratic_variation_exactly():
-    # for u = x^2 on Brownian paths the defect telescopes to sum(dW^2) - T
-    spec = SimSpec(T=1.0, n_steps=200, n_paths=500, seed=37, L=10.0)
-    rep = ito_residual(quadratic_fields(), brownian_model(), np.array([0.0]), spec)
-    direct = []
-    for b, w in zrng.path_blocks(spec.n_paths):
-        dW = zrng.block_normals(spec.seed, b, spec.n_steps, 1, w) * math.sqrt(spec.h)
-        direct.append((dW[:, :, 0] ** 2).sum(axis=1) - spec.T)
-    direct = np.concatenate(direct)
-    assert abs(rep["mean"] - direct.mean()) <= 1e-10
-    assert abs(rep["mean_abs"] - np.abs(direct).mean()) <= 1e-10
-
-
-def test_ito_residual_statistics_brownian():
-    spec = SimSpec(T=1.0, n_steps=1000, n_paths=10_000, seed=41, L=10.0)
-    rep = ito_residual(quadratic_fields(), brownian_model(), np.array([0.0]), spec)
-    assert abs(rep["mean"]) <= 3 * rep["se"]
-    assert rep["sign_p"] > 0.01
-    theory = math.sqrt(2 * spec.h * spec.T) * math.sqrt(2.0 / math.pi)
-    assert abs(rep["mean_abs"] - theory) <= 0.15 * theory
-
-
-def test_ito_scaling_halving_ratio():
-    rep = ito_scaling(quadratic_fields(), brownian_model(), np.array([0.0]),
-                      T=1.0, L=10.0, steps_list=[500, 1000, 2000],
-                      n_paths=2000, seed=43)
-    assert rep["slope"] >= 0.3
-    # quadratic-variation defect scales like sqrt(h): halving h multiplies
-    # mean |defect| by 1/sqrt(2) ~ 0.707, inside the [0.5, 0.8] window
-    for r in rep["ratios"]:
-        assert 0.5 <= r <= 0.8
-
-
-def test_ito_fields_from_solution_matches_manufactured_oracle():
-    from zvlab.pde import PdeProblem, solve_backward
-
-    grid = GridSpec(d=1, n=161, m=200, L=6.0, T=1.0)
-
-    def u_true(t, x):
-        return (grid.T - t) * np.exp(-x[..., 0] ** 2 / 4.0)
-
-    def f_src(t, x):
-        g = np.exp(-x[..., 0] ** 2 / 4.0)
-        return -g + (grid.T - t) * (x[..., 0] ** 2 - 2.0) / 8.0 * g
-
-    cs = CoefficientSet(sigma=SIG1, f=f_src, kappa1=0.5, kappa2=0.5)
-    sol = solve_backward(PdeProblem(grid=grid, coeffs=cs, lam=0.0))
-    fields = ito_fields_from_solution(sol)
-    pts = np.linspace(-2.0, 2.0, 9)[:, None]
-    t = 0.4
-    x0 = pts[:, 0]
-    assert np.abs(fields.u(t, pts) - u_true(t, pts)).max() <= 2e-3
-    assert np.abs(fields.du_dt(t, pts) + np.exp(-x0 ** 2 / 4)).max() <= 5e-3
-    grad_true = (grid.T - t) * np.exp(-x0 ** 2 / 4) * (-x0 / 2.0)
-    assert np.abs(fields.grad(t, pts)[:, 0] - grad_true).max() <= 2e-3
-    hess_true = (grid.T - t) * np.exp(-x0 ** 2 / 4) * (x0 ** 2 / 4.0 - 0.5)
-    assert np.abs(fields.hess(t, pts)[:, 0, 0] - hess_true).max() <= 5e-3
 
 
 def test_transformed_model_stepper_matches_plain_evaluators(singular_map_small):
