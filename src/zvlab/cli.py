@@ -24,7 +24,7 @@ from .coupling import (CouplingConfig, calibrate_k1, coalescence_report,
                        log_harnack_check, simulate_pair, verify_martingale,
                        verify_moment_bound)
 from .fields import GridSpec, NormSpec
-from .pde import PdeProblem, solve_phi_system, verify_apriori
+from .pde import solve_phi_system, verify_apriori
 from .report import RunReport, combined_exit_code, csv_payload, json_payload
 from .scenarios import Scenario, get_scenario, scenario_names
 from .sde import (SdeModel, SimSpec, bump_family_report, integrate,
@@ -133,9 +133,7 @@ def stage_solve_pde(rep: RunReport, sc: Scenario, args):
     if sc.b0_norm is not None:       # None exactly when b0 is None
         # the L^p-L^q estimate: lam ||phi|| + ||(d_t + b1.grad) phi|| +
         # ||phi||_{W^2} over ||b0||, in the scenario's (p, q)
-        problem = PdeProblem(grid=grid, coeffs=sc.coeffs, lam=lam,
-                             n_comp=grid.d, sources="b0")
-        ap = verify_apriori(sol, problem, sc.b0_norm)
+        ap = verify_apriori(sol, sc.b0_norm)
         rep.add("pde-apriori-ratio", ap["ratio"], "info")
 
 

@@ -384,8 +384,8 @@ def _advance_pair_block(pair, x0, y0, cfg, grid, seed, block_index, width):
         t = grid.ts[k]
         dt = grid.dts[k]
         dW = normals[:, k] * sqdt[k]
-        bX, sX = pair.step_eval(t, X, None)
-        bY, sY = pair.step_eval(t, Y, None)
+        b, s = pair.step_eval(t, np.concatenate([X, Y]), None)  # one call, both copies
+        bX, bY, sX, sY = b[:width], b[width:], s[:width], s[width:]
         sXi = _sigma_inverse(sX, t)  # only the X copy's inverse enters u
         D = X - Y
         dist = np.linalg.norm(D, axis=-1)

@@ -200,9 +200,6 @@ class GridFunction:
         out, _ = interp_space(self.grid, sl, x)
         return out
 
-    def scaled(self, c: float) -> "GridFunction":
-        return GridFunction(self.grid, c * self.values, self.kind)
-
 
 def interp_space(grid: GridSpec, slice_vals: np.ndarray, x: np.ndarray):
     """Multilinear interpolation of one time slice at points x (..., d).
@@ -419,48 +416,6 @@ class CoefficientSet:
             if ev is not None:
                 out = out + np.asarray(ev(t, x), dtype=float)
         return out
-
-    def validate(self, grid: GridSpec, seed: int = 7) -> dict:
-        """Sampled certificate checks; raises on violation."""
-        from . import rng as _rng
-        lo = -grid.L * np.ones(grid.d)
-        hi = grid.L * np.ones(grid.d)
-        pts = _rng.uniform_points(seed, 4, 512, lo, hi)
-        ts = _rng.uniform_points(seed, 5, 8, 0.0, grid.T)
-        report = {}
-        for t in ts:
-            t = float(t)
-            a = self.a(t, pts)
-            asym = np.max(np.abs(a - np.swapaxes(a, -1, -2)))
-            if asym > 1e-10:
-                raise ValueError("a is not symmetric")
-            eig = np.linalg.eigvalsh(a)
-            report["min_eig_a"] = min(report.get("min_eig_a", np.inf), float(eig.min()))
-            report["max_eig_a"] = max(report.get("max_eig_a", 0.0), float(eig.max()))
-            if self.kappa1 and eig.min() < self.kappa1 * (1 - 1e-9):
-                raise ValueError("ellipticity lower bound violated")
-            if self.kappa2 and eig.max() > self.kappa2 * (1 + 1e-9):
-                raise ValueError("ellipticity upper bound violated")
-            if self.b2 is not None and self.sup_b2:
-                m = np.sqrt(np.sum(np.asarray(self.b2(t, pts)) ** 2, axis=-1)).max()
-                if m > self.sup_b2 * (1 + 1e-9):
-                    raise ValueError("bounded drift exceeds its certificate")
-            if self.c is not None and self.sup_c:
-                m = np.abs(np.asarray(self.c(t, pts))).max()
-                if m > self.sup_c * (1 + 1e-9):
-                    raise ValueError("zero-order term exceeds its certificate")
-        if self.b1 is not None and self.lip_b1:
-            a_pts = pts[:256]
-            b_pts = pts[256:512]
-            t = float(ts[0])
-            num = np.sqrt(np.sum((np.asarray(self.b1(t, a_pts))
-                                  - np.asarray(self.b1(t, b_pts))) ** 2, axis=-1))
-            den = np.sqrt(np.sum((a_pts - b_pts) ** 2, axis=-1))
-            quot = (num / np.maximum(den, 1e-300)).max()
-            report["lip_b1_sampled"] = float(quot)
-            if quot > self.lip_b1 * (1 + 1e-6):
-                raise ValueError("Lipschitz quotient of b1 exceeds its certificate")
-        return report
 
 
 def constant_sigma(value: np.ndarray) -> Evaluator:

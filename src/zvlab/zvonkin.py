@@ -52,32 +52,25 @@ def interp_lipschitz_sup(phi_vals: np.ndarray, grid: GridSpec) -> float:
     dy = np.abs(np.diff(phi_vals, axis=2)) / h         # (m+1, n, n-1, d)
     qx = np.maximum(dx[:, :, :-1], dx[:, :, 1:])       # per cell, both far corners
     qy = np.maximum(dy[:, :-1], dy[:, 1:])
-    mat = np.stack([qx, qy], axis=-1)                  # (m+1, n-1, n-1, d, d)
-    s = np.linalg.svd(mat.reshape(-1, grid.d, grid.d), compute_uv=False)
-    return float(s.max())
+    a, b, c, e = qx[..., 0], qy[..., 0], qx[..., 1], qy[..., 1]   # [[a, b], [c, e]]
+    # largest singular value sqrt((F + sqrt(F^2 - 4 det^2)) / 2), F = a^2 + b^2
+    # + c^2 + e^2, as (|(a+e, b-c)| + |(a-e, b+c)|) / 2, where nothing cancels
+    return float(0.5 * (np.hypot(a + e, b - c) + np.hypot(a - e, b + c)).max())
 
 
-def _cell_index(knots: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """j in [0, n-2] with knots[j] <= y < knots[j+1], clamped at the ends,
-    for n strictly increasing knots; NaN gives 0.
-
-    Equals searchsorted(knots, y, "right") - 1 clipped, at a fraction of its
-    cost: a table on buckets a quarter of the smallest knot gap wide holds
-    the last knot at or below each bucket's left edge.  Two buckets span
-    less than one gap, so even when rounding puts y in a neighbouring
-    bucket the table is at most one cell off, and one step down and one
-    step up give the exact cell.
-    """
-    n = knots.size
-    w = 0.25 * float(np.min(np.diff(knots)))
-    nb = int((knots[-1] - knots[0]) / w) + 2
-    table = np.clip(np.searchsorted(knots, knots[0] + w * np.arange(nb),
-                                    side="right") - 1, 0, n - 2)
-    b = np.fmin(np.fmax((y - knots[0]) / w, 0.0), nb - 1.0).astype(np.int64)
-    j = table[b]
-    j -= y < knots[j]
-    j += y >= knots[j + 1]
-    return np.clip(j, 0, n - 2)
+def _image_cell(grid: GridSpec, img: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """j in [0, n-2] with img[j] <= y < img[j+1], clamped at the ends, for
+    the strictly increasing node images img = xs + vals: searchsorted(img,
+    y, "right") - 1 clipped (NaN sorts last), found without a table.  From
+    floor((y + L) / h) the cell is at most ceil(max|vals| / h) + 1 steps
+    away, and the steps down, then up, stop once no row moves."""
+    top = img.size - 2
+    j = np.fmax(np.fmin((y + grid.L) / grid.h, top), 0.0).astype(np.int64)
+    while (down := (y < img[j]) & (j > 0)).any():
+        j -= down
+    while (up := (y >= img[j + 1]) & (j < top)).any():
+        j += up
+    return j
 
 
 class LambdaSearchError(RuntimeError):
@@ -91,7 +84,7 @@ class LambdaSearchError(RuntimeError):
 
 
 class InverseEscape(RuntimeError):
-    """A fixed-point iterate left the doubled box (query too near the wall)."""
+    """A preimage left the doubled box (query too near the wall)."""
 
 
 @dataclass
@@ -139,29 +132,33 @@ class ZvonkinMap:
         single = y.ndim == 1
         pts = y[None, :] if single else y
         if self.grid.d == 1:
-            x, its = self._invert_1d(t, pts), 1
+            x, its = self._invert_1d(t, pts)[0], 1
         else:
             x, its = self._invert_fixed_point(t, pts, max_iter)
-        if on_escape == "raise":
-            size = np.abs(x).max(axis=-1)
-            out = int(np.count_nonzero(size > 2.0 * self.grid.L))
-            if out:
-                i = int(np.argmax(size))
-                raise InverseEscape(
-                    f"{out} preimage(s) outside the doubled box at t={t:.6g}: "
-                    f"worst row {i} y={pts[i]} maps back to x={x[i]}")
+        self._check_escape(t, pts, x, on_escape)
         return (x[0], its) if single else (x, its)
 
-    def _invert_1d(self, t: float, pts: np.ndarray) -> np.ndarray:
-        vals = self.phi.time_slice(t)[:, 0]            # same slice as phi.eval
+    def _check_escape(self, t: float, y: np.ndarray, x: np.ndarray, on_escape: str):
+        """Under on_escape="raise", InverseEscape if a row of x left the doubled box."""
+        if on_escape != "raise":
+            return
+        size = np.abs(x).max(axis=-1)
+        if out := int(np.count_nonzero(size > 2.0 * self.grid.L)):
+            i = int(np.argmax(size))
+            raise InverseEscape(
+                f"{out} preimage(s) outside the doubled box at t={t:.6g}: "
+                f"worst row {i} y={y[i]} maps back to x={x[i]}")
+
+    def _invert_1d(self, t: float, y: np.ndarray):
+        """Exact inverse of y (N, 1): (x, phi_t(x), phi_t at the nodes)."""
+        vals = self.phi.time_slice(t)[:, 0]
         img = self.grid.xs + vals
         if not np.all(np.diff(img) > 0.0):
             raise ValueError(f"Phi_t is not strictly increasing at t={t:.6g}")
-        y = pts[:, 0]
-        j = _cell_index(img, y)
+        j = _image_cell(self.grid, img, y)
         f = np.clip((y - img[j]) / (img[j + 1] - img[j]), 0.0, 1.0)
         phi = vals[j] * (1.0 - f) + vals[j + 1] * f
-        return (y - phi)[:, None]
+        return y - phi, phi, vals
 
     def _invert_fixed_point(self, t: float, pts: np.ndarray, max_iter: int):
         x = pts
@@ -197,22 +194,31 @@ class ZvonkinMap:
     # -- transformed coefficients -------------------------------------------
 
     def transformed(self, t: float, y: np.ndarray, on_escape: str = "raise"):
-        """(Z, Sigma) at the points y (N, d), with x = Phi_t^{-1}(y):
-
-            Z     = (b1 + b2 + lam phi)(t, x),
-            Sigma = ((I + grad phi) sigma)(t, x).
-
-        One inversion serves both; on_escape goes to invert.
-        """
-        x, _ = self.invert(t, y, on_escape=on_escape)
-        cs = self.coeffs
-        Z = self.lam * self.phi.eval(t, x)
-        for ev in (cs.b1, cs.b2):
+        """(Z, Sigma) = (b1 + b2 + lam phi, (I + grad phi) sigma) at the
+        preimages x = Phi_t^{-1}(y) of y (N, d); on_escape is as in invert.
+        In 1-d phi comes from the inversion's cell, and grad phi is the mean
+        slope over [x - h/2, x + h/2] that grad_phi_at's central difference
+        measures: two neighbouring cell slopes blended, 0 on the clamped rays
+        beyond +-L."""
+        g = self.grid
+        y = np.asarray(y, dtype=float)
+        if g.d == 1:
+            x, phi, vals = self._invert_1d(t, y)
+            self._check_escape(t, y, x, on_escape)
+            Z = self.lam * phi
+            slope = np.concatenate(([0.0], np.diff(vals) / g.h, [0.0, 0.0]))  # cell i at i+1
+            c = np.clip((x + g.L) / g.h + 0.5, 0.0, g.n)   # x - h/2 in cells, plus 1
+            k = c.astype(np.int64)
+            G = (slope[k] + (c - k) * np.diff(slope)[k])[..., None]
+        else:
+            x, _ = self.invert(t, y, on_escape=on_escape)
+            Z = self.lam * self.phi.eval(t, x)
+            G = self.grad_phi_at(t, x)
+        for ev in (self.coeffs.b1, self.coeffs.b2):
             if ev is not None:
                 Z = Z + np.asarray(ev(t, x), dtype=float)
-        G = self.grad_phi_at(t, x)
-        Sigma = np.einsum("...ij,...jk->...ik", np.eye(self.grid.d) + G,
-                          np.asarray(cs.sigma(t, x), dtype=float))
+        Sigma = np.einsum("...ij,...jk->...ik", np.eye(g.d) + G,
+                          np.asarray(self.coeffs.sigma(t, x), dtype=float))
         return Z, Sigma
 
 
@@ -232,8 +238,7 @@ def build_zvonkin(coeffs: CoefficientSet, grid: GridSpec,
         s = interp_lipschitz_sup(sol.u, grid)
         trace.append((lam, s))
         if s < grad_target:
-            shape = (grid.m + 1,) + (grid.n,) * grid.d + (grid.d,)
-            phi = GridFunction(grid, sol.u.reshape(shape), "vector")
+            phi = GridFunction(grid, sol.u, "vector")     # (m+1, n[, n], d)
             return ZvonkinMap(grid=grid, coeffs=coeffs, lam=lam, phi=phi,
                               grad_sup=s, grad_target=grad_target, trace=trace,
                               solution=sol)
@@ -252,10 +257,9 @@ def bilipschitz_certificate(zmap: ZvonkinMap, n_pairs: int = 256, seed: int = 21
     1e-6 |x-y| + 1e-9 absorbs interpolation roundoff.
     """
     g = zmap.grid
-    lo = -g.L * np.ones(g.d)
-    hi = g.L * np.ones(g.d)
-    xs = _rng.uniform_points(seed, 14, n_pairs, lo, hi)
-    ys = _rng.uniform_points(seed, 15, n_pairs, lo, hi)
+    box = g.L * np.ones(g.d)
+    xs = _rng.uniform_points(seed, 14, n_pairs, -box, box)
+    ys = _rng.uniform_points(seed, 15, n_pairs, -box, box)
     ts = _rng.uniform_points(seed, 16, 8, 0.0, g.T)
     s = zmap.grad_target
     worst_low = np.inf
@@ -281,10 +285,9 @@ def bilipschitz_certificate(zmap: ZvonkinMap, n_pairs: int = 256, seed: int = 21
 def roundtrip_certificate(zmap: ZvonkinMap, n_points: int = 256, seed: int = 22) -> dict:
     """sup |Phi^{-1}(Phi(x)) - x| and |Phi(Phi^{-1}(y)) - y| on samples."""
     g = zmap.grid
-    lo = -0.9 * g.L * np.ones(g.d)
-    hi = 0.9 * g.L * np.ones(g.d)
-    xs = _rng.uniform_points(seed, 17, n_points, lo, hi)
-    ys = _rng.uniform_points(seed, 18, n_points, lo, hi)
+    box = 0.9 * g.L * np.ones(g.d)
+    xs = _rng.uniform_points(seed, 17, n_points, -box, box)
+    ys = _rng.uniform_points(seed, 18, n_points, -box, box)
     ts = _rng.uniform_points(seed, 19, 4, 0.0, g.T)
     worst_fwd = 0.0
     worst_bwd = 0.0
@@ -307,17 +310,15 @@ def ellipticity_certificate(zmap: ZvonkinMap, n_points: int = 256, seed: int = 2
     cs = zmap.coeffs
     if not (cs.kappa1 and cs.kappa2):
         raise ValueError("coefficient set carries no ellipticity certificate")
-    lo = -0.9 * g.L * np.ones(g.d)
-    hi = 0.9 * g.L * np.ones(g.d)
-    ys = _rng.uniform_points(seed, 24, n_points, lo, hi)
+    box = 0.9 * g.L * np.ones(g.d)
+    ys = _rng.uniform_points(seed, 24, n_points, -box, box)
     ts = _rng.uniform_points(seed, 25, 4, 0.0, g.T)
     emin = np.inf
     emax = 0.0
     for t in ts:
         t = float(t)
         _, S = zmap.transformed(t, ys)
-        abar = 0.5 * np.einsum("...ij,...kj->...ik", S, S)
-        eig = np.linalg.eigvalsh(abar)
+        eig = np.linalg.eigvalsh(0.5 * np.einsum("...ij,...kj->...ik", S, S))
         emin = min(emin, float(eig.min()))
         emax = max(emax, float(eig.max()))
     lo_bound = 0.25 * cs.kappa1
@@ -337,10 +338,9 @@ def transformed_constants(zmap: ZvonkinMap, n_pairs: int = 128, seed: int = 26,
     eigenvalue of Sigma Sigma^T.  Also reports the plain Lipschitz
     quotient of Z (finite although the raw singular drift is not)."""
     g = zmap.grid
-    lo = -0.8 * g.L * np.ones(g.d)
-    hi = 0.8 * g.L * np.ones(g.d)
-    xs = _rng.uniform_points(seed, 27, n_pairs, lo, hi)
-    ys = _rng.uniform_points(seed, 28, n_pairs, lo, hi)
+    box = 0.8 * g.L * np.ones(g.d)
+    xs = _rng.uniform_points(seed, 27, n_pairs, -box, box)
+    ys = _rng.uniform_points(seed, 28, n_pairs, -box, box)
     ts = _rng.uniform_points(seed, 29, 4, 0.0, g.T)
     K = -np.inf
     delta = 0.0

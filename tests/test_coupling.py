@@ -283,6 +283,25 @@ def test_worker_invariance_bitwise():
     assert np.array_equal(runs[0].final_Y, runs[1].final_Y)
 
 
+def test_pair_block_evaluates_both_copies_in_one_call():
+    # one stepper call per step, on the X rows stacked over the Y rows
+    base = additive_pair(drift_slope=-0.5)
+    calls = []
+
+    def stepper(t, Z):
+        calls.append((t, Z.copy()))
+        return base.step_eval(t, Z, None)
+
+    cfg = unit_cfg(m=20)
+    grid = build_coupling_grid(cfg)
+    width = 64
+    coupling._advance_pair_block(SdeModel(d=1, stepper=stepper), np.array([0.3]),
+                                 np.array([-0.2]), cfg, grid, 5, 0, width)
+    assert [t for t, _ in calls] == list(grid.ts[:grid.dts.size])
+    assert all(Z.shape == (2 * width, 1) for _, Z in calls)
+    assert np.all(calls[0][1][:width] == 0.3) and np.all(calls[0][1][width:] == -0.2)
+
+
 def test_box_exit_policy():
     cfg = unit_cfg(m=100, n_paths=256, L=0.8)
     with pytest.raises(RuntimeError, match="box exit"):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from zvlab.fields import (
-    CoefficientSet,
     GridFunction,
     GridSpec,
     NormSpec,
@@ -101,7 +100,8 @@ def test_lp_lq_absolute_homogeneity(c, p, q):
     base = np.tile(np.sin(3 * xs) + 0.3, (grid.m + 1, 1))
     g = GridFunction(grid, base)
     ns = NormSpec(p=p, q=q, d=1)
-    assert lp_lq_norm(g.scaled(c), ns) == pytest.approx(abs(c) * lp_lq_norm(g, ns), rel=1e-10)
+    scaled = GridFunction(grid, c * base)
+    assert lp_lq_norm(scaled, ns) == pytest.approx(abs(c) * lp_lq_norm(g, ns), rel=1e-10)
 
 
 def test_lp_lq_monotone_in_pointwise_domination():
@@ -222,38 +222,6 @@ def test_gridfunction_rejects_nonfinite():
     vals[0, 2] = np.nan
     with pytest.raises(ValueError):
         GridFunction(grid, vals)
-
-
-# ---------------------------------------------------------------------------
-# coefficient bundles
-
-
-def ou_coeffs():
-    def sigma(t, x):
-        x = np.asarray(x)
-        return np.broadcast_to(np.eye(1), x.shape[:-1] + (1, 1)).copy()
-
-    def b1(t, x):
-        return -np.asarray(x)
-
-    return CoefficientSet(sigma=sigma, b1=b1, kappa1=0.5, kappa2=0.5, lip_b1=1.0)
-
-
-def test_coefficients_validate_ou():
-    grid = grid1(n=21, m=2, L=4.0)
-    report = ou_coeffs().validate(grid)
-    assert report["min_eig_a"] == pytest.approx(0.5)
-    assert report["lip_b1_sampled"] <= 1.0 + 1e-9
-
-
-def test_coefficients_reject_wrong_ellipticity():
-    def sigma(t, x):
-        x = np.asarray(x)
-        return 0.1 * np.broadcast_to(np.eye(1), x.shape[:-1] + (1, 1)).copy()
-
-    bad = CoefficientSet(sigma=sigma, kappa1=0.5, kappa2=0.5)
-    with pytest.raises(ValueError):
-        bad.validate(grid1(n=11, m=1))
 
 
 def test_constant_sigma_helper():

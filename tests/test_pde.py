@@ -182,7 +182,7 @@ def test_apriori_ratio_stable_under_refinement():
                             kappa1=0.5, kappa2=0.5, lip_b1=1.0)
         prob = PdeProblem(grid=grid, coeffs=co, lam=10.0)
         sol = solve_backward(prob)
-        rep = verify_apriori(sol, prob, ns)
+        rep = verify_apriori(sol, ns)
         assert rep["ratio"] > 0
         ratios.append(rep["ratio"])
     assert abs(ratios[1] - ratios[0]) / ratios[0] <= 0.25

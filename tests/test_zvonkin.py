@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from zvlab.fields import CoefficientSet, GridFunction, GridSpec, constant_sigma
-from zvlab.zvonkin import (InverseEscape, LambdaSearchError, _cell_index,
-                           bilipschitz_certificate, build_zvonkin,
+from zvlab.zvonkin import (InverseEscape, LambdaSearchError, ZvonkinMap,
+                           _image_cell, bilipschitz_certificate, build_zvonkin,
                            ellipticity_certificate,
                            interp_lipschitz_sup, roundtrip_certificate,
                            transformed_constants)
@@ -130,20 +130,53 @@ def test_exact_1d_inverse(singular_map):
 def test_cell_index_matches_searchsorted():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        n = int(rng.integers(3, 300))
-        xs = np.linspace(-2.0, 2.0, n)
-        slope = rng.uniform(-0.49, 0.49, n) * (xs[1] - xs[0])
-        knots = xs + np.cumsum(slope) + rng.normal()
-        gap = np.diff(knots).min()
-        # random points, every knot and its neighbours, the table's bucket
-        # edges, and points far outside
+        grid = GridSpec(d=1, n=2 * int(rng.integers(1, 150)) + 1, m=1, L=2.0, T=1.0)
+        slope = rng.uniform(-0.49, 0.49, grid.n) * grid.h
+        knots = grid.xs + np.cumsum(slope) + rng.normal()   # node images
+        # random points, every knot and its neighbours, points far outside
+        # and NaN, which sorts last
         y = np.concatenate([
             rng.uniform(knots[0] - 1.0, knots[-1] + 1.0, 1000),
             knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
-            knots[0] + 0.25 * gap * np.arange(4 * n),
-            [-np.inf, -1e300, 1e300, np.inf]])
-        ref = np.clip(np.searchsorted(knots, y, side="right") - 1, 0, n - 2)
-        assert np.array_equal(_cell_index(knots, y), ref)
+            [-np.inf, -1e300, 1e300, np.inf, np.nan]])
+        ref = np.clip(np.searchsorted(knots, y, side="right") - 1, 0, grid.n - 2)
+        assert np.array_equal(_image_cell(grid, knots, y), ref)
+
+
+def test_transformed_1d_matches_the_composite(singular_map, monkeypatch):
+    # the cell-local stepper against invert, then phi.eval at x, then
+    # grad_phi_at, none of which it calls
+    g = singular_map.grid
+    ts = g.ts[:, None, None]
+    shifted = replace(singular_map, phi=GridFunction(
+        g, singular_map.phi.values + 0.05 + 0.1 * ts, "vector"))
+    rng = np.random.default_rng(11)
+    t = 0.37
+    for zm in (singular_map, shifted):
+        ends = zm.phi.eval(t, np.array([[-g.L], [g.L]]))[:, 0]
+        y = np.concatenate([
+            rng.uniform(-1.9 * g.L, 1.9 * g.L, 2000),      # interior, and past
+            g.xs + zm.phi.time_slice(t)[:, 0],             # the node images
+            [-g.L - 0.25 * g.h + ends[0], g.L + 0.25 * g.h + ends[1]],
+            rng.uniform(2.1, 3.0, 40) * g.L * np.repeat([-1.0, 1.0], 20),
+        ])[:, None]
+        x, _ = zm.invert(t, y, on_escape="flag")
+        assert (np.abs(x) > 2 * g.L).sum() == 40           # escaped rows, kept
+        Z0 = zm.lam * zm.phi.eval(t, x)
+        S0 = np.einsum("...ij,...jk->...ik", 1.0 + zm.grad_phi_at(t, x),
+                       zm.coeffs.sigma(t, x))
+        with monkeypatch.context() as mp:
+            for owner, name in ((ZvonkinMap, "invert"), (ZvonkinMap, "grad_phi_at"),
+                                (GridFunction, "eval")):
+                mp.setattr(owner, name, None)
+            Z, S = zm.transformed(t, y, on_escape="flag")
+        np.testing.assert_allclose(Z, Z0, rtol=1e-12, atol=1e-12 * np.abs(Z0).max())
+        np.testing.assert_allclose(S, S0, rtol=1e-12, atol=0.0)
+    # beyond 2L the preimage escapes; "raise" names t and the worst row
+    with pytest.raises(InverseEscape) as ei:
+        singular_map.transformed(0.37, np.array([[0.0], [1.0], [2.5 * g.L]]))
+    msg = str(ei.value)
+    assert "t=0.37" in msg and "worst row 2" in msg and "y=[5.]" in msg
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +245,28 @@ def test_transformed_coefficients_interior_oracle():
         drift, S = zm.transformed(t, y)
         assert np.abs(drift - oracle).max() <= 1e-3 * max(oracle, 1e-2)
         assert np.abs(S - 1.0).max() <= 5e-3    # grad phi vanishes away from walls
+
+
+def test_lipschitz_sup_closed_form_matches_svd():
+    # the 2-d bound is the largest singular value of per-cell 2x2 stacks of
+    # non-negative quotients; the reference takes it from LAPACK's SVD
+    grid = GridSpec(d=2, n=3, m=1, L=1.0, T=1.0)
+
+    def svd_sup(vals):
+        dx = np.abs(np.diff(vals, axis=1)) / grid.h
+        dy = np.abs(np.diff(vals, axis=2)) / grid.h
+        mat = np.stack([np.maximum(dx[:, :, :-1], dx[:, :, 1:]),
+                        np.maximum(dy[:, :-1], dy[:, 1:])], axis=-1)
+        return np.linalg.svd(mat.reshape(-1, 2, 2), compute_uv=False).max()
+
+    rng = np.random.default_rng(5)
+    shape = (grid.m + 1, grid.n, grid.n, 2)
+    cases = [rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3) for _ in range(300)]
+    # equal singular values, exactly and nearly, where F^2 - 4 det^2 cancels
+    iso = np.broadcast_to(0.3 * grid.nodes().reshape(shape[1:]), shape)
+    cases += [iso, iso + 1e-9 * np.abs(rng.normal(size=shape))]
+    for vals in cases:
+        assert interp_lipschitz_sup(vals, grid) == pytest.approx(svd_sup(vals), rel=1e-13)
 
 
 def test_lipschitz_sup_exact_for_linear_fields():
