@@ -30,7 +30,7 @@ from .scenarios import Scenario, get_scenario, scenario_names
 from .sde import (SdeModel, SimSpec, bump_family_report, integrate,
                   interval_bump, krylov_estimate, original_model,
                   transformed_model)
-from .zvonkin import (bilipschitz_certificate, build_zvonkin,
+from .zvonkin import (GRAD_TARGET, bilipschitz_certificate, build_zvonkin,
                       ellipticity_certificate, roundtrip_certificate,
                       transformed_constants)
 
@@ -90,8 +90,7 @@ def _coupling_inputs(sc: Scenario, grid: GridSpec, args):
     """
     if sc.coupling is not None:
         cs = sc.coupling
-        pair = SdeModel(d=sc.d, drift=sc.coeffs.b1, sigma=sc.coeffs.sigma,
-                        name=sc.name)
+        pair = SdeModel(d=sc.d, drift=sc.coeffs.b1, sigma=sc.coeffs.sigma)
         consts = {"K_T": cs.K_T, "delta_T": cs.delta_T, "lam_T": cs.lam_T,
                   "alpha": cs.alpha, "declared": True}
         return pair, consts, np.array(cs.x), np.array(cs.y)
@@ -137,15 +136,14 @@ def stage_solve_pde(rep: RunReport, sc: Scenario, args):
         rep.add("pde-apriori-ratio", ap["ratio"], "info")
 
 
-def stage_build_transform(rep: RunReport, sc: Scenario, args, pairs=4000):
+def stage_build_transform(rep: RunReport, sc: Scenario, args):
     grid = _grid(sc, args)
-    if args.fast:
-        pairs = 1000
+    pairs = 1000 if args.fast else 4000
     zm = build_zvonkin(sc.coeffs, grid)
     rep.add("zvonkin-lambda", zm.lam, "info", provenance="fit")
     rep.add("zvonkin-grad-sup", zm.grad_sup,
-            "pass" if zm.grad_sup < zm.grad_target else "fail",
-            threshold=zm.grad_target)
+            "pass" if zm.grad_sup < GRAD_TARGET else "fail",
+            threshold=GRAD_TARGET)
     bl = bilipschitz_certificate(zm, n_pairs=pairs, seed=args.seed + 10)
     rep.add("bilip-violations", float(bl["violations"]),
             "pass" if bl["passed"] else "fail", threshold=0.0)

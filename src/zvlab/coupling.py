@@ -36,6 +36,10 @@ BOX_EXIT_LIMIT = 0.01     # hard error above this exit fraction
 SE_REL_CAP = 0.10         # power check: max gamma-amplified relative SE
 LOG_SE_CAP = 0.05         # log check: max absolute SE in log units
 ROUNDOFF_ULPS = 64        # verdict floor, in ulps of the larger operand
+N_TRUNC = 1e3             # cap on the Girsanov integrand's norm |u|
+H5_PAIRS = 512            # h5_certificate: sampled start pairs
+H5_TIMES = 5              # h5_certificate: sampled times in [0, T - stop gap]
+K1_SAFETY = 2.0           # calibrate_k1: factor on the calibrated constant
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,6 @@ class CouplingConfig:
     alpha: float = 1.0
     theta: float = 1.0
     gamma: float | None = None
-    n_trunc: float = 1e3
     eps_stop: float | None = None   # stop gap; default 0.02 T
 
     def __post_init__(self):
@@ -78,8 +81,6 @@ class CouplingConfig:
             raise ValueError(f"theta must lie in (0, 2 alpha), got {self.theta}")
         if self.gamma is not None and self.gamma <= 1.0:
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
-        if self.n_trunc <= 0:
-            raise ValueError(f"n_trunc must be positive, got {self.n_trunc}")
         gap = self.stop_gap
         if not 0.0 < gap < 0.1 * self.T:
             raise ValueError(f"eps_stop must lie in (0, T/10), got {gap}")
@@ -174,8 +175,7 @@ def power_harnack_exponent(cfg: CouplingConfig, r: float,
 CoupledSde = SdeModel
 
 
-def h5_certificate(pair: SdeModel, cfg: CouplingConfig, seed: int = 5,
-                   n_pairs: int = 512, t_samples: int = 5) -> dict:
+def h5_certificate(pair: SdeModel, cfg: CouplingConfig, seed: int = 5) -> dict:
     """Sampled check that (K_T, delta_T, lam_T, alpha) actually bound the pair.
 
     Max sampled quotients are compared against the configured constants;
@@ -185,15 +185,15 @@ def h5_certificate(pair: SdeModel, cfg: CouplingConfig, seed: int = 5,
     d = pair.d
     lo = np.full(d, -cfg.L)
     hi = np.full(d, cfg.L)
-    xs = _rng.uniform_points(seed, 30, n_pairs, lo, hi).reshape(n_pairs, d)
-    ys = _rng.uniform_points(seed, 31, n_pairs, lo, hi).reshape(n_pairs, d)
+    xs = _rng.uniform_points(seed, 30, H5_PAIRS, lo, hi).reshape(H5_PAIRS, d)
+    ys = _rng.uniform_points(seed, 31, H5_PAIRS, lo, hi).reshape(H5_PAIRS, d)
     keep = np.linalg.norm(xs - ys, axis=-1) > 1e-9
     xs, ys = xs[keep], ys[keep]
     worst_one_sided = -math.inf
     worst_aligned = 0.0
     min_eig = math.inf
     stop = cfg.T - cfg.stop_gap
-    for t in np.linspace(0.0, stop, t_samples):
+    for t in np.linspace(0.0, stop, H5_TIMES):
         bx, sx = pair.step_eval(t, xs, None)
         by, sy = pair.step_eval(t, ys, None)
         diff = xs - ys
@@ -396,10 +396,10 @@ def _advance_pair_block(pair, x0, y0, cfg, grid, seed, block_index, width):
             g = np.where(act[:, None], D / damp[:, None], 0.0)
         u = np.einsum("...ij,...j->...i", sXi, g)
         unorm = np.linalg.norm(u, axis=-1)
-        over = unorm > cfg.n_trunc
+        over = unorm > N_TRUNC
         if over.any():
             trunc += int((over & act).sum())
-            u[over] *= (cfg.n_trunc / unorm[over])[:, None]
+            u[over] *= (N_TRUNC / unorm[over])[:, None]
         corr = np.einsum("...ij,...j->...i", sY, u)
         step_len = np.linalg.norm(corr, axis=-1) * dt
         overshoot = act & (step_len > dist)
@@ -602,8 +602,7 @@ def log_harnack_check(pair: SdeModel, fs, x, y, cfg: CouplingConfig,
 
 
 def calibrate_k1(pair: SdeModel, fs, x, y, cfg: CouplingConfig,
-                 kappa1: float, seed: int, safety: float = 2.0,
-                 workers: int | None = None) -> dict:
+                 kappa1: float, seed: int, workers: int | None = None) -> dict:
     """Smallest constant making the log-Harnack bound hold on a calibration
     pair, inflated by a safety factor and then frozen for grid runs."""
     res = simulate_pair(pair, x, y, cfg, seed, workers)
@@ -616,5 +615,5 @@ def calibrate_k1(pair: SdeModel, fs, x, y, cfg: CouplingConfig,
         lhs, _ = _exp_stats(logR, np.log(fY))
         mx = float(fX.mean())
         needed.append((lhs - math.log(mx)) * kappa1 * cfg.T / res.r ** 2)
-    k1 = safety * max(max(needed), 0.01)
-    return {"k1_hat": k1, "needed": needed, "safety": safety, "r": res.r}
+    k1 = K1_SAFETY * max(max(needed), 0.01)
+    return {"k1_hat": k1, "needed": needed, "r": res.r}

@@ -314,73 +314,6 @@ def lp_lq_norm(g: GridFunction, ns: NormSpec, t0: float | None = None,
     return float(np.sum(inner * tw) ** (1.0 / ns.q))
 
 
-_HOLDER_WINDOW = 8       # near pairs within 2h * window
-_HOLDER_FAR_PAIRS = 10_000
-
-
-def holder_seminorm(g: GridFunction, t: float, alpha: float) -> float:
-    """sup |g(x)-g(y)| / |x-y|^alpha over near pairs plus a fixed far sample.
-
-    Near pairs are all node pairs within 2h*window per axis offset; far
-    pairs are a deterministic pseudo-random sample, so the value is
-    reproducible for a given grid.
-    """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must lie in (0, 1]")
-    grid = g.grid
-    sl = g.time_slice(t)
-    comp_nd = _COMP_DIMS[g.kind]
-
-    def mag_diff(a, b):
-        d = a - b
-        if comp_nd == 0:
-            return np.abs(d)
-        return np.sqrt(np.sum(d.reshape(d.shape[:grid.d] + (-1,)) ** 2, axis=-1))
-
-    best = 0.0
-    R = 2 * _HOLDER_WINDOW
-    if grid.d == 1:
-        for k in range(1, R + 1):
-            if k >= grid.n:
-                break
-            q = mag_diff(sl[k:], sl[:-k]) / (k * grid.h) ** alpha
-            best = max(best, float(q.max()))
-    else:
-        for ox in range(0, R + 1):
-            for oy in range(-R if ox > 0 else 1, R + 1):
-                dist = math.hypot(ox * grid.h, oy * grid.h)
-                if dist == 0.0 or dist > R * grid.h:
-                    continue
-                sx = slice(ox, None) if ox >= 0 else slice(None, ox)
-                sx0 = slice(None, -ox) if ox > 0 else slice(None)
-                sy = slice(oy, None) if oy >= 0 else slice(None, oy)
-                sy0 = slice(None, -oy) if oy > 0 else (slice(-oy, None) if oy < 0 else slice(None))
-                a = sl[sx, sy]
-                b = sl[sx0, sy0]
-                q = mag_diff(a, b) / dist ** alpha
-                best = max(best, float(q.max()))
-    # far pairs: deterministic sample keyed by the grid shape
-    from . import rng as _rng
-    n_total = grid.n ** grid.d
-    seed = 1009 * grid.n + 13 * grid.m + grid.d
-    ii = np.floor(_rng.uniform_points(seed, 1, _HOLDER_FAR_PAIRS, 0, n_total)).astype(np.int64)
-    jj = np.floor(_rng.uniform_points(seed, 2, _HOLDER_FAR_PAIRS, 0, n_total)).astype(np.int64)
-    ii = np.minimum(ii, n_total - 1)
-    jj = np.minimum(jj, n_total - 1)
-    keep = ii != jj
-    ii, jj = ii[keep], jj[keep]
-    nodes = grid.nodes()
-    flat = sl.reshape((n_total,) + sl.shape[grid.d:])
-    dvals = flat[ii] - flat[jj]
-    if comp_nd == 0:
-        dmag = np.abs(dvals)
-    else:
-        dmag = np.sqrt(np.sum(dvals.reshape(len(ii), -1) ** 2, axis=-1))
-    dist = np.sqrt(np.sum((nodes[ii] - nodes[jj]) ** 2, axis=-1))
-    best = max(best, float((dmag / dist ** alpha).max(initial=0.0)))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # coefficient bundles
 
@@ -389,7 +322,8 @@ def holder_seminorm(g: GridFunction, t: float, alpha: float) -> float:
 class CoefficientSet:
     """Evaluators for one problem: diffusion a = sigma sigma^T / 2, drift
     parts b1 (Lipschitz), b2 (bounded), b0 (singular, integrable), zero
-    order c, and source f.  Metadata carries the certified constants.
+    order c, and source f, with the ellipticity constants kappa1 and
+    kappa2 that ellipticity_certificate and the coupled stages read.
     """
 
     sigma: Evaluator
@@ -400,10 +334,6 @@ class CoefficientSet:
     f: Evaluator | None = None
     kappa1: float = 0.0
     kappa2: float = 0.0
-    lip_b1: float = 0.0
-    sup_b2: float = 0.0
-    sup_c: float = 0.0
-    beta_sigma: float | None = None
 
     def a(self, t: float, x: np.ndarray) -> np.ndarray:
         s = np.asarray(self.sigma(t, x), dtype=float)

@@ -10,25 +10,32 @@ B = b1 + b2 + b0 and b0 enters through its node-capped grid sample.
 Marching is theta-scheme in the time-to-go variable: a few damped
 implicit-Euler startup steps (they kill the stiff transient that pure
 Crank-Nicolson turns into slow step-to-step oscillation when lam*dt is
-large), Crank-Nicolson afterwards.  First-order terms switch from
-central to one-sided differencing wherever the cell Peclet number
-|B| h / a exceeds 2, which keeps the implicit matrix an M-matrix and
-the scheme monotone.
+large), Crank-Nicolson afterwards.
 
-Linear algebra: tridiagonal direct solves in d=1; diagonally
-preconditioned BiCGStab (tol 1e-10, at most 10^4 iterations) in d=2.
+The discrete operator L is one stencil per time slice (`_stencil`):
+second differences on each axis, the mixed difference in 2-d, and first
+differences that switch from central to one-sided (upwind) wherever the
+cell Peclet number |B| h / a exceeds 2, which keeps the implicit matrix
+an M-matrix and the scheme monotone.  A solve builds each slice's
+stencil once: the implicit step onto that slice uses it, and the next
+step's Crank-Nicolson explicit half reuses it.
+
+Linear algebra: in d=1 a direct banded (tridiagonal) solve with the
+bands read from the stencil; in d=2 the stencil is assembled into a
+sparse matrix and solved by diagonally preconditioned BiCGStab (rtol
+1e-10, atol 1e-13, at most 10^4 iterations), warm-started from the
+previous slice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .fields import CoefficientSet, GridFunction, GridSpec, NormSpec, sample_field
+from .fields import CoefficientSet, GridSpec, NormSpec, sample_field
 
 # Floor for the spectral parameter when it appears multiplicatively in
 # estimates; sweeps start at 10, so max(lam, LAMBDA_FLOOR) = lam there.
@@ -45,9 +52,7 @@ class PdeProblem:
     grid: GridSpec
     coeffs: CoefficientSet
     lam: float = 0.0
-    n_comp: int = 1
     sources: str = "f"              # "f" (scalar source) or "b0" (phi system)
-    include_singular_gradient: bool = True
 
     def __post_init__(self):
         if self.lam < 0:
@@ -66,19 +71,7 @@ class PdeSolution:
     b1_sample: np.ndarray            # (m+1, *spatial, d)
     source: np.ndarray               # (m+1, *spatial, K), the sampled source
     capped_nodes: int = 0
-    solver_info: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def n_comp(self) -> int:
-        return self.u.shape[-1]
-
-    def u_gridfunction(self) -> GridFunction:
-        if self.n_comp == 1:
-            return GridFunction(self.grid, self.u[..., 0], "scalar")
-        if self.n_comp == self.grid.d:
-            return GridFunction(self.grid, self.u, "vector")
-        raise ValueError("component count matches neither scalar nor vector layout")
 
     def grad(self) -> np.ndarray:
         """(m+1, *spatial, K, d), central differences, one-sided at walls."""
@@ -188,10 +181,10 @@ class PdeSolution:
 
 
 def _sample_operator(problem: PdeProblem):
-    """Grid samples of a, B = b1+b2+b0(capped), c, and the requested sources."""
+    """Grid samples of a, B = b1+b2+b0(capped), c, and the requested sources:
+    one component for "f", d components (-b0^i) for "b0"."""
     g = problem.grid
     co = problem.coeffs
-    spatial = (g.n,) * g.d
     N = g.n ** g.d
     nodes = g.nodes()
 
@@ -199,24 +192,16 @@ def _sample_operator(problem: PdeProblem):
     for k, t in enumerate(g.ts):
         a_arr[k] = co.a(float(t), nodes)
 
-    def sample_vec(ev):
-        out = np.zeros((g.m + 1, N, g.d))
+    def sample_vec(ev, cap_singular):
         if ev is None:
-            return out, 0
-        gf, capped = sample_field(ev, g, kind="vector", cap_singular=False)
+            return np.zeros((g.m + 1, N, g.d)), 0
+        gf, capped = sample_field(ev, g, kind="vector", cap_singular=cap_singular)
         return gf.values.reshape(g.m + 1, N, g.d), capped
 
-    b1_arr, _ = sample_vec(co.b1)
-    b2_arr, _ = sample_vec(co.b2)
-    capped = 0
-    b0_arr = np.zeros((g.m + 1, N, g.d))
-    if co.b0 is not None:
-        gf, capped = sample_field(co.b0, g, kind="vector", cap_singular=True)
-        b0_arr = gf.values.reshape(g.m + 1, N, g.d)
-
-    B = b1_arr + b2_arr
-    if problem.include_singular_gradient:
-        B = B + b0_arr
+    b1_arr, _ = sample_vec(co.b1, False)
+    b2_arr, _ = sample_vec(co.b2, False)
+    b0_arr, capped = sample_vec(co.b0, True)
+    B = b1_arr + b2_arr + b0_arr
 
     c_arr = np.zeros((g.m + 1, N))
     if co.c is not None:
@@ -224,8 +209,7 @@ def _sample_operator(problem: PdeProblem):
         c_arr = gf.values.reshape(g.m + 1, N)
 
     if problem.sources == "f":
-        K = problem.n_comp
-        src = np.zeros((g.m + 1, N, K))
+        src = np.zeros((g.m + 1, N, 1))
         if co.f is not None:
             gf, _ = sample_field(co.f, g, kind="scalar", cap_singular=False)
             src[..., 0] = gf.values.reshape(g.m + 1, N)
@@ -234,152 +218,102 @@ def _sample_operator(problem: PdeProblem):
         src = -b0_arr
     return {
         "a": a_arr, "B": B, "c": c_arr, "src": src,
-        "b1": b1_arr, "capped": capped, "spatial": spatial,
+        "b1": b1_arr, "capped": capped,
     }
 
 
 # ---------------------------------------------------------------------------
-# spatial operator: apply and implicit solve
+# the discrete operator: one stencil per time slice
 
 
-def _apply_L_1d(a, B, c, v, h):
-    """L v for v of shape (n, K); boundary rows return 0 (Dirichlet)."""
-    out = np.zeros_like(v)
-    ad = a[:, 0, 0]
-    Bd = B[:, 0]
-    upw = np.abs(Bd) * h > PECLET_SWITCH * ad
-    diff = (v[2:] - 2 * v[1:-1] + v[:-2]) * (ad[1:-1, None] / h ** 2)
-    central = (v[2:] - v[:-2]) * (Bd[1:-1, None] / (2 * h))
-    fwd = (v[2:] - v[1:-1]) * (Bd[1:-1, None] / h)
-    bwd = (v[1:-1] - v[:-2]) * (Bd[1:-1, None] / h)
-    upw_i = upw[1:-1, None]
-    conv = np.where(upw_i, np.where(Bd[1:-1, None] > 0, fwd, bwd), central)
-    out[1:-1] = diff + conv + c[1:-1, None] * v[1:-1]
-    return out
+def _stencil(op, k: int, g: GridSpec) -> dict:
+    """Interior stencil of L at time slice k, as {offset: coefficients}.
+
+    An offset is a d-tuple of steps in {-1, 0, 1}; its coefficients, of
+    shape (n-2,)*d, weight that neighbour of each interior node.  Second
+    differences on each axis, the mixed difference in 2-d, and first
+    differences that are central, or upwind where |B| h / a exceeds
+    PECLET_SWITCH.  Wall nodes are Dirichlet and have no stencil.
+    """
+    d, h = g.d, g.h
+    inner = (slice(1, -1),) * d
+    spatial = (g.n,) * d
+    a = op["a"][k].reshape(spatial + (d, d))[inner]
+    B = op["B"][k].reshape(spatial + (d,))[inner]
+    diag = op["c"][k].reshape(spatial)[inner]
+    st = {}
+    for ax, step in enumerate(np.eye(d, dtype=int).tolist()):
+        s = a[..., ax, ax] / h ** 2
+        b = B[..., ax]
+        upw = np.abs(b) * h > PECLET_SWITCH * a[..., ax, ax]
+        st[tuple(step)] = s + np.where(upw, np.maximum(b, 0.0) / h, b / (2 * h))
+        st[tuple(-i for i in step)] = s + np.where(upw, np.maximum(-b, 0.0) / h,
+                                                   -b / (2 * h))
+        diag = diag - 2 * s - np.where(upw, np.abs(b) / h, 0.0)
+    if d == 2:
+        cross = a[..., 0, 1] / (2 * h ** 2)
+        st[(1, 1)] = st[(-1, -1)] = cross
+        st[(1, -1)] = st[(-1, 1)] = -cross
+    st[(0,) * d] = diag
+    return st
 
 
-def _implicit_solve_1d(a, B, c, lam, gamma, rhs, h):
-    """Solve (I + gamma*(lam - L)) w = rhs on interior nodes, w = 0 on walls."""
-    n = rhs.shape[0]
-    ad = a[:, 0, 0]
-    Bd = B[:, 0]
-    upw = np.abs(Bd) * h > PECLET_SWITCH * ad
-    s = ad / h ** 2
-    lo = np.where(upw, np.where(Bd > 0, 0.0, -Bd / h), -Bd / (2 * h)) + s
-    di = np.where(upw, -np.abs(Bd) / h, 0.0) - 2 * s + c
-    hi = np.where(upw, np.where(Bd > 0, Bd / h, 0.0), Bd / (2 * h)) + s
-    # interior unknowns 1..n-2
-    A_di = 1.0 + gamma * (lam - di[1:-1])
-    A_lo = -gamma * lo[2:-1]
-    A_hi = -gamma * hi[1:-2]
-    ab = np.zeros((3, n - 2))
-    ab[0, 1:] = A_hi
-    ab[1, :] = A_di
-    ab[2, :-1] = A_lo
+def _apply(st: dict, v: np.ndarray, g: GridSpec) -> np.ndarray:
+    """L v for v of shape (n^d, K); wall rows are 0 (Dirichlet)."""
+    n = g.n
+    vv = v.reshape((n,) * g.d + v.shape[-1:])
+    out = np.zeros_like(vv)
+    inner = out[(slice(1, -1),) * g.d]
+    for off, coef in st.items():
+        inner += coef[..., None] * vv[tuple(slice(1 + o, n - 1 + o) for o in off)]
+    return out.reshape(v.shape)
+
+
+def _solve_banded(st: dict, lam: float, gamma: float, rhs: np.ndarray) -> np.ndarray:
+    """1-d: solve (I + gamma*(lam - L)) w = rhs on interior nodes, w = 0 on
+    walls, directly, with the three bands read from the stencil."""
+    ab = np.zeros((3, rhs.shape[0] - 2))
+    ab[0, 1:] = -gamma * st[(1,)][:-1]
+    ab[1] = 1.0 + gamma * (lam - st[(0,)])
+    ab[2, :-1] = -gamma * st[(-1,)][1:]
     w = np.zeros_like(rhs)
     w[1:-1] = solve_banded((1, 1), ab, rhs[1:-1])
     return w
 
 
-def _apply_L_2d(a, B, c, v, h, n):
-    """L v for v of shape (n*n, K) viewed as (n, n, K)."""
-    K = v.shape[-1]
-    vv = v.reshape(n, n, K)
-    out = np.zeros_like(vv)
-    a11 = a[:, 0, 0].reshape(n, n)[1:-1, 1:-1, None]
-    a22 = a[:, 1, 1].reshape(n, n)[1:-1, 1:-1, None]
-    a12 = a[:, 0, 1].reshape(n, n)[1:-1, 1:-1, None]
-    Bx = B[:, 0].reshape(n, n)[1:-1, 1:-1, None]
-    By = B[:, 1].reshape(n, n)[1:-1, 1:-1, None]
-    cc = c.reshape(n, n)[1:-1, 1:-1, None]
-    i = vv[1:-1, 1:-1]
-    xp, xm = vv[2:, 1:-1], vv[:-2, 1:-1]
-    yp, ym = vv[1:-1, 2:], vv[1:-1, :-2]
-    pp, mm = vv[2:, 2:], vv[:-2, :-2]
-    pm, mp = vv[2:, :-2], vv[:-2, 2:]
-    res = a11 * (xp - 2 * i + xm) / h ** 2 + a22 * (yp - 2 * i + ym) / h ** 2
-    res += 2 * a12 * (pp - pm - mp + mm) / (4 * h ** 2)
-    upx = np.abs(Bx) * h > PECLET_SWITCH * a11
-    upy = np.abs(By) * h > PECLET_SWITCH * a22
-    res += np.where(upx, np.where(Bx > 0, Bx * (xp - i), Bx * (i - xm)) / h,
-                    Bx * (xp - xm) / (2 * h))
-    res += np.where(upy, np.where(By > 0, By * (yp - i), By * (i - ym)) / h,
-                    By * (yp - ym) / (2 * h))
-    res += cc * i
-    out[1:-1, 1:-1] = res
-    return out.reshape(n * n, K)
-
-
-def _assemble_2d(a, B, c, lam, gamma, h, n):
-    """Sparse matrix of I + gamma*(lam - L) over interior nodes."""
-    from scipy.sparse import coo_matrix
-    ni = n - 2
-    idx = np.arange(n * n).reshape(n, n)
-    interior = idx[1:-1, 1:-1].ravel()
-    pos = -np.ones(n * n, dtype=np.int64)
-    pos[interior] = np.arange(interior.size)
-
-    a11 = a[interior, 0, 0]
-    a22 = a[interior, 1, 1]
-    a12 = a[interior, 0, 1]
-    Bx = B[interior, 0]
-    By = B[interior, 1]
-    cc = c[interior]
-    upx = np.abs(Bx) * h > PECLET_SWITCH * a11
-    upy = np.abs(By) * h > PECLET_SWITCH * a22
-
-    rows, cols, vals = [], [], []
-
-    def add(nbr_offset, coeff):
-        nbr = interior + nbr_offset
-        p = pos[nbr]
-        keep = p >= 0
-        rows.append(np.arange(interior.size)[keep])
-        cols.append(p[keep])
-        vals.append(coeff[keep])
-
-    sx = a11 / h ** 2
-    sy = a22 / h ** 2
-    conv_xp = np.where(upx, np.where(Bx > 0, Bx / h, 0.0), Bx / (2 * h))
-    conv_xm = np.where(upx, np.where(Bx > 0, 0.0, -Bx / h), -Bx / (2 * h))
-    conv_yp = np.where(upy, np.where(By > 0, By / h, 0.0), By / (2 * h))
-    conv_ym = np.where(upy, np.where(By > 0, 0.0, -By / h), -By / (2 * h))
-    diag = -2 * sx - 2 * sy + cc - np.where(upx, np.abs(Bx) / h, 0.0) \
-        - np.where(upy, np.abs(By) / h, 0.0)
-    cross = 2 * a12 / (4 * h ** 2)
-
-    add(0, diag)
-    add(n, sx + conv_xp)      # x+1 neighbour (row-major x-axis stride is n)
-    add(-n, sx + conv_xm)
-    add(1, sy + conv_yp)
-    add(-1, sy + conv_ym)
-    add(n + 1, cross)
-    add(-n - 1, cross)
-    add(n - 1, -cross)
-    add(-n + 1, -cross)
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    L = coo_matrix((vals, (rows, cols)), shape=(interior.size, interior.size)).tocsr()
-    from scipy.sparse import identity
-    A = identity(interior.size, format="csr") * (1.0 + gamma * lam) - gamma * L
-    return A, interior
-
-
-def _implicit_solve_2d(a, B, c, lam, gamma, rhs, h, n, x0=None):
+def _solve_bicgstab(st: dict, lam: float, gamma: float, rhs: np.ndarray,
+                    x0: np.ndarray, n: int) -> np.ndarray:
+    """2-d: the same system, assembled sparse over the interior nodes and
+    solved by diagonally preconditioned BiCGStab started at x0."""
+    from scipy.sparse import coo_matrix, identity
     from scipy.sparse.linalg import LinearOperator, bicgstab
-    A, interior = _assemble_2d(a, B, c, lam, gamma, h, n)
+    ni = n - 2
+    pos = np.pad(np.arange(ni * ni).reshape(ni, ni), 1, constant_values=-1)
+    rows, cols, vals = [], [], []
+    for (ox, oy), coef in st.items():
+        nbr = pos[1 + ox:1 + ox + ni, 1 + oy:1 + oy + ni]
+        keep = nbr >= 0                      # a wall neighbour contributes 0
+        rows.append(pos[1:-1, 1:-1][keep])
+        cols.append(nbr[keep])
+        vals.append(coef[keep])
+    L = coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                   shape=(ni * ni, ni * ni)).tocsr()
+    A = identity(ni * ni, format="csr") * (1.0 + gamma * lam) - gamma * L
     dinv = 1.0 / A.diagonal()
     M = LinearOperator(A.shape, matvec=lambda z: dinv * z)
+
+    def interior(arr):
+        return arr.reshape(n, n, -1)[1:-1, 1:-1].reshape(ni * ni, -1)
+
+    b, guess = interior(rhs), interior(x0)
     w = np.zeros_like(rhs)
+    w_in = w.reshape(n, n, -1)[1:-1, 1:-1]
     for k in range(rhs.shape[1]):
-        b = rhs[interior, k]
-        guess = None if x0 is None else x0[interior, k]
-        sol, info = bicgstab(A, b, M=M, rtol=1e-10, atol=1e-13, maxiter=10_000, x0=guess)
+        sol, info = bicgstab(A, b[:, k], M=M, rtol=1e-10, atol=1e-13, maxiter=10_000,
+                             x0=guess[:, k])
         if info != 0:
             raise RuntimeError(f"implicit 2-d solve failed to converge (info={info})")
-        w[interior, k] = sol
+        w_in[..., k] = sol.reshape(ni, ni)
     return w
 
 
@@ -388,33 +322,34 @@ def _implicit_solve_2d(a, B, c, lam, gamma, rhs, h, n, x0=None):
 
 
 def solve_backward(problem: PdeProblem) -> PdeSolution:
-    """March the theta-scheme from the zero terminal slice down to t = 0."""
+    """March the theta-scheme from the zero terminal slice down to t = 0.
+
+    Each slice's stencil is built once, for its implicit solve, and kept
+    for the next step's explicit half.  The first step is implicit Euler
+    (STARTUP_STEPS >= 1), so slice m's stencil is never needed.
+    """
     g = problem.grid
     op = _sample_operator(problem)
-    N = g.n ** g.d
     K = op["src"].shape[-1]
-    u = np.zeros((g.m + 1, N, K))
+    u = np.zeros((g.m + 1, g.n ** g.d, K))
     v = u[g.m]
+    st = None                                # stencil of slice k_old
     for j in range(g.m):
         k_old = g.m - j
         k_new = k_old - 1
         theta = 1.0 if j < STARTUP_STEPS else 0.5
         dt = g.dt
         if theta < 1.0:
-            Lv = (_apply_L_1d(op["a"][k_old], op["B"][k_old], op["c"][k_old], v, g.h)
-                  if g.d == 1 else
-                  _apply_L_2d(op["a"][k_old], op["B"][k_old], op["c"][k_old], v, g.h, g.n))
-            rhs = v + dt * (1 - theta) * (Lv - problem.lam * v)
+            rhs = v + dt * (1 - theta) * (_apply(st, v, g) - problem.lam * v)
         else:
             rhs = v.copy()
         rhs -= dt * (theta * op["src"][k_new] + (1 - theta) * op["src"][k_old])
         gamma = dt * theta
+        st = _stencil(op, k_new, g)
         if g.d == 1:
-            v = _implicit_solve_1d(op["a"][k_new], op["B"][k_new], op["c"][k_new],
-                                   problem.lam, gamma, rhs, g.h)
+            v = _solve_banded(st, problem.lam, gamma, rhs)
         else:
-            v = _implicit_solve_2d(op["a"][k_new], op["B"][k_new], op["c"][k_new],
-                                   problem.lam, gamma, rhs, g.h, g.n, x0=v)
+            v = _solve_bicgstab(st, problem.lam, gamma, rhs, v, g.n)
         u[k_new] = v
     spatial = (g.n,) * g.d
     return PdeSolution(
@@ -424,22 +359,17 @@ def solve_backward(problem: PdeProblem) -> PdeSolution:
         b1_sample=op["b1"].reshape((g.m + 1,) + spatial + (g.d,)),
         source=op["src"].reshape((g.m + 1,) + spatial + (K,)),
         capped_nodes=op["capped"],
-        solver_info={"startup_steps": STARTUP_STEPS, "theta": 0.5},
     )
 
 
-def solve_phi_system(coeffs: CoefficientSet, grid: GridSpec, lam: float,
-                     include_singular_gradient: bool = True) -> PdeSolution:
+def solve_phi_system(coeffs: CoefficientSet, grid: GridSpec, lam: float) -> PdeSolution:
     """Solve the d-component corrector system with source -b0 per component.
 
     The corrector phi satisfies, componentwise,
         d_t phi + tr(a D^2 phi) + (b1+b2+b0) . grad phi = lam*phi - b0,
     zero at t = T.  Returned with K = d components.
     """
-    problem = PdeProblem(grid=grid, coeffs=coeffs, lam=lam, n_comp=grid.d,
-                         sources="b0",
-                         include_singular_gradient=include_singular_gradient)
-    return solve_backward(problem)
+    return solve_backward(PdeProblem(grid=grid, coeffs=coeffs, lam=lam, sources="b0"))
 
 
 # ---------------------------------------------------------------------------
@@ -448,12 +378,11 @@ def solve_phi_system(coeffs: CoefficientSet, grid: GridSpec, lam: float,
 
 @dataclass(frozen=True)
 class DecayPrediction:
-    """Predicted decay rate of a weaker-norm target as lam grows.
+    """Predicted decay rate of the solution's sup norm as lam grows.
 
-    Source integrability (p, q), target measured in a (alpha, p2, q2)
-    scale with p2 >= p, q2 >= q; the predicted exponent is
+    For a source of integrability (p, q) the predicted exponent is
 
-        beta0 = (2 - alpha + 2/q2 + d/p2 - 2/q - d/p) / 2,
+        beta0 = (2 - 2/q - d/p) / 2,
 
     and the sweep passes when the measured norms sit below
     C_hat * lam^(-beta0 + 0.2) with C_hat pinned at the smallest lam.
@@ -462,20 +391,10 @@ class DecayPrediction:
     d: int
     p: float
     q: float
-    alpha: float = 0.0
-    p2: float = math.inf
-    q2: float = math.inf
-
-    def __post_init__(self):
-        if self.p2 < self.p or self.q2 < self.q:
-            raise ValueError("target exponents must satisfy p2 >= p, q2 >= q")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError("alpha must lie in [0, 1]")
 
     @property
     def beta0(self) -> float:
-        return 0.5 * (2.0 - self.alpha + 2.0 / self.q2 + self.d / self.p2
-                      - 2.0 / self.q - self.d / self.p)
+        return 0.5 * (2.0 - 2.0 / self.q - self.d / self.p)
 
 
 @dataclass
@@ -493,26 +412,12 @@ class SweepResult:
         return self.non_increasing and self.envelope_ok
 
 
-def _target_norm(sol: PdeSolution, pred: DecayPrediction) -> float:
-    gf = sol.u_gridfunction()
-    if math.isinf(pred.p2) and math.isinf(pred.q2):
-        if pred.alpha == 0.0:
-            return gf.sup()
-        from .fields import holder_seminorm
-        vals = [holder_seminorm(gf, float(t), pred.alpha) for t in sol.grid.ts]
-        return gf.sup() + max(vals)
-    from .fields import lp_lq_norm
-    ns2 = NormSpec(p=pred.p2, q=pred.q2, d=pred.d)
-    return lp_lq_norm(gf, ns2)
-
-
 def lambda_sweep(coeffs: CoefficientSet, grid: GridSpec, lambdas,
-                 prediction: DecayPrediction, mode: str = "source",
+                 prediction: DecayPrediction,
                  workers: int | None = None) -> SweepResult:
-    """Solve across a lam grid and check the decay envelope.
+    """Solve the scalar equation driven by coeffs.f across a lam grid and
+    check the decay envelope of sup |u|.
 
-    mode "source": scalar solve driven by coeffs.f (bounded source);
-    mode "phi": the corrector system driven by -b0.
     Solves run concurrently; results are ordered by the lam grid, so
     the outcome does not depend on the worker count.
     """
@@ -521,11 +426,8 @@ def lambda_sweep(coeffs: CoefficientSet, grid: GridSpec, lambdas,
         raise ValueError("decay prediction has non-positive exponent")
 
     def one(lam):
-        if mode == "phi":
-            sol = solve_phi_system(coeffs, grid, lam)
-        else:
-            sol = solve_backward(PdeProblem(grid=grid, coeffs=coeffs, lam=lam))
-        return _target_norm(sol, prediction)
+        sol = solve_backward(PdeProblem(grid=grid, coeffs=coeffs, lam=lam))
+        return float(np.abs(sol.u).max())
 
     from .parallel import run_tasks
     norms = run_tasks(one, [(l,) for l in lambdas], workers=workers)

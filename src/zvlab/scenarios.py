@@ -80,7 +80,7 @@ def _neg_identity_drift(scale):
 def _trivial_zero() -> Scenario:
     coeffs = CoefficientSet(sigma=constant_sigma([[1.0]]),
                             b1=_neg_identity_drift(0.5),
-                            kappa1=1.0, kappa2=1.0, lip_b1=0.5)
+                            kappa1=1.0, kappa2=1.0)
     return Scenario(
         name="trivial-zero",
         description="no singular part; the transform must be the identity",
@@ -104,7 +104,7 @@ def _singular_1d() -> Scenario:
 def _ou_lipschitz() -> Scenario:
     coeffs = CoefficientSet(sigma=constant_sigma([[1.0]]),
                             b1=_neg_identity_drift(1.0),
-                            kappa1=1.0, kappa2=1.0, lip_b1=1.0)
+                            kappa1=1.0, kappa2=1.0)
     return Scenario(
         name="ou-lipschitz",
         description="restoring drift with linear growth, no singular part",
@@ -115,8 +115,7 @@ def _ou_lipschitz() -> Scenario:
 def _holder_sigma() -> Scenario:
     coeffs = CoefficientSet(sigma=holder_sigma,
                             b0=singular_b0,
-                            kappa1=1.0, kappa2=1.69,
-                            beta_sigma=HOLDER_BETA)
+                            kappa1=1.0, kappa2=1.69)
     return Scenario(
         name="holder-sigma",
         description="Holder-continuous diffusion above the ellipticity floor",
@@ -131,7 +130,7 @@ def _additive_1d() -> Scenario:
     # K_T = delta_T = lam_T = 1 are valid bounds by inspection
     coeffs = CoefficientSet(sigma=constant_sigma([[1.0]]),
                             b1=_neg_identity_drift(0.5),
-                            kappa1=1.0, kappa2=1.0, lip_b1=0.5)
+                            kappa1=1.0, kappa2=1.0)
     return Scenario(
         name="additive-1d",
         description="one-sided Lipschitz drift with additive noise",

@@ -42,7 +42,6 @@ class SdeModel:
     drift: Evaluator | None = None
     sigma: Evaluator | None = None
     stepper: object = None
-    name: str = "X"
 
     def step_eval(self, t, X, state):
         if self.stepper is not None:
@@ -182,7 +181,7 @@ def integrate(model: SdeModel, x0, spec: SimSpec,
 def original_model(coeffs, d: int) -> SdeModel:
     """Model for the raw SDE; the singular part enters uncapped off-grid
     (scenario evaluators define it finitely a.e.)."""
-    return SdeModel(d=d, drift=coeffs.total_drift, sigma=coeffs.sigma, name="X")
+    return SdeModel(d=d, drift=coeffs.total_drift, sigma=coeffs.sigma)
 
 
 def transformed_model(zmap) -> SdeModel:
@@ -192,7 +191,7 @@ def transformed_model(zmap) -> SdeModel:
     def stepper(t, Y):
         return zmap.transformed(t, Y, on_escape="flag")
 
-    return SdeModel(d=zmap.grid.d, stepper=stepper, name="Y")
+    return SdeModel(d=zmap.grid.d, stepper=stepper)
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +327,9 @@ def interval_bump(center: float, eps: float):
 
 
 def bump_family_report(model: SdeModel, x0, spec: SimSpec, ns: NormSpec,
-                       widths, center: float = 0.0,
-                       workers: int | None = None) -> dict:
-    """Occupation/norm ratios for a family of sharpening bumps in one pass.
+                       widths, workers: int | None = None) -> dict:
+    """Occupation/norm ratios for a family of sharpening bumps, all centred
+    at the origin, in one pass.
 
     The estimate's content is that the ratio stays bounded as the bump
     sharpens; pass criterion is max <= 3 x median over the family.
@@ -339,12 +338,12 @@ def bump_family_report(model: SdeModel, x0, spec: SimSpec, ns: NormSpec,
     h = spec.h
     weights = np.full(spec.n_steps + 1, h)
     weights[0] = weights[-1] = 0.5 * h
-    pairs = [interval_bump(center, eps) for eps in widths]
+    pairs = [interval_bump(0.0, eps) for eps in widths]
 
     def block_fn(traj, off):
         Xp = traj["X"][0]
         ok = traj["alive"][0]
-        r = np.abs(Xp[ok, :, 0] - center)       # (w, n_steps+1)
+        r = np.abs(Xp[ok, :, 0])                # (w, n_steps+1)
         sums = []
         sqs = []
         for eps in widths:

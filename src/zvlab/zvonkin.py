@@ -12,7 +12,7 @@ into dY = Z(t, Y) dt + Sigma(t, Y) dW with
 
 The singular part b0 is absorbed exactly.  lam is raised on a fixed
 quadrupling ladder until the interpolated phi has Lipschitz constant
-below grad_target, which makes Phi_t bi-Lipschitz with explicit bounds.
+below GRAD_TARGET, which makes Phi_t bi-Lipschitz with explicit bounds.
 In 1-d the interpolated Phi_t is then a strictly increasing piecewise-
 linear function, and its inverse is computed exactly, cell by cell; in
 2-d the inverse is the contraction fixed point x <- y - phi(t, x).
@@ -28,7 +28,7 @@ from .fields import CoefficientSet, GridFunction, GridSpec
 from .pde import PdeSolution, solve_phi_system
 from . import rng as _rng
 
-GRAD_TARGET = 0.5          # default Lipschitz target for phi
+GRAD_TARGET = 0.5          # Lipschitz target for phi
 LAMBDA_START = 10.0
 LAMBDA_FACTOR = 4.0
 MAX_LAMBDA_STEPS = 12
@@ -94,7 +94,6 @@ class ZvonkinMap:
     lam: float
     phi: GridFunction                   # vector field, (m+1, n[, n], d)
     grad_sup: float
-    grad_target: float
     trace: list
     solution: PdeSolution
 
@@ -223,8 +222,6 @@ class ZvonkinMap:
 
 
 def build_zvonkin(coeffs: CoefficientSet, grid: GridSpec,
-                  grad_target: float = GRAD_TARGET,
-                  lam_start: float = LAMBDA_START,
                   max_steps: int = MAX_LAMBDA_STEPS) -> ZvonkinMap:
     """Solve the phi system on a quadrupling lam ladder until the map is tame.
 
@@ -232,16 +229,15 @@ def build_zvonkin(coeffs: CoefficientSet, grid: GridSpec,
     max_steps quadruplings are not enough.
     """
     trace = []
-    lam = lam_start
+    lam = LAMBDA_START
     for _ in range(max_steps):
         sol = solve_phi_system(coeffs, grid, lam)
         s = interp_lipschitz_sup(sol.u, grid)
         trace.append((lam, s))
-        if s < grad_target:
+        if s < GRAD_TARGET:
             phi = GridFunction(grid, sol.u, "vector")     # (m+1, n[, n], d)
             return ZvonkinMap(grid=grid, coeffs=coeffs, lam=lam, phi=phi,
-                              grad_sup=s, grad_target=grad_target, trace=trace,
-                              solution=sol)
+                              grad_sup=s, trace=trace, solution=sol)
         lam *= LAMBDA_FACTOR
     raise LambdaSearchError(trace)
 
@@ -253,7 +249,7 @@ def build_zvonkin(coeffs: CoefficientSet, grid: GridSpec,
 def bilipschitz_certificate(zmap: ZvonkinMap, n_pairs: int = 256, seed: int = 21) -> dict:
     """Sampled two-sided bound (1-s)|x-y| <= |Phi x - Phi y| <= (1+s)|x-y|.
 
-    With s = grad_target = 1/2 this is the [1/2, 3/2] sandwich.  Slack
+    With s = GRAD_TARGET = 1/2 this is the [1/2, 3/2] sandwich.  Slack
     1e-6 |x-y| + 1e-9 absorbs interpolation roundoff.
     """
     g = zmap.grid
@@ -261,7 +257,7 @@ def bilipschitz_certificate(zmap: ZvonkinMap, n_pairs: int = 256, seed: int = 21
     xs = _rng.uniform_points(seed, 14, n_pairs, -box, box)
     ys = _rng.uniform_points(seed, 15, n_pairs, -box, box)
     ts = _rng.uniform_points(seed, 16, 8, 0.0, g.T)
-    s = zmap.grad_target
+    s = GRAD_TARGET
     worst_low = np.inf
     worst_high = 0.0
     violations = 0

@@ -11,7 +11,6 @@ from zvlab.fields import (
     GridSpec,
     NormSpec,
     constant_sigma,
-    holder_seminorm,
     interp_space,
     lp_lq_norm,
     sample_field,
@@ -128,35 +127,6 @@ def test_vector_field_norm_uses_euclidean_magnitude():
     g = GridFunction(grid, vals, kind="vector")
     assert g.sup() == 3.0
     assert lp_lq_norm(g, NormSpec(p=2, q=2, d=1)) == pytest.approx(3.0 * 2 ** 0.5, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# Holder seminorm
-
-
-def test_holder_sqrt_profile_equals_one():
-    # |x|^{1/2} has exact 1/2-Holder seminorm 1, attained against x=0
-    grid = grid1(n=201, m=2)
-    xs = grid.xs
-    g = GridFunction(grid, np.tile(np.sqrt(np.abs(xs)), (grid.m + 1, 1)))
-    val = holder_seminorm(g, t=0.0, alpha=0.5)
-    assert val == pytest.approx(1.0, rel=1e-9)
-
-
-def test_holder_alpha_one_is_lipschitz_slope():
-    grid = grid1(n=101, m=2)
-    xs = grid.xs
-    g = GridFunction(grid, np.tile(2.5 * xs, (grid.m + 1, 1)))
-    assert holder_seminorm(g, 0.0, 1.0) == pytest.approx(2.5, rel=1e-9)
-
-
-def test_holder_2d_linear():
-    grid = GridSpec(d=2, n=41, m=2, L=1.0, T=1.0)
-    xs = grid.xs
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    g = GridFunction(grid, np.tile(X + Y, (grid.m + 1, 1, 1)))
-    # gradient (1,1), Lipschitz constant sqrt(2)
-    assert holder_seminorm(g, 0.0, 1.0) == pytest.approx(math.sqrt(2), rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

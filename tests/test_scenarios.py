@@ -82,7 +82,6 @@ def test_holder_sigma_bounds():
     assert s.min() >= 1.0
     assert s.max() <= 1.3
     assert sc.coeffs.sigma(0.0, np.zeros((1, 1)))[0, 0, 0] == 1.0
-    assert sc.coeffs.beta_sigma == pytest.approx(0.6)
     assert sc.coeffs.kappa2 >= s.max() ** 2
 
 

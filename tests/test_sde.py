@@ -123,8 +123,7 @@ def test_integrate_preconditions():
 
 def test_transform_consistency_identity_when_no_singular_part():
     grid = GridSpec(d=1, n=101, m=100, L=4.0, T=1.0)
-    cs = CoefficientSet(sigma=SIG1, b1=lambda t, x: -x, kappa1=0.5, kappa2=0.5,
-                        lip_b1=1.0)
+    cs = CoefficientSet(sigma=SIG1, b1=lambda t, x: -x, kappa1=0.5, kappa2=0.5)
     zm = build_zvonkin(cs, grid)
     rep = transform_consistency(zm, np.array([0.3]), [100, 200], 500, seed=17)
     assert max(rep["error"]) <= 1e-12
