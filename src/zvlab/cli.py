@@ -21,15 +21,15 @@ import numpy as np
 from . import __version__
 from .coupling import (CouplingConfig, calibrate_k1, coalescence_report,
                        gamma_threshold, h5_certificate, harnack_power_check,
-                       log_harnack_check, simulate_pair, verify_martingale,
+                       simulate_pair, verify_log_harnack, verify_martingale,
                        verify_moment_bound)
 from .fields import GridSpec, NormSpec
 from .pde import solve_phi_system, verify_apriori
 from .report import RunReport, combined_exit_code, csv_payload, json_payload
 from .scenarios import Scenario, get_scenario, scenario_names
-from .sde import (SdeModel, SimSpec, bump_family_report, integrate,
-                  interval_bump, krylov_estimate, original_model,
-                  transformed_model)
+from .sde import (SdeModel, SimSpec, bump_family_stat, integrate,
+                  integrate_stat, interval_bump, krylov_stat, original_model,
+                  run_stats, transformed_model)
 from .zvonkin import (GRAD_TARGET, bilipschitz_certificate, build_zvonkin,
                       ellipticity_certificate, roundtrip_certificate,
                       transformed_constants)
@@ -77,9 +77,20 @@ def _n_paths(args, default: int) -> int:
     return default // FAST_DIVISOR if args.fast else default
 
 
-def _sim_spec(grid: GridSpec, args, n_paths: int) -> SimSpec:
-    return SimSpec(T=grid.T, n_steps=max(grid.m, 100), n_paths=n_paths,
-                   seed=args.seed, L=grid.L)
+def _sim_spec(sc: Scenario, args) -> SimSpec:
+    """The plain ensemble's SimSpec; simulate and krylov share it."""
+    grid = _grid(sc, args)
+    return SimSpec(T=grid.T, n_steps=max(grid.m, 100),
+                   n_paths=_n_paths(args, SIM_PATHS), seed=args.seed, L=grid.L)
+
+
+def _krylov_stats(sc: Scenario, spec: SimSpec) -> list:
+    """krylov's statistics of the plain ensemble: the single-bump estimate
+    and the bump family."""
+    ns = sc.b0_norm if sc.b0_norm is not None else NormSpec(p=4.0, q=16.0, d=sc.d)
+    ev, norm_fn = interval_bump(0.0, 0.05)
+    return [krylov_stat(spec, ev, ns, f_norm=norm_fn(ns, 0.0, spec.T)),
+            bump_family_stat(spec, ns, BUMP_WIDTHS)]
 
 
 def _coupling_inputs(sc: Scenario, grid: GridSpec, args):
@@ -175,11 +186,11 @@ def stage_build_transform(rep: RunReport, sc: Scenario, args):
     return zm
 
 
-def stage_simulate(rep: RunReport, sc: Scenario, args):
-    grid = _grid(sc, args)
-    spec = _sim_spec(grid, args, _n_paths(args, SIM_PATHS))
-    model = original_model(sc.coeffs, sc.d)
-    ens = integrate(model, np.array(sc.x0), spec)
+def stage_simulate(rep: RunReport, sc: Scenario, args, ens=None):
+    """simulate's rows, from ens if the caller has already run it."""
+    if ens is None:
+        ens = integrate(original_model(sc.coeffs, sc.d), np.array(sc.x0),
+                        _sim_spec(sc, args))
     rr = ens.rng_report
     rep.add("escape-fraction", ens.escape_fraction,
             "pass" if ens.escape_fraction <= 0.01 else "fail", threshold=0.01)
@@ -193,18 +204,15 @@ def stage_simulate(rep: RunReport, sc: Scenario, args):
     return ens
 
 
-def stage_krylov(rep: RunReport, sc: Scenario, args):
-    grid = _grid(sc, args)
-    spec = _sim_spec(grid, args, _n_paths(args, SIM_PATHS))
-    model = original_model(sc.coeffs, sc.d)
-    ns = sc.b0_norm if sc.b0_norm is not None else NormSpec(p=4.0, q=16.0, d=sc.d)
-    ev, norm_fn = interval_bump(0.0, 0.05)
-    est = krylov_estimate(model, np.array(sc.x0), spec, ev, ns,
-                          f_norm=norm_fn(ns, 0.0, grid.T))
+def stage_krylov(rep: RunReport, sc: Scenario, args, est=None, fam=None):
+    """krylov's rows, from (est, fam) if the caller has already run them."""
+    if est is None:
+        spec = _sim_spec(sc, args)
+        est, fam = run_stats(original_model(sc.coeffs, sc.d), np.array(sc.x0),
+                             spec, _krylov_stats(sc, spec))
     rep.add("krylov-ratio", est["ratio"], "info",
             ci_low=est["ci95"][0] / est["f_norm"],
             ci_high=est["ci95"][1] / est["f_norm"])
-    fam = bump_family_report(model, np.array(sc.x0), spec, ns, BUMP_WIDTHS)
     rep.add("krylov-bump-max-over-median", fam["max_over_median"],
             "pass" if fam["passed"] else "fail", threshold=3.0)
     return est
@@ -242,7 +250,10 @@ def stage_couple(rep: RunReport, sc: Scenario, args):
     return res
 
 
-def stage_harnack(rep: RunReport, sc: Scenario, args):
+def stage_harnack(rep: RunReport, sc: Scenario, args, coupled=None):
+    """Power and log Harnack rows.  coupled is the couple stage's result,
+    if the caller has it: the log check's run has the same pair, start
+    points, base config and seed, so it would repeat that run bit for bit."""
     grid = _grid(sc, args)
     pair, consts, x, y = _coupling_inputs(sc, grid, args)
     base = _coupling_config(grid, args, consts, _n_paths(args, COUPLE_PATHS))
@@ -265,9 +276,10 @@ def stage_harnack(rep: RunReport, sc: Scenario, args):
     cal = calibrate_k1(pair, list(HARNACK_FS), x, y, base,
                        kappa1=consts["lam_T"], seed=args.seed + 1000)
     rep.add("log-harnack-k1", cal["k1_hat"], "info", provenance="fit")
-    logrep = log_harnack_check(pair, list(HARNACK_FS), x, y, base,
-                               kappa1=consts["lam_T"], k1_hat=cal["k1_hat"],
-                               seed=args.seed)
+    if coupled is None:
+        coupled = simulate_pair(pair, x, y, base, seed=args.seed)
+    logrep = verify_log_harnack(coupled, list(HARNACK_FS),
+                                kappa1=consts["lam_T"], k1_hat=cal["k1_hat"])
     for c in logrep["checks"]:
         rep.add(f"log-harnack-{c['f']}", c["lhs"], c["verdict"],
                 threshold=c["threshold"])
@@ -275,13 +287,25 @@ def stage_harnack(rep: RunReport, sc: Scenario, args):
 
 
 def stage_full(rep: RunReport, sc: Scenario, args):
-    for name, fn in (("build-transform", stage_build_transform),
-                     ("simulate", stage_simulate),
-                     ("krylov", stage_krylov)):
-        _timed(rep, name, fn, sc, args)
+    """Every stage's rows in stage order, each distinct ensemble run once:
+    one plain pass feeds simulate and krylov (the simulate timing covers
+    it), and the log-Harnack check reads the couple stage's run."""
+    _timed(rep, "build-transform", stage_build_transform, sc, args)
+
+    def plain_pass(rep, sc, args):
+        spec = _sim_spec(sc, args)
+        x0 = np.array(sc.x0)
+        ens, est, fam = run_stats(original_model(sc.coeffs, sc.d), x0, spec,
+                                  [integrate_stat(x0, spec),
+                                   *_krylov_stats(sc, spec)])
+        stage_simulate(rep, sc, args, ens)
+        return est, fam
+
+    est, fam = _timed(rep, "simulate", plain_pass, sc, args)
+    _timed(rep, "krylov", stage_krylov, sc, args, est, fam)
     if sc.coupling is not None:
-        _timed(rep, "couple", stage_couple, sc, args)
-        _timed(rep, "harnack", stage_harnack, sc, args)
+        res = _timed(rep, "couple", stage_couple, sc, args)
+        _timed(rep, "harnack", stage_harnack, sc, args, res)
 
 
 STAGES = {
@@ -295,9 +319,9 @@ STAGES = {
 }
 
 
-def _timed(rep: RunReport, name: str, fn, sc, args):
+def _timed(rep: RunReport, name: str, fn, sc, args, *extra):
     t0 = time.perf_counter()
-    out = fn(rep, sc, args)
+    out = fn(rep, sc, args, *extra)
     rep.timings[name] = time.perf_counter() - t0
     return out
 

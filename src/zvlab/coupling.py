@@ -575,11 +575,17 @@ def harnack_power_check(pair: SdeModel, fs, x, y, cfg: CouplingConfig,
 def log_harnack_check(pair: SdeModel, fs, x, y, cfg: CouplingConfig,
                       kappa1: float, k1_hat: float, seed: int,
                       workers: int | None = None) -> dict:
+    """verify_log_harnack on a coupled run of its own."""
+    return verify_log_harnack(simulate_pair(pair, x, y, cfg, seed, workers),
+                              fs, kappa1, k1_hat)
+
+
+def verify_log_harnack(res: CouplingResult, fs, kappa1: float,
+                       k1_hat: float) -> dict:
     """E[R log f(Y)] <= log E[f(X)] + k1_hat |x-y|^2/(kappa1 T) per function,
     with k1_hat calibrated elsewhere and frozen."""
-    res = simulate_pair(pair, x, y, cfg, seed, workers)
     logR = res.log_weights()
-    quad = k1_hat * res.r ** 2 / (kappa1 * cfg.T)
+    quad = k1_hat * res.r ** 2 / (kappa1 * res.cfg.T)
     checks = []
     for i, f in enumerate(fs):
         label, fY, fX = _positive_values(i, f, res)

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .fields import CoefficientSet, GridSpec, NormSpec, sample_field
 
@@ -269,15 +269,25 @@ def _apply(st: dict, v: np.ndarray, g: GridSpec) -> np.ndarray:
     return out.reshape(v.shape)
 
 
-def _solve_banded(st: dict, lam: float, gamma: float, rhs: np.ndarray) -> np.ndarray:
+def _solve_banded(st: dict, lam: float, gamma: float, rhs: np.ndarray,
+                  t: float) -> np.ndarray:
     """1-d: solve (I + gamma*(lam - L)) w = rhs on interior nodes, w = 0 on
-    walls, directly, with the three bands read from the stencil."""
-    ab = np.zeros((3, rhs.shape[0] - 2))
-    ab[0, 1:] = -gamma * st[(1,)][:-1]
-    ab[1] = 1.0 + gamma * (lam - st[(0,)])
-    ab[2, :-1] = -gamma * st[(-1,)][1:]
+    walls, with LAPACK gtsv on the three bands read from the stencil (the
+    routine scipy's solve_banded calls for one band each side).  Non-finite
+    input raises ValueError and a singular system LinAlgError, both naming
+    the slice time t."""
+    dl = -gamma * st[(-1,)][1:]
+    d = 1.0 + gamma * (lam - st[(0,)])
+    du = -gamma * st[(1,)][:-1]
+    b = rhs[1:-1]
+    if not all(np.isfinite(a).all() for a in (dl, d, du, b)):
+        raise ValueError(f"non-finite implicit system at t={t:.6g}")
+    *_, x, info = dgtsv(dl, d, du, b, overwrite_dl=True, overwrite_d=True,
+                        overwrite_du=True)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular implicit system at t={t:.6g}")
     w = np.zeros_like(rhs)
-    w[1:-1] = solve_banded((1, 1), ab, rhs[1:-1])
+    w[1:-1] = x
     return w
 
 
@@ -347,7 +357,7 @@ def solve_backward(problem: PdeProblem) -> PdeSolution:
         gamma = dt * theta
         st = _stencil(op, k_new, g)
         if g.d == 1:
-            v = _solve_banded(st, problem.lam, gamma, rhs)
+            v = _solve_banded(st, problem.lam, gamma, rhs, k_new * dt)
         else:
             v = _solve_bicgstab(st, problem.lam, gamma, rhs, v, g.n)
         u[k_new] = v

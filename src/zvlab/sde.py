@@ -5,7 +5,9 @@ for a fixed (seed, config) regardless of worker count: every block's
 partial statistic is a pure function of its inputs and partials are
 combined in fixed order.  Paths that leave the doubled box are frozen at
 their exit value, flagged, and excluded from estimators with the count
-reported.
+reported.  A statistic of the plain ensemble is a BlockStat, a per-block
+partial and a finish step, so that run_stats can feed several statistics
+from one pass over the paths.
 
 The module also houses the two checks that ride on simulated paths:
 the transform-consistency curve E max_t |Phi_t(X_t) - Y_t| and the
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -104,19 +107,39 @@ def _advance_block(models, x0s, spec, block_index, width):
 
 
 def run_blocks(models, x0s, spec, block_fn, workers=None):
-    """block_fn(traj, path_offset) per block; partials in fixed block order."""
-    blocks = _rng.path_blocks(spec.n_paths)
-    args = []
-    off = 0
-    for bi, w in blocks:
-        args.append((bi, w, off))
-        off += w
+    """block_fn(traj) per block; partials in fixed block order."""
 
-    def task(bi, w, off):
-        traj = _advance_block(models, x0s, spec, bi, w)
-        return block_fn(traj, off)
+    def task(bi, w):
+        return block_fn(_advance_block(models, x0s, spec, bi, w))
 
-    return run_tasks(task, args, workers=workers or n_workers())
+    return run_tasks(task, _rng.path_blocks(spec.n_paths),
+                     workers=workers or n_workers())
+
+
+@dataclass(frozen=True)
+class BlockStat:
+    """A statistic of the plain ensemble, split so that one pass can feed
+    several: block(traj) is one path block's partial, finish(partials)
+    the result from every block's partial in block order."""
+
+    block: Callable
+    finish: Callable
+
+
+def run_stats(model: SdeModel, x0, spec: SimSpec, stats,
+              workers: int | None = None) -> list:
+    """Advance the plain ensemble once and finish every statistic on it,
+    in the order given.  Each statistic sees the same trajectories and
+    reduces its own partials as a run of it alone would, so the results
+    are bit-identical to one pass per statistic."""
+    parts = run_blocks([model], [np.asarray(x0, dtype=float)], spec,
+                       lambda traj: [st.block(traj) for st in stats], workers)
+    return [st.finish([p[i] for p in parts]) for i, st in enumerate(stats)]
+
+
+def _sum_partials(parts):
+    """Tuples of partial sums added field by field in the fixed tree order."""
+    return tree_reduce(parts, lambda a, b: tuple(u + v for u, v in zip(a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -125,18 +148,16 @@ def run_blocks(models, x0s, spec, block_fn, workers=None):
 
 @dataclass
 class PathEnsemble:
-    model: SdeModel
-    x0: np.ndarray
-    spec: SimSpec
     terminal: np.ndarray            # (N, d)
     escaped: np.ndarray             # (N,) bool
     escape_fraction: float
     rng_report: dict = field(default_factory=dict)
 
 
-def integrate(model: SdeModel, x0, spec: SimSpec,
-              workers: int | None = None) -> PathEnsemble:
-    """Euler-Maruyama ensemble with escape freezing and RNG sanity stats."""
+def integrate_stat(x0, spec: SimSpec) -> BlockStat:
+    """integrate's statistic: terminal points, escapes and the increments'
+    sample moments.  The increment mean is over n_paths * n_steps draws
+    per axis, so its 4-SE bound is 4 sqrt(h / (n_paths * n_steps))."""
     x0 = np.asarray(x0, dtype=float)
     if spec.n_steps < 100:
         raise ValueError("step too coarse: need n_steps >= 100 (h <= T/100), "
@@ -144,38 +165,46 @@ def integrate(model: SdeModel, x0, spec: SimSpec,
     if np.abs(x0).max() > 0.5 * spec.L:
         raise ValueError("x0 must lie in the inner half of the box")
 
-    def block_fn(traj, off):
+    def block(traj):
         dW = traj["dW"]
         return {
-            "terminal": traj["X"][0][:, -1],
+            # a copy, so the block's paths are freed before the finish
+            "terminal": traj["X"][0][:, -1].copy(),
             "escaped": ~traj["alive"][0],
             "sum_dw": dW.sum(axis=(0, 1)),
             "sum_dw2": (dW ** 2).sum(axis=(0, 1)),
             "count": dW.shape[0] * dW.shape[1],
         }
 
-    parts = run_blocks([model], [x0], spec, block_fn, workers)
-    terminal = np.concatenate([p["terminal"] for p in parts])
-    escaped = np.concatenate([p["escaped"] for p in parts])
-    sum_dw = tree_reduce([p["sum_dw"] for p in parts], lambda a, b: a + b)
-    sum_dw2 = tree_reduce([p["sum_dw2"] for p in parts], lambda a, b: a + b)
-    count = sum(p["count"] for p in parts)
-    mean = sum_dw / count
-    var = sum_dw2 / count - mean ** 2
-    frac = float(escaped.mean())
-    if frac > ESCAPE_ERROR:
-        raise RuntimeError(
-            f"domain too small for scenario: {frac:.1%} of paths escaped")
-    rng_report = {
-        "increment_mean": mean,
-        "increment_var": var,
-        "mean_ok": bool(np.all(np.abs(mean) <= 4 * math.sqrt(spec.h / spec.n_paths))),
-        "var_ok": bool(np.all(np.abs(var - spec.h) <= 0.05 * spec.h)),
-        "escape_warn": frac > ESCAPE_WARN,
-    }
-    return PathEnsemble(model=model, x0=x0, spec=spec, terminal=terminal,
-                        escaped=escaped, escape_fraction=frac,
-                        rng_report=rng_report)
+    def finish(parts):
+        terminal = np.concatenate([p["terminal"] for p in parts])
+        escaped = np.concatenate([p["escaped"] for p in parts])
+        sum_dw = tree_reduce([p["sum_dw"] for p in parts], lambda a, b: a + b)
+        sum_dw2 = tree_reduce([p["sum_dw2"] for p in parts], lambda a, b: a + b)
+        count = sum(p["count"] for p in parts)
+        mean = sum_dw / count
+        var = sum_dw2 / count - mean ** 2
+        frac = float(escaped.mean())
+        if frac > ESCAPE_ERROR:
+            raise RuntimeError(
+                f"domain too small for scenario: {frac:.1%} of paths escaped")
+        rng_report = {
+            "increment_mean": mean,
+            "increment_var": var,
+            "mean_ok": bool(np.all(np.abs(mean) <= 4 * math.sqrt(spec.h / count))),
+            "var_ok": bool(np.all(np.abs(var - spec.h) <= 0.05 * spec.h)),
+            "escape_warn": frac > ESCAPE_WARN,
+        }
+        return PathEnsemble(terminal=terminal, escaped=escaped,
+                            escape_fraction=frac, rng_report=rng_report)
+
+    return BlockStat(block, finish)
+
+
+def integrate(model: SdeModel, x0, spec: SimSpec,
+              workers: int | None = None) -> PathEnsemble:
+    """Euler-Maruyama ensemble with escape freezing and RNG sanity stats."""
+    return run_stats(model, x0, spec, [integrate_stat(x0, spec)], workers)[0]
 
 
 def original_model(coeffs, d: int) -> SdeModel:
@@ -214,7 +243,7 @@ def transform_consistency(zmap, x0, steps_list, n_paths: int, seed: int,
         spec = SimSpec(T=grid.T, n_steps=int(n_steps), n_paths=n_paths,
                        seed=seed, L=grid.L)
 
-        def block_fn(traj, off, spec=spec):
+        def block_fn(traj, spec=spec):
             Xp, Yp = traj["X"]
             ok = traj["alive"][0] & traj["alive"][1]
             w = int(ok.sum())
@@ -229,10 +258,8 @@ def transform_consistency(zmap, x0, steps_list, n_paths: int, seed: int,
             return (float(worst.sum()), float((worst ** 2).sum()), w,
                     traj["width"] - w)
 
-        parts = run_blocks([mx, my], [x0, y0], spec, block_fn, workers)
-        tot = tree_reduce(parts, lambda a, b: (a[0] + b[0], a[1] + b[1],
-                                               a[2] + b[2], a[3] + b[3]))
-        s, s2, n_ok, n_drop = tot
+        s, s2, n_ok, n_drop = _sum_partials(
+            run_blocks([mx, my], [x0, y0], spec, block_fn, workers))
         mean = s / max(n_ok, 1)
         var = max(s2 / max(n_ok, 1) - mean ** 2, 0.0)
         errs.append(mean)
@@ -259,10 +286,10 @@ def k_pq(ns: NormSpec) -> int:
     return math.floor(val) + 1
 
 
-def krylov_estimate(model: SdeModel, x0, spec: SimSpec, f, ns: NormSpec,
-                    window=None, f_norm: float | None = None,
-                    workers: int | None = None) -> dict:
-    """Monte Carlo E int_{t0}^{t1} f(s, X_s) ds against the mixed norm.
+def krylov_stat(spec: SimSpec, f, ns: NormSpec, window=None,
+                f_norm: float | None = None) -> BlockStat:
+    """krylov_estimate's statistic: Monte Carlo E int_{t0}^{t1} f(s, X_s) ds
+    against the mixed norm.
 
     f is a GridFunction (norm computed by quadrature) or a plain evaluator
     (closed-form f_norm required — keeps sharp bumps exact).  Trapezoid
@@ -291,7 +318,7 @@ def krylov_estimate(model: SdeModel, x0, spec: SimSpec, f, ns: NormSpec,
         if f_norm is None:
             raise ValueError("plain-evaluator f needs an explicit f_norm")
 
-    def block_fn(traj, off):
+    def block(traj):
         Xp = traj["X"][0]
         ok = traj["alive"][0]
         acc = np.zeros(int(ok.sum()))
@@ -301,17 +328,26 @@ def krylov_estimate(model: SdeModel, x0, spec: SimSpec, f, ns: NormSpec,
         return (float(acc.sum()), float((acc ** 2).sum()), int(ok.sum()),
                 int((~ok).sum()))
 
-    parts = run_blocks([model], [np.asarray(x0, dtype=float)], spec, block_fn, workers)
-    s, s2, n_ok, n_drop = tree_reduce(
-        parts, lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]))
-    mean = s / max(n_ok, 1)
-    var = max(s2 / max(n_ok, 1) - mean ** 2, 0.0)
-    se = math.sqrt(var / max(n_ok, 1))
-    return {"estimate": mean, "se": se,
-            "ci95": (mean - 1.96 * se, mean + 1.96 * se),
-            "n_used": n_ok, "n_excluded": n_drop,
-            "f_norm": f_norm, "ratio": mean / f_norm,
-            "k_pq": k_pq(ns), "window": (k0 * h, k1 * h)}
+    def finish(parts):
+        s, s2, n_ok, n_drop = _sum_partials(parts)
+        mean = s / max(n_ok, 1)
+        var = max(s2 / max(n_ok, 1) - mean ** 2, 0.0)
+        se = math.sqrt(var / max(n_ok, 1))
+        return {"estimate": mean, "se": se,
+                "ci95": (mean - 1.96 * se, mean + 1.96 * se),
+                "n_used": n_ok, "n_excluded": n_drop,
+                "f_norm": f_norm, "ratio": mean / f_norm,
+                "k_pq": k_pq(ns), "window": (k0 * h, k1 * h)}
+
+    return BlockStat(block, finish)
+
+
+def krylov_estimate(model: SdeModel, x0, spec: SimSpec, f, ns: NormSpec,
+                    window=None, f_norm: float | None = None,
+                    workers: int | None = None) -> dict:
+    """krylov_stat on its own pass of the plain ensemble."""
+    return run_stats(model, x0, spec, [krylov_stat(spec, f, ns, window, f_norm)],
+                     workers)[0]
 
 
 def interval_bump(center: float, eps: float):
@@ -326,10 +362,9 @@ def interval_bump(center: float, eps: float):
     return ev, norm
 
 
-def bump_family_report(model: SdeModel, x0, spec: SimSpec, ns: NormSpec,
-                       widths, workers: int | None = None) -> dict:
-    """Occupation/norm ratios for a family of sharpening bumps, all centred
-    at the origin, in one pass.
+def bump_family_stat(spec: SimSpec, ns: NormSpec, widths) -> BlockStat:
+    """bump_family_report's statistic: occupation/norm ratios for a family
+    of sharpening bumps, all centred at the origin.
 
     The estimate's content is that the ratio stays bounded as the bump
     sharpens; pass criterion is max <= 3 x median over the family.
@@ -340,7 +375,7 @@ def bump_family_report(model: SdeModel, x0, spec: SimSpec, ns: NormSpec,
     weights[0] = weights[-1] = 0.5 * h
     pairs = [interval_bump(0.0, eps) for eps in widths]
 
-    def block_fn(traj, off):
+    def block(traj):
         Xp = traj["X"][0]
         ok = traj["alive"][0]
         r = np.abs(Xp[ok, :, 0])                # (w, n_steps+1)
@@ -352,16 +387,24 @@ def bump_family_report(model: SdeModel, x0, spec: SimSpec, ns: NormSpec,
             sqs.append(float((acc ** 2).sum()))
         return (np.asarray(sums), np.asarray(sqs), int(ok.sum()))
 
-    parts = run_blocks([model], [np.asarray(x0, dtype=float)], spec, block_fn, workers)
-    s, s2, n_ok = tree_reduce(parts, lambda a, b: (a[0] + b[0], a[1] + b[1],
-                                                   a[2] + b[2]))
-    means = s / max(n_ok, 1)
-    ses = np.sqrt(np.maximum(s2 / max(n_ok, 1) - means ** 2, 0.0) / max(n_ok, 1))
-    norms = np.array([norm_fn(ns, 0.0, spec.T) for _, norm_fn in pairs])
-    ratios = means / norms
-    med = float(np.median(ratios))
-    return {"widths": widths, "estimates": means.tolist(), "se": ses.tolist(),
-            "norms": norms.tolist(), "ratios": ratios.tolist(),
-            "median_ratio": med, "max_ratio": float(ratios.max()),
-            "max_over_median": float(ratios.max() / med),
-            "n_used": n_ok, "passed": bool(ratios.max() <= 3.0 * med)}
+    def finish(parts):
+        s, s2, n_ok = _sum_partials(parts)
+        means = s / max(n_ok, 1)
+        ses = np.sqrt(np.maximum(s2 / max(n_ok, 1) - means ** 2, 0.0) / max(n_ok, 1))
+        norms = np.array([norm_fn(ns, 0.0, spec.T) for _, norm_fn in pairs])
+        ratios = means / norms
+        med = float(np.median(ratios))
+        return {"widths": widths, "estimates": means.tolist(), "se": ses.tolist(),
+                "norms": norms.tolist(), "ratios": ratios.tolist(),
+                "median_ratio": med, "max_ratio": float(ratios.max()),
+                "max_over_median": float(ratios.max() / med),
+                "n_used": n_ok, "passed": bool(ratios.max() <= 3.0 * med)}
+
+    return BlockStat(block, finish)
+
+
+def bump_family_report(model: SdeModel, x0, spec: SimSpec, ns: NormSpec,
+                       widths, workers: int | None = None) -> dict:
+    """bump_family_stat on its own pass of the plain ensemble."""
+    return run_stats(model, x0, spec, [bump_family_stat(spec, ns, widths)],
+                     workers)[0]

@@ -87,6 +87,49 @@ def test_csv_identical_across_worker_counts(capsys, monkeypatch):
         assert outs[0] == outs[1]
 
 
+def test_full_pipeline_csv_identical_across_worker_counts(capsys, monkeypatch):
+    # 9000 paths are two blocks, so the one plain pass and the couple run
+    # that the log-Harnack check reuses both go through the thread pool
+    outs = []
+    for w in ("1", "3"):
+        monkeypatch.setenv("ZVLAB_THREADS", w)
+        code, out, _ = run_cli(capsys, "full-pipeline", "--scenario",
+                               "additive-1d", "--paths", "9000", "--seed", "1",
+                               "--fast")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_full_pipeline_matches_separate_stages(capsys, monkeypatch):
+    # full-pipeline runs each distinct ensemble once: one plain pass feeds
+    # simulate and krylov (one _advance_block per path block, not three),
+    # and the log-Harnack check reads the couple run (three simulate_pair
+    # calls, not four).  Its rows equal the separate stages' rows
+    from zvlab import cli, coupling, sde
+    common = ("--scenario", "additive-1d", "--fast", "--paths", "3000")
+    rows = []
+    for stage in ("build-transform", "simulate", "krylov", "couple", "harnack"):
+        _, out, _ = run_cli(capsys, stage, *common)
+        rows += out.splitlines()[1:]
+    pairs, blocks = [], []
+    simulate_pair = coupling.simulate_pair
+    advance = sde._advance_block
+
+    def spy_pair(*a, **k):
+        pairs.append(a)
+        return simulate_pair(*a, **k)
+
+    monkeypatch.setattr(coupling, "simulate_pair", spy_pair)
+    monkeypatch.setattr(cli, "simulate_pair", spy_pair)
+    monkeypatch.setattr(sde, "_advance_block",
+                        lambda *a: blocks.append(a[3]) or advance(*a))
+    _, out, _ = run_cli(capsys, "full-pipeline", *common)
+    assert out.splitlines()[1:] == rows
+    assert len(pairs) == 3
+    assert blocks == [0]
+
+
 def test_out_dir_and_json_format(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "solve-pde", "--scenario", "singular-1d",
                            "--fast", "--out", str(tmp_path))

@@ -259,3 +259,43 @@ def test_boundary_shell_diagnostic():
 def test_decay_prediction_validates_exponents():
     # the shipped sup-norm target: beta0 = (2 - 1/2 - 1/4)/2
     assert DecayPrediction(d=1, p=4, q=4).beta0 == pytest.approx(0.625)
+
+
+def test_banded_solve_is_lapack_gtsv_bit_for_bit():
+    # the 1-d implicit step calls gtsv on the three bands, the routine
+    # scipy's solve_banded uses for (1, 1) bands: same bits, walls at 0
+    from scipy.linalg import solve_banded
+    rng = np.random.default_rng(5)
+    lam, gamma, n = 2.0, 0.3, 41
+    for _ in range(5):
+        lo, up = rng.uniform(0.0, 1.0, (2, n - 2))
+        st = {(-1,): lo, (1,): up, (0,): -(lo + up) - rng.uniform(0.0, 1.0, n - 2)}
+        rhs = rng.normal(size=(n, 1))
+        keep = rhs.copy()
+        ab = np.zeros((3, n - 2))
+        ab[0, 1:] = -gamma * up[:-1]
+        ab[1] = 1.0 + gamma * (lam - st[(0,)])
+        ab[2, :-1] = -gamma * lo[1:]
+        w = pde._solve_banded(st, lam, gamma, rhs, 0.25)
+        assert np.array_equal(w[1:-1], solve_banded((1, 1), ab, rhs[1:-1]))
+        assert w[0, 0] == 0.0 and w[-1, 0] == 0.0
+        assert np.array_equal(rhs, keep)
+
+
+def test_banded_solve_refuses_bad_systems():
+    lam, gamma, n = 0.0, 1.0, 9
+    zero = np.zeros(n - 2)
+    st = {(-1,): zero, (1,): zero, (0,): np.full(n - 2, -1.0)}
+    rhs = np.ones((n, 1))
+    nan_diag = np.full(n - 2, -1.0)
+    nan_diag[3] = np.nan
+    with pytest.raises(ValueError, match="non-finite.*t=0.25"):
+        pde._solve_banded({**st, (0,): nan_diag}, lam, gamma, rhs, 0.25)
+    rhs_bad = rhs.copy()
+    rhs_bad[4] = np.inf
+    with pytest.raises(ValueError, match="non-finite.*t=0.5"):
+        pde._solve_banded(st, lam, gamma, rhs_bad, 0.5)
+    # 1 + gamma (lam - L_00) = 0 on the diagonal, nothing off it
+    singular = np.full(n - 2, lam + 1.0 / gamma)
+    with pytest.raises(np.linalg.LinAlgError, match="singular.*t=0.75"):
+        pde._solve_banded({**st, (0,): singular}, lam, gamma, rhs, 0.75)

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from zvlab import rng as zrng
+from zvlab import sde
 from zvlab.fields import (CoefficientSet, GridFunction, GridSpec, NormSpec,
                           constant_sigma)
-from zvlab.sde import (SdeModel, SimSpec, bump_family_report, integrate,
-                       interval_bump, k_pq, krylov_estimate,
+from zvlab.sde import (SdeModel, SimSpec, bump_family_report, bump_family_stat,
+                       integrate, integrate_stat, interval_bump, k_pq,
+                       krylov_estimate, krylov_stat, run_stats,
                        transform_consistency, transformed_model)
 from zvlab.zvonkin import build_zvonkin
 
@@ -73,6 +75,54 @@ def test_brownian_terminal_variance_and_rng_sanity():
     assert abs(v - 1.0) <= 3 * se
     assert ens.rng_report["mean_ok"] and ens.rng_report["var_ok"]
     assert not ens.rng_report["escape_warn"]
+
+
+def test_increment_mean_bound_counts_every_increment(monkeypatch):
+    # the increment mean is over n_paths * n_steps draws per axis, so its
+    # 4-SE bound is 4 sqrt(h / (n_paths n_steps)).  A bias between that and
+    # the sqrt(n_steps) looser 4 sqrt(h / n_paths) must fail the check
+    spec = SimSpec(T=1.0, n_steps=200, n_paths=1000, seed=11, L=10.0)
+    fair = integrate(brownian_model(), np.array([0.0]), spec)
+    assert fair.rng_report["mean_ok"]
+    draw = zrng.block_normals
+    monkeypatch.setattr(zrng, "block_normals",
+                        lambda *a, **k: draw(*a, **k) + 0.05)
+    ens = integrate(brownian_model(), np.array([0.0]), spec)
+    mean = abs(ens.rng_report["increment_mean"][0])
+    assert (4 * math.sqrt(spec.h / (spec.n_paths * spec.n_steps)) < mean
+            <= 4 * math.sqrt(spec.h / spec.n_paths))
+    assert not ens.rng_report["mean_ok"]
+    assert ens.rng_report["var_ok"]          # a shift leaves the variance
+
+
+def test_one_pass_feeds_every_statistic(monkeypatch):
+    # run_stats steps each path block once for all of its statistics, and
+    # each result is bit-identical to a pass of its own (9000 paths: two
+    # blocks, so the partials go through the tree reduce)
+    spec = SimSpec(T=1.0, n_steps=100, n_paths=9000, seed=4, L=8.0)
+    model, x0 = brownian_model(), np.array([0.1])
+    ns = NormSpec(p=4, q=4, d=1)
+    f, norm_fn = interval_bump(0.0, 0.1)
+    f_norm = norm_fn(ns, 0.0, 1.0)
+    widths = [0.05, 0.1, 0.2]
+    ens0 = integrate(model, x0, spec)
+    est0 = krylov_estimate(model, x0, spec, f, ns, f_norm=f_norm)
+    fam0 = bump_family_report(model, x0, spec, ns, widths)
+    blocks = []
+    advance = sde._advance_block
+    monkeypatch.setattr(sde, "_advance_block",
+                        lambda *a: blocks.append(a[3]) or advance(*a))
+    ens, est, fam = run_stats(model, x0, spec, [
+        integrate_stat(x0, spec), krylov_stat(spec, f, ns, f_norm=f_norm),
+        bump_family_stat(spec, ns, widths)])
+    assert sorted(blocks) == [0, 1]
+    assert np.array_equal(ens.terminal, ens0.terminal)
+    assert np.array_equal(ens.escaped, ens0.escaped)
+    assert ens.escape_fraction == ens0.escape_fraction
+    for key in ("increment_mean", "increment_var"):
+        assert np.array_equal(ens.rng_report[key], ens0.rng_report[key])
+    assert est == est0
+    assert fam == fam0
 
 
 def test_ou_terminal_variance_oracle():
