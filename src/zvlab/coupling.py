@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .parallel import n_workers, run_tasks
+from .parallel import run_tasks
 from .sde import SdeModel
 from . import rng as _rng
 
@@ -40,6 +40,7 @@ N_TRUNC = 1e3             # cap on the Girsanov integrand's norm |u|
 H5_PAIRS = 512            # h5_certificate: sampled start pairs
 H5_TIMES = 5              # h5_certificate: sampled times in [0, T - stop gap]
 K1_SAFETY = 2.0           # calibrate_k1: factor on the calibrated constant
+STOP_GAP = 0.02           # runs stop at T - STOP_GAP T
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,6 @@ class CouplingConfig:
     alpha: float = 1.0
     theta: float = 1.0
     gamma: float | None = None
-    eps_stop: float | None = None   # stop gap; default 0.02 T
 
     def __post_init__(self):
         if self.T <= 0 or self.L <= 0:
@@ -81,13 +81,10 @@ class CouplingConfig:
             raise ValueError(f"theta must lie in (0, 2 alpha), got {self.theta}")
         if self.gamma is not None and self.gamma <= 1.0:
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
-        gap = self.stop_gap
-        if not 0.0 < gap < 0.1 * self.T:
-            raise ValueError(f"eps_stop must lie in (0, T/10), got {gap}")
 
     @property
     def stop_gap(self) -> float:
-        return 0.02 * self.T if self.eps_stop is None else self.eps_stop
+        return STOP_GAP * self.T
 
 
 def eta(t, cfg: CouplingConfig):
@@ -175,10 +172,45 @@ def power_harnack_exponent(cfg: CouplingConfig, r: float,
 CoupledSde = SdeModel
 
 
+def pair_constants(pair: SdeModel, xs, ys, ts, alpha: float) -> dict:
+    """Sampled constants of the model pair (b, sigma) over the point pairs
+    (xs, ys) (N, d) at the times ts: the largest K_T, delta_T and drift
+    Lipschitz quotient lip_Z, and the smallest lam_T.
+
+    K_T bounds 2<b(x)-b(y), x-y> + ||sigma(x)-sigma(y)||_HS^2 against
+    |x-y|^2 v |x-y|^{2 alpha}; delta_T the distance-aligned diffusion
+    difference |(sigma(x)-sigma(y))^T (x-y)| / |x-y|; lam_T the smallest
+    eigenvalue of sigma sigma^T at xs.
+    """
+    diff = xs - ys
+    d2 = np.sum(diff ** 2, axis=-1)
+    dist = np.sqrt(d2)
+    denom = np.maximum(np.maximum(d2, dist ** (2 * alpha)), 1e-300)
+    K = -np.inf
+    delta = 0.0
+    lam_T = np.inf
+    lip_Z = 0.0
+    for t in map(float, ts):
+        zx, sx = pair.step_eval(t, xs, None)
+        zy, sy = pair.step_eval(t, ys, None)
+        hs2 = np.sum((sx - sy) ** 2, axis=(-2, -1))
+        K = max(K, float(((2 * np.sum((zx - zy) * diff, axis=-1) + hs2)
+                          / denom).max()))
+        aligned = np.sqrt(np.sum(
+            (np.einsum("...ji,...j->...i", sx - sy, diff)) ** 2, axis=-1))
+        delta = max(delta, float((aligned / np.maximum(dist, 1e-300)).max()))
+        lip_Z = max(lip_Z, float((np.sqrt(np.sum((zx - zy) ** 2, axis=-1))
+                                  / np.maximum(dist, 1e-300)).max()))
+        eig = np.linalg.eigvalsh(np.einsum("...ij,...kj->...ik", sx, sx))
+        lam_T = min(lam_T, float(eig.min()))
+    return {"K_T": K, "delta_T": delta, "lam_T": lam_T, "lip_Z": lip_Z}
+
+
 def h5_certificate(pair: SdeModel, cfg: CouplingConfig, seed: int = 5) -> dict:
     """Sampled check that (K_T, delta_T, lam_T, alpha) actually bound the pair.
 
-    Max sampled quotients are compared against the configured constants;
+    pair_constants on H5_PAIRS start pairs in the box and H5_TIMES times in
+    [0, T - stop gap] is compared against the configured constants;
     constants feed the inequality formulas directly, so they are measured
     rather than trusted.
     """
@@ -188,31 +220,13 @@ def h5_certificate(pair: SdeModel, cfg: CouplingConfig, seed: int = 5) -> dict:
     xs = _rng.uniform_points(seed, 30, H5_PAIRS, lo, hi).reshape(H5_PAIRS, d)
     ys = _rng.uniform_points(seed, 31, H5_PAIRS, lo, hi).reshape(H5_PAIRS, d)
     keep = np.linalg.norm(xs - ys, axis=-1) > 1e-9
-    xs, ys = xs[keep], ys[keep]
-    worst_one_sided = -math.inf
-    worst_aligned = 0.0
-    min_eig = math.inf
-    stop = cfg.T - cfg.stop_gap
-    for t in np.linspace(0.0, stop, H5_TIMES):
-        bx, sx = pair.step_eval(t, xs, None)
-        by, sy = pair.step_eval(t, ys, None)
-        diff = xs - ys
-        r = np.linalg.norm(diff, axis=-1)
-        ds = sx - sy
-        lhs = (2.0 * np.einsum("...i,...i->...", bx - by, diff)
-               + np.einsum("...ij,...ij->...", ds, ds))
-        scale = np.maximum(r ** 2, r ** (2.0 * cfg.alpha))
-        worst_one_sided = max(worst_one_sided, float(np.max(lhs / scale)))
-        aligned = np.linalg.norm(
-            np.einsum("...ji,...j->...i", ds, diff), axis=-1) / r
-        worst_aligned = max(worst_aligned, float(aligned.max()))
-        a2 = np.einsum("...ij,...kj->...ik", sx, sx)
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(a2)[..., 0].min()))
-    oks = {"K_T_ok": within(worst_one_sided, cfg.K_T, 1e-9),
-           "delta_T_ok": within(worst_aligned, cfg.delta_T, 1e-9),
-           "lam_T_ok": within(cfg.lam_T, min_eig, 1e-9)}
-    return {"one_sided": worst_one_sided, "aligned": worst_aligned,
-            "min_eig": min_eig, **oks, "passed": all(oks.values())}
+    got = pair_constants(pair, xs[keep], ys[keep],
+                         np.linspace(0.0, cfg.T - cfg.stop_gap, H5_TIMES),
+                         cfg.alpha)
+    oks = {"K_T_ok": within(got["K_T"], cfg.K_T, 1e-9),
+           "delta_T_ok": within(got["delta_T"], cfg.delta_T, 1e-9),
+           "lam_T_ok": within(cfg.lam_T, got["lam_T"], 1e-9)}
+    return {**got, **oks, "passed": all(oks.values())}
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +448,8 @@ def _advance_pair_block(pair, x0, y0, cfg, grid, seed, block_index, width):
             "events": width * n_steps}
 
 
-def simulate_pair(pair: SdeModel, x, y, cfg: CouplingConfig, seed: int,
-                  workers: int | None = None) -> CouplingResult:
+def simulate_pair(pair: SdeModel, x, y, cfg: CouplingConfig,
+                  seed: int) -> CouplingResult:
     """Coupled ensemble from (x, y); the correction and log R share one
     effective v per step, so the weights are exactly mean-one."""
     x = np.asarray(x, dtype=float).reshape(pair.d)
@@ -445,7 +459,7 @@ def simulate_pair(pair: SdeModel, x, y, cfg: CouplingConfig, seed: int,
     grid = build_coupling_grid(cfg)
     blocks = _rng.path_blocks(cfg.n_paths)
     args = [(pair, x, y, cfg, grid, seed, bi, w) for bi, w in blocks]
-    parts = run_tasks(_advance_pair_block, args, workers=workers or n_workers())
+    parts = run_tasks(_advance_pair_block, args)
     A = np.concatenate([p["A"] for p in parts])
     B = np.concatenate([p["B"] for p in parts])
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
@@ -534,7 +548,7 @@ def _positive_values(i, f, res):
 
 
 def harnack_power_check(pair: SdeModel, fs, x, y, cfg: CouplingConfig,
-                        seed: int, workers: int | None = None) -> dict:
+                        seed: int) -> dict:
     """(E[R f(Y)])^gamma <= E[f^gamma(X)] exp{corrected cost} per test function.
 
     theta is re-derived from gamma so the moment-bound route applies; the
@@ -544,7 +558,7 @@ def harnack_power_check(pair: SdeModel, fs, x, y, cfg: CouplingConfig,
         raise ValueError("power-Harnack check needs cfg.gamma")
     th = theta_for_gamma(cfg)
     run_cfg = replace(cfg, theta=th)
-    res = simulate_pair(pair, x, y, run_cfg, seed, workers)
+    res = simulate_pair(pair, x, y, run_cfg, seed)
     expo = power_harnack_exponent(cfg, res.r)
     logR = res.log_weights()
     g = cfg.gamma
@@ -573,10 +587,9 @@ def harnack_power_check(pair: SdeModel, fs, x, y, cfg: CouplingConfig,
 
 
 def log_harnack_check(pair: SdeModel, fs, x, y, cfg: CouplingConfig,
-                      kappa1: float, k1_hat: float, seed: int,
-                      workers: int | None = None) -> dict:
+                      kappa1: float, k1_hat: float, seed: int) -> dict:
     """verify_log_harnack on a coupled run of its own."""
-    return verify_log_harnack(simulate_pair(pair, x, y, cfg, seed, workers),
+    return verify_log_harnack(simulate_pair(pair, x, y, cfg, seed),
                               fs, kappa1, k1_hat)
 
 
@@ -608,10 +621,10 @@ def verify_log_harnack(res: CouplingResult, fs, kappa1: float,
 
 
 def calibrate_k1(pair: SdeModel, fs, x, y, cfg: CouplingConfig,
-                 kappa1: float, seed: int, workers: int | None = None) -> dict:
+                 kappa1: float, seed: int) -> dict:
     """Smallest constant making the log-Harnack bound hold on a calibration
     pair, inflated by a safety factor and then frozen for grid runs."""
-    res = simulate_pair(pair, x, y, cfg, seed, workers)
+    res = simulate_pair(pair, x, y, cfg, seed)
     if res.r <= 0:
         raise ValueError("calibration needs x != y")
     logR = res.log_weights()

@@ -3,7 +3,7 @@
 The workbench works on uniform tensor grids over [-L, L]^d x [0, T],
 d in {1, 2}.  Mixed norms are
 
-    ||g||_{p,q;t0,t1} = ( int_t0^t1 ( int |g(t,x)|^p dx )^{q/p} dt )^{1/q}
+    ||g||_{p,q} = ( int_0^T ( int |g(t,x)|^p dx )^{q/p} dt )^{1/q}
 
 with trapezoid quadrature in both space and time.  The integrability
 budget beta = d/p + 2/q classifies what a pair (p, q) can support:
@@ -80,23 +80,20 @@ class GridSpec:
 
     def space_weights(self) -> np.ndarray:
         """Trapezoid quadrature weights, shape (n,) or (n, n)."""
-        w = np.full(self.n, self.h)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        if self.d == 1:
-            return w
-        return np.outer(w, w)
+        w = trapezoid_weights(self.n, self.h)
+        return w if self.d == 1 else np.outer(w, w)
 
-    def time_weights(self, k0: int = 0, k1: int | None = None) -> np.ndarray:
-        """Trapezoid weights over time slices k0..k1 inclusive."""
-        if k1 is None:
-            k1 = self.m
-        if k1 <= k0:
-            raise ValueError("empty time window")
-        w = np.full(k1 - k0 + 1, self.dt)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+    def time_weights(self) -> np.ndarray:
+        """Trapezoid weights over the m + 1 time slices."""
+        return trapezoid_weights(self.m + 1, self.dt)
+
+
+def trapezoid_weights(n: int, h: float) -> np.ndarray:
+    """Trapezoid weights of n equispaced nodes h apart: h, halved at both ends."""
+    w = np.full(n, h)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +134,7 @@ class NormSpec:
 # grid functions
 
 
-_COMP_DIMS = {"scalar": 0, "vector": 1, "matrix": 2}
+_COMP_DIMS = {"scalar": 0, "vector": 1}
 
 
 def _expected_shape(grid: GridSpec, kind: str) -> tuple:
@@ -150,7 +147,7 @@ def _expected_shape(grid: GridSpec, kind: str) -> tuple:
 class GridFunction:
     """Field sampled on the space-time grid.
 
-    values shape: (m+1, n[, n][, d][, d]) for scalar/vector/matrix kinds.
+    values shape: (m+1, n[, n][, d]) for the scalar and vector kinds.
     Evaluation off the grid is multilinear in space and linear in time;
     queries outside the box are clamped to the boundary.  eval keeps no
     count of them, so worker threads can share one instance; interp_space
@@ -170,17 +167,6 @@ class GridFunction:
             raise ValueError(f"values shape {self.values.shape}, expected {exp}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid function contains non-finite values")
-
-    def magnitude(self) -> np.ndarray:
-        """Pointwise |g|: abs, Euclidean, or Frobenius by kind."""
-        if self.kind == "scalar":
-            return np.abs(self.values)
-        if self.kind == "vector":
-            return np.sqrt(np.sum(self.values ** 2, axis=-1))
-        return np.sqrt(np.sum(self.values ** 2, axis=(-2, -1)))
-
-    def sup(self) -> float:
-        return float(self.magnitude().max())
 
     def time_slice(self, t: float) -> np.ndarray:
         """Linear-in-time interpolation of the stored slices."""
@@ -289,29 +275,14 @@ def sample_field(ev: Evaluator, grid: GridSpec, kind: str = "scalar",
 # norms
 
 
-def _window_indices(grid: GridSpec, t0: float | None, t1: float | None):
-    a = 0 if t0 is None else int(round(t0 / grid.dt))
-    b = grid.m if t1 is None else int(round(t1 / grid.dt))
-    a = max(0, min(a, grid.m))
-    b = max(0, min(b, grid.m))
-    if b <= a:
-        raise ValueError("time window collapses on this grid")
-    return a, b
-
-
-def lp_lq_norm(g: GridFunction, ns: NormSpec, t0: float | None = None,
-               t1: float | None = None) -> float:
-    """Mixed norm over the window [t0, t1] (grid-snapped; full span by default)."""
-    if ns.d != g.grid.d:
+def lp_lq_norm(values: np.ndarray, grid: GridSpec, ns: NormSpec) -> float:
+    """Mixed norm over [0, T] of values (m+1, n[, n], ...) on grid, of the
+    pointwise Euclidean magnitude over the axes after the spatial ones."""
+    if ns.d != grid.d:
         raise ValueError("NormSpec dimension does not match the grid")
-    k0, k1 = _window_indices(g.grid, t0, t1)
-    mag = g.magnitude()[k0:k1 + 1]
-    sw = g.grid.space_weights()
-    axes = tuple(range(1, 1 + g.grid.d))
-    space_p = np.sum((mag ** ns.p) * sw, axis=axes)
-    tw = g.grid.time_weights(k0, k1)
-    inner = space_p ** (ns.q / ns.p)
-    return float(np.sum(inner * tw) ** (1.0 / ns.q))
+    mag = np.sqrt(np.sum(values.reshape(values.shape[:1 + grid.d] + (-1,)) ** 2, axis=-1))
+    space = np.sum((mag ** ns.p) * grid.space_weights(), axis=tuple(range(1, 1 + grid.d)))
+    return float(np.sum(space ** (ns.q / ns.p) * grid.time_weights()) ** (1.0 / ns.q))
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,12 @@ previous slice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .fields import CoefficientSet, GridSpec, NormSpec, sample_field
+from .fields import CoefficientSet, GridSpec, NormSpec, lp_lq_norm, sample_field
 
 # Floor for the spectral parameter when it appears multiplicatively in
 # estimates; sweeps start at 10, so max(lam, LAMBDA_FLOOR) = lam there.
@@ -71,21 +71,16 @@ class PdeSolution:
     b1_sample: np.ndarray            # (m+1, *spatial, d)
     source: np.ndarray               # (m+1, *spatial, K), the sampled source
     capped_nodes: int = 0
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def grad(self) -> np.ndarray:
         """(m+1, *spatial, K, d), central differences, one-sided at walls."""
-        if "grad" not in self._cache:
-            h = self.grid.h
-            parts = [np.gradient(self.u, h, axis=1 + ax) for ax in range(self.grid.d)]
-            self._cache["grad"] = np.stack(parts, axis=-1)
-        return self._cache["grad"]
+        h = self.grid.h
+        return np.stack([np.gradient(self.u, h, axis=1 + ax)
+                         for ax in range(self.grid.d)], axis=-1)
 
     def hess(self) -> np.ndarray:
         """(m+1, *spatial, K, d, d); pure second differences on axes,
         composed central differences for the mixed entry."""
-        if "hess" in self._cache:
-            return self._cache["hess"]
         g = self.grid
         h2 = g.h ** 2
         d = g.d
@@ -116,21 +111,14 @@ class PdeSolution:
             mixed = np.gradient(np.gradient(self.u, g.h, axis=1), g.h, axis=2)
             out[..., 0, 1] = mixed
             out[..., 1, 0] = mixed
-        self._cache["hess"] = out
         return out
 
     def du_dt(self) -> np.ndarray:
-        if "du_dt" not in self._cache:
-            self._cache["du_dt"] = np.gradient(self.u, self.grid.dt, axis=0)
-        return self._cache["du_dt"]
+        return np.gradient(self.u, self.grid.dt, axis=0)
 
     def material_derivative(self) -> np.ndarray:
         """(d_t + b1 . grad) u, the derivative along the Lipschitz stream."""
-        if "material" not in self._cache:
-            g = self.grad()
-            conv = np.einsum("...d,...kd->...k", self.b1_sample, g)
-            self._cache["material"] = self.du_dt() + conv
-        return self._cache["material"]
+        return self.du_dt() + np.einsum("...d,...kd->...k", self.b1_sample, self.grad())
 
     def boundary_shell_fraction(self) -> float:
         """L1 mass share of the outer 10% shell; large values mean the
@@ -150,24 +138,16 @@ class PdeSolution:
 
     def norm_report(self, ns: NormSpec) -> dict:
         g = self.grid
-        sw = g.space_weights()
-        tw = g.time_weights()
-        axes = tuple(range(1, 1 + g.d))
-
-        def mixed(arr):
-            mag = np.sqrt(np.sum(arr.reshape(arr.shape[:1 + g.d] + (-1,)) ** 2, axis=-1))
-            space = np.sum((mag ** ns.p) * sw, axis=axes)
-            return float(np.sum(space ** (ns.q / ns.p) * tw) ** (1.0 / ns.q))
-
+        grad = self.grad()
         lam_eff = max(self.lam, LAMBDA_FLOOR)
         rep = {
-            "u": mixed(self.u),
-            "grad": mixed(self.grad()),
-            "hess": mixed(self.hess()),
-            "material": mixed(self.material_derivative()),
-            "source": mixed(self.source),
+            "u": lp_lq_norm(self.u, g, ns),
+            "grad": lp_lq_norm(grad, g, ns),
+            "hess": lp_lq_norm(self.hess(), g, ns),
+            "material": lp_lq_norm(self.material_derivative(), g, ns),
+            "source": lp_lq_norm(self.source, g, ns),
             "sup_u": float(np.max(np.sqrt(np.sum(self.u ** 2, axis=-1)))),
-            "sup_grad": float(np.max(np.sqrt(np.sum(self.grad() ** 2, axis=(-2, -1))))),
+            "sup_grad": float(np.max(np.sqrt(np.sum(grad ** 2, axis=(-2, -1))))),
             "shell_fraction": self.boundary_shell_fraction(),
             "lam_eff": lam_eff,
         }
@@ -423,8 +403,7 @@ class SweepResult:
 
 
 def lambda_sweep(coeffs: CoefficientSet, grid: GridSpec, lambdas,
-                 prediction: DecayPrediction,
-                 workers: int | None = None) -> SweepResult:
+                 prediction: DecayPrediction) -> SweepResult:
     """Solve the scalar equation driven by coeffs.f across a lam grid and
     check the decay envelope of sup |u|.
 
@@ -440,7 +419,7 @@ def lambda_sweep(coeffs: CoefficientSet, grid: GridSpec, lambdas,
         return float(np.abs(sol.u).max())
 
     from .parallel import run_tasks
-    norms = run_tasks(one, [(l,) for l in lambdas], workers=workers)
+    norms = run_tasks(one, [(l,) for l in lambdas])
 
     logs = np.log(np.maximum(norms, 1e-300))
     ll = np.log(lambdas)

@@ -22,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import Evaluator, GridFunction, NormSpec, lp_lq_norm
-from .parallel import n_workers, run_tasks, tree_reduce
+from .fields import Evaluator, NormSpec, trapezoid_weights
+from .parallel import run_tasks, tree_reduce
 from . import rng as _rng
 
 ESCAPE_WARN = 0.01        # estimator-quality threshold, recorded
@@ -88,32 +88,24 @@ def _advance_block(models, x0s, spec, block_index, width):
     for k in range(spec.n_steps):
         t = k * spec.h
         for i, model in enumerate(models):
+            # every row takes the same step; a frozen row keeps its value, so
+            # a path's bits do not depend on which other paths have escaped
             al = alive[i]
-            if not al.any():
-                paths[i][:, k + 1] = X[i]
-                continue
-            if al.all():
-                b, s = model.step_eval(t, X[i], None)
-                X[i] = X[i] + b * spec.h + np.einsum("...ij,...j->...i", s, dW[:, k])
-            else:
-                idx = np.flatnonzero(al)
-                b, s = model.step_eval(t, X[i][idx], None)
-                X[i][idx] += b * spec.h + np.einsum("...ij,...j->...i", s, dW[idx, k])
-            out = al & (np.abs(X[i]).max(axis=-1) > limit)
-            if out.any():
-                alive[i][out] = False
+            b, s = model.step_eval(t, X[i], None)
+            step = X[i] + b * spec.h + np.einsum("...ij,...j->...i", s, dW[:, k])
+            X[i] = np.where(al[:, None], step, X[i])
+            al[np.abs(X[i]).max(axis=-1) > limit] = False
             paths[i][:, k + 1] = X[i]
     return {"X": paths, "dW": dW, "alive": alive, "width": width}
 
 
-def run_blocks(models, x0s, spec, block_fn, workers=None):
+def run_blocks(models, x0s, spec, block_fn):
     """block_fn(traj) per block; partials in fixed block order."""
 
     def task(bi, w):
         return block_fn(_advance_block(models, x0s, spec, bi, w))
 
-    return run_tasks(task, _rng.path_blocks(spec.n_paths),
-                     workers=workers or n_workers())
+    return run_tasks(task, _rng.path_blocks(spec.n_paths))
 
 
 @dataclass(frozen=True)
@@ -126,14 +118,13 @@ class BlockStat:
     finish: Callable
 
 
-def run_stats(model: SdeModel, x0, spec: SimSpec, stats,
-              workers: int | None = None) -> list:
+def run_stats(model: SdeModel, x0, spec: SimSpec, stats) -> list:
     """Advance the plain ensemble once and finish every statistic on it,
     in the order given.  Each statistic sees the same trajectories and
     reduces its own partials as a run of it alone would, so the results
     are bit-identical to one pass per statistic."""
     parts = run_blocks([model], [np.asarray(x0, dtype=float)], spec,
-                       lambda traj: [st.block(traj) for st in stats], workers)
+                       lambda traj: [st.block(traj) for st in stats])
     return [st.finish([p[i] for p in parts]) for i, st in enumerate(stats)]
 
 
@@ -201,10 +192,9 @@ def integrate_stat(x0, spec: SimSpec) -> BlockStat:
     return BlockStat(block, finish)
 
 
-def integrate(model: SdeModel, x0, spec: SimSpec,
-              workers: int | None = None) -> PathEnsemble:
+def integrate(model: SdeModel, x0, spec: SimSpec) -> PathEnsemble:
     """Euler-Maruyama ensemble with escape freezing and RNG sanity stats."""
-    return run_stats(model, x0, spec, [integrate_stat(x0, spec)], workers)[0]
+    return run_stats(model, x0, spec, [integrate_stat(x0, spec)])[0]
 
 
 def original_model(coeffs, d: int) -> SdeModel:
@@ -227,8 +217,7 @@ def transformed_model(zmap) -> SdeModel:
 # transform consistency
 
 
-def transform_consistency(zmap, x0, steps_list, n_paths: int, seed: int,
-                          workers: int | None = None) -> dict:
+def transform_consistency(zmap, x0, steps_list, n_paths: int, seed: int) -> dict:
     """E max_k |Phi_{t_k}(X_{t_k}) - Y_{t_k}| per step size, plus a log-log
     slope fit.  X and Y share Brownian increments within each level."""
     grid = zmap.grid
@@ -259,7 +248,7 @@ def transform_consistency(zmap, x0, steps_list, n_paths: int, seed: int,
                     traj["width"] - w)
 
         s, s2, n_ok, n_drop = _sum_partials(
-            run_blocks([mx, my], [x0, y0], spec, block_fn, workers))
+            run_blocks([mx, my], [x0, y0], spec, block_fn))
         mean = s / max(n_ok, 1)
         var = max(s2 / max(n_ok, 1) - mean ** 2, 0.0)
         errs.append(mean)
@@ -286,45 +275,25 @@ def k_pq(ns: NormSpec) -> int:
     return math.floor(val) + 1
 
 
-def krylov_stat(spec: SimSpec, f, ns: NormSpec, window=None,
-                f_norm: float | None = None) -> BlockStat:
-    """krylov_estimate's statistic: Monte Carlo E int_{t0}^{t1} f(s, X_s) ds
-    against the mixed norm.
-
-    f is a GridFunction (norm computed by quadrature) or a plain evaluator
-    (closed-form f_norm required — keeps sharp bumps exact).  Trapezoid
-    weights on the simulation grid, window snapped to it.  Escaped paths
-    are excluded and counted.
+def krylov_stat(spec: SimSpec, f, ns: NormSpec, f_norm: float) -> BlockStat:
+    """krylov_estimate's statistic: Monte Carlo E int_0^T f(s, X_s) ds
+    against f_norm, the mixed norm of the evaluator f in closed form
+    (which keeps sharp bumps exact).  Trapezoid weights on the simulation
+    grid.  Escaped paths are excluded and counted.
     """
     cls = ns.classify()
     if not cls["krylov_admissible"]:
         raise ValueError("norm spec is not in the admissible occupation range")
-    t0, t1 = (0.0, spec.T) if window is None else window
-    if not (0.0 <= t0 < t1 <= spec.T + 1e-12):
-        raise ValueError("empty or invalid time window")
     h = spec.h
-    k0 = int(math.ceil(t0 / h - 1e-9))
-    k1 = int(math.floor(t1 / h + 1e-9))
-    if k1 <= k0:
-        raise ValueError("window shorter than one step")
-    weights = np.full(k1 - k0 + 1, h)
-    weights[0] = weights[-1] = 0.5 * h
-    if isinstance(f, GridFunction):
-        f_eval = f.eval
-        if f_norm is None:
-            f_norm = lp_lq_norm(f, ns, t0, t1)
-    else:
-        f_eval = f
-        if f_norm is None:
-            raise ValueError("plain-evaluator f needs an explicit f_norm")
+    weights = trapezoid_weights(spec.n_steps + 1, h)
 
     def block(traj):
         Xp = traj["X"][0]
         ok = traj["alive"][0]
         acc = np.zeros(int(ok.sum()))
-        for j, k in enumerate(range(k0, k1 + 1)):
-            vals = np.asarray(f_eval(k * h, Xp[ok, k]), dtype=float)
-            acc += weights[j] * vals.reshape(acc.shape)
+        for k in range(spec.n_steps + 1):
+            vals = np.asarray(f(k * h, Xp[ok, k]), dtype=float)
+            acc += weights[k] * vals.reshape(acc.shape)
         return (float(acc.sum()), float((acc ** 2).sum()), int(ok.sum()),
                 int((~ok).sum()))
 
@@ -337,17 +306,15 @@ def krylov_stat(spec: SimSpec, f, ns: NormSpec, window=None,
                 "ci95": (mean - 1.96 * se, mean + 1.96 * se),
                 "n_used": n_ok, "n_excluded": n_drop,
                 "f_norm": f_norm, "ratio": mean / f_norm,
-                "k_pq": k_pq(ns), "window": (k0 * h, k1 * h)}
+                "k_pq": k_pq(ns)}
 
     return BlockStat(block, finish)
 
 
 def krylov_estimate(model: SdeModel, x0, spec: SimSpec, f, ns: NormSpec,
-                    window=None, f_norm: float | None = None,
-                    workers: int | None = None) -> dict:
+                    f_norm: float) -> dict:
     """krylov_stat on its own pass of the plain ensemble."""
-    return run_stats(model, x0, spec, [krylov_stat(spec, f, ns, window, f_norm)],
-                     workers)[0]
+    return run_stats(model, x0, spec, [krylov_stat(spec, f, ns, f_norm)])[0]
 
 
 def interval_bump(center: float, eps: float):
@@ -370,9 +337,7 @@ def bump_family_stat(spec: SimSpec, ns: NormSpec, widths) -> BlockStat:
     sharpens; pass criterion is max <= 3 x median over the family.
     """
     widths = list(widths)
-    h = spec.h
-    weights = np.full(spec.n_steps + 1, h)
-    weights[0] = weights[-1] = 0.5 * h
+    weights = trapezoid_weights(spec.n_steps + 1, spec.h)
     pairs = [interval_bump(0.0, eps) for eps in widths]
 
     def block(traj):
@@ -404,7 +369,6 @@ def bump_family_stat(spec: SimSpec, ns: NormSpec, widths) -> BlockStat:
 
 
 def bump_family_report(model: SdeModel, x0, spec: SimSpec, ns: NormSpec,
-                       widths, workers: int | None = None) -> dict:
+                       widths) -> dict:
     """bump_family_stat on its own pass of the plain ensemble."""
-    return run_stats(model, x0, spec, [bump_family_stat(spec, ns, widths)],
-                     workers)[0]
+    return run_stats(model, x0, spec, [bump_family_stat(spec, ns, widths)])[0]

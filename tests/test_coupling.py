@@ -135,8 +135,6 @@ def test_config_validation():
         unit_cfg(theta=2.0)
     with pytest.raises(ValueError, match="alpha"):
         unit_cfg(alpha=0.5)
-    with pytest.raises(ValueError, match="eps_stop"):
-        unit_cfg(eps_stop=0.2)
     with pytest.raises(ValueError, match="gamma"):
         unit_cfg(gamma=1.0)
 
@@ -273,10 +271,13 @@ def test_gluing_freezes_pair_and_weights():
     assert rep["passed"]
 
 
-def test_worker_invariance_bitwise():
+def test_worker_invariance_bitwise(monkeypatch):
     cfg = unit_cfg(m=100, n_paths=9000)
-    runs = [simulate_pair(additive_pair(drift_slope=-0.5), [0.3], [-0.2],
-                          cfg, seed=5, workers=w) for w in (1, 3)]
+    runs = []
+    for w in ("1", "3"):
+        monkeypatch.setenv("ZVLAB_THREADS", w)
+        runs.append(simulate_pair(additive_pair(drift_slope=-0.5), [0.3], [-0.2],
+                                  cfg, seed=5))
     assert np.array_equal(runs[0].A, runs[1].A)
     assert np.array_equal(runs[0].B, runs[1].B)
     assert np.array_equal(runs[0].dist_at_eps, runs[1].dist_at_eps)
@@ -313,8 +314,8 @@ def test_h5_certificate_measures_constants():
     pair = additive_pair(drift_slope=-0.5)
     rep = h5_certificate(pair, cfg)
     assert rep["passed"], rep
-    assert rep["aligned"] == 0.0          # additive noise
-    assert rep["min_eig"] == pytest.approx(1.0)
+    assert rep["delta_T"] == 0.0          # additive noise
+    assert rep["lam_T"] == pytest.approx(1.0)
     # a claimed floor above the true ellipticity must be caught
     bad = h5_certificate(pair, unit_cfg(L=4.0, lam_T=2.0))
     assert not bad["lam_T_ok"] and not bad["passed"]

@@ -21,10 +21,6 @@ def grid1(n=101, m=20, L=1.0, T=1.0):
     return GridSpec(d=1, n=n, m=m, L=L, T=T)
 
 
-def const_gf(grid, value=1.0):
-    return GridFunction(grid, np.full((grid.m + 1, grid.n), value))
-
-
 # ---------------------------------------------------------------------------
 # GridSpec / NormSpec basics
 
@@ -70,9 +66,10 @@ def test_norm_spec_rejects_bad_exponents():
 def test_lp_lq_of_constant_closed_form():
     # ||1||: space integral over [-1,1] is 2 exactly under trapezoid,
     # time integral of 2^{q/p} over [0,1] gives 2^{1/p}.
-    g = const_gf(grid1())
+    grid = grid1()
+    ones = np.ones((grid.m + 1, grid.n))
     for p, q in [(4.0, 16.0), (4.0, 4.0), (2.0, 8.0)]:
-        val = lp_lq_norm(g, NormSpec(p=p, q=q, d=1))
+        val = lp_lq_norm(ones, grid, NormSpec(p=p, q=q, d=1))
         assert abs(val - 2.0 ** (1.0 / p)) < 1e-12
 
 
@@ -81,11 +78,10 @@ def test_lp_lq_gaussian_against_quadrature_oracle():
     grid = GridSpec(d=1, n=1601, m=10, L=8.0, T=1.0)
     xs = grid.xs
     vals = np.tile(np.exp(-xs ** 2), (grid.m + 1, 1))
-    gf = GridFunction(grid, vals)
     p, q = 3.0, 5.0
     space_p, _ = quad(lambda x: math.exp(-p * x * x), -8.0, 8.0, epsabs=1e-14)
     exact = space_p ** (1.0 / p)  # time factor T^{1/q} = 1
-    got = lp_lq_norm(gf, NormSpec(p=p, q=q, d=1))
+    got = lp_lq_norm(vals, grid, NormSpec(p=p, q=q, d=1))
     assert abs(got - exact) / exact < 1e-4
 
 
@@ -97,10 +93,9 @@ def test_lp_lq_absolute_homogeneity(c, p, q):
     grid = grid1(n=31, m=4)
     xs = grid.xs
     base = np.tile(np.sin(3 * xs) + 0.3, (grid.m + 1, 1))
-    g = GridFunction(grid, base)
     ns = NormSpec(p=p, q=q, d=1)
-    scaled = GridFunction(grid, c * base)
-    assert lp_lq_norm(scaled, ns) == pytest.approx(abs(c) * lp_lq_norm(g, ns), rel=1e-10)
+    assert lp_lq_norm(c * base, grid, ns) == pytest.approx(
+        abs(c) * lp_lq_norm(base, grid, ns), rel=1e-10)
 
 
 def test_lp_lq_monotone_in_pointwise_domination():
@@ -109,24 +104,20 @@ def test_lp_lq_monotone_in_pointwise_domination():
     a = np.tile(np.sin(xs), (grid.m + 1, 1))
     b = np.abs(a) + 0.25
     ns = NormSpec(p=3, q=7, d=1)
-    assert lp_lq_norm(GridFunction(grid, a), ns) <= lp_lq_norm(GridFunction(grid, b), ns)
-
-
-def test_lp_lq_window_monotone():
-    grid = grid1(n=41, m=10)
-    vals = np.random.default_rng(0).random((grid.m + 1, grid.n))
-    g = GridFunction(grid, vals)
-    ns = NormSpec(p=2, q=3, d=1)
-    assert lp_lq_norm(g, ns, 0.0, 0.5) <= lp_lq_norm(g, ns, 0.0, 1.0) + 1e-15
+    assert lp_lq_norm(a, grid, ns) <= lp_lq_norm(b, grid, ns)
 
 
 def test_vector_field_norm_uses_euclidean_magnitude():
+    # components (-3, 4) have magnitude 5 at every node; ||5||_{2,2} over
+    # [-1, 1] x [0, 1] is 5 sqrt 2
     grid = grid1(n=21, m=2)
-    vals = np.zeros((grid.m + 1, grid.n, 1))
+    vals = np.zeros((grid.m + 1, grid.n, 2))
     vals[..., 0] = -3.0
-    g = GridFunction(grid, vals, kind="vector")
-    assert g.sup() == 3.0
-    assert lp_lq_norm(g, NormSpec(p=2, q=2, d=1)) == pytest.approx(3.0 * 2 ** 0.5, rel=1e-12)
+    vals[..., 1] = 4.0
+    assert lp_lq_norm(vals, grid, NormSpec(p=2, q=2, d=1)) == pytest.approx(
+        5.0 * 2 ** 0.5, rel=1e-12)
+    with pytest.raises(ValueError, match="dimension"):
+        lp_lq_norm(vals, grid, NormSpec(p=2, q=2, d=2))
 
 
 # ---------------------------------------------------------------------------

@@ -252,7 +252,6 @@ def test_boundary_shell_diagnostic():
     assert sol.boundary_shell_fraction() < 1e-3
     # a flat profile has about 10% of its mass in the shell
     sol.u = np.ones_like(sol.u)
-    sol._cache.clear()
     assert sol.boundary_shell_fraction() > 0.05
 
 

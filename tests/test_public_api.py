@@ -1,6 +1,7 @@
 """The package's public API holds only what the CLI or the acceptance
 suite uses: every name in zvlab.__all__ must be imported by cli.py or by
-tests/test_acceptance.py."""
+tests/test_acceptance.py.  The worker count has one source, ZVLAB_THREADS,
+read by the pool."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,15 @@ def test_every_export_is_used_by_cli_or_acceptance():
     assert len(set(zvlab.__all__)) == len(zvlab.__all__)
     for name in zvlab.__all__:
         assert hasattr(zvlab, name), name
+
+
+def test_only_the_pool_takes_a_worker_count():
+    takers = []
+    for path in sorted((ROOT / "src" / "zvlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+                if "workers" in names:
+                    takers.append(f"{path.stem}.{getattr(node, 'name', '<lambda>')}")
+    assert takers == ["parallel.run_tasks"]

@@ -69,7 +69,7 @@ def test_grid_norm_underestimates_and_converges():
         gf, capped = sample_field(sc.coeffs.b0, g, kind="vector",
                                   cap_singular=True)
         assert capped == 0      # node at 0 is guarded, no capping triggers
-        vals.append(lp_lq_norm(gf, sc.b0_norm))
+        vals.append(lp_lq_norm(gf.values, g, sc.b0_norm))
     assert all(v < exact for v in vals)         # spike mass is sub-grid
     assert vals[0] == pytest.approx(exact, rel=0.15)
     assert vals[0] < vals[1] < vals[2]          # monotone under refinement

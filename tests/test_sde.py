@@ -12,7 +12,7 @@ import pytest
 
 from zvlab import rng as zrng
 from zvlab import sde
-from zvlab.fields import (CoefficientSet, GridFunction, GridSpec, NormSpec,
+from zvlab.fields import (CoefficientSet, GridSpec, NormSpec,
                           constant_sigma)
 from zvlab.sde import (SdeModel, SimSpec, bump_family_report, bump_family_stat,
                        integrate, integrate_stat, interval_bump, k_pq,
@@ -56,6 +56,27 @@ def test_worker_count_invariance(monkeypatch):
         monkeypatch.setenv("ZVLAB_THREADS", w)
         results.append(integrate(model, np.array([0.2]), spec).terminal)
     assert np.array_equal(results[0], results[1])
+
+
+def test_path_bits_do_not_depend_on_other_escapes():
+    # a path that stays in the box is bit-identical whether or not other
+    # paths of its block escape: compare with the same block in a box no
+    # path leaves
+    model = SdeModel(d=1, drift=lambda t, x: 0.9 * x + 0.37,
+                     sigma=constant_sigma(np.array([[1.3]])))
+    x0s = [np.array([0.0])]
+    runs = [sde._advance_block([model], x0s, SimSpec(T=1.0, n_steps=100,
+                                                     n_paths=4000, seed=5, L=L),
+                               0, 4000) for L in (1.6, 1e6)]
+    kept = runs[0]["alive"][0]
+    assert 100 < np.count_nonzero(~kept) < 2000
+    assert runs[1]["alive"][0].all()
+    assert np.array_equal(runs[0]["X"][0][kept], runs[1]["X"][0][kept])
+    # an escaped path is frozen at its first value outside the doubled box
+    gone = runs[0]["X"][0][~kept, :, 0]
+    first = np.argmax(np.abs(gone) > 3.2, axis=1)
+    assert np.all(np.abs(gone[:, -1]) > 3.2)
+    assert np.all(gone[np.arange(gone.shape[0]), first] == gone[:, -1])
 
 
 def test_constant_paths_zero_coefficients():
@@ -213,21 +234,20 @@ def test_k_pq_arithmetic():
     assert k_pq(NormSpec(p=2, q=4, d=1)) == 2      # log2 hits an integer
 
 
-def test_krylov_zero_function_and_window_errors():
+def test_krylov_zero_function_and_range_error():
     spec = SimSpec(T=1.0, n_steps=100, n_paths=64, seed=7, L=4.0)
-    grid = GridSpec(d=1, n=21, m=10, L=4.0, T=1.0)
-    zero = GridFunction(grid, np.zeros((grid.m + 1, grid.n)), "scalar")
+
+    def zero(t, x):
+        return np.zeros(x.shape[0])
+
     ns = NormSpec(p=4, q=4, d=1)
     rep = krylov_estimate(brownian_model(), np.array([0.0]), spec, zero, ns,
                           f_norm=1.0)
     assert rep["estimate"] == 0.0 and rep["se"] == 0.0
     assert rep["ratio"] == 0.0
-    with pytest.raises(ValueError, match="window"):
-        krylov_estimate(brownian_model(), np.array([0.0]), spec, zero, ns,
-                        window=(0.5, 0.5))
     with pytest.raises(ValueError, match="admissible"):
         krylov_estimate(brownian_model(), np.array([0.0]), spec, zero,
-                        NormSpec(p=1.05, q=1.05, d=1))
+                        NormSpec(p=1.05, q=1.05, d=1), f_norm=1.0)
 
 
 def test_brownian_local_time_oracle():

@@ -12,7 +12,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from zvlab import coupling, zvonkin
+from zvlab.coupling import CouplingConfig, h5_certificate
 from zvlab.fields import CoefficientSet, GridFunction, GridSpec, constant_sigma
+from zvlab.sde import SdeModel
 from zvlab.zvonkin import (InverseEscape, LambdaSearchError, ZvonkinMap,
                            _image_cell, bilipschitz_certificate, build_zvonkin,
                            ellipticity_certificate,
@@ -216,7 +219,7 @@ def test_singular_part_cancels_in_transformed_drift(singular_map):
         assert np.all(np.isfinite(vals))
         # b1 = b2 = 0 here, so |Z| <= lam * sup|phi| exactly; the raw b0
         # near the origin is an order of magnitude larger
-        assert np.abs(vals).max() <= zm.lam * zm.phi.sup() * (1 + 1e-9)
+        assert np.abs(vals).max() <= zm.lam * np.abs(zm.phi.values).max() * (1 + 1e-9)
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = np.abs(singular_b0(0.0, np.array([[0.01]])))[0, 0]
     assert raw > 5 * np.abs(zm.transformed(0.0, np.array([[0.01]]))[0]).max()
@@ -231,6 +234,33 @@ def test_certificates_on_singular_map(singular_map):
     assert el["passed"], el
     tc = transformed_constants(zm)
     assert np.isfinite(tc["K_T"]) and tc["delta_T"] >= 0 and tc["lam_T"] > 0
+
+
+def test_constants_are_measured_by_pair_constants(singular_map, monkeypatch):
+    # h5_certificate and transformed_constants both measure through
+    # coupling.pair_constants, each on its own sample
+    calls = []
+    real = coupling.pair_constants
+
+    def spy(pair, xs, ys, ts, alpha):
+        out = real(pair, xs, ys, ts, alpha)
+        calls.append((pair, len(xs), len(ts), alpha, out))
+        return out
+
+    monkeypatch.setattr(coupling, "pair_constants", spy)
+    monkeypatch.setattr(zvonkin, "pair_constants", spy)
+    tc = transformed_constants(singular_map, n_pairs=16)
+    pair = SdeModel(d=1, drift=lambda t, x: -0.5 * x, sigma=SIG1)
+    cfg = CouplingConfig(T=1.0, m=100, n_paths=1, L=2.0, K_T=1.0,
+                         delta_T=1.0, lam_T=1.0, alpha=0.75)
+    h5 = h5_certificate(pair, cfg)
+    assert len(calls) == 2
+    (tc_pair, tc_n, tc_m, tc_alpha, tc_out), (h5_pair, _, h5_m, h5_alpha, h5_out) = calls
+    assert tc_pair.stepper == singular_map.transformed
+    assert (tc_n, tc_m, tc_alpha) == (16, 4, 1.0)
+    assert {k: tc[k] for k in tc_out} == tc_out
+    assert h5_pair is pair and (h5_m, h5_alpha) == (coupling.H5_TIMES, 0.75)
+    assert {k: h5[k] for k in h5_out} == h5_out and h5["passed"]
 
 
 def test_transformed_coefficients_interior_oracle():
