@@ -3,9 +3,10 @@
 Subcommands map to pipeline stages (corrector solve, transform build,
 path simulation, occupation-functional estimate, coupled run, Harnack
 checks) plus full-pipeline and list-scenarios.  Every run produces one
-report: CSV carries the numeric payload only, JSON adds config and
-timings.  Exit code 0 means all checks passed, 2 at least one failed,
-3 at least one was inconclusive, 1 usage or configuration error.
+report: CSV carries the numeric payload only, JSON adds config, timings
+and the coupled runs' counters.  Exit code 0 means all checks passed, 2
+at least one failed, 3 at least one was inconclusive, 1 usage or
+configuration error.
 """
 
 from __future__ import annotations
@@ -247,6 +248,7 @@ def stage_couple(rep: RunReport, sc: Scenario, args):
     rep.add("truncation-fraction", res.trunc_events / res.total_events,
             "pass" if res.trunc_events < 0.001 * res.total_events else "fail",
             threshold=0.001)
+    rep.metrics["couple"] = {"couple": res.counters()}
     return res
 
 
@@ -283,6 +285,10 @@ def stage_harnack(rep: RunReport, sc: Scenario, args, coupled=None):
     for c in logrep["checks"]:
         rep.add(f"log-harnack-{c['f']}", c["lhs"], c["verdict"],
                 threshold=c["threshold"])
+    # the log check's run is the couple stage's when full-pipeline passed it
+    rep.metrics["harnack"] = {"power": power["counters"],
+                              "calibration": cal["counters"],
+                              "log": coupled.counters()}
     return power
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .parallel import run_tasks
+from .parallel import pool_size, run_tasks
 from .sde import SdeModel
 from . import rng as _rng
 
@@ -299,6 +299,16 @@ class CouplingResult:
     clip_events: int
     total_events: int
     n_steps: int
+    workers: int                  # processes the blocks ran on (1: in-process)
+
+    def counters(self) -> dict:
+        """The run's event counts, summed from its block partials, and the
+        worker processes it used; report.json carries them as metrics."""
+        return {"trunc_events": self.trunc_events,
+                "clip_events": self.clip_events,
+                "total_events": self.total_events,
+                "box_exit_rows": int(self.box_exit.sum()),
+                "workers": self.workers}
 
     def log_weights(self, idx: int = -1, drop_half_term: bool = False) -> np.ndarray:
         lw = -self.A[:, idx]
@@ -374,6 +384,15 @@ def _sigma_inverse(s: np.ndarray, t: float) -> np.ndarray:
     return inv
 
 
+def _row_norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (N, d) array.  In 1-d it is |v|,
+    which equals sqrt(v**2) bit for bit wherever v**2 neither underflows
+    nor overflows, and skips the square, the sum and the root."""
+    if v.shape[-1] == 1:
+        return np.abs(v[:, 0])
+    return np.linalg.norm(v, axis=-1)
+
+
 def _advance_pair_block(pair, x0, y0, cfg, grid, seed, block_index, width):
     d = pair.d
     n_steps = grid.dts.size
@@ -402,20 +421,20 @@ def _advance_pair_block(pair, x0, y0, cfg, grid, seed, block_index, width):
         bX, bY, sX, sY = b[:width], b[width:], s[:width], s[width:]
         sXi = _sigma_inverse(sX, t)  # only the X copy's inverse enters u
         D = X - Y
-        dist = np.linalg.norm(D, axis=-1)
+        dist = _row_norm(D)
         glued |= dist < floor
         act = alive & ~glued
         with np.errstate(divide="ignore", invalid="ignore"):
             damp = np.minimum(dist ** power, 1.0) * grid.eta_vals[k]
             g = np.where(act[:, None], D / damp[:, None], 0.0)
         u = np.einsum("...ij,...j->...i", sXi, g)
-        unorm = np.linalg.norm(u, axis=-1)
+        unorm = _row_norm(u)
         over = unorm > N_TRUNC
         if over.any():
             trunc += int((over & act).sum())
             u[over] *= (N_TRUNC / unorm[over])[:, None]
         corr = np.einsum("...ij,...j->...i", sY, u)
-        step_len = np.linalg.norm(corr, axis=-1) * dt
+        step_len = _row_norm(corr) * dt
         overshoot = act & (step_len > dist)
         if overshoot.any():
             clip += int(overshoot.sum())
@@ -442,7 +461,7 @@ def _advance_pair_block(pair, x0, y0, cfg, grid, seed, block_index, width):
             B_rec[:, j] = B
         j = eps_pos.get(node)
         if j is not None:
-            dist_rec[:, j] = np.linalg.norm(X - Y, axis=-1)
+            dist_rec[:, j] = _row_norm(X - Y)
     return {"A": A_rec, "B": B_rec, "dist": dist_rec, "X": X, "Y": Y,
             "glued": glued, "alive": alive, "trunc": trunc, "clip": clip,
             "events": width * n_steps}
@@ -459,6 +478,7 @@ def simulate_pair(pair: SdeModel, x, y, cfg: CouplingConfig,
     grid = build_coupling_grid(cfg)
     blocks = _rng.path_blocks(cfg.n_paths)
     args = [(pair, x, y, cfg, grid, seed, bi, w) for bi, w in blocks]
+    workers = pool_size(len(args))
     parts = run_tasks(_advance_pair_block, args)
     A = np.concatenate([p["A"] for p in parts])
     B = np.concatenate([p["B"] for p in parts])
@@ -482,7 +502,7 @@ def simulate_pair(pair: SdeModel, x, y, cfg: CouplingConfig,
         trunc_events=sum(p["trunc"] for p in parts),
         clip_events=sum(p["clip"] for p in parts),
         total_events=sum(p["events"] for p in parts),
-        n_steps=grid.dts.size)
+        n_steps=grid.dts.size, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +601,7 @@ def harnack_power_check(pair: SdeModel, fs, x, y, cfg: CouplingConfig,
                        "verdict": verdict})
     return {"checks": checks, "exponent": expo, "theta": th,
         "glued_fraction": float(res.glued.mean()),
-        "trunc_events": res.trunc_events,
+        "counters": res.counters(),
         "passed": all(c["verdict"] == "pass" for c in checks),
         "inconclusive": any(c["verdict"] == "inconclusive" for c in checks)}
 
@@ -635,4 +655,5 @@ def calibrate_k1(pair: SdeModel, fs, x, y, cfg: CouplingConfig,
         mx = float(fX.mean())
         needed.append((lhs - math.log(mx)) * kappa1 * cfg.T / res.r ** 2)
     k1 = K1_SAFETY * max(max(needed), 0.01)
-    return {"k1_hat": k1, "needed": needed, "r": res.r}
+    return {"k1_hat": k1, "needed": needed, "r": res.r,
+            "counters": res.counters()}

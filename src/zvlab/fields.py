@@ -150,7 +150,7 @@ class GridFunction:
     values shape: (m+1, n[, n][, d]) for the scalar and vector kinds.
     Evaluation off the grid is multilinear in space and linear in time;
     queries outside the box are clamped to the boundary.  eval keeps no
-    count of them, so worker threads can share one instance; interp_space
+    count of them, so pool tasks can share one instance; interp_space
     returns the count to callers that need it.
     """
 

@@ -4,12 +4,26 @@ Work is split into tasks whose content never depends on the worker
 count; results are merged in task order with a fixed pairwise tree, so
 a run with ZVLAB_THREADS=1 and ZVLAB_THREADS=8 produces byte-identical
 numbers.
+
+ZVLAB_THREADS counts forked worker processes.  The engines' per-step
+numpy passes each hold the GIL, so threads cannot overlap them; forked
+children can.  run_tasks stores (fn, args_list) in a module global before
+it forks, so the children inherit every closure and model and only task
+indices go out and task results come back.  The tasks run in the calling
+process instead when there is one worker or one task, when the caller is
+itself a pool task, when another Python thread is alive (forking it is
+unsafe), and where fork is missing (Windows) or not the safe default
+(macOS).
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
+import threading
+
+_JOB = None    # (fn, args_list) of the pool call in flight; children inherit it
+_CAN_FORK = hasattr(os, "fork") and sys.platform != "darwin"
 
 
 def n_workers() -> int:
@@ -25,14 +39,40 @@ def n_workers() -> int:
     return min(8, os.cpu_count() or 1)
 
 
+def _may_fork() -> bool:
+    """False inside a pool task, beside another live Python thread, and
+    where fork is missing or unsafe."""
+    return _JOB is None and threading.active_count() == 1 and _CAN_FORK
+
+
+def pool_size(n_tasks: int) -> int:
+    """Processes run_tasks forks for n_tasks tasks at ZVLAB_THREADS; 1
+    means the tasks run in the calling process."""
+    return max(1, min(n_workers(), n_tasks)) if _may_fork() else 1
+
+
+def _run_one(i: int):
+    fn, args_list = _JOB
+    return fn(*args_list[i])
+
+
 def run_tasks(fn, args_list, workers: int | None = None) -> list:
-    """Apply fn to each args tuple; results returned in task order."""
-    w = workers if workers is not None else n_workers()
-    if w <= 1 or len(args_list) <= 1:
+    """Apply fn to each args tuple; results returned in task order.  An
+    exception raised by a task is raised here with its type and message."""
+    global _JOB
+    w = min(workers if workers is not None else n_workers(), len(args_list))
+    if w <= 1 or not _may_fork():
         return [fn(*a) for a in args_list]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        futs = [pool.submit(fn, *a) for a in args_list]
-        return [f.result() for f in futs]
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+    _JOB = (fn, args_list)
+    try:
+        with ProcessPoolExecutor(
+                max_workers=w,
+                mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(_run_one, range(len(args_list))))
+    finally:
+        _JOB = None
 
 
 def tree_reduce(items, combine):

@@ -3,7 +3,7 @@
 The CSV carries only the numeric payload — one row per (scenario, check)
 — so that two runs of the same configuration produce byte-identical
 files regardless of worker count or wall time.  The JSON mirror adds
-timings and the configuration with its content hash.
+timings, per-stage counters and the configuration with its content hash.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ class RunReport:
     config: dict
     checks: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
+    metrics: dict = field(default_factory=dict)    # stage -> counters
 
     def add(self, *args, **kw):
         self.checks.append(CheckRecord(*args, **kw))
@@ -98,6 +99,7 @@ def json_payload(reports) -> str:
                 "provenance": c.provenance,
             } for c in rep.checks],
             "timings_s": {k: round(v, 6) for k, v in rep.timings.items()},
+            "metrics": rep.metrics,
         })
     return json.dumps(out, indent=2, sort_keys=True, default=str) + "\n"
 

@@ -74,8 +74,8 @@ def test_full_pipeline_trivial_identity(capsys):
 
 
 def test_csv_identical_across_worker_counts(capsys, monkeypatch):
-    # 9000 paths are two blocks, so the transformed pair is stepped on two
-    # threads at once
+    # 9000 paths are two blocks, so the transformed pair is stepped in two
+    # worker processes at once
     for argv in (("full-pipeline", "--scenario", "trivial-zero"),
                  ("couple", "--scenario", "singular-1d", "--paths", "9000")):
         outs = []
@@ -89,7 +89,7 @@ def test_csv_identical_across_worker_counts(capsys, monkeypatch):
 
 def test_full_pipeline_csv_identical_across_worker_counts(capsys, monkeypatch):
     # 9000 paths are two blocks, so the one plain pass and the couple run
-    # that the log-Harnack check reuses both go through the thread pool
+    # that the log-Harnack check reuses both go through the process pool
     outs = []
     for w in ("1", "3"):
         monkeypatch.setenv("ZVLAB_THREADS", w)
@@ -99,6 +99,27 @@ def test_full_pipeline_csv_identical_across_worker_counts(capsys, monkeypatch):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_report_json_carries_pair_counters(capsys, monkeypatch, tmp_path):
+    # each coupled run's counters, summed from its block partials, and the
+    # worker processes it used; the log check reads the couple stage's run
+    monkeypatch.setenv("ZVLAB_THREADS", "2")
+    code, _, _ = run_cli(capsys, "full-pipeline", "--scenario", "additive-1d",
+                         "--paths", "9000", "--seed", "1", "--fast",
+                         "--out", str(tmp_path))
+    assert code == 0
+    metrics = json.loads((tmp_path / "report.json").read_text())[0]["metrics"]
+    assert sorted(metrics) == ["couple", "harnack"]
+    assert sorted(metrics["harnack"]) == ["calibration", "log", "power"]
+    runs = [metrics["couple"]["couple"], *metrics["harnack"].values()]
+    for c in runs:
+        assert sorted(c) == ["box_exit_rows", "clip_events", "total_events",
+                             "trunc_events", "workers"]
+        assert c["workers"] == 2                      # 9000 paths: two blocks
+        assert 0 <= c["trunc_events"] <= c["total_events"]
+    assert metrics["harnack"]["log"] == metrics["couple"]["couple"]
+    assert "workers" not in (tmp_path / "report.csv").read_text()
 
 
 def test_full_pipeline_matches_separate_stages(capsys, monkeypatch):

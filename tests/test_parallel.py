@@ -1,0 +1,105 @@
+"""The fork-per-call pool in zvlab.parallel: results in task order, errors
+re-raised with their type and message, and the in-process fallbacks."""
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from zvlab import parallel
+from zvlab.parallel import run_tasks
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def block_like(i, n):
+    # a partial of the kind the engines return: arrays and ints
+    return {"pid": os.getpid(), "X": np.arange(n, dtype=float) * i,
+            "alive": np.arange(n) % (i + 2) == 0, "events": i * n}
+
+
+def pids(results):
+    return {r["pid"] for r in results}
+
+
+def test_pool_matches_in_process_in_task_order(monkeypatch):
+    args = [(i, 5 + i) for i in range(5)]
+    monkeypatch.setenv("ZVLAB_THREADS", "1")
+    serial = run_tasks(block_like, args)
+    assert pids(serial) == {os.getpid()}
+    monkeypatch.setenv("ZVLAB_THREADS", "2")
+    pooled = run_tasks(block_like, args)
+    assert os.getpid() not in pids(pooled)
+    assert len(pids(pooled)) <= 2
+    for a, b in zip(serial, pooled, strict=True):
+        assert a.keys() == b.keys()
+        assert np.array_equal(a["X"], b["X"])
+        assert np.array_equal(a["alive"], b["alive"])
+        assert a["events"] == b["events"]
+    assert parallel._JOB is None
+
+
+def singular(i):
+    if i == 2:
+        raise np.linalg.LinAlgError(f"singular sigma row in task {i}")
+    return i
+
+
+def test_child_error_reraises_with_type_and_message(monkeypatch):
+    monkeypatch.setenv("ZVLAB_THREADS", "3")
+    with pytest.raises(np.linalg.LinAlgError) as err:
+        run_tasks(singular, [(i,) for i in range(4)])
+    assert str(err.value) == "singular sigma row in task 2"
+    assert parallel._JOB is None
+    assert run_tasks(singular, [(0,), (1,)]) == [0, 1]     # the pool still works
+
+
+def nested(i):
+    inner = run_tasks(lambda j: os.getpid(), [(j,) for j in range(3)])
+    return os.getpid(), inner
+
+
+def test_nested_call_runs_in_the_task_process(monkeypatch):
+    monkeypatch.setenv("ZVLAB_THREADS", "2")
+    for pid, inner in run_tasks(nested, [(0,), (1,)]):
+        assert pid != os.getpid()
+        assert inner == [pid] * 3
+
+
+def test_live_thread_keeps_tasks_in_process(monkeypatch):
+    monkeypatch.setenv("ZVLAB_THREADS", "2")
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, args=(60,))
+    other.start()
+    try:
+        assert parallel.pool_size(4) == 1
+        assert pids(run_tasks(block_like, [(i, 3) for i in range(4)])) == {os.getpid()}
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert parallel.pool_size(4) == 2
+
+
+def test_one_task_or_one_worker_runs_in_process(monkeypatch):
+    monkeypatch.setenv("ZVLAB_THREADS", "2")
+    assert parallel.pool_size(1) == 1
+    assert pids(run_tasks(block_like, [(0, 3)])) == {os.getpid()}
+    monkeypatch.setenv("ZVLAB_THREADS", "1")
+    assert parallel.pool_size(3) == 1
+    assert pids(run_tasks(block_like, [(i, 3) for i in range(3)])) == {os.getpid()}
+
+
+def test_cli_import_leaves_the_pool_modules_unloaded():
+    # they cost about 15 ms at import; run_tasks loads them when it forks
+    probe = ("import sys, zvlab.cli; print(sorted(m for m in "
+             "('multiprocessing', 'concurrent.futures.process') "
+             "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -47,6 +47,16 @@ def test_json_payload_mirrors_and_adds_timings():
     assert len(rec["config_hash"]) == 12
 
 
+def test_metrics_enter_the_json_only():
+    rep = make_report()
+    rep.metrics["couple"] = {"couple": {"trunc_events": 7, "workers": 2}}
+    assert csv_payload([rep]) == csv_payload([make_report()])
+    data = json.loads(json_payload([rep]))[0]
+    assert data["metrics"] == {"couple": {"couple": {"trunc_events": 7,
+                                                     "workers": 2}}}
+    assert json.loads(json_payload([make_report()]))[0]["metrics"] == {}
+
+
 def test_config_hash_tracks_config():
     a, b = make_report(), make_report()
     assert a.config_hash == b.config_hash

@@ -48,7 +48,7 @@ def test_path_regeneration_bit_exact():
 
 
 def test_worker_count_invariance(monkeypatch):
-    # 9000 paths span two blocks, so the thread pool is actually exercised
+    # 9000 paths span two blocks, so the process pool is actually exercised
     spec = SimSpec(T=1.0, n_steps=100, n_paths=9000, seed=9, L=6.0)
     model = SdeModel(d=1, drift=lambda t, x: -x, sigma=SIG1)
     results = []
@@ -129,6 +129,10 @@ def test_one_pass_feeds_every_statistic(monkeypatch):
     ens0 = integrate(model, x0, spec)
     est0 = krylov_estimate(model, x0, spec, f, ns, f_norm=f_norm)
     fam0 = bump_family_report(model, x0, spec, ns, widths)
+    # the spy appends in the process that steps the block, so the blocks
+    # run in this one; one pass per block does not depend on the worker
+    # count, and test_worker_count_invariance covers two workers
+    monkeypatch.setenv("ZVLAB_THREADS", "1")
     blocks = []
     advance = sde._advance_block
     monkeypatch.setattr(sde, "_advance_block",
