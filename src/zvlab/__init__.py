@@ -4,11 +4,13 @@ __version__ = "0.1.0"
 
 from .coupling import (
     CouplingConfig,
-    harnack_power_check,
-    log_harnack_check,
+    calibrate_k1,
     simulate_pair,
+    simulate_pairs,
+    verify_log_harnack,
     verify_martingale,
     verify_moment_bound,
+    verify_power_harnack,
 )
 from .fields import CoefficientSet, GridSpec, NormSpec
 from .pde import lambda_sweep, solve_backward, solve_phi_system
@@ -36,19 +38,21 @@ __all__ = [
     "SimSpec",
     "bilipschitz_certificate",
     "build_zvonkin",
+    "calibrate_k1",
     "get_scenario",
-    "harnack_power_check",
     "integrate",
     "krylov_estimate",
     "lambda_sweep",
-    "log_harnack_check",
     "original_model",
     "scenario_names",
     "simulate_pair",
+    "simulate_pairs",
     "solve_backward",
     "solve_phi_system",
     "transform_consistency",
     "transformed_model",
+    "verify_log_harnack",
     "verify_martingale",
     "verify_moment_bound",
+    "verify_power_harnack",
 ]

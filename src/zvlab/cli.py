@@ -21,9 +21,10 @@ import numpy as np
 
 from . import __version__
 from .coupling import (CouplingConfig, calibrate_k1, coalescence_report,
-                       gamma_threshold, h5_certificate, harnack_power_check,
-                       simulate_pair, verify_log_harnack, verify_martingale,
-                       verify_moment_bound)
+                       gamma_threshold, h5_certificate, simulate_pair,
+                       simulate_pairs, theta_for_gamma, verify_log_harnack,
+                       verify_martingale, verify_moment_bound,
+                       verify_power_harnack)
 from .fields import GridSpec, NormSpec
 from .pde import solve_phi_system, verify_apriori
 from .report import RunReport, combined_exit_code, csv_payload, json_payload
@@ -94,7 +95,7 @@ def _krylov_stats(sc: Scenario, spec: SimSpec) -> list:
             bump_family_stat(spec, ns, BUMP_WIDTHS)]
 
 
-def _coupling_inputs(sc: Scenario, grid: GridSpec, args):
+def _coupling_inputs(sc: Scenario, args):
     """Pair, constants, start points, and ellipticity for the coupled stages.
 
     Scenarios with declared constants couple the raw coefficients; the
@@ -106,7 +107,7 @@ def _coupling_inputs(sc: Scenario, grid: GridSpec, args):
         consts = {"K_T": cs.K_T, "delta_T": cs.delta_T, "lam_T": cs.lam_T,
                   "alpha": cs.alpha, "declared": True}
         return pair, consts, np.array(cs.x), np.array(cs.y)
-    zm = build_zvonkin(sc.coeffs, grid)
+    zm = build_zvonkin(sc.coeffs, _grid(sc, args))
     consts = transformed_constants(zm, n_pairs=128, seed=args.seed + 900)
     consts["declared"] = False
     # the sampled one-sided/alignment statistics can be <= 0 (no singular
@@ -118,15 +119,32 @@ def _coupling_inputs(sc: Scenario, grid: GridSpec, args):
     return pair, consts, x, -x
 
 
-def _coupling_config(grid: GridSpec, args, consts, n_paths: int,
-                     gamma: float | None = None) -> CouplingConfig:
-    m = COUPLE_STEPS
-    if args.fast:
-        m = 100
-    return CouplingConfig(T=grid.T, m=m, n_paths=n_paths, L=grid.L,
-                          K_T=consts["K_T"], delta_T=consts["delta_T"],
-                          lam_T=consts["lam_T"], alpha=consts["alpha"],
-                          gamma=gamma)
+def _couple_run(sc: Scenario, args, inputs) -> tuple:
+    """(pair, x, y, cfg, seed) of the couple stage's run; the log-Harnack
+    check reads the same run."""
+    grid = _grid(sc, args)
+    pair, consts, x, y = inputs
+    cfg = CouplingConfig(T=grid.T, m=100 if args.fast else COUPLE_STEPS,
+                         n_paths=_n_paths(args, COUPLE_PATHS), L=grid.L,
+                         K_T=consts["K_T"], delta_T=consts["delta_T"],
+                         lam_T=consts["lam_T"], alpha=consts["alpha"])
+    return pair, x, y, cfg, args.seed
+
+
+def _harnack_runs(sc: Scenario, args, inputs) -> list:
+    """The power run (theta re-derived from gamma, same seed and step grid
+    as the couple run, so the two share their draws) and the calibration
+    run of the harnack stage."""
+    pair, x, y, base, seed = _couple_run(sc, args, inputs)
+    thr = gamma_threshold(base)
+    gamma = args.gamma if args.gamma is not None else (
+        DEFAULT_GAMMA if DEFAULT_GAMMA > thr else 2.0 * thr)
+    if gamma <= thr:
+        raise ValueError(f"gamma {gamma} is below the admissible threshold "
+                         f"{thr:.3f} for this scenario's constants")
+    cfg = replace(base, gamma=gamma)
+    return [(pair, x, y, replace(cfg, theta=theta_for_gamma(cfg)), seed),
+            (pair, x, y, base, seed + 1000)]
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +237,13 @@ def stage_krylov(rep: RunReport, sc: Scenario, args, est=None, fam=None):
     return est
 
 
-def stage_couple(rep: RunReport, sc: Scenario, args):
-    grid = _grid(sc, args)
-    pair, consts, x, y = _coupling_inputs(sc, grid, args)
-    cfg = _coupling_config(grid, args, consts, _n_paths(args, COUPLE_PATHS))
+def stage_couple(rep: RunReport, sc: Scenario, args, inputs=None, res=None):
+    """couple's rows; inputs and res are the coupling inputs and the run,
+    if the caller has them."""
+    if inputs is None:
+        inputs = _coupling_inputs(sc, args)
+    run = _couple_run(sc, args, inputs)
+    pair, consts, cfg = inputs[0], inputs[1], run[3]
     for key in ("K_T", "delta_T", "lam_T"):
         rep.add(f"coupling-{key}", consts[key], "info",
                 provenance="closed-form" if consts["declared"] else "sampled")
@@ -230,7 +251,8 @@ def stage_couple(rep: RunReport, sc: Scenario, args):
         cert = h5_certificate(pair, cfg, seed=args.seed + 20)
         rep.add("h5-certificate", float(cert["passed"]),
                 "pass" if cert["passed"] else "fail", threshold=1.0)
-    res = simulate_pair(pair, x, y, cfg, seed=args.seed)
+    if res is None:
+        res = simulate_pair(*run)
     mg = verify_martingale(res)
     worst = max(abs(m - 1.0) / se if se > 0 else 0.0
                 for m, se in zip(mg["means"], mg["ses"]))
@@ -252,50 +274,45 @@ def stage_couple(rep: RunReport, sc: Scenario, args):
     return res
 
 
-def stage_harnack(rep: RunReport, sc: Scenario, args, coupled=None):
-    """Power and log Harnack rows.  coupled is the couple stage's result,
-    if the caller has it: the log check's run has the same pair, start
-    points, base config and seed, so it would repeat that run bit for bit."""
-    grid = _grid(sc, args)
-    pair, consts, x, y = _coupling_inputs(sc, grid, args)
-    base = _coupling_config(grid, args, consts, _n_paths(args, COUPLE_PATHS))
-    thr = gamma_threshold(base)
-    gamma = args.gamma if args.gamma is not None else (
-        DEFAULT_GAMMA if DEFAULT_GAMMA > thr else 2.0 * thr)
-    if gamma <= thr:
-        raise ValueError(f"gamma {gamma} is below the admissible threshold "
-                         f"{thr:.3f} for this scenario's constants")
-    cfg = replace(base, gamma=gamma)
-    rep.add("harnack-gamma", gamma, "info")
-    rep.add("harnack-gamma-threshold", thr, "info", provenance="closed-form")
-    power = harnack_power_check(pair, list(HARNACK_FS), x, y, cfg,
-                                seed=args.seed)
-    for c in power["checks"]:
+def stage_harnack(rep: RunReport, sc: Scenario, args, runs=None):
+    """Power and log Harnack rows from the power, calibration and log runs.
+    Unless the caller passes them in, they are simulated here in one batch;
+    the log run is the couple stage's run."""
+    if runs is None:
+        inputs = _coupling_inputs(sc, args)
+        runs = simulate_pairs([*_harnack_runs(sc, args, inputs),
+                               _couple_run(sc, args, inputs)])
+    power, cal, coupled = runs
+    cfg = power.cfg
+    rep.add("harnack-gamma", cfg.gamma, "info")
+    rep.add("harnack-gamma-threshold", gamma_threshold(cfg), "info",
+            provenance="closed-form")
+    pw = verify_power_harnack(power, list(HARNACK_FS))
+    for c in pw["checks"]:
         rep.add(f"power-harnack-{c['f']}", c["lhs"], c["verdict"],
                 threshold=c["threshold"])
-    rep.add("power-exponent-corrected", power["exponent"]["corrected"],
+    rep.add("power-exponent-corrected", pw["exponent"]["corrected"],
             "info", provenance="closed-form")
-    cal = calibrate_k1(pair, list(HARNACK_FS), x, y, base,
-                       kappa1=consts["lam_T"], seed=args.seed + 1000)
-    rep.add("log-harnack-k1", cal["k1_hat"], "info", provenance="fit")
-    if coupled is None:
-        coupled = simulate_pair(pair, x, y, base, seed=args.seed)
-    logrep = verify_log_harnack(coupled, list(HARNACK_FS),
-                                kappa1=consts["lam_T"], k1_hat=cal["k1_hat"])
+    k1_hat = calibrate_k1(cal, list(HARNACK_FS), kappa1=cfg.lam_T)["k1_hat"]
+    rep.add("log-harnack-k1", k1_hat, "info", provenance="fit")
+    logrep = verify_log_harnack(coupled, list(HARNACK_FS), kappa1=cfg.lam_T,
+                                k1_hat=k1_hat)
     for c in logrep["checks"]:
         rep.add(f"log-harnack-{c['f']}", c["lhs"], c["verdict"],
                 threshold=c["threshold"])
-    # the log check's run is the couple stage's when full-pipeline passed it
-    rep.metrics["harnack"] = {"power": power["counters"],
-                              "calibration": cal["counters"],
+    rep.metrics["harnack"] = {"power": power.counters(),
+                              "calibration": cal.counters(),
                               "log": coupled.counters()}
-    return power
+    return pw
 
 
 def stage_full(rep: RunReport, sc: Scenario, args):
     """Every stage's rows in stage order, each distinct ensemble run once:
     one plain pass feeds simulate and krylov (the simulate timing covers
-    it), and the log-Harnack check reads the couple stage's run."""
+    it).  On scenarios with declared constants the couple, power and
+    calibration runs go to the pool in one batch (timed as coupled-runs),
+    the power run shares the couple run's draws, and the log-Harnack check
+    reads the couple run."""
     _timed(rep, "build-transform", stage_build_transform, sc, args)
 
     def plain_pass(rep, sc, args):
@@ -310,8 +327,12 @@ def stage_full(rep: RunReport, sc: Scenario, args):
     est, fam = _timed(rep, "simulate", plain_pass, sc, args)
     _timed(rep, "krylov", stage_krylov, sc, args, est, fam)
     if sc.coupling is not None:
-        res = _timed(rep, "couple", stage_couple, sc, args)
-        _timed(rep, "harnack", stage_harnack, sc, args, res)
+        inputs = _coupling_inputs(sc, args)
+        runs = [_couple_run(sc, args, inputs), *_harnack_runs(sc, args, inputs)]
+        res, power, cal = _timed(rep, "coupled-runs",
+                                 lambda *_: simulate_pairs(runs), sc, args)
+        _timed(rep, "couple", stage_couple, sc, args, inputs, res)
+        _timed(rep, "harnack", stage_harnack, sc, args, (power, cal, res))
 
 
 STAGES = {

@@ -1,26 +1,23 @@
 """Coupling by change of measure and the Harnack-inequality checks.
 
-Two copies of an SDE with one-sided Lipschitz drift and distance-aligned
-diffusion bounds are driven by shared noise; the second copy receives a
+Two copies of an SDE driven by shared noise; the second copy receives a
 drift correction that contracts the pair at rate 1/eta(t), paid for by a
 Girsanov density R accumulated in the log domain.  Whatever correction
-actually enters the discrete update also enters log R, so E R_s = 1 is
-an exact identity for the simulated chain, not an h->0 limit.
+enters the discrete update also enters log R, so E R_s = 1 is an exact
+identity for the simulated chain, not an h->0 limit.
 
-On top of the coupled ensemble sit the inequality checks: the martingale
-property of R, the R^{1+gamma0} moment bound, coalescence trend, and the
-power- and log-Harnack inequalities.  The printed power-Harnack constant
-of the source derivation is degenerate for every admissible gamma (its
-denominator vanishes or goes negative); the corrected constant obtained
-by substituting theta(gamma) into the moment bound is used as the pass
-criterion, and the degenerate value is recorded alongside for reference.
-Every verdict here comes from one rule, decide().
+Every check is a function of a CouplingResult: the martingale property of
+R, the R^{1+gamma0} moment bound, the coalescence trend, and the power-
+and log-Harnack inequalities.  The power check passes on the corrected
+constant (theta(gamma) substituted into the moment bound); the source's
+printed constant, degenerate for every admissible gamma, is recorded
+beside it.  Every verdict comes from one rule, decide().
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,30 +163,24 @@ def power_harnack_exponent(cfg: CouplingConfig, r: float,
 # coupled model pair
 
 
-# Both copies of a pair are one sde.SdeModel.  perfbench/spans.py still
-# patches step_eval through this name, and binds its unused third argument,
-# so both stay until that is retargeted.
+# Both copies of a pair are one sde.SdeModel.  perfbench/spans.py patches
+# step_eval through this name and binds its unused third argument.
 CoupledSde = SdeModel
 
 
 def pair_constants(pair: SdeModel, xs, ys, ts, alpha: float) -> dict:
     """Sampled constants of the model pair (b, sigma) over the point pairs
     (xs, ys) (N, d) at the times ts: the largest K_T, delta_T and drift
-    Lipschitz quotient lip_Z, and the smallest lam_T.
-
-    K_T bounds 2<b(x)-b(y), x-y> + ||sigma(x)-sigma(y)||_HS^2 against
-    |x-y|^2 v |x-y|^{2 alpha}; delta_T the distance-aligned diffusion
-    difference |(sigma(x)-sigma(y))^T (x-y)| / |x-y|; lam_T the smallest
-    eigenvalue of sigma sigma^T at xs.
-    """
+    Lipschitz quotient lip_Z, and the smallest lam_T.  K_T bounds
+    2<b(x)-b(y), x-y> + ||sigma(x)-sigma(y)||_HS^2 against |x-y|^2 v
+    |x-y|^{2 alpha}; delta_T the distance-aligned diffusion difference
+    |(sigma(x)-sigma(y))^T (x-y)| / |x-y|; lam_T the smallest eigenvalue
+    of sigma sigma^T at xs."""
     diff = xs - ys
     d2 = np.sum(diff ** 2, axis=-1)
     dist = np.sqrt(d2)
     denom = np.maximum(np.maximum(d2, dist ** (2 * alpha)), 1e-300)
-    K = -np.inf
-    delta = 0.0
-    lam_T = np.inf
-    lip_Z = 0.0
+    K, delta, lam_T, lip_Z = -np.inf, 0.0, np.inf, 0.0
     for t in map(float, ts):
         zx, sx = pair.step_eval(t, xs, None)
         zy, sy = pair.step_eval(t, ys, None)
@@ -207,16 +198,12 @@ def pair_constants(pair: SdeModel, xs, ys, ts, alpha: float) -> dict:
 
 
 def h5_certificate(pair: SdeModel, cfg: CouplingConfig, seed: int = 5) -> dict:
-    """Sampled check that (K_T, delta_T, lam_T, alpha) actually bound the pair.
-
-    pair_constants on H5_PAIRS start pairs in the box and H5_TIMES times in
-    [0, T - stop gap] is compared against the configured constants;
-    constants feed the inequality formulas directly, so they are measured
-    rather than trusted.
-    """
+    """Sampled check that (K_T, delta_T, lam_T, alpha) bound the pair:
+    pair_constants on H5_PAIRS start pairs in the box at H5_TIMES times in
+    [0, T - stop gap], against the configured constants, which feed the
+    inequality formulas and so are measured rather than trusted."""
     d = pair.d
-    lo = np.full(d, -cfg.L)
-    hi = np.full(d, cfg.L)
+    lo, hi = np.full(d, -cfg.L), np.full(d, cfg.L)
     xs = _rng.uniform_points(seed, 30, H5_PAIRS, lo, hi).reshape(H5_PAIRS, d)
     ys = _rng.uniform_points(seed, 31, H5_PAIRS, lo, hi).reshape(H5_PAIRS, d)
     keep = np.linalg.norm(xs - ys, axis=-1) > 1e-9
@@ -250,9 +237,7 @@ def build_coupling_grid(cfg: CouplingConfig) -> CouplingGrid:
     stop = T - cfg.stop_gap
     h = T / cfg.m
     tiny = 1e-12 * T
-    dts = []
-    start = 0.0
-    k = 0
+    dts, start, k = [], 0.0, 0
     while start < stop - tiny:
         seg_end = min(T * (1.0 - 2.0 ** -(k + 1)), stop) if k < MAX_HALVINGS else stop
         dt = h / 2 ** k
@@ -299,15 +284,18 @@ class CouplingResult:
     clip_events: int
     total_events: int
     n_steps: int
-    workers: int                  # processes the blocks ran on (1: in-process)
+    draws: int                    # Philox block draws the run paid for
+    workers: int                  # processes its batch ran on (1: in-process)
 
     def counters(self) -> dict:
-        """The run's event counts, summed from its block partials, and the
-        worker processes it used; report.json carries them as metrics."""
+        """The run's event counts, summed from its block partials, its
+        block draws and the worker processes it used; report.json carries
+        them as metrics."""
         return {"trunc_events": self.trunc_events,
                 "clip_events": self.clip_events,
                 "total_events": self.total_events,
                 "box_exit_rows": int(self.box_exit.sum()),
+                "draws": self.draws,
                 "workers": self.workers}
 
     def log_weights(self, idx: int = -1, drop_half_term: bool = False) -> np.ndarray:
@@ -355,9 +343,8 @@ def _exp_stats(logw: np.ndarray, vals=None) -> tuple[float, float]:
     z = np.exp(logw - m)
     if vals is not None:
         z = z * np.asarray(vals, dtype=float)
-    mu = float(z.mean())
     sd = float(z.std(ddof=1)) if n > 1 else 0.0
-    return math.exp(m) * mu, math.exp(m) * sd / math.sqrt(n)
+    return math.exp(m) * float(z.mean()), math.exp(m) * sd / math.sqrt(n)
 
 
 def _sigma_inverse(s: np.ndarray, t: float) -> np.ndarray:
@@ -393,29 +380,24 @@ def _row_norm(v: np.ndarray) -> np.ndarray:
     return np.linalg.norm(v, axis=-1)
 
 
-def _advance_pair_block(pair, x0, y0, cfg, grid, seed, block_index, width):
-    d = pair.d
-    n_steps = grid.dts.size
-    normals = _rng.block_normals(seed, block_index, n_steps, d, width)
+def _pair_block_steps(pair, x0, y0, cfg, grid, normals):
+    """Advance one block of a run on the block's normals (width, n_steps, d);
+    normals is only read, so runs may share one draw."""
+    width, n_steps, d = normals.shape
     sqdt = np.sqrt(grid.dts)
-    X = np.broadcast_to(x0, (width, d)).astype(float).copy()
-    Y = np.broadcast_to(y0, (width, d)).astype(float).copy()
-    glued = np.zeros(width, dtype=bool)
-    alive = np.ones(width, dtype=bool)
-    A = np.zeros(width)
-    B = np.zeros(width)
+    X, Y = (np.broadcast_to(v, (width, d)).astype(float) for v in (x0, y0))
+    glued, alive = np.zeros(width, dtype=bool), np.ones(width, dtype=bool)
+    A, B = np.zeros(width), np.zeros(width)
     A_rec = np.empty((width, grid.sample_idx.size))
     B_rec = np.empty((width, grid.sample_idx.size))
     dist_rec = np.empty((width, grid.eps_idx.size))
     sample_pos = {int(i): j for j, i in enumerate(grid.sample_idx)}
     eps_pos = {int(i): j for j, i in enumerate(grid.eps_idx)}
     floor = DIST_FLOOR_COEFF * (1.0 + float(np.linalg.norm(x0 - y0)))
-    power = 2.0 - 2.0 * cfg.alpha
-    limit = 2.0 * cfg.L
+    power, limit = 2.0 - 2.0 * cfg.alpha, 2.0 * cfg.L
     trunc = clip = 0
     for k in range(n_steps):
-        t = grid.ts[k]
-        dt = grid.dts[k]
+        t, dt = grid.ts[k], grid.dts[k]
         dW = normals[:, k] * sqdt[k]
         b, s = pair.step_eval(t, np.concatenate([X, Y]), None)  # one call, both copies
         bX, bY, sX, sY = b[:width], b[width:], s[:width], s[width:]
@@ -452,14 +434,12 @@ def _advance_pair_block(pair, x0, y0, cfg, grid, seed, block_index, width):
         B += np.einsum("...i,...i->...", u, u) * dt
         out = alive & ((np.abs(X).max(axis=-1) > limit)
                        | (np.abs(Y).max(axis=-1) > limit))
-        if out.any():
-            alive[out] = False
-        node = k + 1
-        j = sample_pos.get(node)
+        alive &= ~out
+        j = sample_pos.get(k + 1)
         if j is not None:
             A_rec[:, j] = A
             B_rec[:, j] = B
-        j = eps_pos.get(node)
+        j = eps_pos.get(k + 1)
         if j is not None:
             dist_rec[:, j] = _row_norm(X - Y)
     return {"A": A_rec, "B": B_rec, "dist": dist_rec, "X": X, "Y": Y,
@@ -467,42 +447,79 @@ def _advance_pair_block(pair, x0, y0, cfg, grid, seed, block_index, width):
             "events": width * n_steps}
 
 
+def _advance_pair_block(pair, x0, y0, cfg, grid, seed, block_index, width):
+    """One block of a run on a Philox draw of its own (perfbench/spans.py
+    wraps this name)."""
+    return _advance_pair_group([(pair, x0, y0, cfg, grid)], seed, block_index,
+                               width)[0]
+
+
+def _advance_pair_group(members, seed, block_index, width):
+    """The same block of every run in members, (pair, x0, y0, cfg, grid)
+    each, on one Philox draw; the runs share seed, dimension and step grid."""
+    pair, grid = members[0][0], members[0][4]
+    normals = _rng.block_normals(seed, block_index, grid.dts.size, pair.d, width)
+    return [_pair_block_steps(*m, normals) for m in members]
+
+
+def simulate_pairs(runs) -> list[CouplingResult]:
+    """Coupled ensembles of the runs, each (pair, x, y, cfg, seed), from
+    one pool call.  Every run is checked before any is stepped.  Blocks
+    with the same (seed, block, width, d, step grid) are one task that
+    draws its normals once, counted in the draws of the first run that
+    has the block; each run's partials combine in block order, so every
+    result is bit-identical to a run made alone."""
+    names, args = [], []
+    for i, (pair, x, y, cfg, seed) in enumerate(runs):
+        x, y = (np.asarray(v, dtype=float).reshape(pair.d) for v in (x, y))
+        names.append(f"run {i} (seed {seed}, x={x.tolist()}, y={y.tolist()})")
+        if max(np.abs(x).max(), np.abs(y).max()) > 0.5 * cfg.L:
+            raise ValueError(f"{names[i]}: start points must lie in the inner"
+                             f" half of the box, |x|, |y| <= 0.5 L = {0.5 * cfg.L:g}")
+        args.append((pair, x, y, cfg, build_coupling_grid(cfg)))
+    groups = {}               # task key -> indices of the runs that share it
+    for i, (pair, _, _, cfg, grid) in enumerate(args):
+        for bi, w in _rng.path_blocks(cfg.n_paths):
+            key = (runs[i][4], bi, w, pair.d, grid.dts.tobytes())
+            groups.setdefault(key, []).append(i)
+    tasks = [([args[i] for i in idx], *key[:3]) for key, idx in groups.items()]
+    parts = [{} for _ in runs]                  # block index -> partial
+    draws = [0] * len(runs)
+    for (key, idx), out in zip(groups.items(),
+                               run_tasks(_advance_pair_group, tasks)):
+        draws[idx[0]] += 1
+        for i, part in zip(idx, out):
+            parts[i][key[1]] = part
+    workers, results = pool_size(len(tasks)), []
+    for name, (_, x, y, cfg, grid), p, n in zip(names, args, parts, draws):
+        blocks = [p[b] for b in sorted(p)]
+        cat = {k: np.concatenate([q[k] for q in blocks])
+               for k in ("A", "B", "dist", "X", "Y", "glued", "alive")}
+        if not (np.isfinite(cat["A"]).all() and np.isfinite(cat["B"]).all()):
+            raise RuntimeError(f"{name}: non-finite Girsanov accumulators")
+        frac = float((~cat["alive"]).mean())
+        if frac > BOX_EXIT_LIMIT:
+            raise RuntimeError(
+                f"{name}: coupling box exit rate {frac:.1%} exceeds "
+                f"{BOX_EXIT_LIMIT:.0%}; enlarge L or move the start points inward")
+        results.append(CouplingResult(
+            cfg=cfg, x=x, y=y, r=float(np.linalg.norm(x - y)),
+            sample_times=grid.ts[grid.sample_idx], A=cat["A"], B=cat["B"],
+            eps_times=grid.eps_times, dist_at_eps=cat["dist"],
+            final_X=cat["X"], final_Y=cat["Y"], glued=cat["glued"],
+            box_exit=~cat["alive"],
+            trunc_events=sum(q["trunc"] for q in blocks),
+            clip_events=sum(q["clip"] for q in blocks),
+            total_events=sum(q["events"] for q in blocks),
+            n_steps=grid.dts.size, draws=n, workers=workers))
+    return results
+
+
 def simulate_pair(pair: SdeModel, x, y, cfg: CouplingConfig,
                   seed: int) -> CouplingResult:
     """Coupled ensemble from (x, y); the correction and log R share one
     effective v per step, so the weights are exactly mean-one."""
-    x = np.asarray(x, dtype=float).reshape(pair.d)
-    y = np.asarray(y, dtype=float).reshape(pair.d)
-    if max(np.abs(x).max(), np.abs(y).max()) > 0.5 * cfg.L:
-        raise ValueError("start points must lie in the inner half of the box")
-    grid = build_coupling_grid(cfg)
-    blocks = _rng.path_blocks(cfg.n_paths)
-    args = [(pair, x, y, cfg, grid, seed, bi, w) for bi, w in blocks]
-    workers = pool_size(len(args))
-    parts = run_tasks(_advance_pair_block, args)
-    A = np.concatenate([p["A"] for p in parts])
-    B = np.concatenate([p["B"] for p in parts])
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
-        raise RuntimeError("non-finite Girsanov accumulators")
-    box_exit = np.concatenate([~p["alive"] for p in parts])
-    frac = float(box_exit.mean())
-    if frac > BOX_EXIT_LIMIT:
-        raise RuntimeError(
-            f"coupling box exit rate {frac:.1%} exceeds {BOX_EXIT_LIMIT:.0%};"
-            " enlarge L or move the start points inward")
-    return CouplingResult(
-        cfg=cfg, x=x, y=y, r=float(np.linalg.norm(x - y)),
-        sample_times=grid.ts[grid.sample_idx], A=A, B=B,
-        eps_times=grid.eps_times,
-        dist_at_eps=np.concatenate([p["dist"] for p in parts]),
-        final_X=np.concatenate([p["X"] for p in parts]),
-        final_Y=np.concatenate([p["Y"] for p in parts]),
-        glued=np.concatenate([p["glued"] for p in parts]),
-        box_exit=box_exit,
-        trunc_events=sum(p["trunc"] for p in parts),
-        clip_events=sum(p["clip"] for p in parts),
-        total_events=sum(p["events"] for p in parts),
-        n_steps=grid.dts.size, workers=workers)
+    return simulate_pairs([(pair, x, y, cfg, seed)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -512,29 +529,25 @@ def simulate_pair(pair: SdeModel, x, y, cfg: CouplingConfig,
 def verify_martingale(res: CouplingResult, drop_half_term: bool = False) -> dict:
     """E R_s = 1 within 3 SE at every sample time.  drop_half_term is the
     negative control: weights without the -1/2 int |v|^2 term must fail."""
-    means, ses, offending = [], [], []
-    for j, t in enumerate(res.sample_times):
-        mu, se = _exp_stats(res.log_weights(j, drop_half_term))
-        means.append(mu)
-        ses.append(se)
-        if not (within(mu, 1.0, 3.0 * se) and within(1.0, mu, 3.0 * se)):
-            offending.append(float(t))
-    return {"times": res.sample_times.tolist(), "means": means, "ses": ses,
-            "offending": offending, "passed": not offending}
+    stats = [_exp_stats(res.log_weights(j, drop_half_term))
+             for j in range(res.sample_times.size)]
+    offending = [float(t) for t, (mu, se) in zip(res.sample_times, stats)
+                 if not (within(mu, 1.0, 3.0 * se) and within(1.0, mu, 3.0 * se))]
+    return {"times": res.sample_times.tolist(), "means": [m for m, _ in stats],
+            "ses": [se for _, se in stats], "offending": offending,
+            "passed": not offending}
 
 
 def verify_moment_bound(res: CouplingResult) -> dict:
     """sup_s E R_s^{1+gamma0} against the closed-form bound at the config's
     theta; equality holds exactly when x = y."""
     g0 = gamma0(res.cfg)
-    lhs_all, se_all = [], []
-    for j in range(res.sample_times.size):
-        mu, se = _exp_stats((1.0 + g0) * res.log_weights(j))
-        lhs_all.append(mu)
-        se_all.append(se)
+    stats = [_exp_stats((1.0 + g0) * res.log_weights(j))
+             for j in range(res.sample_times.size)]
+    lhs_all = [mu for mu, _ in stats]
     i = int(np.argmax(lhs_all))
-    lhs = lhs_all[i]
-    rel = se_all[i] / lhs if lhs > 0 else 0.0
+    lhs, se = stats[i]
+    rel = se / lhs if lhs > 0 else 0.0
     rhs = moment_bound_rhs(res.cfg, res.r)
     verdict, thr = decide(lhs, rhs, 3.0 * rel * rhs)
     return {"gamma0": g0, "lhs": lhs, "rel_se": rel, "rhs": rhs,
@@ -567,18 +580,17 @@ def _positive_values(i, f, res):
     return label, fY, fX
 
 
-def harnack_power_check(pair: SdeModel, fs, x, y, cfg: CouplingConfig,
-                        seed: int) -> dict:
-    """(E[R f(Y)])^gamma <= E[f^gamma(X)] exp{corrected cost} per test function.
-
-    theta is re-derived from gamma so the moment-bound route applies; the
-    degenerate printed constant is recorded next to the corrected one.
-    """
+def verify_power_harnack(res: CouplingResult, fs) -> dict:
+    """(E[R f(Y)])^gamma <= E[f^gamma(X)] exp{corrected cost} per test
+    function, on a run at replace(cfg, theta=theta_for_gamma(cfg)), where
+    the moment-bound route applies; the degenerate printed constant is
+    recorded next to the corrected one."""
+    cfg = res.cfg
     if cfg.gamma is None:
         raise ValueError("power-Harnack check needs cfg.gamma")
     th = theta_for_gamma(cfg)
-    run_cfg = replace(cfg, theta=th)
-    res = simulate_pair(pair, x, y, run_cfg, seed)
+    if cfg.theta != th:
+        raise ValueError(f"power-Harnack run needs theta = {th!r}, got {cfg.theta!r}")
     expo = power_harnack_exponent(cfg, res.r)
     logR = res.log_weights()
     g = cfg.gamma
@@ -601,16 +613,8 @@ def harnack_power_check(pair: SdeModel, fs, x, y, cfg: CouplingConfig,
                        "verdict": verdict})
     return {"checks": checks, "exponent": expo, "theta": th,
         "glued_fraction": float(res.glued.mean()),
-        "counters": res.counters(),
         "passed": all(c["verdict"] == "pass" for c in checks),
         "inconclusive": any(c["verdict"] == "inconclusive" for c in checks)}
-
-
-def log_harnack_check(pair: SdeModel, fs, x, y, cfg: CouplingConfig,
-                      kappa1: float, k1_hat: float, seed: int) -> dict:
-    """verify_log_harnack on a coupled run of its own."""
-    return verify_log_harnack(simulate_pair(pair, x, y, cfg, seed),
-                              fs, kappa1, k1_hat)
 
 
 def verify_log_harnack(res: CouplingResult, fs, kappa1: float,
@@ -640,20 +644,14 @@ def verify_log_harnack(res: CouplingResult, fs, kappa1: float,
         "inconclusive": any(c["verdict"] == "inconclusive" for c in checks)}
 
 
-def calibrate_k1(pair: SdeModel, fs, x, y, cfg: CouplingConfig,
-                 kappa1: float, seed: int) -> dict:
+def calibrate_k1(res: CouplingResult, fs, kappa1: float) -> dict:
     """Smallest constant making the log-Harnack bound hold on a calibration
-    pair, inflated by a safety factor and then frozen for grid runs."""
-    res = simulate_pair(pair, x, y, cfg, seed)
+    run, inflated by a safety factor and then frozen for grid runs."""
     if res.r <= 0:
         raise ValueError("calibration needs x != y")
-    logR = res.log_weights()
-    needed = []
-    for i, f in enumerate(fs):
-        _, fY, fX = _positive_values(i, f, res)
-        lhs, _ = _exp_stats(logR, np.log(fY))
-        mx = float(fX.mean())
-        needed.append((lhs - math.log(mx)) * kappa1 * cfg.T / res.r ** 2)
+    # at k1_hat = 0 each check's rhs is log E[f(X)], so lhs - rhs is the
+    # gap the quadratic cost has to cover
+    needed = [(c["lhs"] - c["rhs"]) * kappa1 * res.cfg.T / res.r ** 2
+              for c in verify_log_harnack(res, fs, kappa1, 0.0)["checks"]]
     k1 = K1_SAFETY * max(max(needed), 0.01)
-    return {"k1_hat": k1, "needed": needed, "r": res.r,
-            "counters": res.counters()}
+    return {"k1_hat": k1, "needed": needed, "r": res.r}

@@ -20,9 +20,10 @@ from scipy.linalg import expm
 
 from zvlab.cli import main as cli_main
 from zvlab.coupling import (CouplingConfig, calibrate_k1, coalescence_report,
-                            gamma0, gamma_threshold, harnack_power_check,
-                            log_harnack_check, simulate_pair, theta_for_gamma,
-                            verify_martingale, verify_moment_bound, within)
+                            gamma0, gamma_threshold, simulate_pair,
+                            simulate_pairs, theta_for_gamma, verify_log_harnack,
+                            verify_martingale, verify_moment_bound,
+                            verify_power_harnack, within)
 from zvlab.fields import CoefficientSet, GridSpec, NormSpec, constant_sigma
 from zvlab.flow import gronwall_bound, solve_flow, solve_inverse_flow
 from zvlab.pde import DecayPrediction, PdeProblem, lambda_sweep, solve_backward
@@ -310,9 +311,12 @@ def test_c10_power_harnack():
         th = theta_for_gamma(cfg)
         assert abs(gamma0(replace(cfg, theta=th)) * (16.0 - 1.0) - 1.0) <= 1e-12
         assert gamma_threshold(cfg) == pytest.approx(9.0, abs=1e-12)
-        for k, (x, y) in enumerate(add_pairs):
-            rep = harnack_power_check(additive_pair(), list(FIVE_FS), x, y,
-                                      cfg, seed=81 + k)
+        # the power runs are at theta(gamma), all four in one batch
+        pcfg = replace(cfg, theta=th)
+        runs = simulate_pairs([(additive_pair(), x, y, pcfg, 81 + k)
+                               for k, (x, y) in enumerate(add_pairs)])
+        for (x, y), res in zip(add_pairs, runs, strict=True):
+            rep = verify_power_harnack(res, list(FIVE_FS))
             assert rep["passed"], (x, y, rep)
             assert not rep["inconclusive"]
         info["additive"] = f"{len(add_pairs)} pairs x {len(FIVE_FS)} fs"
@@ -326,9 +330,11 @@ def test_c10_power_harnack():
         tcfg = replace(base, gamma=gam)
         th_t = theta_for_gamma(tcfg)
         assert abs(gamma0(replace(tcfg, theta=th_t)) * (gam - 1.0) - 1.0) <= 1e-12
-        for k, (x, y) in enumerate(tr_pairs):
-            rep = harnack_power_check(pair, list(FIVE_FS), x, y, tcfg,
-                                      seed=91 + k)
+        ptcfg = replace(tcfg, theta=th_t)
+        runs = simulate_pairs([(pair, x, y, ptcfg, 91 + k)
+                               for k, (x, y) in enumerate(tr_pairs)])
+        for (x, y), res in zip(tr_pairs, runs, strict=True):
+            rep = verify_power_harnack(res, list(FIVE_FS))
             assert rep["passed"], (x, y, rep)
             assert not rep["inconclusive"]
         info["transformed_gamma"] = f"{gam:.2f}"
@@ -343,35 +349,38 @@ def test_c11_log_harnack():
                              K_T=consts["K_T"], delta_T=consts["delta_T"],
                              lam_T=consts["lam_T"], alpha=consts["alpha"])
         kap = consts["lam_T"]
+        # all 13 runs in one batch: two degenerate, two calibration and the
+        # 3x3 start grid; k1_hat enters only the grid's verify step
+        grid = [([xv], [yv], 120 + 3 * i + j)
+                for i, xv in enumerate(grid_pts)
+                for j, yv in enumerate(grid_pts)]
+        res0, resc, res_a, res_b, *res_grid = simulate_pairs(
+            [(pair, [0.2], [0.2], cfg, 101), (pair, [0.2], [0.2], cfg, 102),
+             (pair, [0.1], [-0.1], cfg, 111), (pair, [-0.1], [0.1], cfg, 112)]
+            + [(pair, x, y, cfg, seed) for x, y, seed in grid])
         # degenerate cases are exact: x = y gives R = 1 so the claim is
         # sample Jensen; a constant f at x = y is equal up to roundoff
-        rep0 = log_harnack_check(pair, list(FIVE_FS), [0.2], [0.2], cfg,
-                                 kappa1=kap, k1_hat=1.0, seed=101)
+        rep0 = verify_log_harnack(res0, list(FIVE_FS), kappa1=kap, k1_hat=1.0)
         assert rep0["passed"]
         for c in rep0["checks"]:
             assert within(c["lhs"], c["rhs"], 0.0)
-        repc = log_harnack_check(pair, [f_level], [0.2], [0.2], cfg,
-                                 kappa1=kap, k1_hat=1.0, seed=102)
+        repc = verify_log_harnack(resc, [f_level], kappa1=kap, k1_hat=1.0)
         assert repc["passed"]
         c0 = repc["checks"][0]
         assert c0["lhs"] == pytest.approx(c0["rhs"], abs=1e-14)
         # calibrate at the finest grid separation in both orientations
         # (monotone f make the needed constant direction-dependent),
         # freeze the max, then verify across the 3x3 start grid
-        cal_a = calibrate_k1(pair, list(FIVE_FS), [0.1], [-0.1], cfg,
-                             kappa1=kap, seed=111)
-        cal_b = calibrate_k1(pair, list(FIVE_FS), [-0.1], [0.1], cfg,
-                             kappa1=kap, seed=112)
+        cal_a = calibrate_k1(res_a, list(FIVE_FS), kappa1=kap)
+        cal_b = calibrate_k1(res_b, list(FIVE_FS), kappa1=kap)
         k1_hat = max(cal_a["k1_hat"], cal_b["k1_hat"])
         info["k1_hat"] = f"{k1_hat:.4f}"
         n_pass = 0
-        for i, xv in enumerate(grid_pts):
-            for j, yv in enumerate(grid_pts):
-                rep = log_harnack_check(pair, list(FIVE_FS), [xv], [yv], cfg,
-                                        kappa1=kap, k1_hat=k1_hat,
-                                        seed=120 + 3 * i + j)
-                assert rep["passed"], (xv, yv, rep)
-                n_pass += 1
+        for (x, y, _), res in zip(grid, res_grid, strict=True):
+            rep = verify_log_harnack(res, list(FIVE_FS), kappa1=kap,
+                                     k1_hat=k1_hat)
+            assert rep["passed"], (x, y, rep)
+            n_pass += 1
         info["grid"] = f"{n_pass}/9 pairs"
 
 

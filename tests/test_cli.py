@@ -102,8 +102,9 @@ def test_full_pipeline_csv_identical_across_worker_counts(capsys, monkeypatch):
 
 
 def test_report_json_carries_pair_counters(capsys, monkeypatch, tmp_path):
-    # each coupled run's counters, summed from its block partials, and the
-    # worker processes it used; the log check reads the couple stage's run
+    # each coupled run's counters, summed from its block partials, its
+    # block draws and the worker processes it used; the log check reads the
+    # couple stage's run, and the power run shares that run's draws
     monkeypatch.setenv("ZVLAB_THREADS", "2")
     code, _, _ = run_cli(capsys, "full-pipeline", "--scenario", "additive-1d",
                          "--paths", "9000", "--seed", "1", "--fast",
@@ -114,40 +115,47 @@ def test_report_json_carries_pair_counters(capsys, monkeypatch, tmp_path):
     assert sorted(metrics["harnack"]) == ["calibration", "log", "power"]
     runs = [metrics["couple"]["couple"], *metrics["harnack"].values()]
     for c in runs:
-        assert sorted(c) == ["box_exit_rows", "clip_events", "total_events",
-                             "trunc_events", "workers"]
+        assert sorted(c) == ["box_exit_rows", "clip_events", "draws",
+                             "total_events", "trunc_events", "workers"]
         assert c["workers"] == 2                      # 9000 paths: two blocks
         assert 0 <= c["trunc_events"] <= c["total_events"]
     assert metrics["harnack"]["log"] == metrics["couple"]["couple"]
+    assert metrics["couple"]["couple"]["draws"] == 2
+    assert metrics["harnack"]["power"]["draws"] == 0
+    assert metrics["harnack"]["calibration"]["draws"] == 2
     assert "workers" not in (tmp_path / "report.csv").read_text()
 
 
 def test_full_pipeline_matches_separate_stages(capsys, monkeypatch):
     # full-pipeline runs each distinct ensemble once: one plain pass feeds
     # simulate and krylov (one _advance_block per path block, not three),
-    # and the log-Harnack check reads the couple run (three simulate_pair
-    # calls, not four).  Its rows equal the separate stages' rows
+    # and the couple, power and calibration runs go to one simulate_pairs
+    # call whose couple run the log-Harnack check reads (three runs, not
+    # four).  harnack alone batches its power, calibration and log runs.
+    # Its rows equal the separate stages' rows
     from zvlab import cli, coupling, sde
     common = ("--scenario", "additive-1d", "--fast", "--paths", "3000")
+    batches, blocks = [], []
+    simulate_pairs = coupling.simulate_pairs
+    advance = sde._advance_block
+
+    def spy_pairs(runs):
+        batches.append(len(runs))
+        return simulate_pairs(runs)
+
+    monkeypatch.setattr(coupling, "simulate_pairs", spy_pairs)
+    monkeypatch.setattr(cli, "simulate_pairs", spy_pairs)
     rows = []
     for stage in ("build-transform", "simulate", "krylov", "couple", "harnack"):
         _, out, _ = run_cli(capsys, stage, *common)
         rows += out.splitlines()[1:]
-    pairs, blocks = [], []
-    simulate_pair = coupling.simulate_pair
-    advance = sde._advance_block
-
-    def spy_pair(*a, **k):
-        pairs.append(a)
-        return simulate_pair(*a, **k)
-
-    monkeypatch.setattr(coupling, "simulate_pair", spy_pair)
-    monkeypatch.setattr(cli, "simulate_pair", spy_pair)
+    assert batches == [1, 3]            # couple's one run, harnack's batch
+    batches.clear()
     monkeypatch.setattr(sde, "_advance_block",
                         lambda *a: blocks.append(a[3]) or advance(*a))
     _, out, _ = run_cli(capsys, "full-pipeline", *common)
     assert out.splitlines()[1:] == rows
-    assert len(pairs) == 3
+    assert batches == [3]
     assert blocks == [0]
 
 

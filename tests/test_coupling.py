@@ -17,10 +17,11 @@ from zvlab import coupling
 from zvlab.coupling import (CouplingConfig, _sigma_inverse, build_coupling_grid,
                             calibrate_k1, coalescence_report, decide, eta,
                             gamma0, gamma_threshold, h5_certificate,
-                            harnack_power_check, log_harnack_check,
                             moment_bound_rhs, power_harnack_exponent,
-                            simulate_pair, theta_for_gamma, verdict_threshold,
-                            verify_martingale, verify_moment_bound, within)
+                            simulate_pair, simulate_pairs, theta_for_gamma,
+                            verdict_threshold, verify_log_harnack,
+                            verify_martingale, verify_moment_bound,
+                            verify_power_harnack, within)
 from zvlab.sde import SdeModel
 
 E1 = 1.0 - math.exp(-1.0)      # 0.6321205588285577
@@ -41,6 +42,12 @@ def additive_pair(drift_slope=0.0, sigma_scale=1.0):
         return np.full(x.shape[:-1] + (1, 1), sigma_scale)
 
     return SdeModel(d=1, drift=drift, sigma=sigma)
+
+
+def power_run(pair, x, y, cfg, seed):
+    """The power check's run: theta re-derived from cfg.gamma."""
+    return simulate_pair(pair, x, y, replace(cfg, theta=theta_for_gamma(cfg)),
+                         seed)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +316,51 @@ def test_box_exit_policy():
         simulate_pair(additive_pair(drift_slope=4.0), [0.35], [-0.35], cfg, seed=3)
 
 
+def test_batch_errors_name_the_run(monkeypatch):
+    # a batch raises for its first bad run and names its index, seed and
+    # start points; start points are checked before anything is stepped
+    good = (additive_pair(), [0.25], [-0.25], unit_cfg(m=100, n_paths=256), 1)
+    cfg = unit_cfg(m=100, n_paths=256, L=0.8)
+    with pytest.raises(RuntimeError, match=r"run 1 \(seed 3, x=\[0\.35\], "
+                       r"y=\[-0\.35\]\): coupling box exit"):
+        simulate_pairs([good, (additive_pair(drift_slope=4.0), [0.35], [-0.35],
+                               cfg, 3)])
+
+    def no_pool(*a, **k):
+        raise AssertionError("stepped before the start points were checked")
+
+    monkeypatch.setattr(coupling, "run_tasks", no_pool)
+    with pytest.raises(ValueError, match=r"run 1 \(seed 4, x=\[0\.5\], "
+                       r"y=\[0\.0\]\): .*0\.5 L = 0\.4"):
+        simulate_pairs([good, (additive_pair(), [0.5], [0.0], cfg, 4)])
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_batch_matches_separate_runs(monkeypatch, threads):
+    # runs 0 and 1 differ only in theta and share both draws; run 2 has
+    # another seed, run 3 another step grid, and run 4 shares run 0's full
+    # first block but draws its 308-lane tail itself
+    monkeypatch.setenv("ZVLAB_THREADS", threads)
+    pair = additive_pair(drift_slope=-0.5)
+    cfg = unit_cfg(m=100, n_paths=9000)
+    runs = [(pair, [0.3], [-0.2], cfg, 5),
+            (pair, [0.3], [-0.2], replace(cfg, theta=1.5), 5),
+            (pair, [0.1], [-0.3], cfg, 6),
+            (pair, [0.3], [-0.2], replace(cfg, m=50), 5),
+            (pair, [0.2], [0.0], replace(cfg, n_paths=8500), 5)]
+    batch = simulate_pairs(runs)
+    for run, got in zip(runs, batch, strict=True):
+        ref = simulate_pair(*run)
+        for name in ("A", "B", "dist_at_eps", "final_X", "final_Y", "glued",
+                     "box_exit"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        for name in ("trunc_events", "clip_events", "total_events", "n_steps"):
+            assert getattr(got, name) == getattr(ref, name), name
+        assert ref.draws == math.ceil(len(ref.box_exit) / 8192)  # alone
+    assert [r.draws for r in batch] == [2, 0, 2, 2, 1]
+    assert not np.array_equal(batch[0].A, batch[1].A)      # theta differs
+
+
 def test_h5_certificate_measures_constants():
     cfg = unit_cfg(L=4.0)
     pair = additive_pair(drift_slope=-0.5)
@@ -339,8 +391,8 @@ def f_gauss(z):
 
 def test_power_harnack_additive_smoke():
     cfg = unit_cfg(m=200, n_paths=20_000, gamma=16.0)
-    rep = harnack_power_check(additive_pair(), [f_shift_sin, f_const, f_gauss],
-                              [0.25], [-0.25], cfg, seed=17)
+    rep = verify_power_harnack(power_run(additive_pair(), [0.25], [-0.25], cfg,
+                                         seed=17), [f_shift_sin, f_const, f_gauss])
     assert rep["passed"], rep
     assert not rep["inconclusive"]
     assert rep["theta"] == pytest.approx(4.0 / 3.0)
@@ -351,8 +403,8 @@ def test_power_harnack_additive_smoke():
 
 def test_power_harnack_jensen_at_equal_points():
     cfg = unit_cfg(m=200, n_paths=20_000, gamma=16.0)
-    rep = harnack_power_check(additive_pair(), [f_shift_sin, f_gauss],
-                              [0.3], [0.3], cfg, seed=19)
+    rep = verify_power_harnack(power_run(additive_pair(), [0.3], [0.3], cfg,
+                                         seed=19), [f_shift_sin, f_gauss])
     assert rep["passed"]
     for c in rep["checks"]:
         assert c["lhs"] <= c["rhs"]      # sample Jensen, no SE slack needed
@@ -362,29 +414,33 @@ def test_power_harnack_symmetry_of_verdicts():
     # mirror-symmetric f: swapping the roles of x and y gives a law-identical
     # run, so both directions must reach the same verdict
     cfg = unit_cfg(m=200, n_paths=20_000, gamma=16.0)
-    fwd = harnack_power_check(additive_pair(), [f_gauss], [0.25], [-0.25],
-                              cfg, seed=23)
-    rev = harnack_power_check(additive_pair(), [f_gauss], [-0.25], [0.25],
-                              cfg, seed=24)
+    fwd = verify_power_harnack(power_run(additive_pair(), [0.25], [-0.25],
+                                         cfg, seed=23), [f_gauss])
+    rev = verify_power_harnack(power_run(additive_pair(), [-0.25], [0.25],
+                                         cfg, seed=24), [f_gauss])
     assert fwd["passed"] and rev["passed"]
     assert fwd["checks"][0]["lhs"] == pytest.approx(rev["checks"][0]["lhs"], rel=0.25)
 
 
 def test_power_harnack_requires_gamma_and_positive_f():
     cfg = unit_cfg(m=200, n_paths=500)
+    res = simulate_pair(additive_pair(), [0.2], [-0.2], cfg, seed=1)
     with pytest.raises(ValueError, match="gamma"):
-        harnack_power_check(additive_pair(), [f_const], [0.2], [-0.2], cfg, seed=1)
-    cfg2 = unit_cfg(m=200, n_paths=500, gamma=16.0)
+        verify_power_harnack(res, [f_const])
+    # a run whose theta is not theta(gamma) is outside the moment-bound route
+    res_g = simulate_pair(additive_pair(), [0.2], [-0.2],
+                          replace(cfg, gamma=16.0), seed=1)
+    with pytest.raises(ValueError, match=r"needs theta = 1\.33.*got 1\.0"):
+        verify_power_harnack(res_g, [f_const])
+    res2 = power_run(additive_pair(), [0.2], [-0.2],
+                     unit_cfg(m=200, n_paths=500, gamma=16.0), seed=1)
     with pytest.raises(ValueError, match="positive"):
-        harnack_power_check(additive_pair(), [lambda z: z[:, 0]],
-                            [0.2], [-0.2], cfg2, seed=1)
+        verify_power_harnack(res2, [lambda z: z[:, 0]])
     # the log checks take log f, so they refuse the same function
     with pytest.raises(ValueError, match="positive"):
-        log_harnack_check(additive_pair(), [lambda z: z[:, 0]], [0.2], [-0.2],
-                          cfg, kappa1=0.5, k1_hat=1.0, seed=1)
+        verify_log_harnack(res, [lambda z: z[:, 0]], kappa1=0.5, k1_hat=1.0)
     with pytest.raises(ValueError, match="positive"):
-        calibrate_k1(additive_pair(), [lambda z: z[:, 0]], [0.2], [-0.2],
-                     cfg, kappa1=0.5, seed=1)
+        calibrate_k1(res, [lambda z: z[:, 0]], kappa1=0.5)
 
 
 def test_log_harnack_jensen_and_grid():
@@ -392,24 +448,26 @@ def test_log_harnack_jensen_and_grid():
     pair = additive_pair(drift_slope=-0.5)
     fs = [f_shift_sin, f_gauss]
     # x = y: empirical Jensen, exact without any SE slack
-    rep0 = log_harnack_check(pair, fs, [0.3], [0.3], cfg, kappa1=0.5,
-                             k1_hat=1.0, seed=29)
+    rep0 = verify_log_harnack(simulate_pair(pair, [0.3], [0.3], cfg, seed=29),
+                              fs, kappa1=0.5, k1_hat=1.0)
     assert rep0["passed"]
     for c in rep0["checks"]:
         assert c["lhs"] <= c["rhs"]
     # calibrate once, freeze, then verify on fresh pairs and noise
-    cal = calibrate_k1(pair, fs, [0.5], [-0.5], cfg, kappa1=0.5, seed=31)
+    cal = calibrate_k1(simulate_pair(pair, [0.5], [-0.5], cfg, seed=31), fs,
+                       kappa1=0.5)
     assert cal["k1_hat"] > 0
     for seed, (xa, ya) in enumerate([([0.4], [-0.4]), ([0.2], [-0.3])], start=37):
-        rep = log_harnack_check(pair, fs, xa, ya, cfg, kappa1=0.5,
-                                k1_hat=cal["k1_hat"], seed=seed)
+        rep = verify_log_harnack(simulate_pair(pair, xa, ya, cfg, seed=seed),
+                                 fs, kappa1=0.5, k1_hat=cal["k1_hat"])
         assert rep["passed"], rep
 
 
 def test_constant_function_log_harnack():
     cfg = unit_cfg(m=200, n_paths=5000)
-    rep = log_harnack_check(additive_pair(), [lambda z: np.full(z.shape[0], 2.7)],
-                            [0.25], [-0.25], cfg, kappa1=0.5, k1_hat=1.0, seed=41)
+    rep = verify_log_harnack(
+        simulate_pair(additive_pair(), [0.25], [-0.25], cfg, seed=41),
+        [lambda z: np.full(z.shape[0], 2.7)], kappa1=0.5, k1_hat=1.0)
     assert rep["passed"]
 
 
@@ -419,10 +477,11 @@ def test_constant_function_equal_points_pass_up_to_roundoff():
     # check, about twenty after the power), which must not decide the verdict
     cfg = unit_cfg(m=200, n_paths=10_000, gamma=16.0)
     fs = [lambda z: np.full(z.shape[0], 2.7)]
-    log_rep = log_harnack_check(additive_pair(), fs, [0.3], [0.3], cfg,
-                                kappa1=0.5, k1_hat=1.0, seed=43)
-    pow_rep = harnack_power_check(additive_pair(), fs, [0.3], [0.3], cfg,
-                                  seed=43)
+    log_rep = verify_log_harnack(
+        simulate_pair(additive_pair(), [0.3], [0.3], cfg, seed=43), fs,
+        kappa1=0.5, k1_hat=1.0)
+    pow_rep = verify_power_harnack(
+        power_run(additive_pair(), [0.3], [0.3], cfg, seed=43), fs)
     assert log_rep["passed"] and pow_rep["passed"]
     c = log_rep["checks"][0]
     assert within(c["lhs"], c["rhs"], 0.0) and within(c["rhs"], c["lhs"], 0.0)
@@ -475,12 +534,12 @@ def test_every_coupling_check_decides_through_one_rule(monkeypatch):
     assert calls == [(None, ("pass" if mb["passed"] else "fail",
                              mb["threshold"]))]
     calls.clear()
-    pw = harnack_power_check(additive_pair(), fs, [0.3], [-0.3], cfg, seed=7)
+    pw = verify_power_harnack(power_run(additive_pair(), [0.3], [-0.3], cfg,
+                                        seed=7), fs)
     assert [(cap, v) for cap, (v, _) in calls] == [
         (coupling.SE_REL_CAP, c["verdict"]) for c in pw["checks"]]
     calls.clear()
-    lg = log_harnack_check(additive_pair(), fs, [0.3], [-0.3], cfg,
-                           kappa1=1.0, k1_hat=1.0, seed=7)
+    lg = verify_log_harnack(res, fs, kappa1=1.0, k1_hat=1.0)
     assert [(cap, v) for cap, (v, _) in calls] == [
         (coupling.LOG_SE_CAP, c["verdict"]) for c in lg["checks"]]
 

@@ -1,7 +1,9 @@
 """The fork-per-call pool in zvlab.parallel: results in task order, errors
-re-raised with their type and message, and the in-process fallbacks."""
+re-raised with their type and message, the in-process fallbacks, and no
+fork warning on the Python versions that warn about forking threads."""
 
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -103,3 +105,51 @@ def test_cli_import_leaves_the_pool_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+# parallel.py imports only the standard library, so a newer interpreter
+# without numpy can load it by path.  From 3.12 on, forking a process in
+# which another thread is alive warns with a DeprecationWarning.  The
+# check shows every such warning: under -W error the C-level fork warning
+# is raised and then cleared inside os.fork, so nothing would show
+FORK_CHECK = """
+import importlib.util, os, sys
+spec = importlib.util.spec_from_file_location("zvlab_parallel", sys.argv[1])
+parallel = importlib.util.module_from_spec(spec)
+sys.modules["zvlab_parallel"] = parallel      # children unpickle _run_one
+spec.loader.exec_module(parallel)
+
+def task(i):
+    return i * i, os.getpid()
+
+for call in range(3):
+    out = parallel.run_tasks(task, [(i,) for i in range(5)])
+    assert [v for v, _ in out] == [i * i for i in range(5)], out
+    pids = {pid for _, pid in out}
+    assert os.getpid() not in pids and len(pids) <= 2, pids
+print("ok")
+"""
+
+
+def _starts(exe):
+    try:
+        return subprocess.run([exe, "-c", "pass"], capture_output=True,
+                              timeout=60).returncode == 0
+    except (OSError, subprocess.TimeoutExpired):
+        return False
+
+
+@pytest.mark.parametrize("name", ["python3.12", "python3.13"])
+def test_fork_does_not_warn_on_newer_pythons(name):
+    exe = shutil.which(name)
+    if exe is None or not _starts(exe):
+        pytest.skip(f"no working {name}")
+    env = dict(os.environ, ZVLAB_THREADS="2")
+    env.pop("PYTHONPATH", None)
+    done = subprocess.run(
+        [exe, "-W", "always::DeprecationWarning", "-c", FORK_CHECK,
+         str(SRC / "zvlab" / "parallel.py")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
+    assert "Warning" not in done.stderr, done.stderr
