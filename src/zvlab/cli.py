@@ -21,17 +21,18 @@ import numpy as np
 
 from . import __version__
 from .coupling import (CouplingConfig, calibrate_k1, coalescence_report,
-                       gamma_threshold, h5_certificate, simulate_pair,
-                       simulate_pairs, theta_for_gamma, verify_log_harnack,
-                       verify_martingale, verify_moment_bound,
-                       verify_power_harnack)
+                       gamma_threshold, h5_certificate, simulate_pairs,
+                       theta_for_gamma, verify_log_harnack, verify_martingale,
+                       verify_moment_bound, verify_power_harnack)
+# unused here; perfbench/spans.py resolves simulate_pair through this module
+from .coupling import simulate_pair  # noqa: F401
 from .fields import GridSpec, NormSpec
 from .pde import solve_phi_system, verify_apriori
 from .report import RunReport, combined_exit_code, csv_payload, json_payload
 from .scenarios import Scenario, get_scenario, scenario_names
-from .sde import (SdeModel, SimSpec, bump_family_stat, integrate,
-                  integrate_stat, interval_bump, krylov_stat, original_model,
-                  run_stats, transformed_model)
+from .sde import (SdeModel, SimSpec, bump_family_stat, integrate_stat,
+                  interval_bump, krylov_stat, original_model, run_stats,
+                  transformed_model)
 from .zvonkin import (GRAD_TARGET, bilipschitz_certificate, build_zvonkin,
                       ellipticity_certificate, roundtrip_certificate,
                       transformed_constants)
@@ -79,22 +80,6 @@ def _n_paths(args, default: int) -> int:
     return default // FAST_DIVISOR if args.fast else default
 
 
-def _sim_spec(sc: Scenario, args) -> SimSpec:
-    """The plain ensemble's SimSpec; simulate and krylov share it."""
-    grid = _grid(sc, args)
-    return SimSpec(T=grid.T, n_steps=max(grid.m, 100),
-                   n_paths=_n_paths(args, SIM_PATHS), seed=args.seed, L=grid.L)
-
-
-def _krylov_stats(sc: Scenario, spec: SimSpec) -> list:
-    """krylov's statistics of the plain ensemble: the single-bump estimate
-    and the bump family."""
-    ns = sc.b0_norm if sc.b0_norm is not None else NormSpec(p=4.0, q=16.0, d=sc.d)
-    ev, norm_fn = interval_bump(0.0, 0.05)
-    return [krylov_stat(spec, ev, ns, f_norm=norm_fn(ns, 0.0, spec.T)),
-            bump_family_stat(spec, ns, BUMP_WIDTHS)]
-
-
 def _coupling_inputs(sc: Scenario, args):
     """Pair, constants, start points, and ellipticity for the coupled stages.
 
@@ -119,32 +104,57 @@ def _coupling_inputs(sc: Scenario, args):
     return pair, consts, x, -x
 
 
-def _couple_run(sc: Scenario, args, inputs) -> tuple:
-    """(pair, x, y, cfg, seed) of the couple stage's run; the log-Harnack
-    check reads the same run."""
+def _ensembles(rep: RunReport, sc: Scenario, args, reads) -> dict:
+    """The ensembles named in reads, by name, each simulated once.
+
+    The plain statistics (integrate, krylov, bump-family) come from one
+    pass, timed as plain-pass.  The coupled runs (couple, power,
+    calibration) go to one pool call, timed as coupled-runs; the power run
+    has the couple run's seed and step grid, so the two share their draws.
+    """
     grid = _grid(sc, args)
-    pair, consts, x, y = inputs
-    cfg = CouplingConfig(T=grid.T, m=100 if args.fast else COUPLE_STEPS,
-                         n_paths=_n_paths(args, COUPLE_PATHS), L=grid.L,
-                         K_T=consts["K_T"], delta_T=consts["delta_T"],
-                         lam_T=consts["lam_T"], alpha=consts["alpha"])
-    return pair, x, y, cfg, args.seed
-
-
-def _harnack_runs(sc: Scenario, args, inputs) -> list:
-    """The power run (theta re-derived from gamma, same seed and step grid
-    as the couple run, so the two share their draws) and the calibration
-    run of the harnack stage."""
-    pair, x, y, base, seed = _couple_run(sc, args, inputs)
-    thr = gamma_threshold(base)
-    gamma = args.gamma if args.gamma is not None else (
-        DEFAULT_GAMMA if DEFAULT_GAMMA > thr else 2.0 * thr)
-    if gamma <= thr:
-        raise ValueError(f"gamma {gamma} is below the admissible threshold "
-                         f"{thr:.3f} for this scenario's constants")
-    cfg = replace(base, gamma=gamma)
-    return [(pair, x, y, replace(cfg, theta=theta_for_gamma(cfg)), seed),
-            (pair, x, y, base, seed + 1000)]
+    out = {}
+    spec = SimSpec(T=grid.T, n_steps=max(grid.m, 100),
+                   n_paths=_n_paths(args, SIM_PATHS), seed=args.seed, L=grid.L)
+    x0 = np.array(sc.x0)
+    ns = sc.b0_norm if sc.b0_norm is not None else NormSpec(p=4.0, q=16.0, d=sc.d)
+    stats = {}
+    if "integrate" in reads:
+        stats["integrate"] = integrate_stat(x0, spec)
+    if "krylov" in reads:
+        ev, norm_fn = interval_bump(0.0, 0.05)
+        stats["krylov"] = krylov_stat(spec, ev, ns, f_norm=norm_fn(ns, 0.0, spec.T))
+    if "bump-family" in reads:
+        stats["bump-family"] = bump_family_stat(spec, ns, BUMP_WIDTHS)
+    if stats:
+        out.update(zip(stats, _timed(rep, "plain-pass", run_stats,
+                                     [original_model(sc.coeffs, sc.d)], [x0],
+                                     spec, list(stats.values()))))
+    if reads.isdisjoint(("coupling-inputs", "couple", "power", "calibration")):
+        return out
+    pair, consts, x, y = out["coupling-inputs"] = _coupling_inputs(sc, args)
+    base = CouplingConfig(T=grid.T, m=100 if args.fast else COUPLE_STEPS,
+                          n_paths=_n_paths(args, COUPLE_PATHS), L=grid.L,
+                          K_T=consts["K_T"], delta_T=consts["delta_T"],
+                          lam_T=consts["lam_T"], alpha=consts["alpha"])
+    runs = {}
+    if "couple" in reads:
+        runs["couple"] = (pair, x, y, base, args.seed)
+    if "power" in reads:
+        thr = gamma_threshold(base)
+        gamma = args.gamma if args.gamma is not None else (
+            DEFAULT_GAMMA if DEFAULT_GAMMA > thr else 2.0 * thr)
+        if gamma <= thr:
+            raise ValueError(f"gamma {gamma} is below the admissible threshold "
+                             f"{thr:.3f} for this scenario's constants")
+        cfg = replace(base, gamma=gamma)
+        runs["power"] = (pair, x, y, replace(cfg, theta=theta_for_gamma(cfg)),
+                         args.seed)
+    if "calibration" in reads:
+        runs["calibration"] = (pair, x, y, base, args.seed + 1000)
+    out.update(zip(runs, _timed(rep, "coupled-runs", simulate_pairs,
+                                list(runs.values()))))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +215,7 @@ def stage_build_transform(rep: RunReport, sc: Scenario, args):
     return zm
 
 
-def stage_simulate(rep: RunReport, sc: Scenario, args, ens=None):
-    """simulate's rows, from ens if the caller has already run it."""
-    if ens is None:
-        ens = integrate(original_model(sc.coeffs, sc.d), np.array(sc.x0),
-                        _sim_spec(sc, args))
+def stage_simulate(rep: RunReport, sc: Scenario, args, ens):
     rr = ens.rng_report
     rep.add("escape-fraction", ens.escape_fraction,
             "pass" if ens.escape_fraction <= 0.01 else "fail", threshold=0.01)
@@ -220,39 +226,25 @@ def stage_simulate(rep: RunReport, sc: Scenario, args, ens=None):
     alive = ~ens.escaped
     rep.add("terminal-mean", float(ens.terminal[alive, 0].mean()), "info")
     rep.add("terminal-var", float(ens.terminal[alive, 0].var()), "info")
-    return ens
 
 
-def stage_krylov(rep: RunReport, sc: Scenario, args, est=None, fam=None):
-    """krylov's rows, from (est, fam) if the caller has already run them."""
-    if est is None:
-        spec = _sim_spec(sc, args)
-        est, fam = run_stats(original_model(sc.coeffs, sc.d), np.array(sc.x0),
-                             spec, _krylov_stats(sc, spec))
+def stage_krylov(rep: RunReport, sc: Scenario, args, est, fam):
     rep.add("krylov-ratio", est["ratio"], "info",
             ci_low=est["ci95"][0] / est["f_norm"],
             ci_high=est["ci95"][1] / est["f_norm"])
     rep.add("krylov-bump-max-over-median", fam["max_over_median"],
             "pass" if fam["passed"] else "fail", threshold=3.0)
-    return est
 
 
-def stage_couple(rep: RunReport, sc: Scenario, args, inputs=None, res=None):
-    """couple's rows; inputs and res are the coupling inputs and the run,
-    if the caller has them."""
-    if inputs is None:
-        inputs = _coupling_inputs(sc, args)
-    run = _couple_run(sc, args, inputs)
-    pair, consts, cfg = inputs[0], inputs[1], run[3]
+def stage_couple(rep: RunReport, sc: Scenario, args, inputs, res):
+    pair, consts = inputs[:2]
     for key in ("K_T", "delta_T", "lam_T"):
         rep.add(f"coupling-{key}", consts[key], "info",
                 provenance="closed-form" if consts["declared"] else "sampled")
     if consts["declared"]:
-        cert = h5_certificate(pair, cfg, seed=args.seed + 20)
+        cert = h5_certificate(pair, res.cfg, seed=args.seed + 20)
         rep.add("h5-certificate", float(cert["passed"]),
                 "pass" if cert["passed"] else "fail", threshold=1.0)
-    if res is None:
-        res = simulate_pair(*run)
     mg = verify_martingale(res)
     worst = max(abs(m - 1.0) / se if se > 0 else 0.0
                 for m, se in zip(mg["means"], mg["ses"]))
@@ -271,18 +263,12 @@ def stage_couple(rep: RunReport, sc: Scenario, args, inputs=None, res=None):
             "pass" if res.trunc_events < 0.001 * res.total_events else "fail",
             threshold=0.001)
     rep.metrics["couple"] = {"couple": res.counters()}
-    return res
 
 
-def stage_harnack(rep: RunReport, sc: Scenario, args, runs=None):
-    """Power and log Harnack rows from the power, calibration and log runs.
-    Unless the caller passes them in, they are simulated here in one batch;
-    the log run is the couple stage's run."""
-    if runs is None:
-        inputs = _coupling_inputs(sc, args)
-        runs = simulate_pairs([*_harnack_runs(sc, args, inputs),
-                               _couple_run(sc, args, inputs)])
-    power, cal, coupled = runs
+def stage_harnack(rep: RunReport, sc: Scenario, args, power, cal, log):
+    """Power Harnack rows from the power run; log Harnack rows from the
+    log run (the couple stage's run), with k1 fitted on the calibration
+    run."""
     cfg = power.cfg
     rep.add("harnack-gamma", cfg.gamma, "info")
     rep.add("harnack-gamma-threshold", gamma_threshold(cfg), "info",
@@ -295,60 +281,45 @@ def stage_harnack(rep: RunReport, sc: Scenario, args, runs=None):
             "info", provenance="closed-form")
     k1_hat = calibrate_k1(cal, list(HARNACK_FS), kappa1=cfg.lam_T)["k1_hat"]
     rep.add("log-harnack-k1", k1_hat, "info", provenance="fit")
-    logrep = verify_log_harnack(coupled, list(HARNACK_FS), kappa1=cfg.lam_T,
+    logrep = verify_log_harnack(log, list(HARNACK_FS), kappa1=cfg.lam_T,
                                 k1_hat=k1_hat)
     for c in logrep["checks"]:
         rep.add(f"log-harnack-{c['f']}", c["lhs"], c["verdict"],
                 threshold=c["threshold"])
     rep.metrics["harnack"] = {"power": power.counters(),
                               "calibration": cal.counters(),
-                              "log": coupled.counters()}
-    return pw
+                              "log": log.counters()}
 
 
-def stage_full(rep: RunReport, sc: Scenario, args):
-    """Every stage's rows in stage order, each distinct ensemble run once:
-    one plain pass feeds simulate and krylov (the simulate timing covers
-    it).  On scenarios with declared constants the couple, power and
-    calibration runs go to the pool in one batch (timed as coupled-runs),
-    the power run shares the couple run's draws, and the log-Harnack check
-    reads the couple run."""
-    _timed(rep, "build-transform", stage_build_transform, sc, args)
-
-    def plain_pass(rep, sc, args):
-        spec = _sim_spec(sc, args)
-        x0 = np.array(sc.x0)
-        ens, est, fam = run_stats(original_model(sc.coeffs, sc.d), x0, spec,
-                                  [integrate_stat(x0, spec),
-                                   *_krylov_stats(sc, spec)])
-        stage_simulate(rep, sc, args, ens)
-        return est, fam
-
-    est, fam = _timed(rep, "simulate", plain_pass, sc, args)
-    _timed(rep, "krylov", stage_krylov, sc, args, est, fam)
-    if sc.coupling is not None:
-        inputs = _coupling_inputs(sc, args)
-        runs = [_couple_run(sc, args, inputs), *_harnack_runs(sc, args, inputs)]
-        res, power, cal = _timed(rep, "coupled-runs",
-                                 lambda *_: simulate_pairs(runs), sc, args)
-        _timed(rep, "couple", stage_couple, sc, args, inputs, res)
-        _timed(rep, "harnack", stage_harnack, sc, args, (power, cal, res))
-
-
+# name -> (stage, the ensembles its rows read, passed in this order)
 STAGES = {
-    "solve-pde": stage_solve_pde,
-    "build-transform": stage_build_transform,
-    "simulate": stage_simulate,
-    "krylov": stage_krylov,
-    "couple": stage_couple,
-    "harnack": stage_harnack,
-    "full-pipeline": stage_full,
+    "solve-pde": (stage_solve_pde, ()),
+    "build-transform": (stage_build_transform, ()),
+    "simulate": (stage_simulate, ("integrate",)),
+    "krylov": (stage_krylov, ("krylov", "bump-family")),
+    "couple": (stage_couple, ("coupling-inputs", "couple")),
+    "harnack": (stage_harnack, ("power", "calibration", "couple")),
 }
+FULL_PIPELINE = ("build-transform", "simulate", "krylov", "couple", "harnack")
 
 
-def _timed(rep: RunReport, name: str, fn, sc, args, *extra):
+def run_command(rep: RunReport, sc: Scenario, args):
+    """Simulate every ensemble the command's stages read, once, then run
+    the stages in order, each timed by its name.  full-pipeline couples
+    only scenarios with declared constants."""
+    names = (args.command,)
+    if args.command == "full-pipeline":
+        names = [n for n in FULL_PIPELINE
+                 if sc.coupling is not None or n not in ("couple", "harnack")]
+    ens = _ensembles(rep, sc, args, {r for n in names for r in STAGES[n][1]})
+    for name in names:
+        fn, reads = STAGES[name]
+        _timed(rep, name, fn, rep, sc, args, *(ens[r] for r in reads))
+
+
+def _timed(rep: RunReport, name: str, fn, *fn_args):
     t0 = time.perf_counter()
-    out = fn(rep, sc, args, *extra)
+    out = fn(*fn_args)
     rep.timings[name] = time.perf_counter() - t0
     return out
 
@@ -378,6 +349,15 @@ def _positive_int(text):
     return int(text)
 
 
+def _seed(text):
+    # the stages derive seeds up to seed + 1000, and each must fit Philox's
+    # uint64 key
+    if not text.isdecimal() or int(text) >= 2 ** 63:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in [0, 2^63), got {text!r}")
+    return int(text)
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="zvlab",
                 description="singular-drift transform workbench")
@@ -385,7 +365,7 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
     common = _Parser(add_help=False)
     common.add_argument("--scenario", required=True)
-    common.add_argument("--seed", type=int, default=1)
+    common.add_argument("--seed", type=_seed, default=1)
     common.add_argument("--paths", type=_positive_int, default=None)
     common.add_argument("--grid", type=_parse_grid, default=None,
                         metavar="N,M", help="space,time node counts")
@@ -395,7 +375,7 @@ def build_parser() -> _Parser:
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--fast", action="store_true",
                         help="reduced paths and grid for smoke runs")
-    for name in STAGES:
+    for name in (*STAGES, "full-pipeline"):
         sub.add_parser(name, parents=[common])
     sub.add_parser("list-scenarios")
     return p
@@ -418,7 +398,7 @@ def main(argv=None) -> int:
         "gamma": args.gamma, "fast": args.fast, "version": __version__,
     })
     try:
-        _timed(rep, args.command, STAGES[args.command], sc, args)
+        _timed(rep, args.command, run_command, rep, sc, args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

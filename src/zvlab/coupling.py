@@ -76,8 +76,9 @@ class CouplingConfig:
             raise ValueError(f"alpha must lie in (1/2, 1], got {self.alpha}")
         if not 0.0 < self.theta < 2.0 * self.alpha:
             raise ValueError(f"theta must lie in (0, 2 alpha), got {self.theta}")
-        if self.gamma is not None and self.gamma <= 1.0:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
+        if self.gamma is not None and not (math.isfinite(self.gamma)
+                                           and self.gamma > 1.0):
+            raise ValueError(f"gamma must be finite and exceed 1, got {self.gamma}")
 
     @property
     def stop_gap(self) -> float:

@@ -55,8 +55,8 @@ class PdeProblem:
     sources: str = "f"              # "f" (scalar source) or "b0" (phi system)
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if self.sources not in ("f", "b0"):
             raise ValueError(f"sources must be 'f' or 'b0', got {self.sources!r}")
 
@@ -262,8 +262,12 @@ def _solve_banded(st: dict, lam: float, gamma: float, rhs: np.ndarray,
     b = rhs[1:-1]
     if not all(np.isfinite(a).all() for a in (dl, d, du, b)):
         raise ValueError(f"non-finite implicit system at t={t:.6g}")
-    *_, x, info = dgtsv(dl, d, du, b, overwrite_dl=True, overwrite_d=True,
-                        overwrite_du=True)
+    if d.size == 1:           # one interior node: gtsv refuses empty bands
+        info = int(d[0] == 0.0)
+        x = b if info else b / d[0]
+    else:
+        *_, x, info = dgtsv(dl, d, du, b, overwrite_dl=True, overwrite_d=True,
+                            overwrite_du=True)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular implicit system at t={t:.6g}")
     w = np.zeros_like(rhs)

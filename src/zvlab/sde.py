@@ -99,15 +99,6 @@ def _advance_block(models, x0s, spec, block_index, width):
     return {"X": paths, "dW": dW, "alive": alive, "width": width}
 
 
-def run_blocks(models, x0s, spec, block_fn):
-    """block_fn(traj) per block; partials in fixed block order."""
-
-    def task(bi, w):
-        return block_fn(_advance_block(models, x0s, spec, bi, w))
-
-    return run_tasks(task, _rng.path_blocks(spec.n_paths))
-
-
 @dataclass(frozen=True)
 class BlockStat:
     """A statistic of the plain ensemble, split so that one pass can feed
@@ -118,19 +109,32 @@ class BlockStat:
     finish: Callable
 
 
-def run_stats(model: SdeModel, x0, spec: SimSpec, stats) -> list:
-    """Advance the plain ensemble once and finish every statistic on it,
-    in the order given.  Each statistic sees the same trajectories and
-    reduces its own partials as a run of it alone would, so the results
-    are bit-identical to one pass per statistic."""
-    parts = run_blocks([model], [np.asarray(x0, dtype=float)], spec,
-                       lambda traj: [st.block(traj) for st in stats])
+def run_stats(models, x0s, spec: SimSpec, stats) -> list:
+    """Advance the plain ensemble of every model, from its x0 and on shared
+    Brownian increments, once, and finish every statistic on it, in the
+    order given.  Each statistic sees the same trajectories and reduces
+    its own partials as a run of it alone would, so the results are
+    bit-identical to one pass per statistic."""
+
+    def task(bi, w):
+        traj = _advance_block(models, x0s, spec, bi, w)
+        return [st.block(traj) for st in stats]
+
+    parts = run_tasks(task, _rng.path_blocks(spec.n_paths))
     return [st.finish([p[i] for p in parts]) for i, st in enumerate(stats)]
 
 
 def _sum_partials(parts):
     """Tuples of partial sums added field by field in the fixed tree order."""
     return tree_reduce(parts, lambda a, b: tuple(u + v for u, v in zip(a, b)))
+
+
+def _mean_se(s, s2, n):
+    """Sample mean and its standard error from the sum s, the sum of
+    squares s2 and the count n of the samples (n = 0 is taken as 1)."""
+    n = max(n, 1)
+    mean = s / n
+    return mean, np.sqrt(np.maximum(s2 / n - mean ** 2, 0.0) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +198,7 @@ def integrate_stat(x0, spec: SimSpec) -> BlockStat:
 
 def integrate(model: SdeModel, x0, spec: SimSpec) -> PathEnsemble:
     """Euler-Maruyama ensemble with escape freezing and RNG sanity stats."""
-    return run_stats(model, x0, spec, [integrate_stat(x0, spec)])[0]
+    return run_stats([model], [x0], spec, [integrate_stat(x0, spec)])[0]
 
 
 def original_model(coeffs, d: int) -> SdeModel:
@@ -232,7 +236,7 @@ def transform_consistency(zmap, x0, steps_list, n_paths: int, seed: int) -> dict
         spec = SimSpec(T=grid.T, n_steps=int(n_steps), n_paths=n_paths,
                        seed=seed, L=grid.L)
 
-        def block_fn(traj, spec=spec):
+        def block(traj, spec=spec):
             Xp, Yp = traj["X"]
             ok = traj["alive"][0] & traj["alive"][1]
             w = int(ok.sum())
@@ -247,12 +251,14 @@ def transform_consistency(zmap, x0, steps_list, n_paths: int, seed: int) -> dict
             return (float(worst.sum()), float((worst ** 2).sum()), w,
                     traj["width"] - w)
 
-        s, s2, n_ok, n_drop = _sum_partials(
-            run_blocks([mx, my], [x0, y0], spec, block_fn))
-        mean = s / max(n_ok, 1)
-        var = max(s2 / max(n_ok, 1) - mean ** 2, 0.0)
-        errs.append(mean)
-        ses.append(math.sqrt(var / max(n_ok, 1)))
+        def finish(parts):
+            s, s2, n_ok, n_drop = _sum_partials(parts)
+            return (*_mean_se(s, s2, n_ok), n_drop)
+
+        err, se, n_drop = run_stats([mx, my], [x0, y0], spec,
+                                    [BlockStat(block, finish)])[0]
+        errs.append(err)
+        ses.append(se)
         drops.append(n_drop)
     hs = [grid.T / int(n) for n in steps_list]
     errs_arr = np.asarray(errs)
@@ -299,9 +305,7 @@ def krylov_stat(spec: SimSpec, f, ns: NormSpec, f_norm: float) -> BlockStat:
 
     def finish(parts):
         s, s2, n_ok, n_drop = _sum_partials(parts)
-        mean = s / max(n_ok, 1)
-        var = max(s2 / max(n_ok, 1) - mean ** 2, 0.0)
-        se = math.sqrt(var / max(n_ok, 1))
+        mean, se = _mean_se(s, s2, n_ok)
         return {"estimate": mean, "se": se,
                 "ci95": (mean - 1.96 * se, mean + 1.96 * se),
                 "n_used": n_ok, "n_excluded": n_drop,
@@ -314,7 +318,7 @@ def krylov_stat(spec: SimSpec, f, ns: NormSpec, f_norm: float) -> BlockStat:
 def krylov_estimate(model: SdeModel, x0, spec: SimSpec, f, ns: NormSpec,
                     f_norm: float) -> dict:
     """krylov_stat on its own pass of the plain ensemble."""
-    return run_stats(model, x0, spec, [krylov_stat(spec, f, ns, f_norm)])[0]
+    return run_stats([model], [x0], spec, [krylov_stat(spec, f, ns, f_norm)])[0]
 
 
 def interval_bump(center: float, eps: float):
@@ -354,8 +358,7 @@ def bump_family_stat(spec: SimSpec, ns: NormSpec, widths) -> BlockStat:
 
     def finish(parts):
         s, s2, n_ok = _sum_partials(parts)
-        means = s / max(n_ok, 1)
-        ses = np.sqrt(np.maximum(s2 / max(n_ok, 1) - means ** 2, 0.0) / max(n_ok, 1))
+        means, ses = _mean_se(s, s2, n_ok)
         norms = np.array([norm_fn(ns, 0.0, spec.T) for _, norm_fn in pairs])
         ratios = means / norms
         med = float(np.median(ratios))
@@ -371,4 +374,5 @@ def bump_family_stat(spec: SimSpec, ns: NormSpec, widths) -> BlockStat:
 def bump_family_report(model: SdeModel, x0, spec: SimSpec, ns: NormSpec,
                        widths) -> dict:
     """bump_family_stat on its own pass of the plain ensemble."""
-    return run_stats(model, x0, spec, [bump_family_stat(spec, ns, widths)])[0]
+    return run_stats([model], [x0], spec,
+                     [bump_family_stat(spec, ns, widths)])[0]

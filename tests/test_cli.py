@@ -49,6 +49,12 @@ def test_bad_grid_usage_exits_1(capsys):
     (("simulate", "--paths", "0"), "'0'"),
     (("simulate", "--grid", "4,10"), "got 4"),
     (("solve-pde", "--lambda", "-1"), "got -1.0"),
+    (("solve-pde", "--lambda", "nan"), "lam must be finite and >= 0, got nan"),
+    (("solve-pde", "--lambda", "inf"), "lam must be finite and >= 0, got inf"),
+    (("harnack", "--gamma", "nan"), "gamma must be finite and exceed 1, got nan"),
+    (("harnack", "--gamma", "inf"), "gamma must be finite and exceed 1, got inf"),
+    (("simulate", "--seed", "-1"), "'-1'"),
+    (("couple", "--seed", str(2 ** 64)), f"'{2 ** 64}'"),
 ])
 def test_bad_input_exits_1_naming_the_value(capsys, argv, named):
     # a bad flag value is a usage error whose message names that value,
@@ -101,40 +107,48 @@ def test_full_pipeline_csv_identical_across_worker_counts(capsys, monkeypatch):
     assert outs[0] == outs[1]
 
 
-def test_report_json_carries_pair_counters(capsys, monkeypatch, tmp_path):
+@pytest.mark.parametrize("command", ["full-pipeline", "harnack"])
+def test_report_json_carries_pair_counters(capsys, monkeypatch, tmp_path,
+                                           command):
     # each coupled run's counters, summed from its block partials, its
     # block draws and the worker processes it used; the log check reads the
-    # couple stage's run, and the power run shares that run's draws
+    # couple run, simulated first, and the power run shares its draws
     monkeypatch.setenv("ZVLAB_THREADS", "2")
-    code, _, _ = run_cli(capsys, "full-pipeline", "--scenario", "additive-1d",
+    code, _, _ = run_cli(capsys, command, "--scenario", "additive-1d",
                          "--paths", "9000", "--seed", "1", "--fast",
                          "--out", str(tmp_path))
     assert code == 0
-    metrics = json.loads((tmp_path / "report.json").read_text())[0]["metrics"]
-    assert sorted(metrics) == ["couple", "harnack"]
+    report = json.loads((tmp_path / "report.json").read_text())[0]
+    metrics = report["metrics"]
+    assert "coupled-runs" in report["timings_s"]
+    assert sorted(metrics) == (["couple", "harnack"] if command == "full-pipeline"
+                               else ["harnack"])
     assert sorted(metrics["harnack"]) == ["calibration", "log", "power"]
-    runs = [metrics["couple"]["couple"], *metrics["harnack"].values()]
-    for c in runs:
+    for c in metrics["harnack"].values():
         assert sorted(c) == ["box_exit_rows", "clip_events", "draws",
                              "total_events", "trunc_events", "workers"]
         assert c["workers"] == 2                      # 9000 paths: two blocks
         assert 0 <= c["trunc_events"] <= c["total_events"]
-    assert metrics["harnack"]["log"] == metrics["couple"]["couple"]
-    assert metrics["couple"]["couple"]["draws"] == 2
+    assert metrics["harnack"]["log"]["draws"] == 2
     assert metrics["harnack"]["power"]["draws"] == 0
     assert metrics["harnack"]["calibration"]["draws"] == 2
+    if command == "full-pipeline":
+        assert metrics["harnack"]["log"] == metrics["couple"]["couple"]
     assert "workers" not in (tmp_path / "report.csv").read_text()
 
 
-def test_full_pipeline_matches_separate_stages(capsys, monkeypatch):
+@pytest.mark.parametrize("scenario", ["additive-1d", "trivial-zero"])
+def test_full_pipeline_matches_separate_stages(capsys, monkeypatch, scenario):
     # full-pipeline runs each distinct ensemble once: one plain pass feeds
     # simulate and krylov (one _advance_block per path block, not three),
     # and the couple, power and calibration runs go to one simulate_pairs
     # call whose couple run the log-Harnack check reads (three runs, not
-    # four).  harnack alone batches its power, calibration and log runs.
-    # Its rows equal the separate stages' rows
+    # four).  harnack alone batches its couple, power and calibration runs.
+    # Its rows equal the separate stages' rows.  A scenario without
+    # declared coupling constants (trivial-zero) has no coupled stages
     from zvlab import cli, coupling, sde
-    common = ("--scenario", "additive-1d", "--fast", "--paths", "3000")
+    coupled = scenario == "additive-1d"
+    common = ("--scenario", scenario, "--fast", "--paths", "3000")
     batches, blocks = [], []
     simulate_pairs = coupling.simulate_pairs
     advance = sde._advance_block
@@ -146,17 +160,32 @@ def test_full_pipeline_matches_separate_stages(capsys, monkeypatch):
     monkeypatch.setattr(coupling, "simulate_pairs", spy_pairs)
     monkeypatch.setattr(cli, "simulate_pairs", spy_pairs)
     rows = []
-    for stage in ("build-transform", "simulate", "krylov", "couple", "harnack"):
+    for stage in cli.FULL_PIPELINE[:5 if coupled else 3]:
         _, out, _ = run_cli(capsys, stage, *common)
         rows += out.splitlines()[1:]
-    assert batches == [1, 3]            # couple's one run, harnack's batch
+    # couple's one run, harnack's batch
+    assert batches == ([1, 3] if coupled else [])
     batches.clear()
     monkeypatch.setattr(sde, "_advance_block",
                         lambda *a: blocks.append(a[3]) or advance(*a))
     _, out, _ = run_cli(capsys, "full-pipeline", *common)
     assert out.splitlines()[1:] == rows
-    assert batches == [3]
+    assert batches == ([3] if coupled else [])
     assert blocks == [0]
+
+
+def test_every_read_is_an_ensemble():
+    # every name a stage reads is one the runner simulates
+    from zvlab import cli
+    from zvlab.report import RunReport
+    from zvlab.scenarios import get_scenario
+    args = cli.build_parser().parse_args(
+        ["full-pipeline", "--scenario", "additive-1d", "--fast", "--paths", "200"])
+    reads = {r for _, rd in cli.STAGES.values() for r in rd}
+    rep = RunReport(scenario="additive-1d", seed=1, config={})
+    ens = cli._ensembles(rep, get_scenario("additive-1d"), args, reads)
+    assert set(ens) == reads
+    assert sorted(rep.timings) == ["coupled-runs", "plain-pass"]
 
 
 def test_out_dir_and_json_format(capsys, tmp_path):

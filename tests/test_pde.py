@@ -281,6 +281,20 @@ def test_banded_solve_is_lapack_gtsv_bit_for_bit():
         assert np.array_equal(rhs, keep)
 
 
+def test_banded_solve_one_interior_node():
+    # n = 3 leaves one interior node and empty off-diagonals, which gtsv
+    # refuses; the one equation is solved by division
+    lam, gamma = 2.0, 0.3
+    st = {(-1,): np.array([0.4]), (1,): np.array([0.7]), (0,): np.array([-1.3])}
+    rhs = np.array([[5.0], [1.7], [-2.0]])
+    w = pde._solve_banded(st, lam, gamma, rhs, 0.25)
+    assert np.array_equal(w[1], rhs[1] / (1.0 + gamma * (lam - st[(0,)])))
+    assert w[0, 0] == 0.0 and w[-1, 0] == 0.0
+    # 1 + gamma (lam - L_00) = 0
+    with pytest.raises(np.linalg.LinAlgError, match="singular.*t=0.75"):
+        pde._solve_banded({**st, (0,): np.array([1.0])}, 0.0, 1.0, rhs, 0.75)
+
+
 def test_banded_solve_refuses_bad_systems():
     lam, gamma, n = 0.0, 1.0, 9
     zero = np.zeros(n - 2)

@@ -41,3 +41,17 @@ def test_only_the_pool_takes_a_worker_count():
                 if "workers" in names:
                     takers.append(f"{path.stem}.{getattr(node, 'name', '<lambda>')}")
     assert takers == ["parallel.run_tasks"]
+
+
+def test_no_stage_takes_a_default():
+    # a stage gets every ensemble it reads from the runner; a defaulted
+    # parameter would let it simulate one for itself
+    import inspect
+
+    from zvlab import cli
+    stages = [fn for name, fn in vars(cli).items() if name.startswith("stage_")]
+    assert len(stages) == len(cli.STAGES)
+    for fn in stages:
+        defaulted = [p.name for p in inspect.signature(fn).parameters.values()
+                     if p.default is not inspect.Parameter.empty]
+        assert not defaulted, f"{fn.__name__} defaults {defaulted}"

@@ -137,7 +137,7 @@ def test_one_pass_feeds_every_statistic(monkeypatch):
     advance = sde._advance_block
     monkeypatch.setattr(sde, "_advance_block",
                         lambda *a: blocks.append(a[3]) or advance(*a))
-    ens, est, fam = run_stats(model, x0, spec, [
+    ens, est, fam = run_stats([model], [x0], spec, [
         integrate_stat(x0, spec), krylov_stat(spec, f, ns, f_norm=f_norm),
         bump_family_stat(spec, ns, widths)])
     assert sorted(blocks) == [0, 1]
