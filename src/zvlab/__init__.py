@@ -13,7 +13,7 @@ from .coupling import (
     verify_power_harnack,
 )
 from .fields import CoefficientSet, GridSpec, NormSpec
-from .pde import lambda_sweep, solve_backward, solve_phi_system
+from .pde import lambda_sweep, sample_operator, solve_backward, solve_phi_system
 from .report import RunReport
 from .scenarios import Scenario, get_scenario, scenario_names
 from .sde import (
@@ -44,6 +44,7 @@ __all__ = [
     "krylov_estimate",
     "lambda_sweep",
     "original_model",
+    "sample_operator",
     "scenario_names",
     "simulate_pair",
     "simulate_pairs",

@@ -323,11 +323,12 @@ def decide(lhs: float, rhs: float, slack: float, scale: float = 1.0,
     """The one verdict rule: (verdict, threshold) for the claim lhs <= rhs.
 
     The threshold is verdict_threshold(lhs, rhs, slack, scale).  With a
-    cap, a noise level above it gives "inconclusive" whatever lhs is;
-    otherwise the verdict is "pass" iff lhs <= threshold, else "fail".
+    cap, a noise level that is not <= cap (above it, or nan, as the SE of
+    one sample is) gives "inconclusive" whatever lhs is; otherwise the
+    verdict is "pass" iff lhs <= threshold, else "fail".
     """
     thr = verdict_threshold(lhs, rhs, slack, scale)
-    if cap is not None and noise > cap:
+    if cap is not None and not noise <= cap:
         return "inconclusive", thr
     return ("pass" if lhs <= thr else "fail"), thr
 

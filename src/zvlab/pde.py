@@ -12,13 +12,14 @@ implicit-Euler startup steps (they kill the stiff transient that pure
 Crank-Nicolson turns into slow step-to-step oscillation when lam*dt is
 large), Crank-Nicolson afterwards.
 
-The discrete operator L is one stencil per time slice (`_stencil`):
-second differences on each axis, the mixed difference in 2-d, and first
-differences that switch from central to one-sided (upwind) wherever the
-cell Peclet number |B| h / a exceeds 2, which keeps the implicit matrix
-an M-matrix and the scheme monotone.  A solve builds each slice's
-stencil once: the implicit step onto that slice uses it, and the next
-step's Crank-Nicolson explicit half reuses it.
+The operator does not depend on lam, so `sample_operator` samples it
+once per (coefficients, grid) and every lam marches on it.  The discrete
+L is one stencil per time slice, all slices built in one pass
+(`_stencil`): second differences on each axis, the mixed difference in
+2-d, and first differences that switch from central to one-sided
+(upwind) wherever the cell Peclet number |B| h / a exceeds 2, which
+keeps the implicit matrix an M-matrix and the scheme monotone.  lam
+enters only the implicit solve and the explicit half's -lam v.
 
 Linear algebra: in d=1 a direct banded (tridiagonal) solve with the
 bands read from the stencil; in d=2 the stencil is assembled into a
@@ -45,20 +46,6 @@ LAMBDA_FLOOR = 10.0
 STARTUP_STEPS = 4
 
 PECLET_SWITCH = 2.0
-
-
-@dataclass
-class PdeProblem:
-    grid: GridSpec
-    coeffs: CoefficientSet
-    lam: float = 0.0
-    sources: str = "f"              # "f" (scalar source) or "b0" (phi system)
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if self.sources not in ("f", "b0"):
-            raise ValueError(f"sources must be 'f' or 'b0', got {self.sources!r}")
 
 
 @dataclass
@@ -116,25 +103,10 @@ class PdeSolution:
     def du_dt(self) -> np.ndarray:
         return np.gradient(self.u, self.grid.dt, axis=0)
 
-    def material_derivative(self) -> np.ndarray:
-        """(d_t + b1 . grad) u, the derivative along the Lipschitz stream."""
-        return self.du_dt() + np.einsum("...d,...kd->...k", self.b1_sample, self.grad())
-
-    def boundary_shell_fraction(self) -> float:
-        """L1 mass share of the outer 10% shell; large values mean the
-        Dirichlet truncation is contaminating the solution."""
-        g = self.grid
-        mag = np.sqrt(np.sum(self.u ** 2, axis=-1))
-        w = g.space_weights()
-        xs = np.abs(g.xs) >= 0.9 * g.L
-        if g.d == 1:
-            shell = xs
-        else:
-            shell = xs[:, None] | xs[None, :]
-        total = float(np.sum(mag * w))
-        if total == 0.0:
-            return 0.0
-        return float(np.sum((mag * w)[:, shell])) / total
+    def material_derivative(self, grad: np.ndarray) -> np.ndarray:
+        """(d_t + b1 . grad) u, the derivative along the Lipschitz stream,
+        from grad = self.grad()."""
+        return self.du_dt() + np.einsum("...d,...kd->...k", self.b1_sample, grad)
 
     def norm_report(self, ns: NormSpec) -> dict:
         g = self.grid
@@ -144,11 +116,8 @@ class PdeSolution:
             "u": lp_lq_norm(self.u, g, ns),
             "grad": lp_lq_norm(grad, g, ns),
             "hess": lp_lq_norm(self.hess(), g, ns),
-            "material": lp_lq_norm(self.material_derivative(), g, ns),
+            "material": lp_lq_norm(self.material_derivative(grad), g, ns),
             "source": lp_lq_norm(self.source, g, ns),
-            "sup_u": float(np.max(np.sqrt(np.sum(self.u ** 2, axis=-1)))),
-            "sup_grad": float(np.max(np.sqrt(np.sum(grad ** 2, axis=(-2, -1))))),
-            "shell_fraction": self.boundary_shell_fraction(),
             "lam_eff": lam_eff,
         }
         rep["sobolev"] = rep["u"] + rep["grad"] + rep["hess"]
@@ -160,67 +129,60 @@ class PdeSolution:
 # operator sampling
 
 
-def _sample_operator(problem: PdeProblem):
-    """Grid samples of a, B = b1+b2+b0(capped), c, and the requested sources:
-    one component for "f", d components (-b0^i) for "b0"."""
-    g = problem.grid
-    co = problem.coeffs
+def sample_operator(coeffs: CoefficientSet, grid: GridSpec) -> dict:
+    """The lam-free operator of (coeffs, grid), sampled once.
+
+    Keys: grid; stencil, every slice's stencil of L (`_stencil`); the
+    grid samples b1 and b0 (node-capped), (m+1, n^d, d), and the source f,
+    (m+1, n^d, 1), zero where the coefficient is absent; capped, the
+    number of capped b0 nodes.  B = b1+b2+b0 and c enter only the
+    stencils.
+    """
+    g = grid
     N = g.n ** g.d
     nodes = g.nodes()
-
-    a_arr = np.empty((g.m + 1, N, g.d, g.d))
+    a = np.empty((g.m + 1, N, g.d, g.d))
     for k, t in enumerate(g.ts):
-        a_arr[k] = co.a(float(t), nodes)
+        a[k] = coeffs.a(float(t), nodes)
 
-    def sample_vec(ev, cap_singular):
+    def sample(ev, kind, cap_singular):
+        shape = (g.m + 1, N) + ((g.d,) if kind == "vector" else ())
         if ev is None:
-            return np.zeros((g.m + 1, N, g.d)), 0
-        gf, capped = sample_field(ev, g, kind="vector", cap_singular=cap_singular)
-        return gf.values.reshape(g.m + 1, N, g.d), capped
+            return np.zeros(shape), 0
+        gf, capped = sample_field(ev, g, kind=kind, cap_singular=cap_singular)
+        return gf.values.reshape(shape), capped
 
-    b1_arr, _ = sample_vec(co.b1, False)
-    b2_arr, _ = sample_vec(co.b2, False)
-    b0_arr, capped = sample_vec(co.b0, True)
-    B = b1_arr + b2_arr + b0_arr
-
-    c_arr = np.zeros((g.m + 1, N))
-    if co.c is not None:
-        gf, _ = sample_field(co.c, g, kind="scalar", cap_singular=False)
-        c_arr = gf.values.reshape(g.m + 1, N)
-
-    if problem.sources == "f":
-        src = np.zeros((g.m + 1, N, 1))
-        if co.f is not None:
-            gf, _ = sample_field(co.f, g, kind="scalar", cap_singular=False)
-            src[..., 0] = gf.values.reshape(g.m + 1, N)
-    else:
-        # phi system: one component per axis, source -b0^i
-        src = -b0_arr
-    return {
-        "a": a_arr, "B": B, "c": c_arr, "src": src,
-        "b1": b1_arr, "capped": capped,
-    }
+    b1, _ = sample(coeffs.b1, "vector", False)
+    b2, _ = sample(coeffs.b2, "vector", False)
+    b0, capped = sample(coeffs.b0, "vector", True)
+    c, _ = sample(coeffs.c, "scalar", False)
+    f, _ = sample(coeffs.f, "scalar", False)
+    return {"grid": g, "stencil": _stencil(a, b1 + b2 + b0, c, g),
+            "b1": b1, "b0": b0, "f": f[..., None], "capped": capped}
 
 
 # ---------------------------------------------------------------------------
 # the discrete operator: one stencil per time slice
 
 
-def _stencil(op, k: int, g: GridSpec) -> dict:
-    """Interior stencil of L at time slice k, as {offset: coefficients}.
+def _stencil(a: np.ndarray, B: np.ndarray, c: np.ndarray, g: GridSpec) -> dict:
+    """Interior stencils of L at every time slice, as {offset: coefficients}.
 
-    An offset is a d-tuple of steps in {-1, 0, 1}; its coefficients, of
-    shape (n-2,)*d, weight that neighbour of each interior node.  Second
-    differences on each axis, the mixed difference in 2-d, and first
-    differences that are central, or upwind where |B| h / a exceeds
-    PECLET_SWITCH.  Wall nodes are Dirichlet and have no stencil.
+    a, B and c are the grid samples, (m+1, n^d, ...).  An offset is a
+    d-tuple of steps in {-1, 0, 1}; its coefficients, of shape
+    (m+1,) + (n-2,)*d, weight that neighbour of each interior node at
+    each slice.  Second differences on each axis, the mixed difference in
+    2-d, and first differences that are central, or upwind where
+    |B| h / a exceeds PECLET_SWITCH.  Wall nodes are Dirichlet and have
+    no stencil.  Every operation is elementwise, so slice k's
+    coefficients are those a one-slice build would give.
     """
     d, h = g.d, g.h
-    inner = (slice(1, -1),) * d
-    spatial = (g.n,) * d
-    a = op["a"][k].reshape(spatial + (d, d))[inner]
-    B = op["B"][k].reshape(spatial + (d,))[inner]
-    diag = op["c"][k].reshape(spatial)[inner]
+    inner = (slice(None),) + (slice(1, -1),) * d
+    shape = (g.m + 1,) + (g.n,) * d
+    a = a.reshape(shape + (d, d))[inner]
+    B = B.reshape(shape + (d,))[inner]
+    diag = c.reshape(shape)[inner]
     st = {}
     for ax, step in enumerate(np.eye(d, dtype=int).tolist()):
         s = a[..., ax, ax] / h ** 2
@@ -266,6 +228,7 @@ def _solve_banded(st: dict, lam: float, gamma: float, rhs: np.ndarray,
         info = int(d[0] == 0.0)
         x = b if info else b / d[0]
     else:
+        # dl, d and du are fresh arrays; the shared stencil is never written
         *_, x, info = dgtsv(dl, d, du, b, overwrite_dl=True, overwrite_d=True,
                             overwrite_du=True)
     if info > 0:
@@ -315,16 +278,16 @@ def _solve_bicgstab(st: dict, lam: float, gamma: float, rhs: np.ndarray,
 # the march
 
 
-def solve_backward(problem: PdeProblem) -> PdeSolution:
-    """March the theta-scheme from the zero terminal slice down to t = 0.
-
-    Each slice's stencil is built once, for its implicit solve, and kept
-    for the next step's explicit half.  The first step is implicit Euler
-    (STARTUP_STEPS >= 1), so slice m's stencil is never needed.
-    """
-    g = problem.grid
-    op = _sample_operator(problem)
-    K = op["src"].shape[-1]
+def solve_backward(op: dict, lam: float, source: np.ndarray) -> PdeSolution:
+    """March the theta-scheme for d_t u + L u = lam u + source on the
+    operator op (`sample_operator`) from the zero terminal slice down to
+    t = 0; source is (m+1, n^d, K).  op is only read.  The first step is
+    implicit Euler (STARTUP_STEPS >= 1), so every explicit half has the
+    previous step's stencil."""
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    g = op["grid"]
+    K = source.shape[-1]
     u = np.zeros((g.m + 1, g.n ** g.d, K))
     v = u[g.m]
     st = None                                # stencil of slice k_old
@@ -334,36 +297,36 @@ def solve_backward(problem: PdeProblem) -> PdeSolution:
         theta = 1.0 if j < STARTUP_STEPS else 0.5
         dt = g.dt
         if theta < 1.0:
-            rhs = v + dt * (1 - theta) * (_apply(st, v, g) - problem.lam * v)
+            rhs = v + dt * (1 - theta) * (_apply(st, v, g) - lam * v)
         else:
             rhs = v.copy()
-        rhs -= dt * (theta * op["src"][k_new] + (1 - theta) * op["src"][k_old])
+        rhs -= dt * (theta * source[k_new] + (1 - theta) * source[k_old])
         gamma = dt * theta
-        st = _stencil(op, k_new, g)
+        st = {o: s[k_new] for o, s in op["stencil"].items()}
         if g.d == 1:
-            v = _solve_banded(st, problem.lam, gamma, rhs, k_new * dt)
+            v = _solve_banded(st, lam, gamma, rhs, k_new * dt)
         else:
-            v = _solve_bicgstab(st, problem.lam, gamma, rhs, v, g.n)
+            v = _solve_bicgstab(st, lam, gamma, rhs, v, g.n)
         u[k_new] = v
     spatial = (g.n,) * g.d
     return PdeSolution(
         grid=g,
-        lam=problem.lam,
+        lam=lam,
         u=u.reshape((g.m + 1,) + spatial + (K,)),
         b1_sample=op["b1"].reshape((g.m + 1,) + spatial + (g.d,)),
-        source=op["src"].reshape((g.m + 1,) + spatial + (K,)),
+        source=source.reshape((g.m + 1,) + spatial + (K,)),
         capped_nodes=op["capped"],
     )
 
 
-def solve_phi_system(coeffs: CoefficientSet, grid: GridSpec, lam: float) -> PdeSolution:
+def solve_phi_system(op: dict, lam: float) -> PdeSolution:
     """Solve the d-component corrector system with source -b0 per component.
 
     The corrector phi satisfies, componentwise,
         d_t phi + tr(a D^2 phi) + (b1+b2+b0) . grad phi = lam*phi - b0,
     zero at t = T.  Returned with K = d components.
     """
-    return solve_backward(PdeProblem(grid=grid, coeffs=coeffs, lam=lam, sources="b0"))
+    return solve_backward(op, lam, -op["b0"])
 
 
 # ---------------------------------------------------------------------------
@@ -411,16 +374,18 @@ def lambda_sweep(coeffs: CoefficientSet, grid: GridSpec, lambdas,
     """Solve the scalar equation driven by coeffs.f across a lam grid and
     check the decay envelope of sup |u|.
 
-    Solves run concurrently; results are ordered by the lam grid, so
-    the outcome does not depend on the worker count.
+    The operator is sampled once for every lam.  Solves run
+    concurrently; results are ordered by the lam grid, so the outcome
+    does not depend on the worker count.
     """
     lambdas = sorted(float(l) for l in lambdas)
     if prediction.beta0 <= 0:
         raise ValueError("decay prediction has non-positive exponent")
 
+    op = sample_operator(coeffs, grid)      # inherited by the forked workers
+
     def one(lam):
-        sol = solve_backward(PdeProblem(grid=grid, coeffs=coeffs, lam=lam))
-        return float(np.abs(sol.u).max())
+        return float(np.abs(solve_backward(op, lam, op["f"]).u).max())
 
     from .parallel import run_tasks
     norms = run_tasks(one, [(l,) for l in lambdas])

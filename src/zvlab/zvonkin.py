@@ -26,7 +26,7 @@ import numpy as np
 
 from .coupling import pair_constants
 from .fields import CoefficientSet, GridFunction, GridSpec
-from .pde import PdeSolution, solve_phi_system
+from .pde import PdeSolution, sample_operator, solve_phi_system
 from .sde import SdeModel
 from . import rng as _rng
 
@@ -230,10 +230,11 @@ def build_zvonkin(coeffs: CoefficientSet, grid: GridSpec,
     Raises LambdaSearchError with the full (lam, sup_grad) trace if
     max_steps quadruplings are not enough.
     """
+    op = sample_operator(coeffs, grid)        # every rung marches on it
     trace = []
     lam = LAMBDA_START
     for _ in range(max_steps):
-        sol = solve_phi_system(coeffs, grid, lam)
+        sol = solve_phi_system(op, lam)
         s = interp_lipschitz_sup(sol.u, grid)
         trace.append((lam, s))
         if s < GRAD_TARGET:

@@ -26,7 +26,7 @@ from zvlab.coupling import (CouplingConfig, calibrate_k1, coalescence_report,
                             verify_power_harnack, within)
 from zvlab.fields import CoefficientSet, GridSpec, NormSpec, constant_sigma
 from zvlab.flow import gronwall_bound, solve_flow, solve_inverse_flow
-from zvlab.pde import DecayPrediction, PdeProblem, lambda_sweep, solve_backward
+from zvlab.pde import DecayPrediction, lambda_sweep, sample_operator, solve_backward
 from zvlab.scenarios import get_scenario
 from zvlab.sde import (SdeModel, SimSpec, bump_family_report, integrate,
                        interval_bump, krylov_estimate, original_model,
@@ -135,9 +135,8 @@ def test_c01_pde_oracle_accuracy():
             return -g + (T - t) * (r ** 2 - 2.0) / 8.0 * g
 
         grid = GridSpec(d=1, n=n, m=m, L=8.0, T=T)
-        sol = solve_backward(PdeProblem(grid=grid,
-                                        coeffs=unit_sigma_coeffs(f=f),
-                                        lam=0.0))
+        op = sample_operator(unit_sigma_coeffs(f=f), grid)
+        sol = solve_backward(op, 0.0, op["f"])
         exact = (T - grid.ts)[:, None] * np.exp(-grid.xs[None, :] ** 2 / 4.0)
         return float(np.max(np.abs(sol.u[..., 0] - exact)))
 

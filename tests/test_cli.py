@@ -240,3 +240,18 @@ def test_gamma_below_threshold_is_config_error(capsys):
                            "--gamma", "4", "--fast")
     assert code == 1
     assert "threshold" in err
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (("harnack", "--scenario", "additive-1d"),
+     [f"{kind}-harnack-{f}" for kind in ("power", "log")
+      for f in ("f_shift_sin", "f_bump", "f_level")]),
+    (("krylov", "--scenario", "singular-1d"), ["krylov-bump-max-over-median"]),
+])
+def test_one_path_gives_no_verdict(capsys, argv, rows):
+    # one path has a nan standard error and, for the bump family, a zero
+    # median ratio: nothing stands behind a pass or a fail
+    code, out, _ = run_cli(capsys, *argv, "--fast", "--paths", "1")
+    assert code == 3
+    by_id = {r["check-id"]: r for r in parse_csv(out)}
+    assert [by_id[row]["verdict"] for row in rows] == ["inconclusive"] * len(rows)

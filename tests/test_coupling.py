@@ -504,6 +504,8 @@ def test_decide_is_the_one_verdict_rule():
     assert decide(2.0, 1.0, 0.5, noise=0.2, cap=0.1) == ("inconclusive", 1.5)
     assert decide(0.0, 1.0, 0.5, noise=0.1, cap=0.1) == ("pass", 1.5)
     assert decide(0.0, 1.0, 0.5, noise=99.0) == ("pass", 1.5)
+    # a nan noise (the SE of one sample) is not <= cap: no verdict
+    assert decide(0.0, 1.0, 0.5, noise=math.nan, cap=0.1) == ("inconclusive", 1.5)
     # with no slack the roundoff floor is 64 ulps of the larger operand,
     # times scale
     assert decide(1.0 + 64 * eps, 1.0, 0.0) == ("pass", 1.0 + 64 * eps)

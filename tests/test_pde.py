@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from zvlab import pde
+from zvlab import pde, zvonkin
 from zvlab.fields import CoefficientSet, GridSpec, NormSpec
 from zvlab.pde import (
     DecayPrediction,
-    PdeProblem,
     lambda_sweep,
+    sample_operator,
     solve_backward,
     solve_phi_system,
     verify_apriori,
@@ -23,6 +23,12 @@ def unit_sigma(d=1):
         return np.broadcast_to(eye, x.shape[:-1] + (d, d)).copy()
 
     return sigma
+
+
+def solve_f(coeffs, grid, lam):
+    """The scalar equation driven by coeffs.f."""
+    op = sample_operator(coeffs, grid)
+    return solve_backward(op, lam, op["f"])
 
 
 def gaussian_problem(n, m, L=8.0, T=1.0):
@@ -50,7 +56,7 @@ def gaussian_exact(grid):
 
 def solve_gaussian(n, m):
     grid, coeffs = gaussian_problem(n, m)
-    sol = solve_backward(PdeProblem(grid=grid, coeffs=coeffs, lam=0.0))
+    sol = solve_f(coeffs, grid, 0.0)
     err = np.max(np.abs(sol.u[..., 0] - gaussian_exact(grid)))
     return sol, float(err)
 
@@ -70,7 +76,7 @@ def test_solution_derivatives_match_manufactured_oracle():
     # the derivative fields that feed the L^p-L^q estimate (d_t u, grad u,
     # D^2 u) against the manufactured solution's closed forms, at t = 0.4
     grid, coeffs = gaussian_problem(161, 200, L=6.0)
-    sol = solve_backward(PdeProblem(grid=grid, coeffs=coeffs, lam=0.0))
+    sol = solve_f(coeffs, grid, 0.0)
     k = 80
     t = grid.ts[k]
     inner = np.abs(grid.xs) <= 2.0
@@ -83,7 +89,7 @@ def test_solution_derivatives_match_manufactured_oracle():
     hess_true = (grid.T - t) * g * (x ** 2 / 4.0 - 0.5)
     assert np.abs(sol.hess()[k, inner, 0, 0, 0] - hess_true).max() <= 5e-3
     # with no drift the material derivative is d_t u
-    assert np.array_equal(sol.material_derivative(), sol.du_dt())
+    assert np.array_equal(sol.material_derivative(sol.grad()), sol.du_dt())
 
 
 def test_constant_source_matches_ode_oracle():
@@ -99,7 +105,7 @@ def test_constant_source_matches_ode_oracle():
                             kappa1=0.5, kappa2=0.5)
     grid = GridSpec(d=1, n=161, m=200, L=4.0, T=1.0)
     for lam in (10.0, 1e4):
-        sol = solve_backward(PdeProblem(grid=grid, coeffs=coeffs, lam=lam))
+        sol = solve_f(coeffs, grid, lam)
         sup = float(np.max(np.abs(sol.u)))
         exact = (1.0 - math.exp(-lam * grid.T)) / lam
         assert sup == pytest.approx(exact, rel=0.03)
@@ -121,7 +127,7 @@ def test_discrete_max_principle_with_upwinding(d):
                             kappa1=0.5, kappa2=0.5)
     grid = GridSpec(d=d, n=41, m=100, L=1.0, T=1.0)
     assert 30.0 * grid.h / 0.5 > 2.0  # the switch is actually exercised
-    sol = solve_backward(PdeProblem(grid=grid, coeffs=coeffs, lam=5.0))
+    sol = solve_f(coeffs, grid, 5.0)
     assert sol.u.min() >= -1e-12 * max(1.0, sol.u.max())
     # every x-line rises and falls once: its total variation is twice its
     # peak (central differences here oscillate, about 3 % above that)
@@ -130,23 +136,70 @@ def test_discrete_max_principle_with_upwinding(d):
     assert np.all(tv <= 2.0 * u.max(axis=1) * (1 + 1e-9))
 
 
+def counting(monkeypatch, owner, attr):
+    """Replace owner.attr by a spy; returns its call list."""
+    calls = []
+    orig = getattr(owner, attr)
+
+    def spy(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(owner, attr, spy)
+    return calls
+
+
 @pytest.mark.parametrize("d", [1, 2])
-def test_one_stencil_build_per_slice(monkeypatch, d):
-    # the implicit solve onto slice k and the next explicit half share
-    # slice k's stencil, so a solve builds it once for each of m-1, ..., 0
-    built = []
-    build = pde._stencil
-
-    def spy(op, k, g):
-        built.append(k)
-        return build(op, k, g)
-
-    monkeypatch.setattr(pde, "_stencil", spy)
+def test_one_operator_per_coefficient_set(monkeypatch, d):
+    # every slice's stencil is built once, when the operator is sampled;
+    # solves at any number of lam values only read it
+    built = counting(monkeypatch, pde, "_stencil")
     co = CoefficientSet(sigma=unit_sigma(d), f=lambda t, x: np.ones(x.shape[:-1]),
                         kappa1=0.5, kappa2=0.5)
     grid = GridSpec(d=d, n=11, m=12, L=1.0, T=1.0)
-    solve_backward(PdeProblem(grid=grid, coeffs=co, lam=1.0))
-    assert built == list(range(grid.m - 1, -1, -1))
+    op = sample_operator(co, grid)
+    solve_backward(op, 1.0, op["f"])
+    solve_backward(op, 4.0, op["f"])
+    assert len(built) == 1
+    assert all(s.shape == (grid.m + 1,) + (grid.n - 2,) * d
+               for s in op["stencil"].values())
+
+
+def test_ladder_and_sweep_sample_once(monkeypatch):
+    # the two-rung ladder of the constant-b0 oracle (lam 10, then 40)
+    sampled = counting(monkeypatch, zvonkin, "sample_operator")
+    sig = unit_sigma(1)
+    cs = CoefficientSet(sigma=sig, b0=lambda t, x: np.full_like(x, 1.5),
+                        kappa1=0.5, kappa2=0.5)
+    zm = zvonkin.build_zvonkin(cs, GridSpec(d=1, n=601, m=100, L=6.0, T=1.0))
+    assert len(zm.trace) == 2 and len(sampled) == 1
+    # three lam values, one operator sampled in the parent
+    sampled = counting(monkeypatch, pde, "sample_operator")
+    co = CoefficientSet(sigma=sig, f=lambda t, x: np.ones(x.shape[:-1]),
+                        kappa1=0.5, kappa2=0.5)
+    lambda_sweep(co, GridSpec(d=1, n=41, m=40, L=4.0, T=1.0),
+                 [10.0, 100.0, 1000.0], DecayPrediction(d=1, p=4, q=4))
+    assert len(sampled) == 1
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_shared_operator_is_read_only(d):
+    # solves at two lam values, then the first again, on one operator:
+    # the repeat is bit-identical and no array of the operator changes
+    def b0(t, x):
+        return 0.4 * np.sin(2 * np.asarray(x, dtype=float))
+
+    co = CoefficientSet(sigma=unit_sigma(d), b0=b0, kappa1=0.5, kappa2=0.5)
+    op = sample_operator(co, GridSpec(d=d, n=21, m=20, L=2.0, T=1.0))
+    keep = {k: v.copy() for k, v in op.items() if isinstance(v, np.ndarray)}
+    keep.update({o: s.copy() for o, s in op["stencil"].items()})
+    first = solve_phi_system(op, 10.0).u
+    other = solve_phi_system(op, 40.0).u
+    again = solve_phi_system(op, 10.0).u
+    assert np.array_equal(first, again) and not np.array_equal(first, other)
+    for k, v in keep.items():
+        now = op["stencil"][k] if isinstance(k, tuple) else op[k]
+        assert np.array_equal(now, v), k
 
 
 def test_solution_linear_in_source():
@@ -163,7 +216,7 @@ def test_solution_linear_in_source():
 
     def solve_with(fev):
         co = CoefficientSet(sigma=unit_sigma(1), f=fev, kappa1=0.5, kappa2=0.5)
-        return solve_backward(PdeProblem(grid=grid, coeffs=co, lam=3.0)).u
+        return solve_f(co, grid, 3.0).u
 
     u1, u2, u12 = solve_with(f1), solve_with(f2), solve_with(f12)
     scale = np.max(np.abs(u12))
@@ -183,8 +236,8 @@ def test_phi_system_scales_linearly_without_gradient_coupling():
 
     co1 = CoefficientSet(sigma=unit_sigma(1), b0=b0, kappa1=0.5, kappa2=0.5)
     co2 = CoefficientSet(sigma=unit_sigma(1), b0=b0_double, kappa1=0.5, kappa2=0.5)
-    q1 = solve_phi_system(co1, grid, lam=20.0)
-    q2 = solve_phi_system(co2, grid, lam=20.0)
+    q1 = solve_phi_system(sample_operator(co1, grid), 20.0)
+    q2 = solve_phi_system(sample_operator(co2, grid), 20.0)
     assert np.max(np.abs(q2.u - 2 * q1.u)) > 1e-7 * np.max(np.abs(q2.u))
 
 
@@ -202,9 +255,7 @@ def test_apriori_ratio_stable_under_refinement():
         grid = GridSpec(d=1, n=n, m=m, L=4.0, T=1.0)
         co = CoefficientSet(sigma=unit_sigma(1), b1=b1, f=f,
                             kappa1=0.5, kappa2=0.5)
-        prob = PdeProblem(grid=grid, coeffs=co, lam=10.0)
-        sol = solve_backward(prob)
-        rep = verify_apriori(sol, ns)
+        rep = verify_apriori(solve_f(co, grid, 10.0), ns)
         assert rep["ratio"] > 0
         ratios.append(rep["ratio"])
     assert abs(ratios[1] - ratios[0]) / ratios[0] <= 0.25
@@ -238,21 +289,12 @@ def test_manufactured_gaussian_2d():
 
     co = CoefficientSet(sigma=unit_sigma(2), f=f, kappa1=0.5, kappa2=0.5)
     grid = GridSpec(d=2, n=41, m=40, L=6.0, T=T)
-    sol = solve_backward(PdeProblem(grid=grid, coeffs=co, lam=0.0))
+    sol = solve_f(co, grid, 0.0)
     xs = grid.xs
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     exact = (T - grid.ts)[:, None, None] * np.exp(-(X ** 2 + Y ** 2) / 4.0)
     err = np.max(np.abs(sol.u[..., 0] - exact))
     assert err <= 5e-3
-
-
-def test_boundary_shell_diagnostic():
-    grid, coeffs = gaussian_problem(81, 20)
-    sol = solve_backward(PdeProblem(grid=grid, coeffs=coeffs, lam=0.0))
-    assert sol.boundary_shell_fraction() < 1e-3
-    # a flat profile has about 10% of its mass in the shell
-    sol.u = np.ones_like(sol.u)
-    assert sol.boundary_shell_fraction() > 0.05
 
 
 def test_decay_prediction_validates_exponents():

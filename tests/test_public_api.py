@@ -55,3 +55,18 @@ def test_no_stage_takes_a_default():
         defaulted = [p.name for p in inspect.signature(fn).parameters.values()
                      if p.default is not inspect.Parameter.empty]
         assert not defaulted, f"{fn.__name__} defaults {defaulted}"
+
+
+def test_trace_patches_resolve(monkeypatch):
+    # perfbench/spans.py wraps zvlab functions by name for
+    # `perfbench/run.py --trace 1`; building the wrappers (without
+    # installing them) fails on a name that a rename took away
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import spans
+
+    patches = spans._patches(spans.Recorder("guard"))
+    for owner, attr, _ in patches:
+        assert callable(getattr(owner, attr)), f"{owner.__name__}.{attr}"
+    patched = {(owner.__name__, attr) for owner, attr, _ in patches}
+    for module in ("zvlab.pde", "zvlab.zvonkin", "zvlab.cli"):
+        assert (module, "solve_phi_system") in patched
