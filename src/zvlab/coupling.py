@@ -604,7 +604,9 @@ def verify_power_harnack(res: CouplingResult, fs) -> dict:
         rel_lhs = g * base_se / base
         fxg = fX ** g
         rhs_mean = float(fxg.mean())
-        rel_rhs = float(fxg.std(ddof=1)) / math.sqrt(fxg.size) / rhs_mean
+        # one sample has no SE: nan, which decide reads as inconclusive
+        rel_rhs = (float(fxg.std(ddof=1)) / math.sqrt(fxg.size) / rhs_mean
+                   if fxg.size > 1 else math.nan)
         rhs = rhs_mean * math.exp(expo["corrected"])
         combined = math.hypot(rel_lhs, rel_rhs)
         # lhs = base**g carries g times the relative rounding of base
@@ -630,7 +632,8 @@ def verify_log_harnack(res: CouplingResult, fs, kappa1: float,
         label, fY, fX = _positive_values(i, f, res)
         lhs, lhs_se = _exp_stats(logR, np.log(fY))
         mx = float(fX.mean())
-        mx_se = float(fX.std(ddof=1)) / math.sqrt(fX.size)
+        mx_se = (float(fX.std(ddof=1)) / math.sqrt(fX.size) if fX.size > 1
+                 else math.nan)
         rhs = math.log(mx) + quad
         # both terms are absolute uncertainties in log units; lhs itself may
         # sit near zero, so a relative cap would be meaningless

@@ -120,6 +120,12 @@ class NormSpec:
     def beta(self) -> float:
         return self.d / self.p + 2.0 / self.q
 
+    @property
+    def decay_exponent(self) -> float:
+        """(2 - beta) / 2, the predicted decay rate in lam of the sup norm of
+        the solution driven by a source of this integrability."""
+        return 0.5 * (2.0 - 2.0 / self.q - self.d / self.p)
+
     def classify(self) -> dict:
         b = self.beta
         return {
@@ -134,37 +140,26 @@ class NormSpec:
 # grid functions
 
 
-_COMP_DIMS = {"scalar": 0, "vector": 1}
-
-
-def _expected_shape(grid: GridSpec, kind: str) -> tuple:
-    spatial = (grid.n,) * grid.d
-    comp = (grid.d,) * _COMP_DIMS[kind]
-    return (grid.m + 1,) + spatial + comp
-
-
 @dataclass
 class GridFunction:
     """Field sampled on the space-time grid.
 
-    values shape: (m+1, n[, n][, d]) for the scalar and vector kinds.
-    Evaluation off the grid is multilinear in space and linear in time;
-    queries outside the box are clamped to the boundary.  eval keeps no
-    count of them, so pool tasks can share one instance; interp_space
-    returns the count to callers that need it.
+    values shape: (m+1, n[, n], *components).  Evaluation off the grid is
+    multilinear in space and linear in time; queries outside the box are
+    clamped to the boundary.  eval keeps no count of them, so pool tasks
+    can share one instance; interp_space returns the count to callers
+    that need it.
     """
 
     grid: GridSpec
     values: np.ndarray
-    kind: str = "scalar"
 
     def __post_init__(self):
-        if self.kind not in _COMP_DIMS:
-            raise ValueError(f"unknown kind {self.kind!r}")
         self.values = np.asarray(self.values, dtype=float)
-        exp = _expected_shape(self.grid, self.kind)
-        if self.values.shape != exp:
-            raise ValueError(f"values shape {self.values.shape}, expected {exp}")
+        lead = (self.grid.m + 1,) + (self.grid.n,) * self.grid.d
+        if self.values.shape[:len(lead)] != lead:
+            raise ValueError(f"values shape {self.values.shape}, expected {lead} "
+                             "then the component axes")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid function contains non-finite values")
 
@@ -224,25 +219,25 @@ def interp_space(grid: GridSpec, slice_vals: np.ndarray, x: np.ndarray):
 # sampling evaluators onto grids, with the singular-node cap
 
 
-def sample_field(ev: Evaluator, grid: GridSpec, kind: str = "scalar",
-                 cap_singular: bool = False):
+def sample_field(ev: Evaluator, grid: GridSpec, cap_singular: bool = False):
     """Sample an evaluator on every (t_k, node).
 
+    The component shape is what the evaluator returns past the node axis.
     With cap_singular=True, nodes where the evaluator returns a
     non-finite value (a point singularity sitting on a node) are
     replaced by the componentwise mean of their finite axis neighbours
     one mesh-width away, magnitude-capped at the largest neighbour
-    magnitude.  Returns (GridFunction, capped_node_count).
+    magnitude.  Returns (values (m+1, n[, n], *components),
+    capped_node_count).
     """
     nodes = grid.nodes()
     spatial = (grid.n,) * grid.d
-    comp = (grid.d,) * _COMP_DIMS[kind]
-    out = np.empty((grid.m + 1,) + spatial + comp)
+    slices = []
     capped = 0
     offsets = grid.h * np.eye(grid.d)
-    for k, t in enumerate(grid.ts):
+    for t in grid.ts:
         vals = np.asarray(ev(float(t), nodes), dtype=float)
-        vals = vals.reshape((nodes.shape[0],) + comp)
+        comp = vals.shape[1:]
         bad = ~np.isfinite(vals).reshape(nodes.shape[0], -1).all(axis=1)
         if cap_singular and bad.any():
             idx = np.nonzero(bad)[0]
@@ -267,8 +262,8 @@ def sample_field(ev: Evaluator, grid: GridSpec, kind: str = "scalar",
         elif bad.any():
             raise ValueError("non-finite field values (pass cap_singular=True for "
                              "fields with a node singularity)")
-        out[k] = vals.reshape(spatial + comp)
-    return GridFunction(grid, out, kind), capped
+        slices.append(vals.reshape(spatial + comp))
+    return np.stack(slices), capped
 
 
 # ---------------------------------------------------------------------------

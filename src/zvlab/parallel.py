@@ -36,6 +36,9 @@ def n_workers() -> int:
         if k < 1:
             raise SystemExit("ZVLAB_THREADS must be >= 1")
         return k
+    # the CPUs this process may run on, where the platform reports them
+    if hasattr(os, "sched_getaffinity"):
+        return min(8, len(os.sched_getaffinity(0)))
     return min(8, os.cpu_count() or 1)
 
 

@@ -48,83 +48,6 @@ STARTUP_STEPS = 4
 PECLET_SWITCH = 2.0
 
 
-@dataclass
-class PdeSolution:
-    """Solved field plus its derived derivative fields and diagnostics."""
-
-    grid: GridSpec
-    lam: float
-    u: np.ndarray                    # (m+1, *spatial, K)
-    b1_sample: np.ndarray            # (m+1, *spatial, d)
-    source: np.ndarray               # (m+1, *spatial, K), the sampled source
-    capped_nodes: int = 0
-
-    def grad(self) -> np.ndarray:
-        """(m+1, *spatial, K, d), central differences, one-sided at walls."""
-        h = self.grid.h
-        return np.stack([np.gradient(self.u, h, axis=1 + ax)
-                         for ax in range(self.grid.d)], axis=-1)
-
-    def hess(self) -> np.ndarray:
-        """(m+1, *spatial, K, d, d); pure second differences on axes,
-        composed central differences for the mixed entry."""
-        g = self.grid
-        h2 = g.h ** 2
-        d = g.d
-        out = np.zeros(self.u.shape + (d, d))
-
-        def second_diff(arr, axis):
-            res = np.empty_like(arr)
-            sl = [slice(None)] * arr.ndim
-            lo = [slice(None)] * arr.ndim
-            hi = [slice(None)] * arr.ndim
-            sl[axis] = slice(1, -1)
-            lo[axis] = slice(0, -2)
-            hi[axis] = slice(2, None)
-            res[tuple(sl)] = (arr[tuple(hi)] - 2 * arr[tuple(sl)] + arr[tuple(lo)]) / h2
-            first = [slice(None)] * arr.ndim
-            first[axis] = 0
-            second = [slice(None)] * arr.ndim
-            second[axis] = 1
-            res[tuple(first)] = res[tuple(second)]
-            first[axis] = -1
-            second[axis] = -2
-            res[tuple(first)] = res[tuple(second)]
-            return res
-
-        for ax in range(d):
-            out[..., ax, ax] = second_diff(self.u, 1 + ax)
-        if d == 2:
-            mixed = np.gradient(np.gradient(self.u, g.h, axis=1), g.h, axis=2)
-            out[..., 0, 1] = mixed
-            out[..., 1, 0] = mixed
-        return out
-
-    def du_dt(self) -> np.ndarray:
-        return np.gradient(self.u, self.grid.dt, axis=0)
-
-    def material_derivative(self, grad: np.ndarray) -> np.ndarray:
-        """(d_t + b1 . grad) u, the derivative along the Lipschitz stream,
-        from grad = self.grad()."""
-        return self.du_dt() + np.einsum("...d,...kd->...k", self.b1_sample, grad)
-
-    def norm_report(self, ns: NormSpec) -> dict:
-        g = self.grid
-        grad = self.grad()
-        lam_eff = max(self.lam, LAMBDA_FLOOR)
-        rep = {
-            "u": lp_lq_norm(self.u, g, ns),
-            "grad": lp_lq_norm(grad, g, ns),
-            "hess": lp_lq_norm(self.hess(), g, ns),
-            "material": lp_lq_norm(self.material_derivative(grad), g, ns),
-            "source": lp_lq_norm(self.source, g, ns),
-            "lam_eff": lam_eff,
-        }
-        rep["sobolev"] = rep["u"] + rep["grad"] + rep["hess"]
-        rep["lhs"] = lam_eff * rep["u"] + rep["material"] + rep["sobolev"]
-        return rep
-
-
 # ---------------------------------------------------------------------------
 # operator sampling
 
@@ -140,23 +63,19 @@ def sample_operator(coeffs: CoefficientSet, grid: GridSpec) -> dict:
     """
     g = grid
     N = g.n ** g.d
-    nodes = g.nodes()
-    a = np.empty((g.m + 1, N, g.d, g.d))
-    for k, t in enumerate(g.ts):
-        a[k] = coeffs.a(float(t), nodes)
 
-    def sample(ev, kind, cap_singular):
-        shape = (g.m + 1, N) + ((g.d,) if kind == "vector" else ())
+    def sample(ev, comp, cap_singular):
         if ev is None:
-            return np.zeros(shape), 0
-        gf, capped = sample_field(ev, g, kind=kind, cap_singular=cap_singular)
-        return gf.values.reshape(shape), capped
+            return np.zeros((g.m + 1, N) + comp), 0
+        vals, capped = sample_field(ev, g, cap_singular)
+        return vals.reshape((g.m + 1, N) + comp), capped
 
-    b1, _ = sample(coeffs.b1, "vector", False)
-    b2, _ = sample(coeffs.b2, "vector", False)
-    b0, capped = sample(coeffs.b0, "vector", True)
-    c, _ = sample(coeffs.c, "scalar", False)
-    f, _ = sample(coeffs.f, "scalar", False)
+    a, _ = sample(coeffs.a, (g.d, g.d), False)
+    b1, _ = sample(coeffs.b1, (g.d,), False)
+    b2, _ = sample(coeffs.b2, (g.d,), False)
+    b0, capped = sample(coeffs.b0, (g.d,), True)
+    c, _ = sample(coeffs.c, (), False)
+    f, _ = sample(coeffs.f, (), False)
     return {"grid": g, "stencil": _stencil(a, b1 + b2 + b0, c, g),
             "b1": b1, "b0": b0, "f": f[..., None], "capped": capped}
 
@@ -278,12 +197,12 @@ def _solve_bicgstab(st: dict, lam: float, gamma: float, rhs: np.ndarray,
 # the march
 
 
-def solve_backward(op: dict, lam: float, source: np.ndarray) -> PdeSolution:
+def solve_backward(op: dict, lam: float, source: np.ndarray) -> np.ndarray:
     """March the theta-scheme for d_t u + L u = lam u + source on the
     operator op (`sample_operator`) from the zero terminal slice down to
     t = 0; source is (m+1, n^d, K).  op is only read.  The first step is
     implicit Euler (STARTUP_STEPS >= 1), so every explicit half has the
-    previous step's stencil."""
+    previous step's stencil.  Returns u, (m+1, n[, n], K)."""
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
     g = op["grid"]
@@ -308,18 +227,10 @@ def solve_backward(op: dict, lam: float, source: np.ndarray) -> PdeSolution:
         else:
             v = _solve_bicgstab(st, lam, gamma, rhs, v, g.n)
         u[k_new] = v
-    spatial = (g.n,) * g.d
-    return PdeSolution(
-        grid=g,
-        lam=lam,
-        u=u.reshape((g.m + 1,) + spatial + (K,)),
-        b1_sample=op["b1"].reshape((g.m + 1,) + spatial + (g.d,)),
-        source=source.reshape((g.m + 1,) + spatial + (K,)),
-        capped_nodes=op["capped"],
-    )
+    return u.reshape((g.m + 1,) + (g.n,) * g.d + (K,))
 
 
-def solve_phi_system(op: dict, lam: float) -> PdeSolution:
+def solve_phi_system(op: dict, lam: float) -> np.ndarray:
     """Solve the d-component corrector system with source -b0 per component.
 
     The corrector phi satisfies, componentwise,
@@ -330,28 +241,60 @@ def solve_phi_system(op: dict, lam: float) -> PdeSolution:
 
 
 # ---------------------------------------------------------------------------
-# decay prediction and the lambda sweep
+# derivative fields, the a priori estimate and the lambda sweep
 
 
-@dataclass(frozen=True)
-class DecayPrediction:
-    """Predicted decay rate of the solution's sup norm as lam grows.
+def _second_diff(u: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Pure second difference of u along axis; each wall copies its inner
+    neighbour."""
+    v = np.moveaxis(u, axis, 0)
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / h ** 2
+    out[0], out[-1] = out[1], out[-2]
+    return np.moveaxis(out, 0, axis)
 
-    For a source of integrability (p, q) the predicted exponent is
 
-        beta0 = (2 - 2/q - d/p) / 2,
+def derivative_fields(op: dict, u: np.ndarray) -> tuple:
+    """(d_t u, grad u, D^2 u, (d_t + b1 . grad) u) of a solve's u
+    (m+1, n[, n], K) on op's grid, the last being the derivative along the
+    Lipschitz stream.  grad (..., K, d) is central, one-sided at the walls;
+    D^2 (..., K, d, d) has pure second differences on the axes and composed
+    central differences for the mixed entry."""
+    g = op["grid"]
+    grad = np.stack([np.gradient(u, g.h, axis=1 + ax) for ax in range(g.d)], axis=-1)
+    hess = np.zeros(u.shape + (g.d, g.d))
+    for ax in range(g.d):
+        hess[..., ax, ax] = _second_diff(u, 1 + ax, g.h)
+    if g.d == 2:
+        hess[..., 0, 1] = hess[..., 1, 0] = np.gradient(
+            np.gradient(u, g.h, axis=1), g.h, axis=2)
+    du_dt = np.gradient(u, g.dt, axis=0)
+    b1 = op["b1"].reshape(u.shape[:-1] + (g.d,))
+    return du_dt, grad, hess, du_dt + np.einsum("...d,...kd->...k", b1, grad)
 
-    and the sweep passes when the measured norms sit below
-    C_hat * lam^(-beta0 + 0.2) with C_hat pinned at the smallest lam.
+
+def verify_apriori(op: dict, lam: float, u: np.ndarray, source: np.ndarray,
+                   ns: NormSpec) -> dict:
+    """Left/right sides of the maximal-regularity estimate on this grid,
+    for u = solve_backward(op, lam, source).
+
+    lhs = lam_eff ||u|| + ||(d_t + b1.grad) u|| + (||u|| + ||grad u|| + ||D2 u||),
+    rhs = ||source|| (f, or b0 for the phi system), all in the mixed norm
+    of ns, with lam_eff = max(lam, LAMBDA_FLOOR); the ratio should be
+    stable (within 25%) under grid refinement, which is how the shape of
+    the estimate is checked numerically without knowing its constant.
     """
-
-    d: int
-    p: float
-    q: float
-
-    @property
-    def beta0(self) -> float:
-        return 0.5 * (2.0 - 2.0 / self.q - self.d / self.p)
+    g = op["grid"]
+    _, grad, hess, material = derivative_fields(op, u)
+    rep = {"u": lp_lq_norm(u, g, ns), "grad": lp_lq_norm(grad, g, ns),
+           "hess": lp_lq_norm(hess, g, ns), "material": lp_lq_norm(material, g, ns),
+           "source": lp_lq_norm(source.reshape(u.shape), g, ns),
+           "lam_eff": max(lam, LAMBDA_FLOOR)}
+    rep["sobolev"] = rep["u"] + rep["grad"] + rep["hess"]
+    rep["lhs"] = rep["lam_eff"] * rep["u"] + rep["material"] + rep["sobolev"]
+    rep["f_norm"] = rep["source"]
+    rep["ratio"] = rep["lhs"] / rep["f_norm"] if rep["f_norm"] > 0 else math.inf
+    return rep
 
 
 @dataclass
@@ -360,7 +303,6 @@ class SweepResult:
     norms: list
     slope: float
     c_hat: float
-    prediction: DecayPrediction
     non_increasing: bool
     envelope_ok: bool
 
@@ -370,22 +312,25 @@ class SweepResult:
 
 
 def lambda_sweep(coeffs: CoefficientSet, grid: GridSpec, lambdas,
-                 prediction: DecayPrediction) -> SweepResult:
+                 ns: NormSpec) -> SweepResult:
     """Solve the scalar equation driven by coeffs.f across a lam grid and
     check the decay envelope of sup |u|.
 
-    The operator is sampled once for every lam.  Solves run
-    concurrently; results are ordered by the lam grid, so the outcome
-    does not depend on the worker count.
+    For a source of integrability ns = (p, q) the predicted decay exponent
+    is ns.decay_exponent, and the sweep passes when the norms do not
+    increase and sit below C_hat * lam^(-decay_exponent + 0.2) with C_hat
+    pinned at the smallest lam.  The operator is sampled once for every
+    lam.  Solves run concurrently; results are ordered by the lam grid, so
+    the outcome does not depend on the worker count.
     """
     lambdas = sorted(float(l) for l in lambdas)
-    if prediction.beta0 <= 0:
+    if ns.decay_exponent <= 0:
         raise ValueError("decay prediction has non-positive exponent")
 
     op = sample_operator(coeffs, grid)      # inherited by the forked workers
 
     def one(lam):
-        return float(np.abs(solve_backward(op, lam, op["f"]).u).max())
+        return float(np.abs(solve_backward(op, lam, op["f"])).max())
 
     from .parallel import run_tasks
     norms = run_tasks(one, [(l,) for l in lambdas])
@@ -393,27 +338,12 @@ def lambda_sweep(coeffs: CoefficientSet, grid: GridSpec, lambdas,
     logs = np.log(np.maximum(norms, 1e-300))
     ll = np.log(lambdas)
     slope = float(np.polyfit(ll, logs, 1)[0]) if len(lambdas) > 1 else 0.0
-    expo = -prediction.beta0 + 0.2
+    expo = -ns.decay_exponent + 0.2
     c_hat = norms[0] / lambdas[0] ** expo
     envelope_ok = all(nv <= c_hat * lam ** expo * (1 + 1e-9)
                       for nv, lam in zip(norms, lambdas))
     non_increasing = all(norms[i + 1] <= norms[i] * (1 + 1e-12)
                          for i in range(len(norms) - 1))
     return SweepResult(lambdas=list(lambdas), norms=list(map(float, norms)),
-                       slope=slope, c_hat=float(c_hat), prediction=prediction,
+                       slope=slope, c_hat=float(c_hat),
                        non_increasing=non_increasing, envelope_ok=envelope_ok)
-
-
-def verify_apriori(sol: PdeSolution, ns: NormSpec) -> dict:
-    """Left/right sides of the maximal-regularity estimate on this grid.
-
-    lhs = lam_eff ||u|| + ||(d_t + b1.grad) u|| + (||u|| + ||grad u|| + ||D2 u||),
-    rhs = ||source|| (f, or b0 for the phi system), all in the mixed norm
-    of ns; the ratio should be stable (within 25%) under grid
-    refinement, which is how the shape of the estimate is checked
-    numerically without knowing its constant.
-    """
-    rep = sol.norm_report(ns)
-    f_norm = rep["source"]           # sampled once, by the solve
-    ratio = rep["lhs"] / f_norm if f_norm > 0 else math.inf
-    return {"lhs": rep["lhs"], "f_norm": f_norm, "ratio": ratio, **rep}

@@ -3,9 +3,9 @@
 Paths are advanced block-by-block (see rng) so any run is bit-identical
 for a fixed (seed, config) regardless of worker count: every block's
 partial statistic is a pure function of its inputs and partials are
-combined in fixed order.  Paths that leave the doubled box are frozen at
-their exit value, flagged, and excluded from estimators with the count
-reported.  A statistic of the plain ensemble is a BlockStat, a per-block
+combined in fixed order.  Paths that leave the doubled box, or turn
+non-finite, are frozen at their exit value, flagged, and excluded from
+estimators with the count reported.  A statistic of the plain ensemble is a BlockStat, a per-block
 partial and a finish step, so that run_stats can feed several statistics
 from one pass over the paths.
 
@@ -94,7 +94,8 @@ def _advance_block(models, x0s, spec, block_index, width):
             b, s = model.step_eval(t, X[i], None)
             step = X[i] + b * spec.h + np.einsum("...ij,...j->...i", s, dW[:, k])
             X[i] = np.where(al[:, None], step, X[i])
-            al[np.abs(X[i]).max(axis=-1) > limit] = False
+            # a non-finite row fails the test and is frozen as escaped
+            al[~(np.abs(X[i]).max(axis=-1) <= limit)] = False
             paths[i][:, k + 1] = X[i]
     return {"X": paths, "dW": dW, "alive": alive, "width": width}
 
@@ -362,10 +363,12 @@ def bump_family_stat(spec: SimSpec, ns: NormSpec, widths) -> BlockStat:
         norms = np.array([norm_fn(ns, 0.0, spec.T) for _, norm_fn in pairs])
         ratios = means / norms
         med = float(np.median(ratios))
+        with np.errstate(divide="ignore", invalid="ignore"):   # med = 0 is possible
+            max_over_median = float(ratios.max() / med)
         return {"widths": widths, "estimates": means.tolist(), "se": ses.tolist(),
                 "norms": norms.tolist(), "ratios": ratios.tolist(),
                 "median_ratio": med, "max_ratio": float(ratios.max()),
-                "max_over_median": float(ratios.max() / med),
+                "max_over_median": max_over_median,
                 "n_used": n_ok, "passed": bool(ratios.max() <= 3.0 * med)}
 
     return BlockStat(block, finish)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .coupling import pair_constants
 from .fields import CoefficientSet, GridFunction, GridSpec
-from .pde import PdeSolution, sample_operator, solve_phi_system
+from .pde import sample_operator, solve_phi_system
 from .sde import SdeModel
 from . import rng as _rng
 
@@ -97,7 +97,6 @@ class ZvonkinMap:
     phi: GridFunction                   # vector field, (m+1, n[, n], d)
     grad_sup: float
     trace: list
-    solution: PdeSolution
 
     # -- point evaluation ---------------------------------------------------
 
@@ -234,13 +233,12 @@ def build_zvonkin(coeffs: CoefficientSet, grid: GridSpec,
     trace = []
     lam = LAMBDA_START
     for _ in range(max_steps):
-        sol = solve_phi_system(op, lam)
-        s = interp_lipschitz_sup(sol.u, grid)
+        phi = solve_phi_system(op, lam)             # (m+1, n[, n], d)
+        s = interp_lipschitz_sup(phi, grid)
         trace.append((lam, s))
         if s < GRAD_TARGET:
-            phi = GridFunction(grid, sol.u, "vector")     # (m+1, n[, n], d)
-            return ZvonkinMap(grid=grid, coeffs=coeffs, lam=lam, phi=phi,
-                              grad_sup=s, trace=trace, solution=sol)
+            return ZvonkinMap(grid=grid, coeffs=coeffs, lam=lam,
+                              phi=GridFunction(grid, phi), grad_sup=s, trace=trace)
         lam *= LAMBDA_FACTOR
     raise LambdaSearchError(trace)
 

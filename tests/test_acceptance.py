@@ -26,7 +26,7 @@ from zvlab.coupling import (CouplingConfig, calibrate_k1, coalescence_report,
                             verify_power_harnack, within)
 from zvlab.fields import CoefficientSet, GridSpec, NormSpec, constant_sigma
 from zvlab.flow import gronwall_bound, solve_flow, solve_inverse_flow
-from zvlab.pde import DecayPrediction, lambda_sweep, sample_operator, solve_backward
+from zvlab.pde import lambda_sweep, sample_operator, solve_backward
 from zvlab.scenarios import get_scenario
 from zvlab.sde import (SdeModel, SimSpec, bump_family_report, integrate,
                        interval_bump, krylov_estimate, original_model,
@@ -136,9 +136,9 @@ def test_c01_pde_oracle_accuracy():
 
         grid = GridSpec(d=1, n=n, m=m, L=8.0, T=T)
         op = sample_operator(unit_sigma_coeffs(f=f), grid)
-        sol = solve_backward(op, 0.0, op["f"])
+        u = solve_backward(op, 0.0, op["f"])
         exact = (T - grid.ts)[:, None] * np.exp(-grid.xs[None, :] ** 2 / 4.0)
-        return float(np.max(np.abs(sol.u[..., 0] - exact)))
+        return float(np.max(np.abs(u[..., 0] - exact)))
 
     with criterion(1, "pde-oracle", 10.0) as info:
         err = make(161, 200)
@@ -152,7 +152,7 @@ def test_c01_pde_oracle_accuracy():
 def test_c02_lambda_decay():
     sc = get_scenario("ou-lipschitz")
     lambdas = [10.0, 100.0, 1000.0, 10000.0]
-    pred = DecayPrediction(d=1, p=4, q=4)
+    ns = NormSpec(p=4, q=4, d=1)
 
     def f_bounded(t, x):
         return np.exp(-np.asarray(x)[..., 0] ** 2)
@@ -162,16 +162,16 @@ def test_c02_lambda_decay():
 
     with criterion(2, "lambda-decay", 60.0) as info:
         co = replace(sc.coeffs, f=f_bounded)
-        res = lambda_sweep(co, sc.grid, lambdas, pred)
+        res = lambda_sweep(co, sc.grid, lambdas, ns)
         assert res.non_increasing
         assert res.envelope_ok
         co_c = replace(sc.coeffs, f=f_const)
-        ctrl = lambda_sweep(co_c, sc.grid, lambdas, pred)
+        ctrl = lambda_sweep(co_c, sc.grid, lambdas, ns)
         assert ctrl.slope <= -0.9
         for lam, nv in zip(ctrl.lambdas, ctrl.norms):
             exact = (1.0 - math.exp(-lam * sc.grid.T)) / lam
             assert nv == pytest.approx(exact, rel=0.03)
-        info["envelope_exponent"] = f"{-pred.beta0 + 0.2:.3f}"
+        info["envelope_exponent"] = f"{-ns.decay_exponent + 0.2:.3f}"
         info["control_slope"] = f"{ctrl.slope:.3f}"
 
 

@@ -248,9 +248,11 @@ def test_gamma_below_threshold_is_config_error(capsys):
       for f in ("f_shift_sin", "f_bump", "f_level")]),
     (("krylov", "--scenario", "singular-1d"), ["krylov-bump-max-over-median"]),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_one_path_gives_no_verdict(capsys, argv, rows):
     # one path has a nan standard error and, for the bump family, a zero
-    # median ratio: nothing stands behind a pass or a fail
+    # median ratio: nothing stands behind a pass or a fail, and the run
+    # says so without a numpy warning (any RuntimeWarning fails the test)
     code, out, _ = run_cli(capsys, *argv, "--fast", "--paths", "1")
     assert code == 3
     by_id = {r["check-id"]: r for r in parse_csv(out)}

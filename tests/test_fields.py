@@ -135,13 +135,14 @@ def test_sample_capped_odd_singularity():
             out = np.where(np.abs(r) <= 1.0, out, 0.0)
         return out[..., None]
 
-    gf, capped = sample_field(b0, grid, kind="vector", cap_singular=True)
+    vals, capped = sample_field(b0, grid, cap_singular=True)
     assert capped == grid.m + 1  # origin node on every slice
+    assert vals.shape == (grid.m + 1, grid.n, 1)
     i0 = grid.n // 2
     cap_mag = 0.5 * grid.h ** (-0.2)
-    assert np.all(np.abs(gf.values[:, i0, 0]) <= cap_mag + 1e-12)
+    assert np.all(np.abs(vals[:, i0, 0]) <= cap_mag + 1e-12)
     # odd neighbours average to zero at the origin
-    assert np.max(np.abs(gf.values[:, i0, 0])) < 1e-12
+    assert np.max(np.abs(vals[:, i0, 0])) < 1e-12
 
 
 def test_sample_uncapped_rejects_nonfinite():
@@ -153,7 +154,24 @@ def test_sample_uncapped_rejects_nonfinite():
             return 1.0 / x
 
     with pytest.raises(ValueError):
-        sample_field(bad, grid, kind="scalar", cap_singular=False)
+        sample_field(bad, grid, cap_singular=False)
+
+
+def test_sample_infers_matrix_components():
+    # the component shape is what the evaluator returns past the node axis
+    grid = GridSpec(d=2, n=5, m=3, L=1.0, T=1.0)
+
+    def ev(t, x):
+        x = np.asarray(x)
+        return np.stack([np.stack([x[..., 0] + t, x[..., 1]], -1),
+                         np.stack([-x[..., 1], 2.0 * x[..., 0]], -1)], -2)
+
+    vals, capped = sample_field(ev, grid)
+    assert capped == 0
+    assert vals.shape == (grid.m + 1, grid.n, grid.n, 2, 2)
+    k, i, j = 2, 1, 4
+    x = np.array([[grid.xs[i], grid.xs[j]]])
+    assert np.array_equal(vals[k, i, j], ev(grid.ts[k], x)[0])
 
 
 # ---------------------------------------------------------------------------

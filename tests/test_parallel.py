@@ -96,6 +96,14 @@ def test_one_task_or_one_worker_runs_in_process(monkeypatch):
     assert pids(run_tasks(block_like, [(i, 3) for i in range(3)])) == {os.getpid()}
 
 
+def test_default_worker_count_follows_cpu_affinity(monkeypatch):
+    # a process pinned to one CPU of a larger machine gets one worker
+    monkeypatch.delenv("ZVLAB_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert parallel.n_workers() == 1
+
+
 def test_cli_import_leaves_the_pool_modules_unloaded():
     # they cost about 15 ms at import; run_tasks loads them when it forks
     probe = ("import sys, zvlab.cli; print(sorted(m for m in "
@@ -146,10 +154,16 @@ def test_fork_does_not_warn_on_newer_pythons(name):
         pytest.skip(f"no working {name}")
     env = dict(os.environ, ZVLAB_THREADS="2")
     env.pop("PYTHONPATH", None)
-    done = subprocess.run(
-        [exe, "-W", "always::DeprecationWarning", "-c", FORK_CHECK,
-         str(SRC / "zvlab" / "parallel.py")],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "ok"
-    assert "Warning" not in done.stderr, done.stderr
+    try:
+        done = subprocess.run(
+            [exe, "-W", "always::DeprecationWarning", "-c", FORK_CHECK,
+             str(SRC / "zvlab" / "parallel.py")],
+            env=env, capture_output=True, text=True, timeout=120)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{name} running the fork check timed out after 120 s")
+    # the cause first, so that a truncated tail of the message still names it
+    why = (f"exit code {done.returncode}; last 20 lines of stderr:\n"
+           + "\n".join(done.stderr.splitlines()[-20:]))
+    assert done.returncode == 0, why
+    assert done.stdout.strip() == "ok", f"{why}\nstdout: {done.stdout!r}"
+    assert "Warning" not in done.stderr, why

@@ -6,7 +6,7 @@ import pytest
 from zvlab import pde, zvonkin
 from zvlab.fields import CoefficientSet, GridSpec, NormSpec
 from zvlab.pde import (
-    DecayPrediction,
+    derivative_fields,
     lambda_sweep,
     sample_operator,
     solve_backward,
@@ -56,9 +56,9 @@ def gaussian_exact(grid):
 
 def solve_gaussian(n, m):
     grid, coeffs = gaussian_problem(n, m)
-    sol = solve_f(coeffs, grid, 0.0)
-    err = np.max(np.abs(sol.u[..., 0] - gaussian_exact(grid)))
-    return sol, float(err)
+    u = solve_f(coeffs, grid, 0.0)
+    err = np.max(np.abs(u[..., 0] - gaussian_exact(grid)))
+    return u, float(err)
 
 
 def test_manufactured_gaussian_sup_error():
@@ -76,20 +76,22 @@ def test_solution_derivatives_match_manufactured_oracle():
     # the derivative fields that feed the L^p-L^q estimate (d_t u, grad u,
     # D^2 u) against the manufactured solution's closed forms, at t = 0.4
     grid, coeffs = gaussian_problem(161, 200, L=6.0)
-    sol = solve_f(coeffs, grid, 0.0)
+    op = sample_operator(coeffs, grid)
+    u = solve_backward(op, 0.0, op["f"])
+    du_dt, grad, hess, material = derivative_fields(op, u)
     k = 80
     t = grid.ts[k]
     inner = np.abs(grid.xs) <= 2.0
     x = grid.xs[inner]
     g = np.exp(-x ** 2 / 4.0)
-    assert np.abs(sol.u[k, inner, 0] - (grid.T - t) * g).max() <= 2e-3
-    assert np.abs(sol.du_dt()[k, inner, 0] + g).max() <= 5e-3
+    assert np.abs(u[k, inner, 0] - (grid.T - t) * g).max() <= 2e-3
+    assert np.abs(du_dt[k, inner, 0] + g).max() <= 5e-3
     grad_true = (grid.T - t) * g * (-x / 2.0)
-    assert np.abs(sol.grad()[k, inner, 0, 0] - grad_true).max() <= 2e-3
+    assert np.abs(grad[k, inner, 0, 0] - grad_true).max() <= 2e-3
     hess_true = (grid.T - t) * g * (x ** 2 / 4.0 - 0.5)
-    assert np.abs(sol.hess()[k, inner, 0, 0, 0] - hess_true).max() <= 5e-3
+    assert np.abs(hess[k, inner, 0, 0, 0] - hess_true).max() <= 5e-3
     # with no drift the material derivative is d_t u
-    assert np.array_equal(sol.material_derivative(sol.grad()), sol.du_dt())
+    assert np.array_equal(material, du_dt)
 
 
 def test_constant_source_matches_ode_oracle():
@@ -105,8 +107,7 @@ def test_constant_source_matches_ode_oracle():
                             kappa1=0.5, kappa2=0.5)
     grid = GridSpec(d=1, n=161, m=200, L=4.0, T=1.0)
     for lam in (10.0, 1e4):
-        sol = solve_f(coeffs, grid, lam)
-        sup = float(np.max(np.abs(sol.u)))
+        sup = float(np.max(np.abs(solve_f(coeffs, grid, lam))))
         exact = (1.0 - math.exp(-lam * grid.T)) / lam
         assert sup == pytest.approx(exact, rel=0.03)
 
@@ -127,11 +128,11 @@ def test_discrete_max_principle_with_upwinding(d):
                             kappa1=0.5, kappa2=0.5)
     grid = GridSpec(d=d, n=41, m=100, L=1.0, T=1.0)
     assert 30.0 * grid.h / 0.5 > 2.0  # the switch is actually exercised
-    sol = solve_f(coeffs, grid, 5.0)
-    assert sol.u.min() >= -1e-12 * max(1.0, sol.u.max())
+    u = solve_f(coeffs, grid, 5.0)
+    assert u.min() >= -1e-12 * max(1.0, u.max())
     # every x-line rises and falls once: its total variation is twice its
     # peak (central differences here oscillate, about 3 % above that)
-    u = sol.u[..., 0]
+    u = u[..., 0]
     tv = np.abs(np.diff(u, axis=1)).sum(axis=1)
     assert np.all(tv <= 2.0 * u.max(axis=1) * (1 + 1e-9))
 
@@ -178,7 +179,7 @@ def test_ladder_and_sweep_sample_once(monkeypatch):
     co = CoefficientSet(sigma=sig, f=lambda t, x: np.ones(x.shape[:-1]),
                         kappa1=0.5, kappa2=0.5)
     lambda_sweep(co, GridSpec(d=1, n=41, m=40, L=4.0, T=1.0),
-                 [10.0, 100.0, 1000.0], DecayPrediction(d=1, p=4, q=4))
+                 [10.0, 100.0, 1000.0], NormSpec(p=4, q=4, d=1))
     assert len(sampled) == 1
 
 
@@ -193,9 +194,9 @@ def test_shared_operator_is_read_only(d):
     op = sample_operator(co, GridSpec(d=d, n=21, m=20, L=2.0, T=1.0))
     keep = {k: v.copy() for k, v in op.items() if isinstance(v, np.ndarray)}
     keep.update({o: s.copy() for o, s in op["stencil"].items()})
-    first = solve_phi_system(op, 10.0).u
-    other = solve_phi_system(op, 40.0).u
-    again = solve_phi_system(op, 10.0).u
+    first = solve_phi_system(op, 10.0)
+    other = solve_phi_system(op, 40.0)
+    again = solve_phi_system(op, 10.0)
     assert np.array_equal(first, again) and not np.array_equal(first, other)
     for k, v in keep.items():
         now = op["stencil"][k] if isinstance(k, tuple) else op[k]
@@ -216,7 +217,7 @@ def test_solution_linear_in_source():
 
     def solve_with(fev):
         co = CoefficientSet(sigma=unit_sigma(1), f=fev, kappa1=0.5, kappa2=0.5)
-        return solve_f(co, grid, 3.0).u
+        return solve_f(co, grid, 3.0)
 
     u1, u2, u12 = solve_with(f1), solve_with(f2), solve_with(f12)
     scale = np.max(np.abs(u12))
@@ -238,7 +239,7 @@ def test_phi_system_scales_linearly_without_gradient_coupling():
     co2 = CoefficientSet(sigma=unit_sigma(1), b0=b0_double, kappa1=0.5, kappa2=0.5)
     q1 = solve_phi_system(sample_operator(co1, grid), 20.0)
     q2 = solve_phi_system(sample_operator(co2, grid), 20.0)
-    assert np.max(np.abs(q2.u - 2 * q1.u)) > 1e-7 * np.max(np.abs(q2.u))
+    assert np.max(np.abs(q2 - 2 * q1)) > 1e-7 * np.max(np.abs(q2))
 
 
 def test_apriori_ratio_stable_under_refinement():
@@ -255,7 +256,8 @@ def test_apriori_ratio_stable_under_refinement():
         grid = GridSpec(d=1, n=n, m=m, L=4.0, T=1.0)
         co = CoefficientSet(sigma=unit_sigma(1), b1=b1, f=f,
                             kappa1=0.5, kappa2=0.5)
-        rep = verify_apriori(solve_f(co, grid, 10.0), ns)
+        op = sample_operator(co, grid)
+        rep = verify_apriori(op, 10.0, solve_backward(op, 10.0, op["f"]), op["f"], ns)
         assert rep["ratio"] > 0
         ratios.append(rep["ratio"])
     assert abs(ratios[1] - ratios[0]) / ratios[0] <= 0.25
@@ -271,9 +273,9 @@ def test_lambda_sweep_envelope_and_slope():
     co = CoefficientSet(sigma=unit_sigma(1), b1=b1, f=f,
                         kappa1=0.5, kappa2=0.5)
     grid = GridSpec(d=1, n=81, m=100, L=4.0, T=1.0)
-    pred = DecayPrediction(d=1, p=4, q=4)   # sup-norm target
-    assert pred.beta0 == pytest.approx(0.625)
-    res = lambda_sweep(co, grid, [10.0, 100.0, 1000.0], pred)
+    ns = NormSpec(p=4, q=4, d=1)   # sup-norm target
+    assert ns.decay_exponent == pytest.approx(0.625)
+    res = lambda_sweep(co, grid, [10.0, 100.0, 1000.0], ns)
     assert res.passed
     assert res.slope <= -0.9
 
@@ -289,17 +291,17 @@ def test_manufactured_gaussian_2d():
 
     co = CoefficientSet(sigma=unit_sigma(2), f=f, kappa1=0.5, kappa2=0.5)
     grid = GridSpec(d=2, n=41, m=40, L=6.0, T=T)
-    sol = solve_f(co, grid, 0.0)
+    u = solve_f(co, grid, 0.0)
     xs = grid.xs
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     exact = (T - grid.ts)[:, None, None] * np.exp(-(X ** 2 + Y ** 2) / 4.0)
-    err = np.max(np.abs(sol.u[..., 0] - exact))
+    err = np.max(np.abs(u[..., 0] - exact))
     assert err <= 5e-3
 
 
 def test_decay_prediction_validates_exponents():
     # the shipped sup-norm target: beta0 = (2 - 1/2 - 1/4)/2
-    assert DecayPrediction(d=1, p=4, q=4).beta0 == pytest.approx(0.625)
+    assert NormSpec(p=4, q=4, d=1).decay_exponent == pytest.approx(0.625)
 
 
 def test_banded_solve_is_lapack_gtsv_bit_for_bit():

@@ -177,6 +177,28 @@ def test_escape_freezing_and_error_policy():
     assert ens.rng_report["escape_warn"]
 
 
+def test_nan_rows_count_as_escaped():
+    # a drift that is NaN on a thin band turns the paths that step into it
+    # into NaN rows; the engine freezes them as escaped, so the estimators
+    # leave them out and count them
+    def drift(t, x):
+        return np.where(np.abs(x - 0.7) < 1e-3, np.nan, 0.0)
+
+    model = SdeModel(d=1, drift=drift, sigma=SIG1)
+    spec = SimSpec(T=1.0, n_steps=200, n_paths=4000, seed=1, L=2.0)
+    x0 = np.array([0.0])
+    ens = integrate(model, x0, spec)
+    ev, norm = interval_bump(0.0, 0.05)
+    ns = NormSpec(p=4, q=4, d=1)
+    rep = krylov_estimate(model, x0, spec, ev, ns, f_norm=norm(ns, 0.0, spec.T))
+    nan_rows = np.isnan(ens.terminal).any(axis=-1)
+    assert nan_rows.sum() == 355
+    assert np.all(ens.escaped[nan_rows])
+    assert rep["n_excluded"] == ens.escaped.sum() == 356      # one left the box
+    assert rep["n_used"] == spec.n_paths - 356
+    assert np.isfinite(rep["estimate"])
+
+
 def test_integrate_preconditions():
     model = brownian_model()
     with pytest.raises(ValueError, match="n_steps"):
