@@ -363,14 +363,14 @@ def _sigma_inverse(s: np.ndarray, t: float) -> np.ndarray:
             det = a * e - b * c
             inv = np.stack([np.stack([e, -b], axis=-1),
                             np.stack([-c, a], axis=-1)], axis=-2) / det[:, None, None]
+    if np.isfinite(s).all() and np.isfinite(inv).all():
+        return inv
     bad = ~(np.isfinite(s).all(axis=(-2, -1)) & np.isfinite(inv).all(axis=(-2, -1)))
-    if bad.any():
-        key = np.where(np.isfinite(det), np.abs(det), -1.0)
-        i = int(np.argmin(np.where(bad, key, np.inf)))
-        raise np.linalg.LinAlgError(
-            f"{int(bad.sum())} singular or non-finite sigma row(s) at t={t:.6g}: "
-            f"worst row {i} sigma={s[i].tolist()} det={det[i]:.3e}")
-    return inv
+    key = np.where(np.isfinite(det), np.abs(det), -1.0)
+    i = int(np.argmin(np.where(bad, key, np.inf)))
+    raise np.linalg.LinAlgError(
+        f"{int(bad.sum())} singular or non-finite sigma row(s) at t={t:.6g}: "
+        f"worst row {i} sigma={s[i].tolist()} det={det[i]:.3e}")
 
 
 def _row_norm(v: np.ndarray) -> np.ndarray:
@@ -382,12 +382,30 @@ def _row_norm(v: np.ndarray) -> np.ndarray:
     return np.linalg.norm(v, axis=-1)
 
 
+def _matvec(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """s v for each row of an (N, d, d) stack and an (N, d) array.  In 1-d
+    it is the one product s[:, :, 0] * v that einsum's sum would hold."""
+    if v.shape[-1] == 1:
+        return s[:, :, 0] * v
+    return np.einsum("...ij,...j->...i", s, v)
+
+
+def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<u, v> for each row of two (N, d) arrays; in 1-d the one product."""
+    if u.shape[-1] == 1:
+        return u[:, 0] * v[:, 0]
+    return np.einsum("...i,...i->...", u, v)
+
+
 def _pair_block_steps(pair, x0, y0, cfg, grid, normals):
     """Advance one block of a run on the block's normals (width, n_steps, d);
-    normals is only read, so runs may share one draw."""
+    normals is only read, so runs may share one draw.  X and Y, the halves
+    of the stepper's input, are written in place after the last read of its
+    output, which may be that input.  A row is idle once glued or out."""
     width, n_steps, d = normals.shape
     sqdt = np.sqrt(grid.dts)
-    X, Y = (np.broadcast_to(v, (width, d)).astype(float) for v in (x0, y0))
+    state = np.repeat(np.array([x0, y0], dtype=float), width, axis=0)  # X rows, Y rows
+    X, Y = state[:width], state[width:]
     glued, alive = np.zeros(width, dtype=bool), np.ones(width, dtype=bool)
     A, B = np.zeros(width), np.zeros(width)
     A_rec = np.empty((width, grid.sample_idx.size))
@@ -401,23 +419,25 @@ def _pair_block_steps(pair, x0, y0, cfg, grid, normals):
     for k in range(n_steps):
         t, dt = grid.ts[k], grid.dts[k]
         dW = normals[:, k] * sqdt[k]
-        b, s = pair.step_eval(t, np.concatenate([X, Y]), None)  # one call, both copies
+        b, s = pair.step_eval(t, state, None)  # one call, both copies
         bX, bY, sX, sY = b[:width], b[width:], s[:width], s[width:]
         sXi = _sigma_inverse(sX, t)  # only the X copy's inverse enters u
         D = X - Y
         dist = _row_norm(D)
         glued |= dist < floor
         act = alive & ~glued
+        idle = ~act[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             damp = np.minimum(dist ** power, 1.0) * grid.eta_vals[k]
-            g = np.where(act[:, None], D / damp[:, None], 0.0)
-        u = np.einsum("...ij,...j->...i", sXi, g)
+            g = D / damp[:, None]
+        np.copyto(g, 0.0, where=idle)
+        u = _matvec(sXi, g)
         unorm = _row_norm(u)
         over = unorm > N_TRUNC
         if over.any():
             trunc += int((over & act).sum())
             u[over] *= (N_TRUNC / unorm[over])[:, None]
-        corr = np.einsum("...ij,...j->...i", sY, u)
+        corr = _matvec(sY, u)
         step_len = _row_norm(corr) * dt
         overshoot = act & (step_len > dist)
         if overshoot.any():
@@ -425,18 +445,17 @@ def _pair_block_steps(pair, x0, y0, cfg, grid, normals):
             scale = dist[overshoot] / step_len[overshoot]
             u[overshoot] *= scale[:, None]
             corr[overshoot] *= scale[:, None]
-        u[~act] = 0.0
-        corr[~act] = 0.0
-        X_new = X + bX * dt + np.einsum("...ij,...j->...i", sX, dW)
-        Y_new = Y + (bY + corr) * dt + np.einsum("...ij,...j->...i", sY, dW)
-        Y_new = np.where(glued[:, None], X_new, Y_new)
-        X = np.where(alive[:, None], X_new, X)
-        Y = np.where(alive[:, None], Y_new, Y)
-        A += np.einsum("...i,...i->...", u, dW)
-        B += np.einsum("...i,...i->...", u, u) * dt
-        out = alive & ((np.abs(X).max(axis=-1) > limit)
-                       | (np.abs(Y).max(axis=-1) > limit))
-        alive &= ~out
+        np.copyto(u, 0.0, where=idle)
+        np.copyto(corr, 0.0, where=idle)
+        X_new = X + bX * dt + _matvec(sX, dW)
+        Y_new = Y + (bY + corr) * dt + _matvec(sY, dW)
+        np.copyto(Y_new, X_new, where=glued[:, None])
+        np.copyto(X, X_new, where=alive[:, None])
+        np.copyto(Y, Y_new, where=alive[:, None])
+        A += _row_dot(u, dW)
+        B += _row_dot(u, u) * dt
+        far = np.abs(state).max(axis=-1) > limit
+        alive &= ~(far[:width] | far[width:])
         j = sample_pos.get(k + 1)
         if j is not None:
             A_rec[:, j] = A
@@ -503,7 +522,8 @@ def simulate_pairs(runs) -> list[CouplingResult]:
         if frac > BOX_EXIT_LIMIT:
             raise RuntimeError(
                 f"{name}: coupling box exit rate {frac:.1%} exceeds "
-                f"{BOX_EXIT_LIMIT:.0%}; enlarge L or move the start points inward")
+                f"{BOX_EXIT_LIMIT:.0%}; enlarge L or move the start points inward; "
+                f"first exited path {int(np.argmax(~cat['alive']))}")
         results.append(CouplingResult(
             cfg=cfg, x=x, y=y, r=float(np.linalg.norm(x - y)),
             sample_times=grid.ts[grid.sample_idx], A=cat["A"], B=cat["B"],

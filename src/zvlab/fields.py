@@ -196,7 +196,7 @@ def interp_space(grid: GridSpec, slice_vals: np.ndarray, x: np.ndarray):
     u = (x + grid.L) / grid.h
     clamped = int(np.count_nonzero((u < 0.0) | (u > grid.n - 1.0)))
     u = np.clip(u, 0.0, grid.n - 1.0)
-    i0 = np.minimum(u.astype(np.int64), grid.n - 2)
+    i0 = np.fmin(u, grid.n - 2.0).astype(np.int64)   # NaN: the top cell, weight NaN
     f = u - i0
     if grid.d == 1:
         a = slice_vals[i0[..., 0]]

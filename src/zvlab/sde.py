@@ -38,7 +38,8 @@ class SdeModel:
     coupled pair.  The stepper lets evaluators that share work (e.g. the
     transformed SDE, whose drift and diffusion share one map inversion)
     do it once per step.  step_eval's third argument is unused; the
-    engines pass None.
+    engines pass None.  The pair engine writes over its input after each
+    call: an evaluator may return its input but must not keep it.
     """
 
     d: int
@@ -183,7 +184,8 @@ def integrate_stat(x0, spec: SimSpec) -> BlockStat:
         frac = float(escaped.mean())
         if frac > ESCAPE_ERROR:
             raise RuntimeError(
-                f"domain too small for scenario: {frac:.1%} of paths escaped")
+                f"domain too small for scenario: {frac:.1%} of paths escaped; "
+                f"first escaped path {int(np.argmax(escaped))}")
         rng_report = {
             "increment_mean": mean,
             "increment_var": var,

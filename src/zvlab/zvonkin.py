@@ -60,19 +60,29 @@ def interp_lipschitz_sup(phi_vals: np.ndarray, grid: GridSpec) -> float:
     return float(0.5 * (np.hypot(a + e, b - c) + np.hypot(a - e, b + c)).max())
 
 
-def _image_cell(grid: GridSpec, img: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _image_cell(img: np.ndarray, y: np.ndarray) -> np.ndarray:
     """j in [0, n-2] with img[j] <= y < img[j+1], clamped at the ends, for
-    the strictly increasing node images img = xs + vals: searchsorted(img,
-    y, "right") - 1 clipped (NaN sorts last), found without a table.  From
-    floor((y + L) / h) the cell is at most ceil(max|vals| / h) + 1 steps
-    away, and the steps down, then up, stop once no row moves."""
-    top = img.size - 2
-    j = np.fmax(np.fmin((y + grid.L) / grid.h, top), 0.0).astype(np.int64)
-    while (down := (y < img[j]) & (j > 0)).any():
-        j -= down
-    while (up := (y >= img[j + 1]) & (j < top)).any():
-        j += up
-    return j
+    strictly increasing node images img: searchsorted(img, y, "right") - 1
+    clipped (NaN sorts last), from a table of 4n + 2 buckets, span / (4n)
+    wide from img[0]; the last holds no image and takes NaN and +inf.  A
+    bucket index never decreases as y grows, so images in lower buckets are
+    < y and those in higher ones > y: from the count of the lower ones, j
+    steps over the images in y's bucket, one compare each.  There is at
+    most one when every image cell is wider than a bucket, as grad_sup <
+    1/2 makes it for every map build_zvonkin returns."""
+    n = img.size
+    nb = 4 * n
+    lo, inv_bw = img[0], nb / (img[-1] - img[0])
+
+    def bucket(v):
+        return np.fmax(np.fmin((v - lo) * inv_bw, nb + 1), 0.0).astype(np.int64)
+
+    below = np.searchsorted(bucket(img), np.arange(nb + 2), "left")
+    pad = np.append(img, np.nan)          # no row steps past n
+    j = below[bucket(y)]
+    for _ in range(int(np.diff(below).max())):
+        j += y >= pad[j]
+    return np.clip(j - 1, 0, n - 2)
 
 
 class LambdaSearchError(RuntimeError):
@@ -150,13 +160,14 @@ class ZvonkinMap:
                 f"worst row {i} y={y[i]} maps back to x={x[i]}")
 
     def _invert_1d(self, t: float, y: np.ndarray):
-        """Exact inverse of y (N, 1): (x, phi_t(x), phi_t at the nodes)."""
+        """Exact inverse of y, any shape: (x, phi_t(x), phi_t at the nodes)."""
         vals = self.phi.time_slice(t)[:, 0]
         img = self.grid.xs + vals
-        if not np.all(np.diff(img) > 0.0):
+        width = np.diff(img)
+        if not np.all(width > 0.0):
             raise ValueError(f"Phi_t is not strictly increasing at t={t:.6g}")
-        j = _image_cell(self.grid, img, y)
-        f = np.clip((y - img[j]) / (img[j + 1] - img[j]), 0.0, 1.0)
+        j = _image_cell(img, y)
+        f = np.clip((y - img[j]) / width[j], 0.0, 1.0)
         phi = vals[j] * (1.0 - f) + vals[j + 1] * f
         return y - phi, phi, vals
 
@@ -199,17 +210,19 @@ class ZvonkinMap:
         In 1-d phi comes from the inversion's cell, and grad phi is the mean
         slope over [x - h/2, x + h/2] that grad_phi_at's central difference
         measures: two neighbouring cell slopes blended, 0 on the clamped rays
-        beyond +-L."""
+        beyond +-L, and Sigma is the one product (1 + G) sigma that the 1x1
+        matrix product computes."""
         g = self.grid
         y = np.asarray(y, dtype=float)
         if g.d == 1:
-            x, phi, vals = self._invert_1d(t, y)
+            x1, phi, vals = self._invert_1d(t, y[:, 0])      # flat (N,)
+            x = x1[:, None]
             self._check_escape(t, y, x, on_escape)
-            Z = self.lam * phi
+            Z = self.lam * phi[:, None]
             slope = np.concatenate(([0.0], np.diff(vals) / g.h, [0.0, 0.0]))  # cell i at i+1
-            c = np.clip((x + g.L) / g.h + 0.5, 0.0, g.n)   # x - h/2 in cells, plus 1
-            k = c.astype(np.int64)
-            G = (slope[k] + (c - k) * np.diff(slope)[k])[..., None]
+            c = np.clip((x1 + g.L) / g.h + 0.5, 0.0, g.n)  # x - h/2 in cells, plus 1
+            k = np.fmin(c, g.n).astype(np.int64)           # NaN: the top cell, weight NaN
+            G = slope[k] + (c - k) * np.diff(slope)[k]
         else:
             x, _ = self.invert(t, y, on_escape=on_escape)
             Z = self.lam * self.phi.eval(t, x)
@@ -217,9 +230,10 @@ class ZvonkinMap:
         for ev in (self.coeffs.b1, self.coeffs.b2):
             if ev is not None:
                 Z = Z + np.asarray(ev(t, x), dtype=float)
-        Sigma = np.einsum("...ij,...jk->...ik", np.eye(g.d) + G,
-                          np.asarray(self.coeffs.sigma(t, x), dtype=float))
-        return Z, Sigma
+        s = np.asarray(self.coeffs.sigma(t, x), dtype=float)
+        if g.d == 1:
+            return Z, (1.0 + G)[:, None, None] * s
+        return Z, np.einsum("...ij,...jk->...ik", np.eye(g.d) + G, s)
 
 
 def build_zvonkin(coeffs: CoefficientSet, grid: GridSpec,

@@ -22,7 +22,10 @@ from zvlab.coupling import (CouplingConfig, _sigma_inverse, build_coupling_grid,
                             verdict_threshold, verify_log_harnack,
                             verify_martingale, verify_moment_bound,
                             verify_power_harnack, within)
-from zvlab.sde import SdeModel
+from zvlab import rng as zrng
+from zvlab.scenarios import get_scenario
+from zvlab.sde import SdeModel, transformed_model
+from zvlab.zvonkin import build_zvonkin
 
 E1 = 1.0 - math.exp(-1.0)      # 0.6321205588285577
 
@@ -333,6 +336,143 @@ def test_batch_errors_name_the_run(monkeypatch):
     with pytest.raises(ValueError, match=r"run 1 \(seed 4, x=\[0\.5\], "
                        r"y=\[0\.0\]\): .*0\.5 L = 0\.4"):
         simulate_pairs([good, (additive_pair(), [0.5], [0.0], cfg, 4)])
+
+
+def test_box_exit_error_names_the_first_exited_path(monkeypatch):
+    # about 13 % of the pairs reach the wall at 2 L = 2, path 26 first
+    run = (additive_pair(), [0.35], [-0.35], unit_cfg(m=100, n_paths=256, L=1.0), 3)
+    monkeypatch.setattr(coupling, "BOX_EXIT_LIMIT", 1.0)
+    first = int(np.argmax(simulate_pair(*run).box_exit))
+    monkeypatch.undo()
+    assert first > 0
+    with pytest.raises(RuntimeError, match=f"box exit .*; first exited path {first}$"):
+        simulate_pair(*run)
+
+
+def reference_pair_block_steps(pair, x0, y0, cfg, grid, normals):
+    """The pair step as a plain loop body: both copies concatenated into a
+    new stepper input at every step, every product an einsum and every
+    mask applied on every step."""
+    width, n_steps, d = normals.shape
+    sqdt = np.sqrt(grid.dts)
+    X, Y = (np.broadcast_to(v, (width, d)).astype(float) for v in (x0, y0))
+    glued, alive = np.zeros(width, dtype=bool), np.ones(width, dtype=bool)
+    A, B = np.zeros(width), np.zeros(width)
+    A_rec = np.empty((width, grid.sample_idx.size))
+    B_rec = np.empty((width, grid.sample_idx.size))
+    dist_rec = np.empty((width, grid.eps_idx.size))
+    sample_pos = {int(i): j for j, i in enumerate(grid.sample_idx)}
+    eps_pos = {int(i): j for j, i in enumerate(grid.eps_idx)}
+    floor = coupling.DIST_FLOOR_COEFF * (1.0 + float(np.linalg.norm(x0 - y0)))
+    power, limit = 2.0 - 2.0 * cfg.alpha, 2.0 * cfg.L
+    trunc = clip = 0
+    for k in range(n_steps):
+        t, dt = grid.ts[k], grid.dts[k]
+        dW = normals[:, k] * sqdt[k]
+        b, s = pair.step_eval(t, np.concatenate([X, Y]), None)
+        bX, bY, sX, sY = b[:width], b[width:], s[:width], s[width:]
+        sXi = coupling._sigma_inverse(sX, t)
+        D = X - Y
+        dist = coupling._row_norm(D)
+        glued |= dist < floor
+        act = alive & ~glued
+        with np.errstate(divide="ignore", invalid="ignore"):
+            damp = np.minimum(dist ** power, 1.0) * grid.eta_vals[k]
+            g = np.where(act[:, None], D / damp[:, None], 0.0)
+        u = np.einsum("...ij,...j->...i", sXi, g)
+        unorm = coupling._row_norm(u)
+        over = unorm > coupling.N_TRUNC
+        if over.any():
+            trunc += int((over & act).sum())
+            u[over] *= (coupling.N_TRUNC / unorm[over])[:, None]
+        corr = np.einsum("...ij,...j->...i", sY, u)
+        step_len = coupling._row_norm(corr) * dt
+        overshoot = act & (step_len > dist)
+        if overshoot.any():
+            clip += int(overshoot.sum())
+            scale = dist[overshoot] / step_len[overshoot]
+            u[overshoot] *= scale[:, None]
+            corr[overshoot] *= scale[:, None]
+        u[~act] = 0.0
+        corr[~act] = 0.0
+        X_new = X + bX * dt + np.einsum("...ij,...j->...i", sX, dW)
+        Y_new = Y + (bY + corr) * dt + np.einsum("...ij,...j->...i", sY, dW)
+        Y_new = np.where(glued[:, None], X_new, Y_new)
+        X = np.where(alive[:, None], X_new, X)
+        Y = np.where(alive[:, None], Y_new, Y)
+        A += np.einsum("...i,...i->...", u, dW)
+        B += np.einsum("...i,...i->...", u, u) * dt
+        out = alive & ((np.abs(X).max(axis=-1) > limit)
+                       | (np.abs(Y).max(axis=-1) > limit))
+        alive &= ~out
+        j = sample_pos.get(k + 1)
+        if j is not None:
+            A_rec[:, j] = A
+            B_rec[:, j] = B
+        j = eps_pos.get(k + 1)
+        if j is not None:
+            dist_rec[:, j] = coupling._row_norm(X - Y)
+    return {"A": A_rec, "B": B_rec, "dist": dist_rec, "X": X, "Y": Y,
+            "glued": glued, "alive": alive, "trunc": trunc, "clip": clip,
+            "events": width * n_steps}
+
+
+def rotated_pair():
+    # 2-d: a restoring drift and a constant diffusion with off-diagonal terms
+    sig = np.array([[1.0, 0.3], [-0.2, 0.8]])
+    return SdeModel(d=2, drift=lambda t, x: -0.5 * x,
+                    sigma=lambda t, x: np.broadcast_to(sig, x.shape[:-1] + (2, 2)))
+
+
+def aliasing_pair():
+    # drift and sigma are views of the engine's state array, which it
+    # writes over in place after the step
+    return SdeModel(d=1, drift=lambda t, x: x, sigma=lambda t, x: x[..., None])
+
+
+def singular_1d_pair():
+    sc = get_scenario("singular-1d")
+    return transformed_model(build_zvonkin(sc.coeffs, replace(sc.grid, n=201, m=200)))
+
+
+# name: (pair factory, x0, y0, cfg, seed, width, the branch the run must reach)
+LEAN_STEP_RUNS = {
+    "glued": (additive_pair, [0.25], [-0.25], unit_cfg(m=400, K_T=0.01, theta=1.9),
+              13, 256, lambda o: o["glued"].any()),
+    "box-exit": (additive_pair, [0.35], [-0.35], unit_cfg(m=100, L=1.5), 3, 1024,
+                 lambda o: 0 < (~o["alive"]).mean() <= coupling.BOX_EXIT_LIMIT),
+    "trunc-clip": (lambda: additive_pair(sigma_scale=0.01), [0.25], [-0.25],
+                   unit_cfg(m=100, theta=1.99), 3, 256,
+                   lambda o: o["trunc"] > 0 and o["clip"] > 0),
+    "alpha": (lambda: additive_pair(drift_slope=-0.5), [0.25], [-0.25],
+              unit_cfg(m=100, alpha=0.75, theta=1.0), 3, 256,
+              lambda o: o["clip"] > 0),
+    "2-d": (rotated_pair, [0.3, -0.1], [-0.2, 0.2], unit_cfg(m=100), 3, 256,
+            lambda o: o["X"].shape[1] == 2 and not o["glued"].any()),
+    "aliasing": (aliasing_pair, [0.5], [0.2], unit_cfg(m=100, theta=1.9), 3, 256,
+                 lambda o: o["glued"].any() and o["alive"].all()),
+    "transformed": (singular_1d_pair, [0.25], [-0.25], unit_cfg(m=100, L=2.0), 3,
+                    256, lambda o: o["alive"].all() and not o["glued"].any()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEAN_STEP_RUNS))
+def test_pair_step_matches_the_reference(name):
+    # the in-place state, 1-d products and copyto masks change no bit
+    make, x0, y0, cfg, seed, width, reached = LEAN_STEP_RUNS[name]
+    pair, x0, y0 = make(), np.array(x0), np.array(y0)
+    grid = build_coupling_grid(cfg)
+    normals = zrng.block_normals(seed, 0, grid.dts.size, pair.d, width)
+    got = coupling._pair_block_steps(pair, x0, y0, cfg, grid, normals)
+    ref = reference_pair_block_steps(pair, x0, y0, cfg, grid, normals)
+    assert reached(ref)
+    assert got.keys() == ref.keys()
+    for key, val in ref.items():
+        if isinstance(val, np.ndarray):
+            assert got[key].dtype == val.dtype and got[key].shape == val.shape, key
+            assert got[key].tobytes() == val.tobytes(), key
+        else:
+            assert got[key] == val, key
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -177,6 +177,18 @@ def test_escape_freezing_and_error_policy():
     assert ens.rng_report["escape_warn"]
 
 
+def test_escape_error_names_the_first_escaped_path(monkeypatch):
+    # Brownian from 0.1 with the wall at 1.2 loses about 38 % of the paths
+    spec = SimSpec(T=1.0, n_steps=100, n_paths=256, seed=3, L=0.6)
+    monkeypatch.setattr(sde, "ESCAPE_ERROR", 1.0)
+    first = int(np.argmax(integrate(brownian_model(), np.array([0.1]), spec).escaped))
+    monkeypatch.undo()
+    assert first > 0
+    with pytest.raises(RuntimeError,
+                       match=f"domain too small.*; first escaped path {first}$"):
+        integrate(brownian_model(), np.array([0.1]), spec)
+
+
 def test_nan_rows_count_as_escaped():
     # a drift that is NaN on a thin band turns the paths that step into it
     # into NaN rows; the engine freezes them as escaped, so the estimators

@@ -14,7 +14,8 @@ import pytest
 
 from zvlab import coupling, zvonkin
 from zvlab.coupling import CouplingConfig, h5_certificate
-from zvlab.fields import CoefficientSet, GridFunction, GridSpec, constant_sigma
+from zvlab.fields import (CoefficientSet, GridFunction, GridSpec, constant_sigma,
+                          interp_space)
 from zvlab.pde import sample_operator
 from zvlab.sde import SdeModel
 from zvlab.zvonkin import (InverseEscape, LambdaSearchError, ZvonkinMap,
@@ -134,11 +135,16 @@ def test_exact_1d_inverse(singular_map):
 
 
 def test_cell_index_matches_searchsorted():
+    # cell widths from 0.05 h to 4 h, so that a bucket holds several node
+    # images, and maps with one cell 1e-9 h wide
     rng = np.random.default_rng(3)
-    for _ in range(50):
+    for case in range(60):
         grid = GridSpec(d=1, n=2 * int(rng.integers(1, 150)) + 1, m=1, L=2.0, T=1.0)
-        slope = rng.uniform(-0.49, 0.49, grid.n) * grid.h
-        knots = grid.xs + np.cumsum(slope) + rng.normal()   # node images
+        width = grid.h + rng.uniform(-0.95, 3.0, grid.n - 1) * grid.h
+        if case % 6 == 5:
+            width[rng.integers(grid.n - 1)] = 1e-9 * grid.h
+        knots = grid.xs[0] + np.concatenate(([0.0], np.cumsum(width))) + rng.normal()
+        assert np.all(np.diff(knots) > 0.0)                  # node images
         # random points, every knot and its neighbours, points far outside
         # and NaN, which sorts last
         y = np.concatenate([
@@ -146,7 +152,10 @@ def test_cell_index_matches_searchsorted():
             knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
             [-np.inf, -1e300, 1e300, np.inf, np.nan]])
         ref = np.clip(np.searchsorted(knots, y, side="right") - 1, 0, grid.n - 2)
-        assert np.array_equal(_image_cell(grid, knots, y), ref)
+        assert np.array_equal(_image_cell(knots, y), ref)
+        # an (N, 1) column gives the column shape
+        col = _image_cell(knots, y[:, None])
+        assert col.shape == (y.size, 1) and np.array_equal(col[:, 0], ref)
 
 
 def test_transformed_1d_matches_the_composite(singular_map, monkeypatch):
@@ -183,6 +192,26 @@ def test_transformed_1d_matches_the_composite(singular_map, monkeypatch):
         singular_map.transformed(0.37, np.array([[0.0], [1.0], [2.5 * g.L]]))
     msg = str(ei.value)
     assert "t=0.37" in msg and "worst row 2" in msg and "y=[5.]" in msg
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nan_row_gives_nan_row(singular_map, small_2d_map):
+    # a NaN row comes out NaN without a cast warning or an index error, and
+    # the finite row beside it keeps the bits of a call of its own
+    t = 0.37
+    y = np.array([[0.1], [np.nan]])
+    Z, S = singular_map.transformed(t, y, on_escape="flag")
+    Z1, S1 = singular_map.transformed(t, y[:1], on_escape="flag")
+    assert np.array_equal(Z[:1], Z1) and np.array_equal(S[:1], S1)
+    assert np.isnan(Z[1]).all() and np.isnan(S[1]).all()
+    x, _ = singular_map.invert(t, y, on_escape="flag")
+    assert np.array_equal(x[:1], singular_map.invert(t, y[:1])[0])
+    assert np.isnan(x[1]).all()
+    for zm, x in ((singular_map, y), (small_2d_map, np.array([[0.1, -0.2], [np.nan, 0.3]]))):
+        sl = zm.phi.time_slice(t)
+        out, _ = interp_space(zm.grid, sl, x)
+        assert np.array_equal(out[:1], interp_space(zm.grid, sl, x[:1])[0])
+        assert np.isnan(out[1]).all()
 
 
 @pytest.fixture(scope="module")
