@@ -38,6 +38,7 @@ H5_PAIRS = 512            # h5_certificate: sampled start pairs
 H5_TIMES = 5              # h5_certificate: sampled times in [0, T - stop gap]
 K1_SAFETY = 2.0           # calibrate_k1: factor on the calibrated constant
 STOP_GAP = 0.02           # runs stop at T - STOP_GAP T
+PACK_ROWS = 16384         # most paths one coupled task advances
 
 
 @dataclass(frozen=True)
@@ -285,13 +286,13 @@ class CouplingResult:
     clip_events: int
     total_events: int
     n_steps: int
-    draws: int                    # Philox block draws the run paid for
+    draws: int                    # Philox lanes the run paid for (see simulate_pairs)
     workers: int                  # processes its batch ran on (1: in-process)
 
     def counters(self) -> dict:
-        """The run's event counts, summed from its block partials, its
-        block draws and the worker processes it used; report.json carries
-        them as metrics."""
+        """The run's event counts, summed from its task partials, the
+        Philox lanes it drew and the worker processes it used; report.json
+        carries them as metrics."""
         return {"trunc_events": self.trunc_events,
                 "clip_events": self.clip_events,
                 "total_events": self.total_events,
@@ -349,10 +350,12 @@ def _exp_stats(logw: np.ndarray, vals=None) -> tuple[float, float]:
     return math.exp(m) * float(z.mean()), math.exp(m) * sd / math.sqrt(n)
 
 
-def _sigma_inverse(s: np.ndarray, t: float) -> np.ndarray:
+def _sigma_inverse(s: np.ndarray, t: float, run: str = "",
+                   first: int = 0) -> np.ndarray:
     """Closed-form inverse of a (N, d, d) stack, d in {1, 2}: 1/s, or the
-    adjugate over the determinant.  A row that is singular, non-finite or
-    whose inverse overflows raises LinAlgError naming t and the worst row
+    adjugate over the determinant; row i is path first + i of the run
+    named run.  A row that is singular, non-finite or whose inverse
+    overflows raises LinAlgError naming the run, t and the worst path
     (smallest |det|, non-finite first)."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if s.shape[-1] == 1:
@@ -369,8 +372,9 @@ def _sigma_inverse(s: np.ndarray, t: float) -> np.ndarray:
     key = np.where(np.isfinite(det), np.abs(det), -1.0)
     i = int(np.argmin(np.where(bad, key, np.inf)))
     raise np.linalg.LinAlgError(
-        f"{int(bad.sum())} singular or non-finite sigma row(s) at t={t:.6g}: "
-        f"worst row {i} sigma={s[i].tolist()} det={det[i]:.3e}")
+        f"{run + ': ' if run else ''}{int(bad.sum())} singular or non-finite "
+        f"sigma row(s) at t={t:.6g}: worst path {first + i} "
+        f"sigma={s[i].tolist()} det={det[i]:.3e}")
 
 
 def _row_norm(v: np.ndarray) -> np.ndarray:
@@ -380,6 +384,13 @@ def _row_norm(v: np.ndarray) -> np.ndarray:
     if v.shape[-1] == 1:
         return np.abs(v[:, 0])
     return np.linalg.norm(v, axis=-1)
+
+
+def _row_max_abs(v: np.ndarray) -> np.ndarray:
+    """max_i |v_i| for each row of an (N, d) array; in 1-d |v|."""
+    if v.shape[-1] == 1:
+        return np.abs(v[:, 0])
+    return np.abs(v).max(axis=-1)
 
 
 def _matvec(s: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -397,12 +408,15 @@ def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", u, v)
 
 
-def _pair_block_steps(pair, x0, y0, cfg, grid, normals):
-    """Advance one block of a run on the block's normals (width, n_steps, d);
-    normals is only read, so runs may share one draw.  X and Y, the halves
-    of the stepper's input, are written in place after the last read of its
-    output, which may be that input.  A row is idle once glued or out."""
-    width, n_steps, d = normals.shape
+def _pair_block_steps(pair, x0, y0, cfg, grid, normals, tables=None, run="",
+                      first=0):
+    """Advance paths first, first+1, ... of a run on their normals, step-
+    major (n_steps, width, d); normals is only read, so runs may share one
+    draw.  tables is pair.tables(grid.ts[:-1]) or None, and run names the
+    run in errors.  X and Y, the halves of the stepper's input, are written
+    in place after the last read of its output, which may be that input.
+    A row is idle once glued or out."""
+    n_steps, width, d = normals.shape
     sqdt = np.sqrt(grid.dts)
     state = np.repeat(np.array([x0, y0], dtype=float), width, axis=0)  # X rows, Y rows
     X, Y = state[:width], state[width:]
@@ -418,18 +432,20 @@ def _pair_block_steps(pair, x0, y0, cfg, grid, normals):
     trunc = clip = 0
     for k in range(n_steps):
         t, dt = grid.ts[k], grid.dts[k]
-        dW = normals[:, k] * sqdt[k]
-        b, s = pair.step_eval(t, state, None)  # one call, both copies
+        dW = normals[k] * sqdt[k]
+        b, s = pair.step_eval(t, state, None if tables is None else tables[k])
         bX, bY, sX, sY = b[:width], b[width:], s[:width], s[width:]
-        sXi = _sigma_inverse(sX, t)  # only the X copy's inverse enters u
+        sXi = _sigma_inverse(sX, t, run, first)  # only the X copy's inverse enters u
         D = X - Y
         dist = _row_norm(D)
         glued |= dist < floor
         act = alive & ~glued
         idle = ~act[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            damp = np.minimum(dist ** power, 1.0) * grid.eta_vals[k]
-            g = D / damp[:, None]
+            if power:
+                g = D / (np.minimum(dist ** power, 1.0) * grid.eta_vals[k])[:, None]
+            else:       # alpha = 1: dist ** 0.0 is 1.0 for every dist, NaN included
+                g = D / grid.eta_vals[k]
         np.copyto(g, 0.0, where=idle)
         u = _matvec(sXi, g)
         unorm = _row_norm(u)
@@ -454,7 +470,7 @@ def _pair_block_steps(pair, x0, y0, cfg, grid, normals):
         np.copyto(Y, Y_new, where=alive[:, None])
         A += _row_dot(u, dW)
         B += _row_dot(u, u) * dt
-        far = np.abs(state).max(axis=-1) > limit
+        far = _row_max_abs(state) > limit
         alive &= ~(far[:width] | far[width:])
         j = sample_pos.get(k + 1)
         if j is not None:
@@ -469,51 +485,77 @@ def _pair_block_steps(pair, x0, y0, cfg, grid, normals):
 
 
 def _advance_pair_block(pair, x0, y0, cfg, grid, seed, block_index, width):
-    """One block of a run on a Philox draw of its own (perfbench/spans.py
-    wraps this name)."""
-    return _advance_pair_group([(pair, x0, y0, cfg, grid)], seed, block_index,
-                               width)[0]
+    """The first width paths of a Philox block of a run, on a draw of their
+    own (perfbench/spans.py wraps this name)."""
+    start = block_index * _rng.BLOCK
+    tables = pair.tables(grid.ts[:-1]) if pair.tables is not None else None
+    return _advance_pair_rows([("", pair, x0, y0, cfg, grid, tables)], seed,
+                              start, start + width)[0]
 
 
-def _advance_pair_group(members, seed, block_index, width):
-    """The same block of every run in members, (pair, x0, y0, cfg, grid)
-    each, on one Philox draw; the runs share seed, dimension and step grid."""
-    pair, grid = members[0][0], members[0][4]
-    normals = _rng.block_normals(seed, block_index, grid.dts.size, pair.d, width)
-    return [_pair_block_steps(*m, normals) for m in members]
+def _advance_pair_rows(members, seed, start, stop):
+    """Paths start..stop-1 of every run in members, each (name, pair, x0,
+    y0, cfg, grid, tables), on one draw; a run with fewer paths takes the
+    leading rows it has.  The runs share seed, dimension and step grid."""
+    pair, grid = members[0][1], members[0][5]
+    normals = _rng.lane_normals(seed, start, stop, grid.dts.size, pair.d)
+    return [_pair_block_steps(pair, x0, y0, cfg, grid,
+                              normals[:, :min(stop, cfg.n_paths) - start],
+                              tables, name, start)
+            for name, pair, x0, y0, cfg, grid, tables in members]
 
 
 def simulate_pairs(runs) -> list[CouplingResult]:
     """Coupled ensembles of the runs, each (pair, x, y, cfg, seed), from
-    one pool call.  Every run is checked before any is stepped.  Blocks
-    with the same (seed, block, width, d, step grid) are one task that
-    draws its normals once, counted in the draws of the first run that
-    has the block; each run's partials combine in block order, so every
-    result is bit-identical to a run made alone."""
-    names, args = [], []
+    one pool call.  Every run is checked before any is stepped.
+
+    Runs with the same seed, dimension and step grid form a draw group.
+    Each group's paths are cut into contiguous ranges of near-equal size,
+    none over PACK_ROWS, and in all at least as many as the pool has
+    processes.  A range is one task: it draws its paths' noise once for
+    every run of the group that has them, and those Philox lanes, with the
+    leading lanes of a block that it drops, count in the draws of the
+    first such run.  A pair's step tables are built once per step grid,
+    here, so forked tasks inherit them.  Rows are independent, each run's
+    rows are put back in path order and its counters are integer sums, so
+    every result is bit-identical to a run made alone, at any worker
+    count."""
+    members, tables = [], {}
     for i, (pair, x, y, cfg, seed) in enumerate(runs):
         x, y = (np.asarray(v, dtype=float).reshape(pair.d) for v in (x, y))
-        names.append(f"run {i} (seed {seed}, x={x.tolist()}, y={y.tolist()})")
+        name = f"run {i} (seed {seed}, x={x.tolist()}, y={y.tolist()})"
         if max(np.abs(x).max(), np.abs(y).max()) > 0.5 * cfg.L:
-            raise ValueError(f"{names[i]}: start points must lie in the inner"
+            raise ValueError(f"{name}: start points must lie in the inner"
                              f" half of the box, |x|, |y| <= 0.5 L = {0.5 * cfg.L:g}")
-        args.append((pair, x, y, cfg, build_coupling_grid(cfg)))
-    groups = {}               # task key -> indices of the runs that share it
-    for i, (pair, _, _, cfg, grid) in enumerate(args):
-        for bi, w in _rng.path_blocks(cfg.n_paths):
-            key = (runs[i][4], bi, w, pair.d, grid.dts.tobytes())
-            groups.setdefault(key, []).append(i)
-    tasks = [([args[i] for i in idx], *key[:3]) for key, idx in groups.items()]
-    parts = [{} for _ in runs]                  # block index -> partial
+        grid = build_coupling_grid(cfg)
+        key = (id(pair), grid.dts.tobytes())
+        if pair.tables is not None and key not in tables:
+            tables[key] = pair.tables(grid.ts[:-1])
+        members.append((name, pair, x, y, cfg, grid, tables.get(key)))
+    groups = {}               # (seed, d, step grid) -> indices of its runs
+    for i, (_, pair, _, _, _, grid, _) in enumerate(members):
+        groups.setdefault((runs[i][4], pair.d, grid.dts.tobytes()), []).append(i)
+    n_paths = [m[4].n_paths for m in members]
+    sizes = [max(n_paths[i] for i in idx) for idx in groups.values()]
+    # the processes the pool has: it forks no more than one per path
+    per_group = -(-pool_size(sum(sizes)) // len(groups))
+    tasks, owners = [], []
+    for (seed, _, _), idx, n in zip(groups, groups.values(), sizes):
+        k = min(n, max(-(-n // PACK_ROWS), per_group))
+        cuts = [n * j // k for j in range(k + 1)]
+        for a, b in zip(cuts, cuts[1:]):
+            have = [i for i in idx if n_paths[i] > a]
+            tasks.append(([members[i] for i in have], seed, a, b))
+            owners.append(have)
+    parts = [[] for _ in runs]                   # in path order
     draws = [0] * len(runs)
-    for (key, idx), out in zip(groups.items(),
-                               run_tasks(_advance_pair_group, tasks)):
-        draws[idx[0]] += 1
-        for i, part in zip(idx, out):
-            parts[i][key[1]] = part
+    for (_, _, a, b), have, out in zip(tasks, owners,
+                                       run_tasks(_advance_pair_rows, tasks)):
+        draws[have[0]] += b - a + a % _rng.BLOCK
+        for i, part in zip(have, out):
+            parts[i].append(part)
     workers, results = pool_size(len(tasks)), []
-    for name, (_, x, y, cfg, grid), p, n in zip(names, args, parts, draws):
-        blocks = [p[b] for b in sorted(p)]
+    for (name, _, x, y, cfg, grid, _), blocks, n in zip(members, parts, draws):
         cat = {k: np.concatenate([q[k] for q in blocks])
                for k in ("A", "B", "dist", "X", "Y", "glued", "alive")}
         if not (np.isfinite(cat["A"]).all() and np.isfinite(cat["B"]).all()):

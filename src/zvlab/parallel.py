@@ -1,9 +1,12 @@
 """Deterministic worker pool.
 
-Work is split into tasks whose content never depends on the worker
-count; results are merged in task order with a fixed pairwise tree, so
-a run with ZVLAB_THREADS=1 and ZVLAB_THREADS=8 produces byte-identical
-numbers.
+How work is cut into tasks may depend on the worker count, but no
+number does.  The plain engine's tasks are Philox blocks, whose partial
+sums are merged in block order with a fixed pairwise tree.  The pair
+engine cuts its paths into as many row ranges as the pool has processes:
+rows are independent, each run's rows are put back in path order, and
+its counters are integer sums.  So a run with ZVLAB_THREADS=1 and
+ZVLAB_THREADS=8 produces byte-identical numbers.
 
 ZVLAB_THREADS counts forked worker processes.  The engines' per-step
 numpy passes each hold the GIL, so threads cannot overlap them; forked

@@ -18,6 +18,7 @@ import numpy as np
 # Fixed block width.  Part of the reproducibility contract: changing it
 # changes every stream, so it is a constant, not a knob.
 BLOCK = 8192
+LANE_CHUNK = 256          # lanes per generator call in lane_normals
 
 
 def block_generator(seed: int, block_index: int) -> np.random.Generator:
@@ -36,6 +37,34 @@ def block_normals(seed: int, block_index: int, n_steps: int, d: int,
     gen = block_generator(seed, block_index)
     w = BLOCK if width is None else min(width, BLOCK)
     return gen.standard_normal((w, n_steps, d))
+
+
+def lane_normals(seed: int, start: int, stop: int, n_steps: int,
+                 d: int) -> np.ndarray:
+    """The increments of paths start..stop-1, step-major: shape
+    (n_steps, stop - start, d), path i at [:, i - start], bit for bit
+    block_normals(seed, i // BLOCK, n_steps, d)[i % BLOCK].
+
+    Each block is drawn from its first lane in calls of LANE_CHUNK lanes;
+    successive calls continue one stream, so they give the bits of one
+    call.  Lanes before start are drawn and dropped, so the draw costs
+    stop - start + start % BLOCK lanes.
+    """
+    out = np.empty((n_steps, stop - start, d))
+    buf = np.empty((LANE_CHUNK, n_steps, d))
+    lane = start - start % BLOCK            # first lane of start's block
+    while lane < stop:
+        gen = block_generator(seed, lane // BLOCK)
+        end = min(stop, lane + BLOCK)
+        while lane < end:
+            c = min(LANE_CHUNK, end - lane)
+            gen.standard_normal(out=buf[:c])
+            if lane + c > start:
+                keep = max(start - lane, 0)
+                out[:, lane + keep - start:lane + c - start] = \
+                    buf[keep:c].transpose(1, 0, 2)
+            lane += c
+    return out
 
 
 def path_blocks(n_paths: int) -> list[tuple[int, int]]:

@@ -37,21 +37,27 @@ class SdeModel:
     The one model type of both path engines: the plain ensemble and the
     coupled pair.  The stepper lets evaluators that share work (e.g. the
     transformed SDE, whose drift and diffusion share one map inversion)
-    do it once per step.  step_eval's third argument is unused; the
-    engines pass None.  The pair engine writes over its input after each
-    call: an evaluator may return its input but must not keep it.
+    do it once per step.  A stepper with work that depends on t alone
+    comes with tables(ts), that work at each of the times ts; the pair
+    engine builds it once per run and passes each step's entry to
+    step_eval, which hands it to the stepper as stepper(t, X, table).  The
+    plain engine passes None.  The pair engine writes over its input after
+    each call: an evaluator may return its input but must not keep it.
     """
 
     d: int
     drift: Evaluator | None = None
     sigma: Evaluator | None = None
     stepper: object = None
+    tables: Callable | None = None
 
-    def step_eval(self, t, X, state):
-        if self.stepper is not None:
+    def step_eval(self, t, X, table):
+        if self.stepper is None:
+            return (np.asarray(self.drift(t, X), dtype=float),
+                    np.asarray(self.sigma(t, X), dtype=float))
+        if table is None:
             return self.stepper(t, X)
-        return (np.asarray(self.drift(t, X), dtype=float),
-                np.asarray(self.sigma(t, X), dtype=float))
+        return self.stepper(t, X, table)
 
 
 @dataclass(frozen=True)
@@ -212,12 +218,14 @@ def original_model(coeffs, d: int) -> SdeModel:
 
 def transformed_model(zmap) -> SdeModel:
     """Model for the transformed SDE driven by (Z, Sigma), for either path
-    engine.  One map inversion per step serves both coefficients."""
+    engine.  One map inversion per step serves both coefficients; in 1-d
+    the map's step tables carry what it shares across rows."""
 
-    def stepper(t, Y):
-        return zmap.transformed(t, Y, on_escape="flag")
+    def stepper(t, Y, table=None):
+        return zmap.transformed(t, Y, on_escape="flag", table=table)
 
-    return SdeModel(d=zmap.grid.d, stepper=stepper)
+    return SdeModel(d=zmap.grid.d, stepper=stepper,
+                    tables=zmap.step_tables if zmap.grid.d == 1 else None)
 
 
 # ---------------------------------------------------------------------------

@@ -60,29 +60,60 @@ def interp_lipschitz_sup(phi_vals: np.ndarray, grid: GridSpec) -> float:
     return float(0.5 * (np.hypot(a + e, b - c) + np.hypot(a - e, b + c)).max())
 
 
-def _image_cell(img: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """j in [0, n-2] with img[j] <= y < img[j+1], clamped at the ends, for
-    strictly increasing node images img: searchsorted(img, y, "right") - 1
-    clipped (NaN sorts last), from a table of 4n + 2 buckets, span / (4n)
-    wide from img[0]; the last holds no image and takes NaN and +inf.  A
-    bucket index never decreases as y grows, so images in lower buckets are
-    < y and those in higher ones > y: from the count of the lower ones, j
-    steps over the images in y's bucket, one compare each.  There is at
-    most one when every image cell is wider than a bucket, as grad_sup <
-    1/2 makes it for every map build_zvonkin returns."""
+def _bucket(v, lo, inv_bw, nb):
+    """The bucket of each v, clamped to [0, nb + 1]; NaN goes to nb + 1."""
+    return np.fmax(np.fmin((v - lo) * inv_bw, nb + 1), 0.0).astype(np.int64)
+
+
+def _cell_table(img: np.ndarray) -> tuple:
+    """_image_cell's table for strictly increasing node images img: 4n + 2
+    buckets, span / (4n) wide from img[0], the last holding no image and
+    taking NaN and +inf; the count of images below each bucket; img with
+    a NaN appended; and the most images one bucket holds."""
     n = img.size
     nb = 4 * n
     lo, inv_bw = img[0], nb / (img[-1] - img[0])
-
-    def bucket(v):
-        return np.fmax(np.fmin((v - lo) * inv_bw, nb + 1), 0.0).astype(np.int64)
-
-    below = np.searchsorted(bucket(img), np.arange(nb + 2), "left")
+    below = np.searchsorted(_bucket(img, lo, inv_bw, nb), np.arange(nb + 2), "left")
     pad = np.append(img, np.nan)          # no row steps past n
-    j = below[bucket(y)]
-    for _ in range(int(np.diff(below).max())):
+    return pad, lo, inv_bw, nb, below, int(np.diff(below).max())
+
+
+def _image_cell(table: tuple, y: np.ndarray) -> np.ndarray:
+    """j in [0, n-2] with img[j] <= y < img[j+1], clamped at the ends, for
+    the node images img of _cell_table(img): searchsorted(img, y, "right")
+    - 1 clipped (NaN sorts last).  A bucket index never decreases as y
+    grows, so images in lower buckets are < y and those in higher ones >
+    y: from the count of the lower ones, j steps over the images in y's
+    bucket, one compare each.  There is at most one when every image cell
+    is wider than a bucket, as grad_sup < 1/2 makes it for every map
+    build_zvonkin returns."""
+    pad, lo, inv_bw, nb, below, passes = table
+    j = below[_bucket(y, lo, inv_bw, nb)]
+    for _ in range(passes):
         j += y >= pad[j]
-    return np.clip(j - 1, 0, n - 2)
+    return np.clip(j - 1, 0, pad.size - 3)
+
+
+@dataclass(frozen=True)
+class StepTable:
+    """What the 1-d transformed stepper computes once per time t, for every
+    row: phi_t at the nodes, the cell search table of the node images
+    xs + phi_t, the image cell widths, and the cell slopes of phi_t, cell
+    i at i + 1 with 0 on the clamped rays beyond +-L, with their
+    differences."""
+
+    vals: np.ndarray
+    cells: tuple
+    width: np.ndarray
+    slope: np.ndarray
+    dslope: np.ndarray
+
+    def invert(self, y: np.ndarray):
+        """Exact inverse of y, any shape, at the table's time: (x, phi_t(x))."""
+        j = _image_cell(self.cells, y)
+        f = np.clip((y - self.cells[0][j]) / self.width[j], 0.0, 1.0)
+        phi = self.vals[j] * (1.0 - f) + self.vals[j + 1] * f
+        return y - phi, phi
 
 
 class LambdaSearchError(RuntimeError):
@@ -142,7 +173,7 @@ class ZvonkinMap:
         single = y.ndim == 1
         pts = y[None, :] if single else y
         if self.grid.d == 1:
-            x, its = self._invert_1d(t, pts)[0], 1
+            x, its = self.step_table(t).invert(pts)[0], 1
         else:
             x, its = self._invert_fixed_point(t, pts, max_iter)
         self._check_escape(t, pts, x, on_escape)
@@ -159,17 +190,20 @@ class ZvonkinMap:
                 f"{out} preimage(s) outside the doubled box at t={t:.6g}: "
                 f"worst row {i} y={y[i]} maps back to x={x[i]}")
 
-    def _invert_1d(self, t: float, y: np.ndarray):
-        """Exact inverse of y, any shape: (x, phi_t(x), phi_t at the nodes)."""
+    def step_table(self, t: float) -> StepTable:
+        """The 1-d stepper's row-independent work at t (1-d maps only)."""
+        g = self.grid
         vals = self.phi.time_slice(t)[:, 0]
-        img = self.grid.xs + vals
+        img = g.xs + vals
         width = np.diff(img)
         if not np.all(width > 0.0):
             raise ValueError(f"Phi_t is not strictly increasing at t={t:.6g}")
-        j = _image_cell(img, y)
-        f = np.clip((y - img[j]) / width[j], 0.0, 1.0)
-        phi = vals[j] * (1.0 - f) + vals[j + 1] * f
-        return y - phi, phi, vals
+        slope = np.concatenate(([0.0], np.diff(vals) / g.h, [0.0, 0.0]))
+        return StepTable(vals, _cell_table(img), width, slope, np.diff(slope))
+
+    def step_tables(self, ts) -> list:
+        """step_table at each of the times ts, for a run that steps on them."""
+        return [self.step_table(t) for t in ts]
 
     def _invert_fixed_point(self, t: float, pts: np.ndarray, max_iter: int):
         x = pts
@@ -204,25 +238,27 @@ class ZvonkinMap:
 
     # -- transformed coefficients -------------------------------------------
 
-    def transformed(self, t: float, y: np.ndarray, on_escape: str = "raise"):
+    def transformed(self, t: float, y: np.ndarray, on_escape: str = "raise",
+                    table: StepTable | None = None):
         """(Z, Sigma) = (b1 + b2 + lam phi, (I + grad phi) sigma) at the
         preimages x = Phi_t^{-1}(y) of y (N, d); on_escape is as in invert.
         In 1-d phi comes from the inversion's cell, and grad phi is the mean
         slope over [x - h/2, x + h/2] that grad_phi_at's central difference
         measures: two neighbouring cell slopes blended, 0 on the clamped rays
         beyond +-L, and Sigma is the one product (1 + G) sigma that the 1x1
-        matrix product computes."""
+        matrix product computes.  table is step_table(t), which a caller
+        stepping on fixed times builds once; without it, it is built here."""
         g = self.grid
         y = np.asarray(y, dtype=float)
         if g.d == 1:
-            x1, phi, vals = self._invert_1d(t, y[:, 0])      # flat (N,)
+            tab = self.step_table(t) if table is None else table
+            x1, phi = tab.invert(y[:, 0])                   # flat (N,)
             x = x1[:, None]
             self._check_escape(t, y, x, on_escape)
             Z = self.lam * phi[:, None]
-            slope = np.concatenate(([0.0], np.diff(vals) / g.h, [0.0, 0.0]))  # cell i at i+1
             c = np.clip((x1 + g.L) / g.h + 0.5, 0.0, g.n)  # x - h/2 in cells, plus 1
             k = np.fmin(c, g.n).astype(np.int64)           # NaN: the top cell, weight NaN
-            G = slope[k] + (c - k) * np.diff(slope)[k]
+            G = tab.slope[k] + (c - k) * tab.dslope[k]
         else:
             x, _ = self.invert(t, y, on_escape=on_escape)
             Z = self.lam * self.phi.eval(t, x)

@@ -110,9 +110,10 @@ def test_full_pipeline_csv_identical_across_worker_counts(capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["full-pipeline", "harnack"])
 def test_report_json_carries_pair_counters(capsys, monkeypatch, tmp_path,
                                            command):
-    # each coupled run's counters, summed from its block partials, its
-    # block draws and the worker processes it used; the log check reads the
-    # couple run, simulated first, and the power run shares its draws
+    # each coupled run's counters, summed from its task partials, the
+    # Philox lanes it drew and the worker processes it used; the log check
+    # reads the couple run, simulated first, and the power run shares its
+    # draws.  Two draw groups of 9000 paths on two workers are one task each
     monkeypatch.setenv("ZVLAB_THREADS", "2")
     code, _, _ = run_cli(capsys, command, "--scenario", "additive-1d",
                          "--paths", "9000", "--seed", "1", "--fast",
@@ -127,11 +128,11 @@ def test_report_json_carries_pair_counters(capsys, monkeypatch, tmp_path,
     for c in metrics["harnack"].values():
         assert sorted(c) == ["box_exit_rows", "clip_events", "draws",
                              "total_events", "trunc_events", "workers"]
-        assert c["workers"] == 2                      # 9000 paths: two blocks
+        assert c["workers"] == 2
         assert 0 <= c["trunc_events"] <= c["total_events"]
-    assert metrics["harnack"]["log"]["draws"] == 2
+    assert metrics["harnack"]["log"]["draws"] == 9000
     assert metrics["harnack"]["power"]["draws"] == 0
-    assert metrics["harnack"]["calibration"]["draws"] == 2
+    assert metrics["harnack"]["calibration"]["draws"] == 9000
     if command == "full-pipeline":
         assert metrics["harnack"]["log"] == metrics["couple"]["couple"]
     assert "workers" not in (tmp_path / "report.csv").read_text()

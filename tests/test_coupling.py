@@ -25,7 +25,7 @@ from zvlab.coupling import (CouplingConfig, _sigma_inverse, build_coupling_grid,
 from zvlab import rng as zrng
 from zvlab.scenarios import get_scenario
 from zvlab.sde import SdeModel, transformed_model
-from zvlab.zvonkin import build_zvonkin
+from zvlab.zvonkin import ZvonkinMap, build_zvonkin
 
 E1 = 1.0 - math.exp(-1.0)      # 0.6321205588285577
 
@@ -207,15 +207,17 @@ def test_sigma_inverse_closed_form():
                                    rtol=1e-10, atol=0.0)
     s = rng.normal(size=(6, 2, 2))
     s[4] = [[1.0, 2.0], [0.5, 1.0]]               # det == 0
-    with pytest.raises(np.linalg.LinAlgError, match=r"t=0\.37: worst row 4"):
+    with pytest.raises(np.linalg.LinAlgError, match=r"^1 singular .* t=0\.37: worst path 4"):
         _sigma_inverse(s, 0.37)
     s1 = rng.normal(size=(6, 1, 1))
     s1[1] = np.nan
     s1[3] = 0.0
-    with pytest.raises(np.linalg.LinAlgError, match=r"2 singular .* worst row 1"):
-        _sigma_inverse(s1, 0.37)
-    # the pair engine raises at the first step of a degenerate pair
-    with pytest.raises(np.linalg.LinAlgError, match="t=0: worst row 0"):
+    with pytest.raises(np.linalg.LinAlgError, match=r"^run 2: 2 singular .* worst path 11"):
+        _sigma_inverse(s1, 0.37, "run 2", 10)
+    # the pair engine raises at the first step of a degenerate pair; the
+    # count is of the failing task's rows, so it depends on the packing
+    with pytest.raises(np.linalg.LinAlgError, match=r"^run 0 \(seed 1, x=\[0\.25\], "
+                       r"y=\[-0\.25\]\): \d singular .* t=0: worst path 0"):
         simulate_pair(additive_pair(sigma_scale=0.0), [0.25], [-0.25],
                       unit_cfg(m=10, n_paths=4), seed=1)
 
@@ -459,11 +461,17 @@ LEAN_STEP_RUNS = {
 @pytest.mark.parametrize("name", sorted(LEAN_STEP_RUNS))
 def test_pair_step_matches_the_reference(name):
     # the in-place state, 1-d products and copyto masks change no bit
+    # on the same noise, which the engine reads step-major, and with the
+    # step tables built once where the pair has them
     make, x0, y0, cfg, seed, width, reached = LEAN_STEP_RUNS[name]
     pair, x0, y0 = make(), np.array(x0), np.array(y0)
     grid = build_coupling_grid(cfg)
     normals = zrng.block_normals(seed, 0, grid.dts.size, pair.d, width)
-    got = coupling._pair_block_steps(pair, x0, y0, cfg, grid, normals)
+    tables = pair.tables(grid.ts[:-1]) if pair.tables is not None else None
+    assert (tables is not None) == (name == "transformed")
+    got = coupling._pair_block_steps(pair, x0, y0, cfg, grid,
+                                     zrng.lane_normals(seed, 0, width, grid.dts.size,
+                                                       pair.d), tables)
     ref = reference_pair_block_steps(pair, x0, y0, cfg, grid, normals)
     assert reached(ref)
     assert got.keys() == ref.keys()
@@ -477,9 +485,12 @@ def test_pair_step_matches_the_reference(name):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_batch_matches_separate_runs(monkeypatch, threads):
-    # runs 0 and 1 differ only in theta and share both draws; run 2 has
-    # another seed, run 3 another step grid, and run 4 shares run 0's full
-    # first block but draws its 308-lane tail itself
+    # runs 0 and 1 differ only in theta and share their draws; run 2 has
+    # another seed, run 3 another step grid, and run 4, with fewer paths,
+    # takes the leading 8500 lanes of run 0's draws.  draws counts Philox
+    # lanes: a batch of three draw groups is one task per group at 1 and 2
+    # workers, and a run alone at 2 workers is two tasks, the second of
+    # which also draws the block lanes before its first path
     monkeypatch.setenv("ZVLAB_THREADS", threads)
     pair = additive_pair(drift_slope=-0.5)
     cfg = unit_cfg(m=100, n_paths=9000)
@@ -496,9 +507,103 @@ def test_batch_matches_separate_runs(monkeypatch, threads):
             assert np.array_equal(getattr(got, name), getattr(ref, name)), name
         for name in ("trunc_events", "clip_events", "total_events", "n_steps"):
             assert getattr(got, name) == getattr(ref, name), name
-        assert ref.draws == math.ceil(len(ref.box_exit) / 8192)  # alone
-    assert [r.draws for r in batch] == [2, 0, 2, 2, 1]
+        n = ref.cfg.n_paths
+        assert ref.draws == (n if threads == "1" else n // 2 + n)    # alone
+    assert [r.draws for r in batch] == [9000, 0, 9000, 9000, 0]
     assert not np.array_equal(batch[0].A, batch[1].A)      # theta differs
+
+
+def one_block_reference(pair, x, y, cfg, seed):
+    """A run's outputs with each Philox block advanced alone, on its
+    block_normals draw, and the blocks joined in order."""
+    grid = build_coupling_grid(cfg)
+    x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+    parts = [coupling._pair_block_steps(pair, x, y, cfg, grid, np.ascontiguousarray(
+                 zrng.block_normals(seed, bi, grid.dts.size, pair.d, w).transpose(1, 0, 2)))
+             for bi, w in zrng.path_blocks(cfg.n_paths)]
+    out = {k: np.concatenate([p[k] for p in parts])
+           for k in ("A", "B", "dist", "X", "Y", "glued", "alive")}
+    return out, [sum(p[k] for p in parts) for k in ("trunc", "clip", "events")]
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3", "4"])
+def test_packed_runs_match_the_one_block_reference(monkeypatch, threads):
+    # row ranges of the draw group cut at 9000 / threads, so that at 2, 3
+    # and 4 workers the last starts inside block 0 and ends inside block 1
+    # (and at 4 a middle one starts mid-chunk); runs 0
+    # and 1 share their draws (theta differs), run 2 takes the leading
+    # 8200 rows of them, and the pool forks one process per worker.  The
+    # state-dependent sigma glues most rows of run 0, not all, and some
+    # rows leave the box or are clipped
+    monkeypatch.setenv("ZVLAB_THREADS", threads)
+    pair = SdeModel(d=1, drift=lambda t, x: -0.5 * x,
+                    sigma=lambda t, x: (1.0 + 0.5 * np.sin(3.0 * x))[..., None])
+    cfg = unit_cfg(m=20, n_paths=9000, L=1.5, theta=1.8)
+    runs = [(pair, [0.3], [-0.2], cfg, 5),
+            (pair, [0.3], [-0.2], replace(cfg, theta=1.5), 5),
+            (pair, [0.2], [0.0], replace(cfg, n_paths=8200), 5)]
+    batch = simulate_pairs(runs)
+    for run, got in zip(runs, batch, strict=True):
+        ref, (trunc, clip, events) = one_block_reference(*run)
+        for key, name in (("A", "A"), ("B", "B"), ("dist", "dist_at_eps"),
+                          ("X", "final_X"), ("Y", "final_Y"), ("glued", "glued")):
+            assert getattr(got, name).tobytes() == ref[key].tobytes(), name
+        assert np.array_equal(got.box_exit, ~ref["alive"])
+        assert (got.trunc_events, got.clip_events, got.total_events) == (
+            trunc, clip, events)
+        assert got.workers == int(threads)
+    assert batch[0].glued.any() and not batch[0].glued.all()
+    assert batch[0].box_exit.any() and batch[0].clip_events > 0
+    assert [r.draws for r in batch][1:] == [0, 0]
+    assert batch[0].draws >= 9000 and (threads != "1" or batch[0].draws == 9000)
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_sigma_error_names_the_run_and_the_path(monkeypatch, threads):
+    # sigma is nan above thr, which only path 8220 passes before its last
+    # step (pure Brownian X = Y, glued from the start), so the error names
+    # that path of run 1, whichever task holds it
+    monkeypatch.setenv("ZVLAB_THREADS", threads)
+    cfg = unit_cfg(m=20, n_paths=9000, L=4.0)
+    grid = build_coupling_grid(cfg)
+    dW = zrng.lane_normals(7, 0, 9000, grid.dts.size, 1)[..., 0] * np.sqrt(
+        grid.dts)[:, None]
+    top = np.cumsum(dW, axis=0)[:-1].max(axis=0)      # X at the stepped times
+    order = np.argsort(top)
+    thr = 0.5 * (top[order[-1]] + top[order[-2]])
+    assert order[-1] == 8220 >= zrng.BLOCK
+
+    def sigma(t, x):
+        return np.where(x > thr, np.nan, 1.0)[..., None]
+
+    pair = SdeModel(d=1, drift=lambda t, x: np.zeros_like(x), sigma=sigma)
+    good = (additive_pair(), [0.25], [-0.25], unit_cfg(m=20, n_paths=256), 1)
+    with pytest.raises(np.linalg.LinAlgError) as err:
+        simulate_pairs([good, (pair, [0.0], [0.0], cfg, 7)])
+    assert str(err.value).startswith(
+        "run 1 (seed 7, x=[0.0], y=[0.0]): 1 singular or non-finite sigma "
+        "row(s) at t=")
+    assert "worst path 8220 sigma=[[nan]] det=nan" in str(err.value)
+
+
+def test_one_pair_batch_builds_its_step_tables_once(monkeypatch):
+    # c11's shape: 13 runs of one transformed pair on one step grid, each
+    # with its own seed; the map's step table is built once per step, in
+    # the calling process, and no task rebuilds it
+    monkeypatch.setenv("ZVLAB_THREADS", "1")
+    pair = singular_1d_pair()
+    built = []
+    orig = ZvonkinMap.step_table
+
+    def spy(self, t):
+        built.append(t)
+        return orig(self, t)
+
+    monkeypatch.setattr(ZvonkinMap, "step_table", spy)
+    cfg = unit_cfg(m=20, n_paths=64, L=4.0)
+    simulate_pairs([(pair, [0.1 * (i % 3)], [-0.1], cfg, 100 + i)
+                    for i in range(13)])
+    assert built == list(build_coupling_grid(cfg).ts[:-1])
 
 
 def test_h5_certificate_measures_constants():

@@ -47,6 +47,24 @@ def test_path_regeneration_bit_exact():
                                              width=zrng.BLOCK + 5), full)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_lane_normals_are_block_lanes_step_major(d):
+    # a range of paths drawn in chunks, step-major, is the matching slice
+    # of the block draws, also where it starts or ends inside a block or a
+    # chunk, or crosses a block boundary
+    seed, n_steps, B = 42, 3, zrng.BLOCK
+    lanes = np.concatenate([zrng.block_normals(seed, b, n_steps, d)
+                            for b in range(3)])
+    c = zrng.LANE_CHUNK
+    for start, stop in [(0, 5), (0, B), (c - 1, c + 1), (100, B + 300),
+                        (B - 1, B + 1), (B, 2 * B + 5), (B + 7, 2 * B - 7),
+                        (5, 2 * B + 3)]:
+        got = zrng.lane_normals(seed, start, stop, n_steps, d)
+        assert got.shape == (n_steps, stop - start, d) and got.flags.c_contiguous
+        assert got.tobytes() == np.ascontiguousarray(
+            lanes[start:stop].transpose(1, 0, 2)).tobytes(), (start, stop)
+
+
 def test_worker_count_invariance(monkeypatch):
     # 9000 paths span two blocks, so the process pool is actually exercised
     spec = SimSpec(T=1.0, n_steps=100, n_paths=9000, seed=9, L=6.0)

@@ -19,7 +19,7 @@ from zvlab.fields import (CoefficientSet, GridFunction, GridSpec, constant_sigma
 from zvlab.pde import sample_operator
 from zvlab.sde import SdeModel
 from zvlab.zvonkin import (InverseEscape, LambdaSearchError, ZvonkinMap,
-                           _image_cell, bilipschitz_certificate, build_zvonkin,
+                           _cell_table, _image_cell, bilipschitz_certificate, build_zvonkin,
                            ellipticity_certificate,
                            interp_lipschitz_sup, roundtrip_certificate,
                            transformed_constants)
@@ -152,9 +152,10 @@ def test_cell_index_matches_searchsorted():
             knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
             [-np.inf, -1e300, 1e300, np.inf, np.nan]])
         ref = np.clip(np.searchsorted(knots, y, side="right") - 1, 0, grid.n - 2)
-        assert np.array_equal(_image_cell(knots, y), ref)
+        table = _cell_table(knots)
+        assert np.array_equal(_image_cell(table, y), ref)
         # an (N, 1) column gives the column shape
-        col = _image_cell(knots, y[:, None])
+        col = _image_cell(table, y[:, None])
         assert col.shape == (y.size, 1) and np.array_equal(col[:, 0], ref)
 
 
