@@ -5,9 +5,13 @@ for a fixed (seed, config) regardless of worker count: every block's
 partial statistic is a pure function of its inputs and partials are
 combined in fixed order.  Paths that leave the doubled box, or turn
 non-finite, are frozen at their exit value, flagged, and excluded from
-estimators with the count reported.  A statistic of the plain ensemble is a BlockStat, a per-block
-partial and a finish step, so that run_stats can feed several statistics
-from one pass over the paths.
+estimators with the count reported.
+
+The engine streams: a block holds its normals, the current state and the
+alive masks, never whole paths.  A statistic of the plain ensemble is a
+BlockStat, which folds each node of a block into per-row accumulators as
+the engine yields it and then gives the block's partial, and a finish
+step, so that run_stats can feed several statistics from one pass.
 
 The module also houses the two checks that ride on simulated paths:
 the transform-consistency curve E max_t |Phi_t(X_t) - Y_t| and the
@@ -28,6 +32,7 @@ from . import rng as _rng
 
 ESCAPE_WARN = 0.01        # estimator-quality threshold, recorded
 ESCAPE_ERROR = 0.20       # hard failure: domain too small for the scenario
+ROW_CHUNK = 256           # rows per pass of bump-family's row sums
 
 
 @dataclass
@@ -38,11 +43,11 @@ class SdeModel:
     coupled pair.  The stepper lets evaluators that share work (e.g. the
     transformed SDE, whose drift and diffusion share one map inversion)
     do it once per step.  A stepper with work that depends on t alone
-    comes with tables(ts), that work at each of the times ts; the pair
-    engine builds it once per run and passes each step's entry to
+    comes with tables(ts), that work at each of the times ts; both engines
+    build it once per run and step grid and pass each step's entry to
     step_eval, which hands it to the stepper as stepper(t, X, table).  The
-    plain engine passes None.  The pair engine writes over its input after
-    each call: an evaluator may return its input but must not keep it.
+    pair engine writes over its input after each call: an evaluator may
+    return its input but must not keep it.
     """
 
     d: int
@@ -80,38 +85,44 @@ class SimSpec:
 
 
 def _advance_block(models, x0s, spec, block_index, width):
-    """One block of paths for every model, sharing Brownian increments."""
-    d = models[0].d
+    """One block of paths for every model, on shared Brownian increments,
+    as a generator: first the block's normals (width, n_steps, d), then
+    (k, X, alive) at each node k = 0..n_steps, with one array of each per
+    model.  models pairs each SdeModel with its step tables (or None).  X
+    and alive are the engine's own: X[i] is replaced at the next step and
+    alive[i] updated in place, so a reader copies what it keeps."""
+    d = models[0][0].d
     normals = _rng.block_normals(spec.seed, block_index, spec.n_steps, d, width)
-    dW = normals * math.sqrt(spec.h)
-    n_models = len(models)
-    X = [np.broadcast_to(np.asarray(x0s[i], dtype=float), (width, d)).copy()
-         for i in range(n_models)]
-    alive = [np.ones(width, dtype=bool) for _ in range(n_models)]
-    paths = [np.empty((width, spec.n_steps + 1, d)) for _ in range(n_models)]
-    for i in range(n_models):
-        paths[i][:, 0] = X[i]
+    yield normals
+    sqrt_h = math.sqrt(spec.h)
+    X = [np.broadcast_to(np.asarray(x0, dtype=float), (width, d)).copy()
+         for x0 in x0s]
+    alive = [np.ones(width, dtype=bool) for _ in models]
+    yield 0, X, alive
     limit = 2.0 * spec.L
     for k in range(spec.n_steps):
         t = k * spec.h
-        for i, model in enumerate(models):
+        dw = normals[:, k] * sqrt_h
+        for i, (model, tables) in enumerate(models):
             # every row takes the same step; a frozen row keeps its value, so
             # a path's bits do not depend on which other paths have escaped
             al = alive[i]
-            b, s = model.step_eval(t, X[i], None)
-            step = X[i] + b * spec.h + np.einsum("...ij,...j->...i", s, dW[:, k])
+            b, s = model.step_eval(t, X[i], None if tables is None else tables[k])
+            step = X[i] + b * spec.h + np.einsum("...ij,...j->...i", s, dw)
             X[i] = np.where(al[:, None], step, X[i])
             # a non-finite row fails the test and is frozen as escaped
             al[~(np.abs(X[i]).max(axis=-1) <= limit)] = False
-            paths[i][:, k + 1] = X[i]
-    return {"X": paths, "dW": dW, "alive": alive, "width": width}
+        yield k + 1, X, alive
 
 
 @dataclass(frozen=True)
 class BlockStat:
     """A statistic of the plain ensemble, split so that one pass can feed
-    several: block(traj) is one path block's partial, finish(partials)
-    the result from every block's partial in block order."""
+    several.  block(normals) opens one path block and returns (step,
+    part): step(k, X, alive) folds node k, as _advance_block yields it,
+    into per-row accumulators, and part(X, alive) is the block's partial
+    from them and the last node.  finish(partials) is the result from
+    every block's partial in block order."""
 
     block: Callable
     finish: Callable
@@ -120,13 +131,22 @@ class BlockStat:
 def run_stats(models, x0s, spec: SimSpec, stats) -> list:
     """Advance the plain ensemble of every model, from its x0 and on shared
     Brownian increments, once, and finish every statistic on it, in the
-    order given.  Each statistic sees the same trajectories and reduces
-    its own partials as a run of it alone would, so the results are
-    bit-identical to one pass per statistic."""
+    order given.  Each statistic sees the same nodes and reduces its own
+    partials as a run of it alone would, so the results are bit-identical
+    to one pass per statistic.  A model's step tables are built here, once
+    for the step grid, before the tasks fork."""
+    ts = [k * spec.h for k in range(spec.n_steps)]
+    members = [(m, None if m.tables is None else m.tables(ts)) for m in models]
 
     def task(bi, w):
-        traj = _advance_block(models, x0s, spec, bi, w)
-        return [st.block(traj) for st in stats]
+        nodes = _advance_block(members, x0s, spec, bi, w)
+        normals = next(nodes)
+        folds = [st.block(normals) for st in stats]
+        del normals                 # freed with the generator, before part()
+        for k, X, alive in nodes:
+            for step, _ in folds:
+                step(k, X, alive)
+        return [part(X, alive) for _, part in folds]
 
     parts = run_tasks(task, _rng.path_blocks(spec.n_paths))
     return [st.finish([p[i] for p in parts]) for i, st in enumerate(stats)]
@@ -168,20 +188,32 @@ def integrate_stat(x0, spec: SimSpec) -> BlockStat:
     if np.abs(x0).max() > 0.5 * spec.L:
         raise ValueError("x0 must lie in the inner half of the box")
 
-    def block(traj):
-        dW = traj["dW"]
-        return {
-            # a copy, so the block's paths are freed before the finish
-            "terminal": traj["X"][0][:, -1].copy(),
-            "escaped": ~traj["alive"][0],
-            "sum_dw": dW.sum(axis=(0, 1)),
-            "sum_dw2": (dW ** 2).sum(axis=(0, 1)),
-            "count": dW.shape[0] * dW.shape[1],
-        }
+    def block(normals):
+        # the increments' sums from the whole draw; dW ** 2 is taken in
+        # place, so the block holds one copy of the draw, not two
+        dW = normals * math.sqrt(spec.h)
+        sum_dw = dW.sum(axis=(0, 1))
+        sum_dw2 = np.square(dW, out=dW).sum(axis=(0, 1))
+        width, n_steps = dW.shape[:2]
+        del dW
+        alive_nodes = np.zeros(width, dtype=np.int64)
+
+        def step(k, X, alive):
+            nonlocal alive_nodes
+            # an escaped row's count of alive nodes is its exit node
+            alive_nodes += alive[0]
+
+        def part(X, alive):
+            return {"sum_dw": sum_dw, "sum_dw2": sum_dw2, "count": width * n_steps,
+                    "alive_nodes": alive_nodes, "terminal": X[0].copy(),
+                    "escaped": ~alive[0]}
+
+        return step, part
 
     def finish(parts):
         terminal = np.concatenate([p["terminal"] for p in parts])
         escaped = np.concatenate([p["escaped"] for p in parts])
+        alive_nodes = np.concatenate([p["alive_nodes"] for p in parts])
         sum_dw = tree_reduce([p["sum_dw"] for p in parts], lambda a, b: a + b)
         sum_dw2 = tree_reduce([p["sum_dw2"] for p in parts], lambda a, b: a + b)
         count = sum(p["count"] for p in parts)
@@ -189,9 +221,11 @@ def integrate_stat(x0, spec: SimSpec) -> BlockStat:
         var = sum_dw2 / count - mean ** 2
         frac = float(escaped.mean())
         if frac > ESCAPE_ERROR:
+            first = int(np.argmax(escaped))
             raise RuntimeError(
                 f"domain too small for scenario: {frac:.1%} of paths escaped; "
-                f"first escaped path {int(np.argmax(escaped))}")
+                f"first escaped path {first} at "
+                f"t={alive_nodes[first] * spec.h:.6g}")
         rng_report = {
             "increment_mean": mean,
             "increment_var": var,
@@ -247,20 +281,22 @@ def transform_consistency(zmap, x0, steps_list, n_paths: int, seed: int) -> dict
         spec = SimSpec(T=grid.T, n_steps=int(n_steps), n_paths=n_paths,
                        seed=seed, L=grid.L)
 
-        def block(traj, spec=spec):
-            Xp, Yp = traj["X"]
-            ok = traj["alive"][0] & traj["alive"][1]
-            w = int(ok.sum())
-            if w == 0:
-                return (0.0, 0.0, 0, traj["width"])
-            worst = np.zeros(w)
-            for k in range(spec.n_steps + 1):
-                t = k * spec.h
-                img = Xp[ok, k] + zmap.phi.eval(t, Xp[ok, k])
-                defect = np.sqrt(np.sum((img - Yp[ok, k]) ** 2, axis=-1))
-                np.maximum(worst, defect, out=worst)
-            return (float(worst.sum()), float((worst ** 2).sum()), w,
-                    traj["width"] - w)
+        def block(normals, spec=spec):
+            # every row's running max; a row is kept if both paths stay
+            worst = np.zeros(normals.shape[0])
+
+            def step(k, X, alive):
+                img = X[0] + zmap.phi.eval(k * spec.h, X[0])
+                np.maximum(worst, np.sqrt(np.sum((img - X[1]) ** 2, axis=-1)),
+                           out=worst)
+
+            def part(X, alive):
+                ok = alive[0] & alive[1]
+                w = worst[ok]
+                return (float(w.sum()), float((w ** 2).sum()), w.size,
+                        ok.size - w.size)
+
+            return step, part
 
         def finish(parts):
             s, s2, n_ok, n_drop = _sum_partials(parts)
@@ -304,15 +340,22 @@ def krylov_stat(spec: SimSpec, f, ns: NormSpec, f_norm: float) -> BlockStat:
     h = spec.h
     weights = trapezoid_weights(spec.n_steps + 1, h)
 
-    def block(traj):
-        Xp = traj["X"][0]
-        ok = traj["alive"][0]
-        acc = np.zeros(int(ok.sum()))
-        for k in range(spec.n_steps + 1):
-            vals = np.asarray(f(k * h, Xp[ok, k]), dtype=float)
-            acc += weights[k] * vals.reshape(acc.shape)
-        return (float(acc.sum()), float((acc ** 2).sum()), int(ok.sum()),
-                int((~ok).sum()))
+    def block(normals):
+        acc = np.zeros(normals.shape[0])
+
+        def step(k, X, alive):
+            nonlocal acc
+            # a row that is no longer alive is left out at the end, so f sees
+            # the box centre in its place, never a frozen or non-finite value
+            x = np.where(alive[0][:, None], X[0], 0.0)
+            acc += weights[k] * np.asarray(f(k * h, x), dtype=float).reshape(acc.shape)
+
+        def part(X, alive):
+            ok = alive[0]
+            a = acc[ok]
+            return (float(a.sum()), float((a ** 2).sum()), a.size, ok.size - a.size)
+
+        return step, part
 
     def finish(parts):
         s, s2, n_ok, n_drop = _sum_partials(parts)
@@ -355,17 +398,31 @@ def bump_family_stat(spec: SimSpec, ns: NormSpec, widths) -> BlockStat:
     weights = trapezoid_weights(spec.n_steps + 1, spec.h)
     pairs = [interval_bump(0.0, eps) for eps in widths]
 
-    def block(traj):
-        Xp = traj["X"][0]
-        ok = traj["alive"][0]
-        r = np.abs(Xp[ok, :, 0])                # (w, n_steps+1)
-        sums = []
-        sqs = []
-        for eps in widths:
-            acc = ((r <= eps) * weights).sum(axis=1) / (2.0 * eps)
-            sums.append(float(acc.sum()))
-            sqs.append(float((acc ** 2).sum()))
-        return (np.asarray(sums), np.asarray(sqs), int(ok.sum()))
+    def block(normals):
+        width = normals.shape[0]
+        r = None                        # |X| at every node, (width, n_steps+1)
+
+        def step(k, X, alive):
+            nonlocal r
+            if k == 0:                  # after every statistic's block(normals)
+                r = np.empty((width, spec.n_steps + 1))
+            np.abs(X[0][:, 0], out=r[:, k])
+
+        def part(X, alive):
+            # each row's pairwise sum over time does not depend on the other
+            # rows, so the kept rows are summed ROW_CHUNK at a time
+            ok = alive[0]
+            accs = [[] for _ in widths]
+            for c in range(0, width, ROW_CHUNK):
+                rc = r[c:c + ROW_CHUNK][ok[c:c + ROW_CHUNK]]
+                for acc, eps in zip(accs, widths):
+                    acc.append(((rc <= eps) * weights).sum(axis=1) / (2.0 * eps))
+            accs = [np.concatenate(acc) for acc in accs]
+            return (np.asarray([float(a.sum()) for a in accs]),
+                    np.asarray([float((a ** 2).sum()) for a in accs]),
+                    int(ok.sum()))
+
+        return step, part
 
     def finish(parts):
         s, s2, n_ok = _sum_partials(parts)

@@ -6,6 +6,7 @@ tolerances are 3-sigma scale but the outcomes never fluctuate between runs.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from zvlab.sde import (SdeModel, SimSpec, bump_family_report, bump_family_stat,
                        integrate, integrate_stat, interval_bump, k_pq,
                        krylov_estimate, krylov_stat, run_stats,
                        transform_consistency, transformed_model)
-from zvlab.zvonkin import build_zvonkin
+from zvlab.zvonkin import ZvonkinMap, build_zvonkin
 
 SIG1 = constant_sigma(np.array([[1.0]]))
 
@@ -76,6 +77,25 @@ def test_worker_count_invariance(monkeypatch):
     assert np.array_equal(results[0], results[1])
 
 
+def path_recorder():
+    """A statistic that keeps the whole paths of the first model and its
+    final alive mask, read through the engine's per-node hook."""
+
+    def block(normals):
+        nodes = []
+
+        def step(k, X, alive):
+            nodes.append(X[0].copy())
+
+        return step, lambda X, alive: (np.stack(nodes, axis=1), alive[0].copy())
+
+    def finish(parts):
+        return (np.concatenate([p[0] for p in parts]),
+                np.concatenate([p[1] for p in parts]))
+
+    return sde.BlockStat(block, finish)
+
+
 def test_path_bits_do_not_depend_on_other_escapes():
     # a path that stays in the box is bit-identical whether or not other
     # paths of its block escape: compare with the same block in a box no
@@ -83,15 +103,15 @@ def test_path_bits_do_not_depend_on_other_escapes():
     model = SdeModel(d=1, drift=lambda t, x: 0.9 * x + 0.37,
                      sigma=constant_sigma(np.array([[1.3]])))
     x0s = [np.array([0.0])]
-    runs = [sde._advance_block([model], x0s, SimSpec(T=1.0, n_steps=100,
-                                                     n_paths=4000, seed=5, L=L),
-                               0, 4000) for L in (1.6, 1e6)]
-    kept = runs[0]["alive"][0]
+    runs = [run_stats([model], x0s, SimSpec(T=1.0, n_steps=100, n_paths=4000,
+                                            seed=5, L=L), [path_recorder()])[0]
+            for L in (1.6, 1e6)]
+    kept = runs[0][1]
     assert 100 < np.count_nonzero(~kept) < 2000
-    assert runs[1]["alive"][0].all()
-    assert np.array_equal(runs[0]["X"][0][kept], runs[1]["X"][0][kept])
+    assert runs[1][1].all()
+    assert np.array_equal(runs[0][0][kept], runs[1][0][kept])
     # an escaped path is frozen at its first value outside the doubled box
-    gone = runs[0]["X"][0][~kept, :, 0]
+    gone = runs[0][0][~kept, :, 0]
     first = np.argmax(np.abs(gone) > 3.2, axis=1)
     assert np.all(np.abs(gone[:, -1]) > 3.2)
     assert np.all(gone[np.arange(gone.shape[0]), first] == gone[:, -1])
@@ -168,6 +188,30 @@ def test_one_pass_feeds_every_statistic(monkeypatch):
     assert fam == fam0
 
 
+def test_block_memory_stays_near_its_normals(monkeypatch):
+    # one block of 8192 paths at 400 steps: the engine keeps the normals
+    # (26.2 MB), the state and the alive mask, never whole paths or a copy
+    # of the increments.  krylov adds per-row sums; bump-family keeps the
+    # one (width, n_steps+1) array it sums
+    monkeypatch.setenv("ZVLAB_THREADS", "1")
+    spec = SimSpec(T=1.0, n_steps=400, n_paths=8192, seed=3, L=4.0)
+    x0, ns = np.array([0.1]), NormSpec(p=4, q=4, d=1)
+    f, norm_fn = interval_bump(0.0, 0.05)
+    f_norm = norm_fn(ns, 0.0, spec.T)
+    normals_bytes = spec.n_paths * spec.n_steps * 8
+    for stats, bound in [
+            ([krylov_stat(spec, f, ns, f_norm)], 1.25),
+            ([integrate_stat(x0, spec), krylov_stat(spec, f, ns, f_norm),
+              bump_family_stat(spec, ns, [0.05, 0.1, 0.2])], 2.25)]:
+        tracemalloc.start()
+        try:
+            run_stats([brownian_model()], [x0], spec, stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * normals_bytes, (len(stats), peak / normals_bytes)
+
+
 def test_ou_terminal_variance_oracle():
     spec = SimSpec(T=1.0, n_steps=400, n_paths=40_000, seed=5, L=10.0)
     model = SdeModel(d=1, drift=lambda t, x: -x,
@@ -196,21 +240,30 @@ def test_escape_freezing_and_error_policy():
 
 
 def test_escape_error_names_the_first_escaped_path(monkeypatch):
-    # Brownian from 0.1 with the wall at 1.2 loses about 38 % of the paths
+    # Brownian from 0.1 with the wall at 1.2 loses about 38 % of the paths;
+    # the error names the lowest escaped path and the time of its first
+    # node outside the box, which a walk of that path alone finds again
     spec = SimSpec(T=1.0, n_steps=100, n_paths=256, seed=3, L=0.6)
     monkeypatch.setattr(sde, "ESCAPE_ERROR", 1.0)
     first = int(np.argmax(integrate(brownian_model(), np.array([0.1]), spec).escaped))
     monkeypatch.undo()
     assert first > 0
+    x, k = 0.1, 0
+    dw = zrng.block_normals(spec.seed, 0, spec.n_steps, 1)[first, :, 0] * math.sqrt(spec.h)
+    while abs(x) <= 2.0 * spec.L:
+        x, k = x + dw[k], k + 1
+    assert 1 < k < spec.n_steps
     with pytest.raises(RuntimeError,
-                       match=f"domain too small.*; first escaped path {first}$"):
+                       match=f"domain too small.*; first escaped path {first} "
+                             f"at t={k * spec.h:.6g}$"):
         integrate(brownian_model(), np.array([0.1]), spec)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nan_rows_count_as_escaped():
     # a drift that is NaN on a thin band turns the paths that step into it
     # into NaN rows; the engine freezes them as escaped, so the estimators
-    # leave them out and count them
+    # leave them out and count them, and krylov's f never sees them
     def drift(t, x):
         return np.where(np.abs(x - 0.7) < 1e-3, np.nan, 0.0)
 
@@ -219,8 +272,15 @@ def test_nan_rows_count_as_escaped():
     x0 = np.array([0.0])
     ens = integrate(model, x0, spec)
     ev, norm = interval_bump(0.0, 0.05)
+
+    def inside_only(t, x):
+        if not np.all(np.abs(x) <= 2.0 * spec.L):
+            raise ValueError("f called on a frozen row")
+        return ev(t, x)
+
     ns = NormSpec(p=4, q=4, d=1)
-    rep = krylov_estimate(model, x0, spec, ev, ns, f_norm=norm(ns, 0.0, spec.T))
+    rep = krylov_estimate(model, x0, spec, inside_only, ns,
+                          f_norm=norm(ns, 0.0, spec.T))
     nan_rows = np.isnan(ens.terminal).any(axis=-1)
     assert nan_rows.sum() == 355
     assert np.all(ens.escaped[nan_rows])
@@ -278,6 +338,25 @@ def test_transform_consistency_singular_decreases(singular_map_small):
     assert rep["slope"] >= 0.25, rep
     # the doubled box swallows all but a Gaussian-tail sliver of paths
     assert max(rep["excluded"]) <= 0.01 * 2000
+
+
+def test_transform_consistency_builds_each_step_table_once(monkeypatch,
+                                                          singular_map_small):
+    # the transformed model's step tables are built once per level, before
+    # the pass, not once per stepper call: two levels and two path blocks,
+    # one step_table call per step of each level
+    monkeypatch.setenv("ZVLAB_THREADS", "1")
+    built = []
+    orig = ZvonkinMap.step_table
+
+    def spy(self, t):
+        built.append(t)
+        return orig(self, t)
+
+    monkeypatch.setattr(ZvonkinMap, "step_table", spy)
+    transform_consistency(singular_map_small, np.array([0.2]), [100, 200],
+                          9000, seed=23)
+    assert built == [k * (1.0 / n) for n in (100, 200) for k in range(n)]
 
 
 # ---------------------------------------------------------------------------
