@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parallel import pool_size, run_tasks
+from .parallel import pool_size, row_ranges, run_tasks
 from .sde import SdeModel
 from . import rng as _rng
 
@@ -38,7 +38,6 @@ H5_PAIRS = 512            # h5_certificate: sampled start pairs
 H5_TIMES = 5              # h5_certificate: sampled times in [0, T - stop gap]
 K1_SAFETY = 2.0           # calibrate_k1: factor on the calibrated constant
 STOP_GAP = 0.02           # runs stop at T - STOP_GAP T
-PACK_ROWS = 16384         # most paths one coupled task advances
 
 
 @dataclass(frozen=True)
@@ -510,16 +509,16 @@ def simulate_pairs(runs) -> list[CouplingResult]:
     one pool call.  Every run is checked before any is stepped.
 
     Runs with the same seed, dimension and step grid form a draw group.
-    Each group's paths are cut into contiguous ranges of near-equal size,
-    none over PACK_ROWS, and in all at least as many as the pool has
-    processes.  A range is one task: it draws its paths' noise once for
-    every run of the group that has them, and those Philox lanes, with the
-    leading lanes of a block that it drops, count in the draws of the
-    first such run.  A pair's step tables are built once per step grid,
-    here, so forked tasks inherit them.  Rows are independent, each run's
-    rows are put back in path order and its counters are integer sums, so
-    every result is bit-identical to a run made alone, at any worker
-    count."""
+    The pool's processes are shared out among the groups, and each group's
+    paths are cut into parallel.row_ranges for its share.  A range is one
+    task: it draws its paths' noise once for every run of the group that
+    has them, and those Philox lanes, with the leading lanes of a block
+    that it drops, count in the draws of the first such run.  A pair's
+    step tables are built once per step grid, here, so forked tasks
+    inherit them.  A row's bits do not depend on the rows beside it (the
+    2-d map inverse stops each row on its own update), each run's rows are
+    put back in path order and its counters are integer sums, so every
+    result is bit-identical to a run made alone, at any worker count."""
     members, tables = [], {}
     for i, (pair, x, y, cfg, seed) in enumerate(runs):
         x, y = (np.asarray(v, dtype=float).reshape(pair.d) for v in (x, y))
@@ -541,9 +540,7 @@ def simulate_pairs(runs) -> list[CouplingResult]:
     per_group = -(-pool_size(sum(sizes)) // len(groups))
     tasks, owners = [], []
     for (seed, _, _), idx, n in zip(groups, groups.values(), sizes):
-        k = min(n, max(-(-n // PACK_ROWS), per_group))
-        cuts = [n * j // k for j in range(k + 1)]
-        for a, b in zip(cuts, cuts[1:]):
+        for a, b in row_ranges(n, per_group):
             have = [i for i in idx if n_paths[i] > a]
             tasks.append(([members[i] for i in have], seed, a, b))
             owners.append(have)

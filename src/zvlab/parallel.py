@@ -1,12 +1,16 @@
 """Deterministic worker pool.
 
 How work is cut into tasks may depend on the worker count, but no
-number does.  The plain engine's tasks are Philox blocks, whose partial
-sums are merged in block order with a fixed pairwise tree.  The pair
-engine cuts its paths into as many row ranges as the pool has processes:
-rows are independent, each run's rows are put back in path order, and
-its counters are integer sums.  So a run with ZVLAB_THREADS=1 and
-ZVLAB_THREADS=8 produces byte-identical numbers.
+number does.  Both path engines cut a command's paths by one rule,
+row_ranges: near-equal contiguous row ranges, a multiple of the pool's
+processes and none over PACK_ROWS, each drawn step-major by
+rng.lane_normals.  A row's bits do not depend on the rows beside it (the
+2-d map inverse stops each row on its own update), so a task returns
+per-row results and the parent puts them back in path order.  The plain
+engine then sums each Philox block's rows and adds the block sums with a
+fixed pairwise tree; the pair engine's counters are integer sums.  So a
+run with ZVLAB_THREADS=1 and ZVLAB_THREADS=8 produces byte-identical
+numbers.
 
 ZVLAB_THREADS counts forked worker processes.  The engines' per-step
 numpy passes each hold the GIL, so threads cannot overlap them; forked
@@ -26,6 +30,7 @@ import sys
 import threading
 
 _JOB = None    # (fn, args_list) of the pool call in flight; children inherit it
+PACK_ROWS = 16384         # most paths one task advances
 _CAN_FORK = hasattr(os, "fork") and sys.platform != "darwin"
 
 
@@ -55,6 +60,15 @@ def pool_size(n_tasks: int) -> int:
     """Processes run_tasks forks for n_tasks tasks at ZVLAB_THREADS; 1
     means the tasks run in the calling process."""
     return max(1, min(n_workers(), n_tasks)) if _may_fork() else 1
+
+
+def row_ranges(n: int, procs: int) -> list[tuple[int, int]]:
+    """Paths 0..n-1 cut into contiguous (start, stop) ranges of near-equal
+    size: procs * ceil(ceil(n / PACK_ROWS) / procs) of them, at most n."""
+    least = -(-n // PACK_ROWS)
+    k = min(n, procs * -(-least // procs))
+    cuts = [n * j // k for j in range(k + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
 def _run_one(i: int):

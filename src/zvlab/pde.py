@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .fields import CoefficientSet, GridSpec, NormSpec, lp_lq_norm, sample_field
 
@@ -137,6 +136,7 @@ def _solve_banded(st: dict, lam: float, gamma: float, rhs: np.ndarray,
     routine scipy's solve_banded calls for one band each side).  Non-finite
     input raises ValueError and a singular system LinAlgError, both naming
     the slice time t."""
+    from scipy.linalg.lapack import dgtsv     # scipy.linalg loads slowly
     dl = -gamma * st[(-1,)][1:]
     d = 1.0 + gamma * (lam - st[(0,)])
     du = -gamma * st[(1,)][:-1]

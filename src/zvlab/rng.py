@@ -6,9 +6,10 @@ a counter-based generator, so any path can be regenerated in isolation
 and results do not depend on scheduling or worker count.
 
 Paths are grouped in blocks of fixed width BLOCK.  Block b is driven by
-Philox(key=(seed, b)); the block's whole increment array is drawn in a
-single call with a fixed shape, which pins the stream layout.  Path i
-lives in lane i % BLOCK of block i // BLOCK.
+Philox(key=(seed, b)); block_normals draws the block's whole increment
+array in a single call with a fixed shape, which pins the stream layout.
+Path i lives in lane i % BLOCK of block i // BLOCK.  The engines draw a
+range of paths with lane_normals, which gives the same lanes step-major.
 """
 
 from __future__ import annotations
@@ -64,19 +65,6 @@ def lane_normals(seed: int, start: int, stop: int, n_steps: int,
                 out[:, lane + keep - start:lane + c - start] = \
                     buf[keep:c].transpose(1, 0, 2)
             lane += c
-    return out
-
-
-def path_blocks(n_paths: int) -> list[tuple[int, int]]:
-    """(block_index, width) covering path indices 0..n_paths-1 in order."""
-    out = []
-    b = 0
-    left = n_paths
-    while left > 0:
-        w = min(BLOCK, left)
-        out.append((b, w))
-        b += 1
-        left -= w
     return out
 
 

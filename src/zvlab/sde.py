@@ -1,17 +1,19 @@
 """Euler-Maruyama path engine and the statistics built on it.
 
-Paths are advanced block-by-block (see rng) so any run is bit-identical
-for a fixed (seed, config) regardless of worker count: every block's
-partial statistic is a pure function of its inputs and partials are
-combined in fixed order.  Paths that leave the doubled box, or turn
+Paths are advanced in row ranges (parallel.row_ranges) on their Philox
+lanes (see rng), so any run is bit-identical for a fixed (seed, config)
+regardless of worker count: a row's results are a pure function of its
+own lane, and the parent sums them per Philox block and adds the block
+sums in fixed order.  Paths that leave the doubled box, or turn
 non-finite, are frozen at their exit value, flagged, and excluded from
 estimators with the count reported.
 
-The engine streams: a block holds its normals, the current state and the
+The engine streams: a range holds its normals, the current state and the
 alive masks, never whole paths.  A statistic of the plain ensemble is a
-BlockStat, which folds each node of a block into per-row accumulators as
-the engine yields it and then gives the block's partial, and a finish
-step, so that run_stats can feed several statistics from one pass.
+BlockStat, which folds each node of a range into per-row accumulators as
+the engine yields it and then gives its per-row results, and a finish
+step on the rows of every path, so that run_stats can feed several
+statistics from one pass.
 
 The module also houses the two checks that ride on simulated paths:
 the transform-consistency curve E max_t |Phi_t(X_t) - Y_t| and the
@@ -27,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import Evaluator, NormSpec, trapezoid_weights
-from .parallel import run_tasks, tree_reduce
+from .parallel import pool_size, row_ranges, run_tasks, tree_reduce
 from . import rng as _rng
 
 ESCAPE_WARN = 0.01        # estimator-quality threshold, recorded
@@ -84,15 +86,16 @@ class SimSpec:
         return self.T / self.n_steps
 
 
-def _advance_block(models, x0s, spec, block_index, width):
-    """One block of paths for every model, on shared Brownian increments,
-    as a generator: first the block's normals (width, n_steps, d), then
-    (k, X, alive) at each node k = 0..n_steps, with one array of each per
-    model.  models pairs each SdeModel with its step tables (or None).  X
-    and alive are the engine's own: X[i] is replaced at the next step and
-    alive[i] updated in place, so a reader copies what it keeps."""
+def _advance_block(models, x0s, spec, start, width):
+    """Paths start..start+width-1 for every model, on shared Brownian
+    increments, as a generator: first their normals, step-major (n_steps,
+    width, d), then (k, X, alive) at each node k = 0..n_steps, with one
+    array of each per model.  models pairs each SdeModel with its step
+    tables (or None).  X and alive are the engine's own: X[i] is replaced
+    at the next step and alive[i] updated in place, so a reader copies
+    what it keeps."""
     d = models[0][0].d
-    normals = _rng.block_normals(spec.seed, block_index, spec.n_steps, d, width)
+    normals = _rng.lane_normals(spec.seed, start, start + width, spec.n_steps, d)
     yield normals
     sqrt_h = math.sqrt(spec.h)
     X = [np.broadcast_to(np.asarray(x0, dtype=float), (width, d)).copy()
@@ -102,7 +105,7 @@ def _advance_block(models, x0s, spec, block_index, width):
     limit = 2.0 * spec.L
     for k in range(spec.n_steps):
         t = k * spec.h
-        dw = normals[:, k] * sqrt_h
+        dw = normals[k] * sqrt_h
         for i, (model, tables) in enumerate(models):
             # every row takes the same step; a frozen row keeps its value, so
             # a path's bits do not depend on which other paths have escaped
@@ -118,11 +121,11 @@ def _advance_block(models, x0s, spec, block_index, width):
 @dataclass(frozen=True)
 class BlockStat:
     """A statistic of the plain ensemble, split so that one pass can feed
-    several.  block(normals) opens one path block and returns (step,
-    part): step(k, X, alive) folds node k, as _advance_block yields it,
-    into per-row accumulators, and part(X, alive) is the block's partial
-    from them and the last node.  finish(partials) is the result from
-    every block's partial in block order."""
+    several.  block(normals) opens one row range and returns (step, rows):
+    step(k, X, alive) folds node k, as _advance_block yields it, into
+    per-row accumulators, and rows(X, alive) is a tuple of per-row arrays
+    from them and the last node, rows first.  finish(*rows) is the result
+    from those arrays over every path, in path order."""
 
     block: Callable
     finish: Callable
@@ -131,38 +134,51 @@ class BlockStat:
 def run_stats(models, x0s, spec: SimSpec, stats) -> list:
     """Advance the plain ensemble of every model, from its x0 and on shared
     Brownian increments, once, and finish every statistic on it, in the
-    order given.  Each statistic sees the same nodes and reduces its own
-    partials as a run of it alone would, so the results are bit-identical
-    to one pass per statistic.  A model's step tables are built here, once
-    for the step grid, before the tasks fork."""
+    order given.  Each statistic sees the same nodes and rows as a run of
+    it alone would, so the results are bit-identical to one pass per
+    statistic.  A model's step tables are built here, once for the step
+    grid, before the tasks fork."""
     ts = [k * spec.h for k in range(spec.n_steps)]
     members = [(m, None if m.tables is None else m.tables(ts)) for m in models]
 
-    def task(bi, w):
-        nodes = _advance_block(members, x0s, spec, bi, w)
+    def task(start, stop):
+        nodes = _advance_block(members, x0s, spec, start, stop - start)
         normals = next(nodes)
         folds = [st.block(normals) for st in stats]
-        del normals                 # freed with the generator, before part()
+        del normals                 # freed with the generator, before rows()
         for k, X, alive in nodes:
             for step, _ in folds:
                 step(k, X, alive)
-        return [part(X, alive) for _, part in folds]
+        return [rows(X, alive) for _, rows in folds]
 
-    parts = run_tasks(task, _rng.path_blocks(spec.n_paths))
-    return [st.finish([p[i] for p in parts]) for i, st in enumerate(stats)]
-
-
-def _sum_partials(parts):
-    """Tuples of partial sums added field by field in the fixed tree order."""
-    return tree_reduce(parts, lambda a, b: tuple(u + v for u, v in zip(a, b)))
+    n = spec.n_paths
+    parts = run_tasks(task, row_ranges(n, pool_size(n)))
+    return [st.finish(*map(np.concatenate, zip(*(p[i] for p in parts))))
+            for i, st in enumerate(stats)]
 
 
-def _mean_se(s, s2, n):
-    """Sample mean and its standard error from the sum s, the sum of
-    squares s2 and the count n of the samples (n = 0 is taken as 1)."""
-    n = max(n, 1)
-    mean = s / n
-    return mean, np.sqrt(np.maximum(s2 / n - mean ** 2, 0.0) / n)
+def _block_sum(a, keep=None):
+    """The sum over the rows of a (rows first) kept by the mask keep: each
+    Philox block's rows summed, then the block sums added in the fixed
+    tree order.  The bits do not depend on how tasks cut the rows."""
+    sums = []
+    for s in range(0, len(a), _rng.BLOCK):
+        b = a[s:s + _rng.BLOCK]
+        sums.append((b if keep is None else b[keep[s:s + _rng.BLOCK]]).sum(axis=0))
+    return tree_reduce(sums, lambda u, v: u + v)
+
+
+def _mean_se(a, keep):
+    """Sample mean and its standard error over the rows of a kept by keep,
+    from _block_sum's sums of the rows and of their squares, and the count
+    of kept rows (a count of 0 is taken as 1 in the quotients).  Only kept
+    rows are squared, so a dropped row's value never overflows."""
+    n_ok = int(keep.sum())
+    n = max(n_ok, 1)
+    mean = _block_sum(a, keep) / n
+    sq = np.square(a, out=np.zeros_like(a), where=keep)
+    var = np.maximum(_block_sum(sq, keep) / n - mean ** 2, 0.0)
+    return mean, np.sqrt(var / n), n_ok
 
 
 # ---------------------------------------------------------------------------
@@ -188,37 +204,29 @@ def integrate_stat(x0, spec: SimSpec) -> BlockStat:
     if np.abs(x0).max() > 0.5 * spec.L:
         raise ValueError("x0 must lie in the inner half of the box")
 
+    sqrt_h = math.sqrt(spec.h)
+
     def block(normals):
-        # the increments' sums from the whole draw; dW ** 2 is taken in
-        # place, so the block holds one copy of the draw, not two
-        dW = normals * math.sqrt(spec.h)
-        sum_dw = dW.sum(axis=(0, 1))
-        sum_dw2 = np.square(dW, out=dW).sum(axis=(0, 1))
-        width, n_steps = dW.shape[:2]
-        del dW
-        alive_nodes = np.zeros(width, dtype=np.int64)
+        # each row's increment sums, added step by step through one buffer,
+        # so a row's bits do not depend on the rows beside it
+        sum_dw, sum_dw2, dw = (np.zeros(normals.shape[1:]) for _ in range(3))
+        for z in normals:
+            sum_dw += np.multiply(z, sqrt_h, out=dw)
+            sum_dw2 += np.square(dw, out=dw)
+        alive_nodes = np.zeros(normals.shape[1], dtype=np.int64)
 
         def step(k, X, alive):
             nonlocal alive_nodes
             # an escaped row's count of alive nodes is its exit node
             alive_nodes += alive[0]
 
-        def part(X, alive):
-            return {"sum_dw": sum_dw, "sum_dw2": sum_dw2, "count": width * n_steps,
-                    "alive_nodes": alive_nodes, "terminal": X[0].copy(),
-                    "escaped": ~alive[0]}
+        return step, lambda X, alive: (X[0].copy(), ~alive[0], alive_nodes,
+                                       sum_dw, sum_dw2)
 
-        return step, part
-
-    def finish(parts):
-        terminal = np.concatenate([p["terminal"] for p in parts])
-        escaped = np.concatenate([p["escaped"] for p in parts])
-        alive_nodes = np.concatenate([p["alive_nodes"] for p in parts])
-        sum_dw = tree_reduce([p["sum_dw"] for p in parts], lambda a, b: a + b)
-        sum_dw2 = tree_reduce([p["sum_dw2"] for p in parts], lambda a, b: a + b)
-        count = sum(p["count"] for p in parts)
-        mean = sum_dw / count
-        var = sum_dw2 / count - mean ** 2
+    def finish(terminal, escaped, alive_nodes, sum_dw, sum_dw2):
+        count = spec.n_paths * spec.n_steps
+        mean = _block_sum(sum_dw) / count
+        var = _block_sum(sum_dw2) / count - mean ** 2
         frac = float(escaped.mean())
         if frac > ESCAPE_ERROR:
             first = int(np.argmax(escaped))
@@ -283,24 +291,18 @@ def transform_consistency(zmap, x0, steps_list, n_paths: int, seed: int) -> dict
 
         def block(normals, spec=spec):
             # every row's running max; a row is kept if both paths stay
-            worst = np.zeros(normals.shape[0])
+            worst = np.zeros(normals.shape[1])
 
             def step(k, X, alive):
                 img = X[0] + zmap.phi.eval(k * spec.h, X[0])
                 np.maximum(worst, np.sqrt(np.sum((img - X[1]) ** 2, axis=-1)),
                            out=worst)
 
-            def part(X, alive):
-                ok = alive[0] & alive[1]
-                w = worst[ok]
-                return (float(w.sum()), float((w ** 2).sum()), w.size,
-                        ok.size - w.size)
+            return step, lambda X, alive: (worst, alive[0] & alive[1])
 
-            return step, part
-
-        def finish(parts):
-            s, s2, n_ok, n_drop = _sum_partials(parts)
-            return (*_mean_se(s, s2, n_ok), n_drop)
+        def finish(worst, ok):
+            mean, se, n_ok = _mean_se(worst, ok)
+            return mean, se, ok.size - n_ok
 
         err, se, n_drop = run_stats([mx, my], [x0, y0], spec,
                                     [BlockStat(block, finish)])[0]
@@ -341,7 +343,7 @@ def krylov_stat(spec: SimSpec, f, ns: NormSpec, f_norm: float) -> BlockStat:
     weights = trapezoid_weights(spec.n_steps + 1, h)
 
     def block(normals):
-        acc = np.zeros(normals.shape[0])
+        acc = np.zeros(normals.shape[1])
 
         def step(k, X, alive):
             nonlocal acc
@@ -350,19 +352,13 @@ def krylov_stat(spec: SimSpec, f, ns: NormSpec, f_norm: float) -> BlockStat:
             x = np.where(alive[0][:, None], X[0], 0.0)
             acc += weights[k] * np.asarray(f(k * h, x), dtype=float).reshape(acc.shape)
 
-        def part(X, alive):
-            ok = alive[0]
-            a = acc[ok]
-            return (float(a.sum()), float((a ** 2).sum()), a.size, ok.size - a.size)
+        return step, lambda X, alive: (acc, alive[0])
 
-        return step, part
-
-    def finish(parts):
-        s, s2, n_ok, n_drop = _sum_partials(parts)
-        mean, se = _mean_se(s, s2, n_ok)
+    def finish(acc, ok):
+        mean, se, n_ok = _mean_se(acc, ok)
         return {"estimate": mean, "se": se,
                 "ci95": (mean - 1.96 * se, mean + 1.96 * se),
-                "n_used": n_ok, "n_excluded": n_drop,
+                "n_used": n_ok, "n_excluded": ok.size - n_ok,
                 "f_norm": f_norm, "ratio": mean / f_norm,
                 "k_pq": k_pq(ns)}
 
@@ -399,7 +395,7 @@ def bump_family_stat(spec: SimSpec, ns: NormSpec, widths) -> BlockStat:
     pairs = [interval_bump(0.0, eps) for eps in widths]
 
     def block(normals):
-        width = normals.shape[0]
+        width = normals.shape[1]
         r = None                        # |X| at every node, (width, n_steps+1)
 
         def step(k, X, alive):
@@ -408,25 +404,21 @@ def bump_family_stat(spec: SimSpec, ns: NormSpec, widths) -> BlockStat:
                 r = np.empty((width, spec.n_steps + 1))
             np.abs(X[0][:, 0], out=r[:, k])
 
-        def part(X, alive):
+        def rows(X, alive):
             # each row's pairwise sum over time does not depend on the other
-            # rows, so the kept rows are summed ROW_CHUNK at a time
-            ok = alive[0]
+            # rows, so the rows are summed ROW_CHUNK at a time
             accs = [[] for _ in widths]
             for c in range(0, width, ROW_CHUNK):
-                rc = r[c:c + ROW_CHUNK][ok[c:c + ROW_CHUNK]]
+                rc = r[c:c + ROW_CHUNK]
                 for acc, eps in zip(accs, widths):
                     acc.append(((rc <= eps) * weights).sum(axis=1) / (2.0 * eps))
-            accs = [np.concatenate(acc) for acc in accs]
-            return (np.asarray([float(a.sum()) for a in accs]),
-                    np.asarray([float((a ** 2).sum()) for a in accs]),
-                    int(ok.sum()))
+            return (alive[0], *map(np.concatenate, accs))
 
-        return step, part
+        return step, rows
 
-    def finish(parts):
-        s, s2, n_ok = _sum_partials(parts)
-        means, ses = _mean_se(s, s2, n_ok)
+    def finish(ok, *accs):
+        means, ses, n_ok = zip(*(_mean_se(a, ok) for a in accs))
+        means, ses = np.asarray(means), np.asarray(ses)
         norms = np.array([norm_fn(ns, 0.0, spec.T) for _, norm_fn in pairs])
         ratios = means / norms
         med = float(np.median(ratios))
@@ -436,7 +428,7 @@ def bump_family_stat(spec: SimSpec, ns: NormSpec, widths) -> BlockStat:
                 "norms": norms.tolist(), "ratios": ratios.tolist(),
                 "median_ratio": med, "max_ratio": float(ratios.max()),
                 "max_over_median": max_over_median,
-                "n_used": n_ok, "passed": bool(ratios.max() <= 3.0 * med)}
+                "n_used": n_ok[0], "passed": bool(ratios.max() <= 3.0 * med)}
 
     return BlockStat(block, finish)
 

@@ -68,12 +68,13 @@ def _bucket(v, lo, inv_bw, nb):
 def _cell_table(img: np.ndarray) -> tuple:
     """_image_cell's table for strictly increasing node images img: 4n + 2
     buckets, span / (4n) wide from img[0], the last holding no image and
-    taking NaN and +inf; the count of images below each bucket; img with
-    a NaN appended; and the most images one bucket holds."""
+    taking NaN and +inf; the count of images below each bucket, as int32;
+    img with a NaN appended; and the most images one bucket holds."""
     n = img.size
     nb = 4 * n
     lo, inv_bw = img[0], nb / (img[-1] - img[0])
-    below = np.searchsorted(_bucket(img, lo, inv_bw, nb), np.arange(nb + 2), "left")
+    below = np.searchsorted(_bucket(img, lo, inv_bw, nb), np.arange(nb + 2),
+                            "left").astype(np.int32)
     pad = np.append(img, np.nan)          # no row steps past n
     return pad, lo, inv_bw, nb, below, int(np.diff(below).max())
 
@@ -88,7 +89,8 @@ def _image_cell(table: tuple, y: np.ndarray) -> np.ndarray:
     is wider than a bucket, as grad_sup < 1/2 makes it for every map
     build_zvonkin returns."""
     pad, lo, inv_bw, nb, below, passes = table
-    j = below[_bucket(y, lo, inv_bw, nb)]
+    # one cast to intp here: numpy casts an int32 index at every gather
+    j = below[_bucket(y, lo, inv_bw, nb)].astype(np.intp)
     for _ in range(passes):
         j += y >= pad[j]
     return np.clip(j - 1, 0, pad.size - 3)
@@ -160,8 +162,11 @@ class ZvonkinMap:
 
         2-d: the contraction x <- y - phi(t, x), started at y, which is
         within sup |phi| of the solution.  Convergence rate is grad_sup
-        < 1, geometric; raises if the successive difference is not below
-        INVERT_TOL in max_iter sweeps.
+        < 1, geometric.  Each row stops once its own update is at most
+        INVERT_TOL, so its bits do not depend on the rows beside it, and
+        only the rows still moving are swept again; iterations is the
+        count of sweeps.  Raises, naming the worst row, if a row has not
+        stopped in max_iter sweeps.
 
         Preimages outside the doubled box mean y sits too close to the
         wall for the interpolated map: on_escape="raise" raises
@@ -206,18 +211,21 @@ class ZvonkinMap:
         return [self.step_table(t) for t in ts]
 
     def _invert_fixed_point(self, t: float, pts: np.ndarray, max_iter: int):
-        x = pts
+        x = pts.copy()
+        live = np.arange(len(pts))          # rows still moving
         for its in range(1, max_iter + 1):
-            xn = pts - self.phi.eval(t, x)
-            step = np.abs(xn - x)
-            delta = float(np.max(step))
-            x = xn
-            if delta <= INVERT_TOL:
+            xl = x[live]
+            xn = pts[live] - self.phi.eval(t, xl)
+            step = np.abs(xn - xl).max(axis=-1)
+            x[live] = xn
+            moving = ~(step <= INVERT_TOL)  # a NaN update keeps its row moving
+            if not moving.any():
                 return x, its
-        i = int(np.argmax(step.max(axis=-1)))
+            live, step = live[moving], step[moving]
+        w = int(np.argmax(step))
         raise RuntimeError(
-            f"map inversion stalled at t={t:.6g}: last update {delta:.3e} "
-            f"after max_iter={max_iter} sweeps, worst row {i} y={pts[i]}")
+            f"map inversion stalled at t={t:.6g}: last update {step[w]:.3e} "
+            f"after max_iter={max_iter} sweeps, worst row {live[w]} y={pts[live[w]]}")
 
     def grad_phi_at(self, t: float, x: np.ndarray) -> np.ndarray:
         """Jacobian of the interpolated phi by central differences with

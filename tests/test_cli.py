@@ -141,7 +141,8 @@ def test_report_json_carries_pair_counters(capsys, monkeypatch, tmp_path,
 @pytest.mark.parametrize("scenario", ["additive-1d", "trivial-zero"])
 def test_full_pipeline_matches_separate_stages(capsys, monkeypatch, scenario):
     # full-pipeline runs each distinct ensemble once: one plain pass feeds
-    # simulate and krylov (one _advance_block per path block, not three),
+    # simulate and krylov (one _advance_block per row range, not three;
+    # one range at one worker, in this process, where the spy sees it),
     # and the couple, power and calibration runs go to one simulate_pairs
     # call whose couple run the log-Harnack check reads (three runs, not
     # four).  harnack alone batches its couple, power and calibration runs.
@@ -167,12 +168,13 @@ def test_full_pipeline_matches_separate_stages(capsys, monkeypatch, scenario):
     # couple's one run, harnack's batch
     assert batches == ([1, 3] if coupled else [])
     batches.clear()
+    monkeypatch.setenv("ZVLAB_THREADS", "1")
     monkeypatch.setattr(sde, "_advance_block",
-                        lambda *a: blocks.append(a[3]) or advance(*a))
+                        lambda *a: blocks.append(a[3:]) or advance(*a))
     _, out, _ = run_cli(capsys, "full-pipeline", *common)
     assert out.splitlines()[1:] == rows
     assert batches == ([3] if coupled else [])
-    assert blocks == [0]
+    assert blocks == [(0, 3000)]
 
 
 def test_every_read_is_an_ensemble():

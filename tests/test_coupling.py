@@ -23,6 +23,7 @@ from zvlab.coupling import (CouplingConfig, _sigma_inverse, build_coupling_grid,
                             verify_martingale, verify_moment_bound,
                             verify_power_harnack, within)
 from zvlab import rng as zrng
+from zvlab.fields import CoefficientSet, GridSpec, constant_sigma
 from zvlab.scenarios import get_scenario
 from zvlab.sde import SdeModel, transformed_model
 from zvlab.zvonkin import ZvonkinMap, build_zvonkin
@@ -296,6 +297,32 @@ def test_worker_invariance_bitwise(monkeypatch):
     assert np.array_equal(runs[0].final_Y, runs[1].final_Y)
 
 
+def singular_2d_pair():
+    # b0 = 2 |x|^-1.2 x on the unit disc, unit diffusion, on a coarse grid
+    def b0(t, x):
+        r = np.sqrt(np.sum(x ** 2, axis=-1, keepdims=True))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where((r <= 1.0) & (r > 0.0), 2.0 * r ** -1.2, 0.0) * x
+
+    cs = CoefficientSet(sigma=constant_sigma(np.eye(2)), b0=b0, kappa1=0.5,
+                        kappa2=0.5)
+    return transformed_model(build_zvonkin(cs, GridSpec(d=2, n=21, m=20, L=2.0, T=1.0)))
+
+
+def test_2d_transformed_run_is_bitwise_worker_invariant(monkeypatch):
+    # the 2-d map inverse stops each row on its own update, so a row's bits
+    # do not depend on which rows share its task
+    pair, cfg = singular_2d_pair(), unit_cfg(m=20, n_paths=2000, L=2.0)
+    runs = []
+    for w in ("1", "2"):
+        monkeypatch.setenv("ZVLAB_THREADS", w)
+        runs.append(simulate_pair(pair, [0.3, -0.2], [-0.2, 0.3], cfg, seed=3))
+    for name in ("A", "B", "dist_at_eps", "final_X", "final_Y", "glued",
+                 "box_exit"):
+        assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes(), name
+    assert runs[1].workers == 2
+
+
 def test_pair_block_evaluates_both_copies_in_one_call():
     # one stepper call per step, on the X rows stacked over the Y rows
     base = additive_pair(drift_slope=-0.5)
@@ -518,9 +545,11 @@ def one_block_reference(pair, x, y, cfg, seed):
     block_normals draw, and the blocks joined in order."""
     grid = build_coupling_grid(cfg)
     x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+    n = cfg.n_paths
     parts = [coupling._pair_block_steps(pair, x, y, cfg, grid, np.ascontiguousarray(
-                 zrng.block_normals(seed, bi, grid.dts.size, pair.d, w).transpose(1, 0, 2)))
-             for bi, w in zrng.path_blocks(cfg.n_paths)]
+                 zrng.block_normals(seed, bi, grid.dts.size, pair.d,
+                                    n - bi * zrng.BLOCK).transpose(1, 0, 2)))
+             for bi in range(-(-n // zrng.BLOCK))]
     out = {k: np.concatenate([p[k] for p in parts])
            for k in ("A", "B", "dist", "X", "Y", "glued", "alive")}
     return out, [sum(p[k] for p in parts) for k in ("trunc", "clip", "events")]

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from zvlab import parallel
 from zvlab import rng as zrng
 from zvlab import sde
 from zvlab.fields import (CoefficientSet, GridSpec, NormSpec,
@@ -67,7 +68,8 @@ def test_lane_normals_are_block_lanes_step_major(d):
 
 
 def test_worker_count_invariance(monkeypatch):
-    # 9000 paths span two blocks, so the process pool is actually exercised
+    # 9000 paths are three row ranges at 3 workers, so the process pool is
+    # actually exercised
     spec = SimSpec(T=1.0, n_steps=100, n_paths=9000, seed=9, L=6.0)
     model = SdeModel(d=1, drift=lambda t, x: -x, sigma=SIG1)
     results = []
@@ -89,16 +91,12 @@ def path_recorder():
 
         return step, lambda X, alive: (np.stack(nodes, axis=1), alive[0].copy())
 
-    def finish(parts):
-        return (np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]))
-
-    return sde.BlockStat(block, finish)
+    return sde.BlockStat(block, lambda paths, alive: (paths, alive))
 
 
 def test_path_bits_do_not_depend_on_other_escapes():
     # a path that stays in the box is bit-identical whether or not other
-    # paths of its block escape: compare with the same block in a box no
+    # paths of its range escape: compare with the same paths in a box no
     # path leaves
     model = SdeModel(d=1, drift=lambda t, x: 0.9 * x + 0.37,
                      sigma=constant_sigma(np.array([[1.3]])))
@@ -143,8 +141,8 @@ def test_increment_mean_bound_counts_every_increment(monkeypatch):
     spec = SimSpec(T=1.0, n_steps=200, n_paths=1000, seed=11, L=10.0)
     fair = integrate(brownian_model(), np.array([0.0]), spec)
     assert fair.rng_report["mean_ok"]
-    draw = zrng.block_normals
-    monkeypatch.setattr(zrng, "block_normals",
+    draw = zrng.lane_normals
+    monkeypatch.setattr(zrng, "lane_normals",
                         lambda *a, **k: draw(*a, **k) + 0.05)
     ens = integrate(brownian_model(), np.array([0.0]), spec)
     mean = abs(ens.rng_report["increment_mean"][0])
@@ -155,9 +153,9 @@ def test_increment_mean_bound_counts_every_increment(monkeypatch):
 
 
 def test_one_pass_feeds_every_statistic(monkeypatch):
-    # run_stats steps each path block once for all of its statistics, and
+    # run_stats steps each row range once for all of its statistics, and
     # each result is bit-identical to a pass of its own (9000 paths: two
-    # blocks, so the partials go through the tree reduce)
+    # Philox blocks, so the block sums go through the tree reduce)
     spec = SimSpec(T=1.0, n_steps=100, n_paths=9000, seed=4, L=8.0)
     model, x0 = brownian_model(), np.array([0.1])
     ns = NormSpec(p=4, q=4, d=1)
@@ -167,18 +165,19 @@ def test_one_pass_feeds_every_statistic(monkeypatch):
     ens0 = integrate(model, x0, spec)
     est0 = krylov_estimate(model, x0, spec, f, ns, f_norm=f_norm)
     fam0 = bump_family_report(model, x0, spec, ns, widths)
-    # the spy appends in the process that steps the block, so the blocks
-    # run in this one; one pass per block does not depend on the worker
-    # count, and test_worker_count_invariance covers two workers
+    # the spy appends in the process that steps the range, so the range
+    # runs in this one: one range of all 9000 rows at one worker.  One pass
+    # per range does not depend on the worker count, and
+    # test_run_stats_bits_do_not_depend_on_the_ranges covers that
     monkeypatch.setenv("ZVLAB_THREADS", "1")
-    blocks = []
+    ranges = []
     advance = sde._advance_block
     monkeypatch.setattr(sde, "_advance_block",
-                        lambda *a: blocks.append(a[3]) or advance(*a))
+                        lambda *a: ranges.append(a[3:]) or advance(*a))
     ens, est, fam = run_stats([model], [x0], spec, [
         integrate_stat(x0, spec), krylov_stat(spec, f, ns, f_norm=f_norm),
         bump_family_stat(spec, ns, widths)])
-    assert sorted(blocks) == [0, 1]
+    assert ranges == [(0, 9000)]
     assert np.array_equal(ens.terminal, ens0.terminal)
     assert np.array_equal(ens.escaped, ens0.escaped)
     assert ens.escape_fraction == ens0.escape_fraction
@@ -188,8 +187,34 @@ def test_one_pass_feeds_every_statistic(monkeypatch):
     assert fam == fam0
 
 
+@pytest.mark.parametrize("pack", [None, 2000])
+def test_run_stats_bits_do_not_depend_on_the_ranges(monkeypatch, pack):
+    # 9000 paths, two Philox blocks, some of them escaped: every statistic
+    # is byte-identical at 1, 2 and 3 workers, also with ranges small
+    # enough that one straddles the block boundary (pack 2000: five ranges
+    # at 1 worker, 7200..9000 the last, and six at 3, 7500..9000)
+    if pack is not None:
+        monkeypatch.setattr(parallel, "PACK_ROWS", pack)
+    spec = SimSpec(T=1.0, n_steps=100, n_paths=9000, seed=6, L=1.1)
+    model = SdeModel(d=1, drift=lambda t, x: 0.8 * np.sin(3.0 * x) - 0.2 * x,
+                     sigma=lambda t, x: (1.0 + 0.3 * np.cos(x))[..., None])
+    x0, ns = np.array([0.2]), NormSpec(p=4, q=4, d=1)
+    f, norm_fn = interval_bump(0.1, 0.2)
+    digests = []
+    for w in ("1", "2", "3"):
+        monkeypatch.setenv("ZVLAB_THREADS", w)
+        ens, est, fam, (paths, alive) = run_stats([model], [x0], spec, [
+            integrate_stat(x0, spec), krylov_stat(spec, f, ns, norm_fn(ns, 0.0, 1.0)),
+            bump_family_stat(spec, ns, [0.05, 0.1, 0.2]), path_recorder()])
+        digests.append((ens.terminal.tobytes(), ens.escaped.tobytes(),
+                        repr(ens.rng_report), repr(est), repr(fam),
+                        paths.tobytes(), alive.tobytes()))
+    assert 0.01 < ens.escape_fraction < 0.2 and est["n_excluded"] > 0
+    assert digests[0] == digests[1] == digests[2]
+
+
 def test_block_memory_stays_near_its_normals(monkeypatch):
-    # one block of 8192 paths at 400 steps: the engine keeps the normals
+    # one range of 8192 paths at 400 steps: the engine keeps the normals
     # (26.2 MB), the state and the alive mask, never whole paths or a copy
     # of the increments.  krylov adds per-row sums; bump-family keeps the
     # one (width, n_steps+1) array it sums
@@ -343,8 +368,8 @@ def test_transform_consistency_singular_decreases(singular_map_small):
 def test_transform_consistency_builds_each_step_table_once(monkeypatch,
                                                           singular_map_small):
     # the transformed model's step tables are built once per level, before
-    # the pass, not once per stepper call: two levels and two path blocks,
-    # one step_table call per step of each level
+    # the pass, not once per stepper call: two levels of 9000 paths (two
+    # Philox blocks), one step_table call per step of each level
     monkeypatch.setenv("ZVLAB_THREADS", "1")
     built = []
     orig = ZvonkinMap.step_table

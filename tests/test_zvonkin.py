@@ -153,6 +153,7 @@ def test_cell_index_matches_searchsorted():
             [-np.inf, -1e300, 1e300, np.inf, np.nan]])
         ref = np.clip(np.searchsorted(knots, y, side="right") - 1, 0, grid.n - 2)
         table = _cell_table(knots)
+        assert table[4].dtype == np.int32               # the bucket counts
         assert np.array_equal(_image_cell(table, y), ref)
         # an (N, 1) column gives the column shape
         col = _image_cell(table, y[:, None])
@@ -242,6 +243,15 @@ def test_inversion_errors_name_the_input(singular_map, small_2d_map):
     assert "t=0.37" in msg and "worst row 2" in msg and "y=[5.]" in msg
     x, _ = zm.invert(0.37, y_out, on_escape="flag")
     assert np.abs(x[2]).max() > 2.0 * zm.grid.L
+
+
+def test_2d_inverse_is_row_local(small_2d_map):
+    # each row stops on its own update, so inverting a batch gives every
+    # row the bits of inverting it alone
+    y = np.random.default_rng(4).uniform(-1.5, 1.5, (300, 2))
+    x, _ = small_2d_map.invert(0.37, y)
+    for i in range(len(y)):
+        assert small_2d_map.invert(0.37, y[i:i + 1])[0].tobytes() == x[i:i + 1].tobytes(), i
 
 
 def test_singular_part_cancels_in_transformed_drift(singular_map):
