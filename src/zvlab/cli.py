@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .coupling import (CouplingConfig, calibrate_k1, coalescence_report,
-                       gamma_threshold, h5_certificate, simulate_pairs,
+                       gamma_threshold, h5_certificate, pair_ensembles,
                        theta_for_gamma, verify_log_harnack, verify_martingale,
                        verify_moment_bound, verify_power_harnack)
 # unused here; perfbench/spans.py resolves simulate_pair through this module
@@ -31,8 +31,8 @@ from .pde import sample_operator, solve_phi_system, verify_apriori
 from .report import RunReport, combined_exit_code, csv_payload, json_payload
 from .scenarios import Scenario, get_scenario, scenario_names
 from .sde import (SdeModel, SimSpec, bump_family_stat, integrate_stat,
-                  interval_bump, krylov_stat, original_model, run_stats,
-                  transformed_model)
+                  interval_bump, krylov_stat, original_model, plain_ensemble,
+                  run_ensembles, transformed_model)
 from .zvonkin import (GRAD_TARGET, bilipschitz_certificate, build_zvonkin,
                       ellipticity_certificate, roundtrip_certificate,
                       transformed_constants)
@@ -105,13 +105,15 @@ def _coupling_inputs(sc: Scenario, args):
 
 
 def _ensembles(rep: RunReport, sc: Scenario, args, reads) -> dict:
-    """The ensembles named in reads, by name, each simulated once.
+    """The ensembles named in reads, by name, each simulated once, all in
+    one pool call (sde.run_ensembles), timed as ensembles.
 
     The plain statistics (integrate, krylov, bump-family) come from one
-    pass, timed as plain-pass.  The coupled runs (couple, power,
-    calibration) go to one pool call, timed as coupled-runs; the power run
-    has the couple run's seed and step grid, so the two share their draws.
-    """
+    pass over the plain paths.  The coupled runs are couple, power (the
+    couple run's seed and step grid) and calibration.  The plain pass has
+    the couple run's seed, so a range draws its Philox lanes once for the
+    plain pass and both runs.  Every input is checked before anything is
+    stepped, and the plain statistics finish before the coupled runs."""
     grid = _grid(sc, args)
     out = {}
     spec = SimSpec(T=grid.T, n_steps=max(grid.m, 100),
@@ -126,34 +128,35 @@ def _ensembles(rep: RunReport, sc: Scenario, args, reads) -> dict:
         stats["krylov"] = krylov_stat(spec, ev, ns, f_norm=norm_fn(ns, 0.0, spec.T))
     if "bump-family" in reads:
         stats["bump-family"] = bump_family_stat(spec, ns, BUMP_WIDTHS)
-    if stats:
-        out.update(zip(stats, _timed(rep, "plain-pass", run_stats,
-                                     [original_model(sc.coeffs, sc.d)], [x0],
-                                     spec, list(stats.values()))))
-    if reads.isdisjoint(("coupling-inputs", "couple", "power", "calibration")):
-        return out
-    pair, consts, x, y = out["coupling-inputs"] = _coupling_inputs(sc, args)
-    base = CouplingConfig(T=grid.T, m=100 if args.fast else COUPLE_STEPS,
-                          n_paths=_n_paths(args, COUPLE_PATHS), L=grid.L,
-                          K_T=consts["K_T"], delta_T=consts["delta_T"],
-                          lam_T=consts["lam_T"], alpha=consts["alpha"])
     runs = {}
-    if "couple" in reads:
-        runs["couple"] = (pair, x, y, base, args.seed)
-    if "power" in reads:
-        thr = gamma_threshold(base)
-        gamma = args.gamma if args.gamma is not None else (
-            DEFAULT_GAMMA if DEFAULT_GAMMA > thr else 2.0 * thr)
-        if gamma <= thr:
-            raise ValueError(f"gamma {gamma} is below the admissible threshold "
-                             f"{thr:.3f} for this scenario's constants")
-        cfg = replace(base, gamma=gamma)
-        runs["power"] = (pair, x, y, replace(cfg, theta=theta_for_gamma(cfg)),
-                         args.seed)
-    if "calibration" in reads:
-        runs["calibration"] = (pair, x, y, base, args.seed + 1000)
-    out.update(zip(runs, _timed(rep, "coupled-runs", simulate_pairs,
-                                list(runs.values()))))
+    if not reads.isdisjoint(("coupling-inputs", "couple", "power", "calibration")):
+        pair, consts, x, y = out["coupling-inputs"] = _coupling_inputs(sc, args)
+        base = CouplingConfig(T=grid.T, m=100 if args.fast else COUPLE_STEPS,
+                              n_paths=_n_paths(args, COUPLE_PATHS), L=grid.L,
+                              K_T=consts["K_T"], delta_T=consts["delta_T"],
+                              lam_T=consts["lam_T"], alpha=consts["alpha"])
+        if "couple" in reads:
+            runs["couple"] = (pair, x, y, base, args.seed)
+        if "power" in reads:
+            thr = gamma_threshold(base)
+            gamma = args.gamma if args.gamma is not None else (
+                DEFAULT_GAMMA if DEFAULT_GAMMA > thr else 2.0 * thr)
+            if gamma <= thr:
+                raise ValueError(f"gamma {gamma} is below the admissible threshold "
+                                 f"{thr:.3f} for this scenario's constants")
+            cfg = replace(base, gamma=gamma)
+            runs["power"] = (pair, x, y, replace(cfg, theta=theta_for_gamma(cfg)),
+                             args.seed)
+        if "calibration" in reads:
+            runs["calibration"] = (pair, x, y, base, args.seed + 1000)
+    if stats or runs:
+        plain = [plain_ensemble([original_model(sc.coeffs, sc.d)], [x0], spec,
+                                list(stats.values()))] if stats else []
+        done = _timed(rep, "ensembles", lambda: run_ensembles(
+            plain + pair_ensembles(list(runs.values()))))
+        if stats:
+            out.update(zip(stats, done.pop(0)))
+        out.update(zip(runs, done))
     return out
 
 
@@ -402,7 +405,7 @@ def main(argv=None) -> int:
         "gamma": args.gamma, "fast": args.fast, "version": __version__,
     })
     try:
-        _timed(rep, args.command, run_command, rep, sc, args)
+        _timed(rep, "command", run_command, rep, sc, args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,6 +12,10 @@ and log-Harnack inequalities.  The power check passes on the corrected
 constant (theta(gamma) substituted into the moment bound); the source's
 printed constant, degenerate for every admissible gamma, is recorded
 beside it.  Every verdict comes from one rule, decide().
+
+A coupled run is an sde.Ensemble (pair_ensembles), so it shares its
+Philox draws with the plain pass and the other runs of its seed, in the
+one pool call of sde.run_ensembles; the pair step loop stays its own.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parallel import pool_size, row_ranges, run_tasks
-from .sde import SdeModel
+# unused here; perfbench/spans.py patches run_tasks in this module
+from .parallel import run_tasks  # noqa: F401
+from .sde import Ensemble, SdeModel, run_ensembles
 from . import rng as _rng
 
 MAX_HALVINGS = 8          # step halves at T - 2^{-k} T, k = 1..MAX_HALVINGS
@@ -488,38 +493,50 @@ def _advance_pair_block(pair, x0, y0, cfg, grid, seed, block_index, width):
     own (perfbench/spans.py wraps this name)."""
     start = block_index * _rng.BLOCK
     tables = pair.tables(grid.ts[:-1]) if pair.tables is not None else None
-    return _advance_pair_rows([("", pair, x0, y0, cfg, grid, tables)], seed,
-                              start, start + width)[0]
+    normals = _rng.lane_normals(seed, start, start + width, grid.dts.size, pair.d)
+    return _pair_block_steps(pair, x0, y0, cfg, grid, normals, tables, "", start)
 
 
-def _advance_pair_rows(members, seed, start, stop):
-    """Paths start..stop-1 of every run in members, each (name, pair, x0,
-    y0, cfg, grid, tables), on one draw; a run with fewer paths takes the
-    leading rows it has.  The runs share seed, dimension and step grid."""
-    pair, grid = members[0][1], members[0][5]
-    normals = _rng.lane_normals(seed, start, stop, grid.dts.size, pair.d)
-    return [_pair_block_steps(pair, x0, y0, cfg, grid,
-                              normals[:, :min(stop, cfg.n_paths) - start],
-                              tables, name, start)
-            for name, pair, x0, y0, cfg, grid, tables in members]
+def _pair_ensemble(name, pair, x, y, cfg, grid, tables, seed) -> Ensemble:
+    """One checked run as an sde.Ensemble, whose result is its
+    CouplingResult."""
+
+    def advance(normals, start):
+        return _pair_block_steps(pair, x, y, cfg, grid, normals, tables, name,
+                                 start)
+
+    def finish(parts, draws, procs):
+        cat = {k: np.concatenate([q[k] for q in parts])
+               for k in ("A", "B", "dist", "X", "Y", "glued", "alive")}
+        if not (np.isfinite(cat["A"]).all() and np.isfinite(cat["B"]).all()):
+            raise RuntimeError(f"{name}: non-finite Girsanov accumulators")
+        frac = float((~cat["alive"]).mean())
+        if frac > BOX_EXIT_LIMIT:
+            raise RuntimeError(
+                f"{name}: coupling box exit rate {frac:.1%} exceeds "
+                f"{BOX_EXIT_LIMIT:.0%}; enlarge L or move the start points inward; "
+                f"first exited path {int(np.argmax(~cat['alive']))}")
+        return CouplingResult(
+            cfg=cfg, x=x, y=y, r=float(np.linalg.norm(x - y)),
+            sample_times=grid.ts[grid.sample_idx], A=cat["A"], B=cat["B"],
+            eps_times=grid.eps_times, dist_at_eps=cat["dist"],
+            final_X=cat["X"], final_Y=cat["Y"], glued=cat["glued"],
+            box_exit=~cat["alive"],
+            trunc_events=sum(q["trunc"] for q in parts),
+            clip_events=sum(q["clip"] for q in parts),
+            total_events=sum(q["events"] for q in parts),
+            n_steps=grid.dts.size, draws=draws, workers=procs)
+
+    return Ensemble(seed, pair.d, grid.dts.size, cfg.n_paths, advance, finish)
 
 
-def simulate_pairs(runs) -> list[CouplingResult]:
-    """Coupled ensembles of the runs, each (pair, x, y, cfg, seed), from
-    one pool call.  Every run is checked before any is stepped.
-
-    Runs with the same seed, dimension and step grid form a draw group.
-    The pool's processes are shared out among the groups, and each group's
-    paths are cut into parallel.row_ranges for its share.  A range is one
-    task: it draws its paths' noise once for every run of the group that
-    has them, and those Philox lanes, with the leading lanes of a block
-    that it drops, count in the draws of the first such run.  A pair's
-    step tables are built once per step grid, here, so forked tasks
-    inherit them.  A row's bits do not depend on the rows beside it (the
-    2-d map inverse stops each row on its own update), each run's rows are
-    put back in path order and its counters are integer sums, so every
-    result is bit-identical to a run made alone, at any worker count."""
-    members, tables = [], {}
+def pair_ensembles(runs) -> list[Ensemble]:
+    """The coupled runs, each (pair, x, y, cfg, seed), as sde.Ensembles for
+    sde.run_ensembles; every run is checked here, before any is stepped.
+    A pair's step tables are built once per step grid, here, so forked
+    tasks inherit them.  Runs with the same seed share their draws, and
+    a run with fewer paths takes the leading rows it has."""
+    out, tables = [], {}
     for i, (pair, x, y, cfg, seed) in enumerate(runs):
         x, y = (np.asarray(v, dtype=float).reshape(pair.d) for v in (x, y))
         name = f"run {i} (seed {seed}, x={x.tolist()}, y={y.tolist()})"
@@ -530,50 +547,17 @@ def simulate_pairs(runs) -> list[CouplingResult]:
         key = (id(pair), grid.dts.tobytes())
         if pair.tables is not None and key not in tables:
             tables[key] = pair.tables(grid.ts[:-1])
-        members.append((name, pair, x, y, cfg, grid, tables.get(key)))
-    groups = {}               # (seed, d, step grid) -> indices of its runs
-    for i, (_, pair, _, _, _, grid, _) in enumerate(members):
-        groups.setdefault((runs[i][4], pair.d, grid.dts.tobytes()), []).append(i)
-    n_paths = [m[4].n_paths for m in members]
-    sizes = [max(n_paths[i] for i in idx) for idx in groups.values()]
-    # the processes the pool has: it forks no more than one per path
-    per_group = -(-pool_size(sum(sizes)) // len(groups))
-    tasks, owners = [], []
-    for (seed, _, _), idx, n in zip(groups, groups.values(), sizes):
-        for a, b in row_ranges(n, per_group):
-            have = [i for i in idx if n_paths[i] > a]
-            tasks.append(([members[i] for i in have], seed, a, b))
-            owners.append(have)
-    parts = [[] for _ in runs]                   # in path order
-    draws = [0] * len(runs)
-    for (_, _, a, b), have, out in zip(tasks, owners,
-                                       run_tasks(_advance_pair_rows, tasks)):
-        draws[have[0]] += b - a + a % _rng.BLOCK
-        for i, part in zip(have, out):
-            parts[i].append(part)
-    workers, results = pool_size(len(tasks)), []
-    for (name, _, x, y, cfg, grid, _), blocks, n in zip(members, parts, draws):
-        cat = {k: np.concatenate([q[k] for q in blocks])
-               for k in ("A", "B", "dist", "X", "Y", "glued", "alive")}
-        if not (np.isfinite(cat["A"]).all() and np.isfinite(cat["B"]).all()):
-            raise RuntimeError(f"{name}: non-finite Girsanov accumulators")
-        frac = float((~cat["alive"]).mean())
-        if frac > BOX_EXIT_LIMIT:
-            raise RuntimeError(
-                f"{name}: coupling box exit rate {frac:.1%} exceeds "
-                f"{BOX_EXIT_LIMIT:.0%}; enlarge L or move the start points inward; "
-                f"first exited path {int(np.argmax(~cat['alive']))}")
-        results.append(CouplingResult(
-            cfg=cfg, x=x, y=y, r=float(np.linalg.norm(x - y)),
-            sample_times=grid.ts[grid.sample_idx], A=cat["A"], B=cat["B"],
-            eps_times=grid.eps_times, dist_at_eps=cat["dist"],
-            final_X=cat["X"], final_Y=cat["Y"], glued=cat["glued"],
-            box_exit=~cat["alive"],
-            trunc_events=sum(q["trunc"] for q in blocks),
-            clip_events=sum(q["clip"] for q in blocks),
-            total_events=sum(q["events"] for q in blocks),
-            n_steps=grid.dts.size, draws=n, workers=workers))
-    return results
+        out.append(_pair_ensemble(name, pair, x, y, cfg, grid, tables.get(key),
+                                  seed))
+    return out
+
+
+def simulate_pairs(runs) -> list[CouplingResult]:
+    """Coupled ensembles of the runs, each (pair, x, y, cfg, seed), from
+    one pool call (sde.run_ensembles).  Every run is checked before any is
+    stepped, and every result is bit-identical to a run made alone, at any
+    worker count."""
+    return run_ensembles(pair_ensembles(runs))
 
 
 def simulate_pair(pair: SdeModel, x, y, cfg: CouplingConfig,

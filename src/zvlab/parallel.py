@@ -1,16 +1,17 @@
 """Deterministic worker pool.
 
 How work is cut into tasks may depend on the worker count, but no
-number does.  Both path engines cut a command's paths by one rule,
+number does.  A command's ensembles, plain and coupled, go to one pool
+call (sde.run_ensembles), which cuts each draw group's paths by one rule,
 row_ranges: near-equal contiguous row ranges, a multiple of the pool's
-processes and none over PACK_ROWS, each drawn step-major by
-rng.lane_normals.  A row's bits do not depend on the rows beside it (the
-2-d map inverse stops each row on its own update), so a task returns
-per-row results and the parent puts them back in path order.  The plain
-engine then sums each Philox block's rows and adds the block sums with a
-fixed pairwise tree; the pair engine's counters are integer sums.  So a
-run with ZVLAB_THREADS=1 and ZVLAB_THREADS=8 produces byte-identical
-numbers.
+processes and none over PACK_ROWS.  A range draws its lanes once for
+every ensemble of the group (rng.lane_normals).  A row's bits do not
+depend on the rows beside it (the 2-d map inverse stops each row on its
+own update), so a task returns per-row results and the parent puts them
+back in path order.  The plain engine then sums each Philox block's rows
+and adds the block sums with a fixed pairwise tree; the pair engine's
+counters are integer sums.  So a run with ZVLAB_THREADS=1 and
+ZVLAB_THREADS=8 produces byte-identical numbers.
 
 ZVLAB_THREADS counts forked worker processes.  The engines' per-step
 numpy passes each hold the GIL, so threads cannot overlap them; forked

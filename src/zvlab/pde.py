@@ -197,14 +197,18 @@ def _solve_bicgstab(st: dict, lam: float, gamma: float, rhs: np.ndarray,
 # the march
 
 
+def _check_lam(lam: float):
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+
+
 def solve_backward(op: dict, lam: float, source: np.ndarray) -> np.ndarray:
     """March the theta-scheme for d_t u + L u = lam u + source on the
     operator op (`sample_operator`) from the zero terminal slice down to
     t = 0; source is (m+1, n^d, K).  op is only read.  The first step is
     implicit Euler (STARTUP_STEPS >= 1), so every explicit half has the
     previous step's stencil.  Returns u, (m+1, n[, n], K)."""
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    _check_lam(lam)
     g = op["grid"]
     K = source.shape[-1]
     u = np.zeros((g.m + 1, g.n ** g.d, K))
@@ -235,9 +239,16 @@ def solve_phi_system(op: dict, lam: float) -> np.ndarray:
 
     The corrector phi satisfies, componentwise,
         d_t phi + tr(a D^2 phi) + (b1+b2+b0) . grad phi = lam*phi - b0,
-    zero at t = T.  Returned with K = d components.
+    zero at t = T.  Returned with K = d components.  A b0 that is 0 at
+    every node gives phi = +0.0 at every node, as the march of its zero
+    source does, without the march (or scipy).
     """
-    return solve_backward(op, lam, -op["b0"])
+    b0 = op["b0"]
+    if b0.any():
+        return solve_backward(op, lam, -b0)
+    _check_lam(lam)
+    g = op["grid"]
+    return np.zeros((g.m + 1,) + (g.n,) * g.d + b0.shape[-1:])
 
 
 # ---------------------------------------------------------------------------

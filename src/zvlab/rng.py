@@ -9,7 +9,8 @@ Paths are grouped in blocks of fixed width BLOCK.  Block b is driven by
 Philox(key=(seed, b)); block_normals draws the block's whole increment
 array in a single call with a fixed shape, which pins the stream layout.
 Path i lives in lane i % BLOCK of block i // BLOCK.  The engines draw a
-range of paths with lane_normals, which gives the same lanes step-major.
+range of paths with lane_normals, which gives the same lanes step-major,
+at one step count or, from one pass over the stream, at several.
 """
 
 from __future__ import annotations
@@ -40,32 +41,66 @@ def block_normals(seed: int, block_index: int, n_steps: int, d: int,
     return gen.standard_normal((w, n_steps, d))
 
 
-def lane_normals(seed: int, start: int, stop: int, n_steps: int,
-                 d: int) -> np.ndarray:
+def lane_normals(seed: int, start: int, stop: int, n_steps, d: int):
     """The increments of paths start..stop-1, step-major: shape
     (n_steps, stop - start, d), path i at [:, i - start], bit for bit
     block_normals(seed, i // BLOCK, n_steps, d)[i % BLOCK].
 
-    Each block is drawn from its first lane in calls of LANE_CHUNK lanes;
-    successive calls continue one stream, so they give the bits of one
-    call.  Lanes before start are drawn and dropped, so the draw costs
-    stop - start + start % BLOCK lanes.
+    n_steps may be a sequence of step counts; then the result is a list of
+    such arrays, one per count, each a view of one allocation.  Lane i of
+    a block drawn at n steps holds the block stream's normals
+    [i n d, (i + 1) n d), so one pass over the stream at the largest count
+    holds every count's lanes, and each is cut from it as it is drawn.
+
+    Each block is drawn from its first lane in calls of LANE_CHUNK lanes at
+    the largest count; successive calls continue one stream, so they give
+    the bits of one call.  Lanes before start are drawn and dropped, so the
+    draw costs stop - start + start % BLOCK lanes at the largest count.
     """
-    out = np.empty((n_steps, stop - start, d))
-    buf = np.empty((LANE_CHUNK, n_steps, d))
+    single = np.ndim(n_steps) == 0
+    counts = [n_steps] if single else list(n_steps)
+    rows = stop - start
+    flat = np.empty(sum(counts) * rows * d)
+    outs, at = [], 0
+    for n in counts:
+        outs.append(flat[at:at + n * rows * d].reshape(n, rows, d))
+        at += n * rows * d
+    top = max(counts)
+    buf = np.empty(LANE_CHUNK * top * d)
     lane = start - start % BLOCK            # first lane of start's block
     while lane < stop:
         gen = block_generator(seed, lane // BLOCK)
-        end = min(stop, lane + BLOCK)
-        while lane < end:
-            c = min(LANE_CHUNK, end - lane)
+        lo, hi = max(start, lane) - lane, min(stop, lane + BLOCK) - lane
+        pos, end = 0, hi * top * d
+        while pos < end:
+            c = min(buf.size, end - pos)
             gen.standard_normal(out=buf[:c])
-            if lane + c > start:
-                keep = max(start - lane, 0)
-                out[:, lane + keep - start:lane + c - start] = \
-                    buf[keep:c].transpose(1, 0, 2)
-            lane += c
-    return out
+            for out in outs:
+                _cut(buf[:c], pos, out, lo, hi, lane + lo - start)
+            pos += c
+        lane += BLOCK
+    return outs[0] if single else outs
+
+
+def _cut(v, pos, out, lo, hi, col):
+    """Copy what v, a block's stream from position pos, holds of the block's
+    lanes lo..hi-1 at out's step count into the step-major out, lane lo at
+    column col.  A lane that v holds only in part gives the steps it holds."""
+    n, _, d = out.shape
+    ln = n * d                              # stream positions per lane
+    a, b = max(pos, lo * ln), min(pos + v.size, hi * ln)
+    while a < b:
+        lane, off = divmod(a, ln)
+        if off or b - a < ln:               # part of one lane
+            e = min(b, (lane + 1) * ln)
+            out[off // d:(e - lane * ln) // d, col + lane - lo] = \
+                v[a - pos:e - pos].reshape(-1, d)
+            a = e
+        else:                               # whole lanes
+            k = (b - a) // ln
+            out[:, col + lane - lo:col + lane - lo + k] = \
+                v[a - pos:a - pos + k * ln].reshape(k, n, d).transpose(1, 0, 2)
+            a += k * ln
 
 
 def uniform_points(seed: int, tag: int, n: int, low, high) -> np.ndarray:

@@ -15,6 +15,12 @@ the engine yields it and then gives its per-row results, and a finish
 step on the rows of every path, so that run_stats can feed several
 statistics from one pass.
 
+Both path engines run through run_ensembles.  An Ensemble is paths on
+one seed's Philox lanes at one step count: the plain pass
+(plain_ensemble) or a coupled run (coupling.pair_ensembles).  Ensembles
+of one seed and dimension share each range's draw whatever their step
+counts, and a command's ensembles go to the pool in one call.
+
 The module also houses the two checks that ride on simulated paths:
 the transform-consistency curve E max_t |Phi_t(X_t) - Y_t| and the
 occupation-functional estimate against the mixed L^p_q norm.
@@ -86,17 +92,14 @@ class SimSpec:
         return self.T / self.n_steps
 
 
-def _advance_block(models, x0s, spec, start, width):
-    """Paths start..start+width-1 for every model, on shared Brownian
-    increments, as a generator: first their normals, step-major (n_steps,
-    width, d), then (k, X, alive) at each node k = 0..n_steps, with one
-    array of each per model.  models pairs each SdeModel with its step
-    tables (or None).  X and alive are the engine's own: X[i] is replaced
-    at the next step and alive[i] updated in place, so a reader copies
-    what it keeps."""
+def _advance_block(models, x0s, spec, normals, width):
+    """The paths of the first width rows of normals (step-major, (n_steps,
+    rows, d)) for every model, on shared Brownian increments, as a
+    generator of (k, X, alive) at each node k = 0..n_steps, with one array
+    of each per model.  models pairs each SdeModel with its step tables (or
+    None).  X and alive are the engine's own: X[i] is replaced at the next
+    step and alive[i] updated in place, so a reader copies what it keeps."""
     d = models[0][0].d
-    normals = _rng.lane_normals(spec.seed, start, start + width, spec.n_steps, d)
-    yield normals
     sqrt_h = math.sqrt(spec.h)
     X = [np.broadcast_to(np.asarray(x0, dtype=float), (width, d)).copy()
          for x0 in x0s]
@@ -105,7 +108,7 @@ def _advance_block(models, x0s, spec, start, width):
     limit = 2.0 * spec.L
     for k in range(spec.n_steps):
         t = k * spec.h
-        dw = normals[k] * sqrt_h
+        dw = normals[k, :width] * sqrt_h
         for i, (model, tables) in enumerate(models):
             # every row takes the same step; a frozen row keeps its value, so
             # a path's bits do not depend on which other paths have escaped
@@ -116,6 +119,64 @@ def _advance_block(models, x0s, spec, start, width):
             # a non-finite row fails the test and is frozen as escaped
             al[~(np.abs(X[i]).max(axis=-1) <= limit)] = False
         yield k + 1, X, alive
+
+
+@dataclass(frozen=True)
+class Ensemble:
+    """n_paths paths on seed's Philox lanes at n_steps steps in dimension
+    d, as run_ensembles runs them: advance(normals, start) steps paths
+    start.. on their normals, step-major (n_steps, rows, d), and returns the
+    range's part; finish(parts, draws, procs) is the result from the parts
+    in path order, the Philox lanes the ensemble paid for and the processes
+    the pool ran on."""
+
+    seed: int
+    d: int
+    n_steps: int
+    n_paths: int
+    advance: Callable
+    finish: Callable
+
+
+def run_ensembles(ensembles) -> list:
+    """Every ensemble from one pool call, finished in the order given.
+
+    Ensembles with the same seed and dimension form a draw group, whatever
+    their step counts.  The pool's processes are shared out among the
+    groups, and each group's paths are cut into parallel.row_ranges for its
+    share.  A range is one task: it draws its lanes once, for every step
+    count of the ensembles that have paths in it, in one pass at the
+    largest (rng.lane_normals), and advances those ensembles in the order
+    given, each on the leading rows it has.  The lanes, with the leading
+    lanes of a block that the draw drops, count in the draws of the first
+    of them at the largest count.  A row's bits do not depend on the rows
+    beside it, so every result is bit-identical to a run made alone, at any
+    worker count."""
+    groups = {}               # (seed, d) -> indices of its ensembles
+    for i, e in enumerate(ensembles):
+        groups.setdefault((e.seed, e.d), []).append(i)
+    sizes = [max(ensembles[i].n_paths for i in idx) for idx in groups.values()]
+    # the processes the pool has: it forks no more than one per path
+    per_group = -(-pool_size(sum(sizes)) // len(groups))
+    tasks = [([i for i in idx if ensembles[i].n_paths > a], seed, d, a, b)
+             for (seed, d), idx, n in zip(groups, groups.values(), sizes)
+             for a, b in row_ranges(n, per_group)]
+
+    def task(have, seed, d, a, b):
+        members = [ensembles[i] for i in have]
+        counts = sorted({e.n_steps for e in members})
+        normals = dict(zip(counts, _rng.lane_normals(seed, a, b, counts, d)))
+        return [e.advance(normals[e.n_steps][:, :min(b, e.n_paths) - a], a)
+                for e in members]
+
+    parts = [[] for _ in ensembles]               # in path order
+    draws = [0] * len(ensembles)
+    for (have, _, _, a, b), out in zip(tasks, run_tasks(task, tasks)):
+        draws[max(have, key=lambda i: ensembles[i].n_steps)] += b - a + a % _rng.BLOCK
+        for i, part in zip(have, out):
+            parts[i].append(part)
+    procs = pool_size(len(tasks))
+    return [e.finish(p, n, procs) for e, p, n in zip(ensembles, parts, draws)]
 
 
 @dataclass(frozen=True)
@@ -131,30 +192,36 @@ class BlockStat:
     finish: Callable
 
 
+def plain_ensemble(models, x0s, spec: SimSpec, stats) -> Ensemble:
+    """run_stats' pass as an Ensemble, whose result is the statistics'
+    results.  A model's step tables are built here, once for the step
+    grid, so forked tasks inherit them."""
+    ts = [k * spec.h for k in range(spec.n_steps)]
+    members = [(m, None if m.tables is None else m.tables(ts)) for m in models]
+
+    def advance(normals, start):
+        folds = [st.block(normals) for st in stats]
+        for k, X, alive in _advance_block(members, x0s, spec, normals,
+                                          normals.shape[1]):
+            for step, _ in folds:
+                step(k, X, alive)
+        return [rows(X, alive) for _, rows in folds]
+
+    def finish(parts, draws, procs):
+        return [st.finish(*map(np.concatenate, zip(*(p[i] for p in parts))))
+                for i, st in enumerate(stats)]
+
+    return Ensemble(spec.seed, models[0].d, spec.n_steps, spec.n_paths,
+                    advance, finish)
+
+
 def run_stats(models, x0s, spec: SimSpec, stats) -> list:
     """Advance the plain ensemble of every model, from its x0 and on shared
     Brownian increments, once, and finish every statistic on it, in the
     order given.  Each statistic sees the same nodes and rows as a run of
     it alone would, so the results are bit-identical to one pass per
-    statistic.  A model's step tables are built here, once for the step
-    grid, before the tasks fork."""
-    ts = [k * spec.h for k in range(spec.n_steps)]
-    members = [(m, None if m.tables is None else m.tables(ts)) for m in models]
-
-    def task(start, stop):
-        nodes = _advance_block(members, x0s, spec, start, stop - start)
-        normals = next(nodes)
-        folds = [st.block(normals) for st in stats]
-        del normals                 # freed with the generator, before rows()
-        for k, X, alive in nodes:
-            for step, _ in folds:
-                step(k, X, alive)
-        return [rows(X, alive) for _, rows in folds]
-
-    n = spec.n_paths
-    parts = run_tasks(task, row_ranges(n, pool_size(n)))
-    return [st.finish(*map(np.concatenate, zip(*(p[i] for p in parts))))
-            for i, st in enumerate(stats)]
+    statistic."""
+    return run_ensembles([plain_ensemble(models, x0s, spec, stats)])[0]
 
 
 def _block_sum(a, keep=None):
@@ -391,27 +458,35 @@ def bump_family_stat(spec: SimSpec, ns: NormSpec, widths) -> BlockStat:
     sharpens; pass criterion is max <= 3 x median over the family.
     """
     widths = list(widths)
+    if len(widths) > 255:
+        raise ValueError(f"at most 255 bump widths, got {len(widths)}")
     weights = trapezoid_weights(spec.n_steps + 1, spec.h)
     pairs = [interval_bump(0.0, eps) for eps in widths]
+    # |X| <= eps exactly when fewer than rank + 1 widths w fail |X| <= w
+    ranks = [sum(w < eps for w in widths) for eps in widths]
 
     def block(normals):
         width = normals.shape[1]
-        r = None                        # |X| at every node, (width, n_steps+1)
+        # at each node, how many widths w fail |X| <= w (NaN fails every one)
+        codes = np.empty((width, spec.n_steps + 1), dtype=np.uint8)
+        r, le = np.empty(width), np.empty(width, dtype=bool)
+        code = np.empty(width, dtype=np.uint8)
 
         def step(k, X, alive):
-            nonlocal r
-            if k == 0:                  # after every statistic's block(normals)
-                r = np.empty((width, spec.n_steps + 1))
-            np.abs(X[0][:, 0], out=r[:, k])
+            np.abs(X[0][:, 0], out=r)
+            code.fill(len(widths))
+            for w in widths:
+                np.subtract(code, np.less_equal(r, w, out=le), out=code)
+            codes[:, k] = code
 
         def rows(X, alive):
             # each row's pairwise sum over time does not depend on the other
             # rows, so the rows are summed ROW_CHUNK at a time
             accs = [[] for _ in widths]
             for c in range(0, width, ROW_CHUNK):
-                rc = r[c:c + ROW_CHUNK]
-                for acc, eps in zip(accs, widths):
-                    acc.append(((rc <= eps) * weights).sum(axis=1) / (2.0 * eps))
+                cc = codes[c:c + ROW_CHUNK]
+                for acc, eps, rank in zip(accs, widths, ranks):
+                    acc.append(((cc <= rank) * weights).sum(axis=1) / (2.0 * eps))
             return (alive[0], *map(np.concatenate, accs))
 
         return step, rows

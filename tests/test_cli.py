@@ -95,16 +95,50 @@ def test_csv_identical_across_worker_counts(capsys, monkeypatch):
 
 def test_full_pipeline_csv_identical_across_worker_counts(capsys, monkeypatch):
     # 9000 paths are two blocks, so the one plain pass and the couple run
-    # that the log-Harnack check reuses both go through the process pool
+    # that the log-Harnack check reuses both go through the process pool;
+    # at 2 and 3 workers the ranges are cut differently
     outs = []
-    for w in ("1", "3"):
+    for w in ("1", "2", "3"):
         monkeypatch.setenv("ZVLAB_THREADS", w)
         code, out, _ = run_cli(capsys, "full-pipeline", "--scenario",
                                "additive-1d", "--paths", "9000", "--seed", "1",
                                "--fast")
         assert code == 0
         outs.append(out)
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_full_pipeline_is_one_pool_call(capsys, monkeypatch):
+    # the plain pass and the three coupled runs go to one run_tasks call:
+    # two draw groups (the command's seed and the calibration seed), one
+    # row range each on two workers, the plain pass in the first group's
+    # task
+    from zvlab import sde
+    calls = []
+    run_tasks = sde.run_tasks
+
+    def spy(fn, args_list, workers=None):
+        calls.append(len(args_list))
+        return run_tasks(fn, args_list, workers)
+
+    monkeypatch.setattr(sde, "run_tasks", spy)
+    monkeypatch.setenv("ZVLAB_THREADS", "2")
+    code, _, _ = run_cli(capsys, "full-pipeline", "--scenario", "additive-1d",
+                         "--paths", "9000", "--seed", "1", "--fast")
+    assert code == 0
+    assert calls == [2]
+
+
+def test_command_timing_has_its_own_key(capsys, tmp_path):
+    # the whole command is timed as "command", so a single-stage command's
+    # stage entry is its own, at most the command's
+    code, _, _ = run_cli(capsys, "couple", "--scenario", "additive-1d",
+                         "--fast", "--out", str(tmp_path))
+    assert code == 0
+    timings = json.loads((tmp_path / "report.json").read_text())[0]["timings_s"]
+    assert sorted(timings) == ["command", "couple", "ensembles"]
+    assert timings["couple"] <= timings["command"]
+    assert timings["ensembles"] <= timings["command"]
 
 
 @pytest.mark.parametrize("command", ["full-pipeline", "harnack"])
@@ -121,7 +155,7 @@ def test_report_json_carries_pair_counters(capsys, monkeypatch, tmp_path,
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())[0]
     metrics = report["metrics"]
-    assert "coupled-runs" in report["timings_s"]
+    assert "ensembles" in report["timings_s"]
     assert sorted(metrics) == (["couple", "harnack"] if command == "full-pipeline"
                                else ["harnack"])
     assert sorted(metrics["harnack"]) == ["calibration", "log", "power"]
@@ -140,41 +174,42 @@ def test_report_json_carries_pair_counters(capsys, monkeypatch, tmp_path,
 
 @pytest.mark.parametrize("scenario", ["additive-1d", "trivial-zero"])
 def test_full_pipeline_matches_separate_stages(capsys, monkeypatch, scenario):
-    # full-pipeline runs each distinct ensemble once: one plain pass feeds
-    # simulate and krylov (one _advance_block per row range, not three;
-    # one range at one worker, in this process, where the spy sees it),
-    # and the couple, power and calibration runs go to one simulate_pairs
-    # call whose couple run the log-Harnack check reads (three runs, not
-    # four).  harnack alone batches its couple, power and calibration runs.
-    # Its rows equal the separate stages' rows.  A scenario without
-    # declared coupling constants (trivial-zero) has no coupled stages
-    from zvlab import cli, coupling, sde
+    # full-pipeline runs each distinct ensemble once, in one run_ensembles
+    # call: one plain pass feeds simulate and krylov (one _advance_block
+    # per row range, not three; one range at one worker, in this process,
+    # where the spy sees it), and the couple, power and calibration runs
+    # join it, the log-Harnack check reading the couple run (four
+    # ensembles, not six).  Each stage alone makes one call: simulate and
+    # krylov a plain pass each, couple its run, harnack its couple, power
+    # and calibration runs.  The rows equal the separate stages' rows.  A
+    # scenario without declared coupling constants (trivial-zero) has no
+    # coupled stages
+    from zvlab import cli, sde
     coupled = scenario == "additive-1d"
     common = ("--scenario", scenario, "--fast", "--paths", "3000")
     batches, blocks = [], []
-    simulate_pairs = coupling.simulate_pairs
+    run_ensembles = sde.run_ensembles
     advance = sde._advance_block
 
-    def spy_pairs(runs):
-        batches.append(len(runs))
-        return simulate_pairs(runs)
+    def spy(ensembles):
+        batches.append(len(ensembles))
+        return run_ensembles(ensembles)
 
-    monkeypatch.setattr(coupling, "simulate_pairs", spy_pairs)
-    monkeypatch.setattr(cli, "simulate_pairs", spy_pairs)
+    monkeypatch.setattr(cli, "run_ensembles", spy)
     rows = []
     for stage in cli.FULL_PIPELINE[:5 if coupled else 3]:
         _, out, _ = run_cli(capsys, stage, *common)
         rows += out.splitlines()[1:]
-    # couple's one run, harnack's batch
-    assert batches == ([1, 3] if coupled else [])
+    # build-transform simulates nothing
+    assert batches == ([1, 1, 1, 3] if coupled else [1, 1])
     batches.clear()
     monkeypatch.setenv("ZVLAB_THREADS", "1")
     monkeypatch.setattr(sde, "_advance_block",
-                        lambda *a: blocks.append(a[3:]) or advance(*a))
+                        lambda *a: blocks.append(a[4]) or advance(*a))
     _, out, _ = run_cli(capsys, "full-pipeline", *common)
     assert out.splitlines()[1:] == rows
-    assert batches == ([3] if coupled else [])
-    assert blocks == [(0, 3000)]
+    assert batches == ([4] if coupled else [1])
+    assert blocks == [3000]
 
 
 def test_every_read_is_an_ensemble():
@@ -188,7 +223,7 @@ def test_every_read_is_an_ensemble():
     rep = RunReport(scenario="additive-1d", seed=1, config={})
     ens = cli._ensembles(rep, get_scenario("additive-1d"), args, reads)
     assert set(ens) == reads
-    assert sorted(rep.timings) == ["coupled-runs", "plain-pass"]
+    assert sorted(rep.timings) == ["ensembles"]
 
 
 def test_out_dir_and_json_format(capsys, tmp_path):

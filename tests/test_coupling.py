@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from zvlab import coupling
+from zvlab import coupling, sde
 from zvlab.coupling import (CouplingConfig, _sigma_inverse, build_coupling_grid,
                             calibrate_k1, coalescence_report, decide, eta,
                             gamma0, gamma_threshold, h5_certificate,
@@ -361,7 +361,7 @@ def test_batch_errors_name_the_run(monkeypatch):
     def no_pool(*a, **k):
         raise AssertionError("stepped before the start points were checked")
 
-    monkeypatch.setattr(coupling, "run_tasks", no_pool)
+    monkeypatch.setattr(sde, "run_tasks", no_pool)
     with pytest.raises(ValueError, match=r"run 1 \(seed 4, x=\[0\.5\], "
                        r"y=\[0\.0\]\): .*0\.5 L = 0\.4"):
         simulate_pairs([good, (additive_pair(), [0.5], [0.0], cfg, 4)])
@@ -513,11 +513,12 @@ def test_pair_step_matches_the_reference(name):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_batch_matches_separate_runs(monkeypatch, threads):
     # runs 0 and 1 differ only in theta and share their draws; run 2 has
-    # another seed, run 3 another step grid, and run 4, with fewer paths,
-    # takes the leading 8500 lanes of run 0's draws.  draws counts Philox
-    # lanes: a batch of three draw groups is one task per group at 1 and 2
-    # workers, and a run alone at 2 workers is two tasks, the second of
-    # which also draws the block lanes before its first path
+    # another seed; run 3 has another step grid with fewer steps, so its
+    # lanes are cut from run 0's draw; and run 4, with fewer paths, takes
+    # the leading 8500 lanes of run 0's draws.  draws counts Philox lanes:
+    # a batch of two draw groups is one task per group at 1 and 2 workers,
+    # and a run alone at 2 workers is two tasks, the second of which also
+    # draws the block lanes before its first path
     monkeypatch.setenv("ZVLAB_THREADS", threads)
     pair = additive_pair(drift_slope=-0.5)
     cfg = unit_cfg(m=100, n_paths=9000)
@@ -536,7 +537,7 @@ def test_batch_matches_separate_runs(monkeypatch, threads):
             assert getattr(got, name) == getattr(ref, name), name
         n = ref.cfg.n_paths
         assert ref.draws == (n if threads == "1" else n // 2 + n)    # alone
-    assert [r.draws for r in batch] == [9000, 0, 9000, 9000, 0]
+    assert [r.draws for r in batch] == [9000, 0, 9000, 0, 0]
     assert not np.array_equal(batch[0].A, batch[1].A)      # theta differs
 
 

@@ -356,3 +356,47 @@ def test_banded_solve_refuses_bad_systems():
     singular = np.full(n - 2, lam + 1.0 / gamma)
     with pytest.raises(np.linalg.LinAlgError, match="singular.*t=0.75"):
         pde._solve_banded({**st, (0,): singular}, lam, gamma, rhs, 0.75)
+
+
+@pytest.mark.parametrize("name", ["trivial-zero", "ou-lipschitz", "additive-1d"])
+def test_zero_b0_gives_the_marched_zero_corrector(name):
+    # without a singular part the corrector is not marched: the result is
+    # the march's, +0.0 at every node, at the CLI's full and --fast grids,
+    # and a bad lam is still refused
+    from dataclasses import replace
+
+    from zvlab.scenarios import get_scenario
+    sc = get_scenario(name)
+    for grid in (sc.grid, replace(sc.grid, n=min(sc.grid.n, 201),
+                                  m=min(sc.grid.m, 200))):
+        op = sample_operator(sc.coeffs, grid)
+        assert not op["b0"].any()
+        for lam in (0.0, 10.0):
+            got = solve_phi_system(op, lam)
+            ref = solve_backward(op, lam, -op["b0"])
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+            assert not np.signbit(got).any()
+        with pytest.raises(ValueError, match="lam must be finite"):
+            solve_phi_system(op, float("nan"))
+
+
+def test_build_transform_without_b0_loads_no_scipy():
+    # scipy is loaded only by the solves that a singular part needs
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    probe = ("import contextlib, io, sys\n"
+             "from zvlab.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = main(['build-transform', '--scenario', 'trivial-zero',"
+             " '--fast'])\n"
+             "print(code, sorted(m for m in sys.modules"
+             " if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0 []"

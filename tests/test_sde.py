@@ -15,7 +15,7 @@ from zvlab import parallel
 from zvlab import rng as zrng
 from zvlab import sde
 from zvlab.fields import (CoefficientSet, GridSpec, NormSpec,
-                          constant_sigma)
+                          constant_sigma, trapezoid_weights)
 from zvlab.sde import (SdeModel, SimSpec, bump_family_report, bump_family_stat,
                        integrate, integrate_stat, interval_bump, k_pq,
                        krylov_estimate, krylov_stat, run_stats,
@@ -65,6 +65,26 @@ def test_lane_normals_are_block_lanes_step_major(d):
         assert got.shape == (n_steps, stop - start, d) and got.flags.c_contiguous
         assert got.tobytes() == np.ascontiguousarray(
             lanes[start:stop].transpose(1, 0, 2)).tobytes(), (start, stop)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_lane_normals_at_several_step_counts_equal_separate_draws(d):
+    # one pass at the largest count gives each count's lanes bit for bit as
+    # a draw at that count alone, in views of one allocation: counts where
+    # neither divides the other, so a chunk of the pass ends inside a lane
+    # of each smaller count, and ranges that start inside a block or a
+    # chunk or straddle a block boundary
+    seed, B, c = 9, zrng.BLOCK, zrng.LANE_CHUNK
+    for counts in [(7, 5), (13, 6, 10)]:
+        for start, stop in [(0, 5), (c - 1, 3 * c + 2), (B - 40, B + 300),
+                            (B + 7, 2 * B - 7)]:
+            got = zrng.lane_normals(seed, start, stop, counts, d)
+            assert len(got) == len(counts)
+            assert all(g.base is got[0].base is not None for g in got)
+            for n, g in zip(counts, got):
+                ref = zrng.lane_normals(seed, start, stop, n, d)
+                assert g.shape == ref.shape and g.tobytes() == ref.tobytes(), (
+                    counts, n, start, stop)
 
 
 def test_worker_count_invariance(monkeypatch):
@@ -143,7 +163,7 @@ def test_increment_mean_bound_counts_every_increment(monkeypatch):
     assert fair.rng_report["mean_ok"]
     draw = zrng.lane_normals
     monkeypatch.setattr(zrng, "lane_normals",
-                        lambda *a, **k: draw(*a, **k) + 0.05)
+                        lambda *a, **k: [z + 0.05 for z in draw(*a, **k)])
     ens = integrate(brownian_model(), np.array([0.0]), spec)
     mean = abs(ens.rng_report["increment_mean"][0])
     assert (4 * math.sqrt(spec.h / (spec.n_paths * spec.n_steps)) < mean
@@ -173,11 +193,11 @@ def test_one_pass_feeds_every_statistic(monkeypatch):
     ranges = []
     advance = sde._advance_block
     monkeypatch.setattr(sde, "_advance_block",
-                        lambda *a: ranges.append(a[3:]) or advance(*a))
+                        lambda *a: ranges.append(a[4]) or advance(*a))
     ens, est, fam = run_stats([model], [x0], spec, [
         integrate_stat(x0, spec), krylov_stat(spec, f, ns, f_norm=f_norm),
         bump_family_stat(spec, ns, widths)])
-    assert ranges == [(0, 9000)]
+    assert ranges == [9000]
     assert np.array_equal(ens.terminal, ens0.terminal)
     assert np.array_equal(ens.escaped, ens0.escaped)
     assert ens.escape_fraction == ens0.escape_fraction
@@ -216,8 +236,8 @@ def test_run_stats_bits_do_not_depend_on_the_ranges(monkeypatch, pack):
 def test_block_memory_stays_near_its_normals(monkeypatch):
     # one range of 8192 paths at 400 steps: the engine keeps the normals
     # (26.2 MB), the state and the alive mask, never whole paths or a copy
-    # of the increments.  krylov adds per-row sums; bump-family keeps the
-    # one (width, n_steps+1) array it sums
+    # of the increments.  krylov adds per-row sums; bump-family keeps one
+    # uint8 code per row and node
     monkeypatch.setenv("ZVLAB_THREADS", "1")
     spec = SimSpec(T=1.0, n_steps=400, n_paths=8192, seed=3, L=4.0)
     x0, ns = np.array([0.1]), NormSpec(p=4, q=4, d=1)
@@ -227,7 +247,7 @@ def test_block_memory_stays_near_its_normals(monkeypatch):
     for stats, bound in [
             ([krylov_stat(spec, f, ns, f_norm)], 1.25),
             ([integrate_stat(x0, spec), krylov_stat(spec, f, ns, f_norm),
-              bump_family_stat(spec, ns, [0.05, 0.1, 0.2])], 2.25)]:
+              bump_family_stat(spec, ns, [0.05, 0.1, 0.2])], 1.25)]:
         tracemalloc.start()
         try:
             run_stats([brownian_model()], [x0], spec, stats)
@@ -235,6 +255,25 @@ def test_block_memory_stays_near_its_normals(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak <= bound * normals_bytes, (len(stats), peak / normals_bytes)
+
+
+def test_bump_family_codes_match_the_float_compare():
+    # bump-family keeps, per node, how many widths fail |X| <= w; that count
+    # against each width's rank gives the bits of the float compare, also
+    # for unsorted and repeated widths and for rows that turn NaN
+    spec = SimSpec(T=1.0, n_steps=100, n_paths=3000, seed=8, L=2.0)
+    model = SdeModel(d=1, drift=lambda t, x: np.where(x > 0.8, np.nan, 0.0),
+                     sigma=SIG1)
+    widths = [0.2, 0.05, 0.1, 0.05]
+    stat = bump_family_stat(spec, NormSpec(p=4, q=4, d=1), widths)
+    fam, (paths, alive) = run_stats([model], [np.array([0.1])], spec,
+                                    [stat, path_recorder()])
+    assert np.isnan(paths).any() and alive.any()
+    weights = trapezoid_weights(spec.n_steps + 1, spec.h)
+    r = np.abs(paths[..., 0])
+    ref = stat.finish(alive, *(((r <= eps) * weights).sum(axis=1) / (2.0 * eps)
+                               for eps in widths))
+    assert repr(fam) == repr(ref)
 
 
 def test_ou_terminal_variance_oracle():
