@@ -47,10 +47,11 @@ def lane_normals(seed: int, start: int, stop: int, n_steps, d: int):
     block_normals(seed, i // BLOCK, n_steps, d)[i % BLOCK].
 
     n_steps may be a sequence of step counts; then the result is a list of
-    such arrays, one per count, each a view of one allocation.  Lane i of
-    a block drawn at n steps holds the block stream's normals
-    [i n d, (i + 1) n d), so one pass over the stream at the largest count
-    holds every count's lanes, and each is cut from it as it is drawn.
+    such arrays, one per count, each a view of one allocation, and stop may
+    be a sequence too, one stop per count.  Lane i of a block drawn at n
+    steps holds the block stream's normals [i n d, (i + 1) n d), so one
+    pass over the stream at the largest count, to the largest stop, holds
+    every count's lanes, and each is cut from it as it is drawn.
 
     Each block is drawn from its first lane in calls of LANE_CHUNK lanes at
     the largest count; successive calls continue one stream, so they give
@@ -59,24 +60,24 @@ def lane_normals(seed: int, start: int, stop: int, n_steps, d: int):
     """
     single = np.ndim(n_steps) == 0
     counts = [n_steps] if single else list(n_steps)
-    rows = stop - start
-    flat = np.empty(sum(counts) * rows * d)
+    stops = list(stop) if np.ndim(stop) else [stop] * len(counts)
+    flat = np.empty(sum(n * (s - start) for n, s in zip(counts, stops)) * d)
     outs, at = [], 0
-    for n in counts:
-        outs.append(flat[at:at + n * rows * d].reshape(n, rows, d))
-        at += n * rows * d
-    top = max(counts)
+    for n, s in zip(counts, stops):
+        outs.append(flat[at:at + n * (s - start) * d].reshape(n, s - start, d))
+        at += n * (s - start) * d
+    top, last = max(counts), max(stops)
     buf = np.empty(LANE_CHUNK * top * d)
     lane = start - start % BLOCK            # first lane of start's block
-    while lane < stop:
+    while lane < last:
         gen = block_generator(seed, lane // BLOCK)
-        lo, hi = max(start, lane) - lane, min(stop, lane + BLOCK) - lane
+        lo, hi = max(start, lane) - lane, min(last, lane + BLOCK) - lane
         pos, end = 0, hi * top * d
         while pos < end:
             c = min(buf.size, end - pos)
             gen.standard_normal(out=buf[:c])
-            for out in outs:
-                _cut(buf[:c], pos, out, lo, hi, lane + lo - start)
+            for out, s in zip(outs, stops):
+                _cut(buf[:c], pos, out, lo, min(hi, s - lane), lane + lo - start)
             pos += c
         lane += BLOCK
     return outs[0] if single else outs

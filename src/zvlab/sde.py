@@ -146,12 +146,12 @@ def run_ensembles(ensembles) -> list:
     groups, and each group's paths are cut into parallel.row_ranges for its
     share.  A range is one task: it draws its lanes once, for every step
     count of the ensembles that have paths in it, in one pass at the
-    largest (rng.lane_normals), and advances those ensembles in the order
-    given, each on the leading rows it has.  The lanes, with the leading
-    lanes of a block that the draw drops, count in the draws of the first
-    of them at the largest count.  A row's bits do not depend on the rows
-    beside it, so every result is bit-identical to a run made alone, at any
-    worker count."""
+    largest (rng.lane_normals), each count over the rows its ensembles
+    have, and advances those ensembles in the order given.  The lanes,
+    with the leading lanes of a block that the draw drops, count in the
+    draws of the first of them at the largest count.  A row's bits do not
+    depend on the rows beside it, so every result is bit-identical to a run
+    made alone, at any worker count."""
     groups = {}               # (seed, d) -> indices of its ensembles
     for i, e in enumerate(ensembles):
         groups.setdefault((e.seed, e.d), []).append(i)
@@ -164,8 +164,10 @@ def run_ensembles(ensembles) -> list:
 
     def task(have, seed, d, a, b):
         members = [ensembles[i] for i in have]
-        counts = sorted({e.n_steps for e in members})
-        normals = dict(zip(counts, _rng.lane_normals(seed, a, b, counts, d)))
+        stop = {e.n_steps: min(b, e.n_paths)     # the widest at each count
+                for e in sorted(members, key=lambda m: m.n_paths)}
+        normals = dict(zip(stop, _rng.lane_normals(
+            seed, a, list(stop.values()), list(stop), d)))
         return [e.advance(normals[e.n_steps][:, :min(b, e.n_paths) - a], a)
                 for e in members]
 

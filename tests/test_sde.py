@@ -87,6 +87,23 @@ def test_lane_normals_at_several_step_counts_equal_separate_draws(d):
                     counts, n, start, stop)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_lane_normals_cut_each_count_to_its_own_stop(d):
+    # with one stop per count, each count's array holds only its own rows,
+    # bit for bit the block_normals lanes at that count, also where the
+    # largest count stops before a smaller one
+    seed, B, counts = 5, zrng.BLOCK, (7, 5, 3)
+    lanes = {n: np.concatenate([zrng.block_normals(seed, b, n, d)
+                                for b in range(2)]) for n in counts}
+    for start, stops in [(0, (40, 9, 40)), (B - 40, (B + 300, B - 39, B + 2)),
+                         (300, (301, 2 * B - 1, 900))]:
+        got = zrng.lane_normals(seed, start, stops, counts, d)
+        for n, stop, g in zip(counts, stops, got, strict=True):
+            ref = np.ascontiguousarray(lanes[n][start:stop].transpose(1, 0, 2))
+            assert g.shape == ref.shape and g.tobytes() == ref.tobytes(), (
+                n, start, stop)
+
+
 def test_worker_count_invariance(monkeypatch):
     # 9000 paths are three row ranges at 3 workers, so the process pool is
     # actually exercised
