@@ -15,7 +15,9 @@ beside it.  Every verdict comes from one rule, decide().
 
 A coupled run is an sde.Ensemble (pair_ensembles), so it shares its
 Philox draws with the plain pass and the other runs of its seed, in the
-one pool call of sde.run_ensembles; the pair step loop stays its own.
+one pool call of sde.run_ensembles.  The pair step loop stays its own,
+with the plain engine's one bad-row rule (_pair_block_steps): a row that
+leaves the box or turns non-finite is frozen and counted as a box exit.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 # unused here; perfbench/spans.py patches run_tasks in this module
 from .parallel import run_tasks  # noqa: F401
-from .sde import Ensemble, SdeModel, run_ensembles
+from .sde import Ensemble, SdeModel, in_box, run_ensembles
 from . import rng as _rng
 
 MAX_HALVINGS = 8          # step halves at T - 2^{-k} T, k = 1..MAX_HALVINGS
@@ -285,7 +287,8 @@ class CouplingResult:
     final_X: np.ndarray           # (N, d) at T - stop gap
     final_Y: np.ndarray
     glued: np.ndarray             # (N,) coalesced by the end
-    box_exit: np.ndarray          # (N,) frozen before the end
+    box_exit: np.ndarray          # (N,) frozen: left the box or turned non-finite
+    nonfinite_rows: int           # box_exit rows frozen as non-finite
     trunc_events: int
     clip_events: int
     total_events: int
@@ -301,6 +304,7 @@ class CouplingResult:
                 "clip_events": self.clip_events,
                 "total_events": self.total_events,
                 "box_exit_rows": int(self.box_exit.sum()),
+                "nonfinite_rows": self.nonfinite_rows,
                 "draws": self.draws,
                 "workers": self.workers}
 
@@ -354,31 +358,15 @@ def _exp_stats(logw: np.ndarray, vals=None) -> tuple[float, float]:
     return math.exp(m) * float(z.mean()), math.exp(m) * sd / math.sqrt(n)
 
 
-def _sigma_inverse(s: np.ndarray, t: float, run: str = "",
-                   first: int = 0) -> np.ndarray:
-    """Closed-form inverse of a (N, d, d) stack, d in {1, 2}: 1/s, or the
-    adjugate over the determinant; row i is path first + i of the run
-    named run.  A row that is singular, non-finite or whose inverse
-    overflows raises LinAlgError naming the run, t and the worst path
-    (smallest |det|, non-finite first)."""
+def _sigma_inverse(s: np.ndarray) -> np.ndarray:
+    """Closed-form inverse of a (N, d, d) stack, d in {1, 2}: 1/s or the adjugate
+    over the determinant; a singular or non-finite row gives a non-finite row."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if s.shape[-1] == 1:
-            det = s[:, 0, 0]
-            inv = 1.0 / s
-        else:
-            a, b, c, e = s[:, 0, 0], s[:, 0, 1], s[:, 1, 0], s[:, 1, 1]
-            det = a * e - b * c
-            inv = np.stack([np.stack([e, -b], axis=-1),
-                            np.stack([-c, a], axis=-1)], axis=-2) / det[:, None, None]
-    if np.isfinite(s).all() and np.isfinite(inv).all():
-        return inv
-    bad = ~(np.isfinite(s).all(axis=(-2, -1)) & np.isfinite(inv).all(axis=(-2, -1)))
-    key = np.where(np.isfinite(det), np.abs(det), -1.0)
-    i = int(np.argmin(np.where(bad, key, np.inf)))
-    raise np.linalg.LinAlgError(
-        f"{run + ': ' if run else ''}{int(bad.sum())} singular or non-finite "
-        f"sigma row(s) at t={t:.6g}: worst path {first + i} "
-        f"sigma={s[i].tolist()} det={det[i]:.3e}")
+            return 1.0 / s
+        a, b, c, e = s[:, 0, 0], s[:, 0, 1], s[:, 1, 0], s[:, 1, 1]
+        return np.stack([np.stack([e, -b], axis=-1), np.stack([-c, a], axis=-1)],
+                        axis=-2) / (a * e - b * c)[:, None, None]
 
 
 def _row_norm(v: np.ndarray) -> np.ndarray:
@@ -388,13 +376,6 @@ def _row_norm(v: np.ndarray) -> np.ndarray:
     if v.shape[-1] == 1:
         return np.abs(v[:, 0])
     return np.linalg.norm(v, axis=-1)
-
-
-def _row_max_abs(v: np.ndarray) -> np.ndarray:
-    """max_i |v_i| for each row of an (N, d) array; in 1-d |v|."""
-    if v.shape[-1] == 1:
-        return np.abs(v[:, 0])
-    return np.abs(v).max(axis=-1)
 
 
 def _matvec(s: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -412,20 +393,26 @@ def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", u, v)
 
 
-def _pair_block_steps(pair, x0, y0, cfg, grid, normals, tables=None, run="",
-                      first=0):
-    """Advance paths first, first+1, ... of a run on their normals, step-
-    major (n_steps, width, d); normals is only read, so runs may share one
-    draw.  tables is pair.tables(grid.ts[:-1]) or None, and run names the
-    run in errors.  X and Y, the halves of the stepper's input, are written
-    in place after the last read of its output, which may be that input.
-    A row is idle once glued or out."""
+def _pair_block_steps(pair, x0, y0, cfg, grid, normals, tables=None):
+    """Advance the paths of a run on their normals, step-major (n_steps,
+    width, d); normals is only read, so runs may share one draw.  tables
+    is pair.tables(grid.ts[:-1]) or None.  X and Y, the halves of the
+    stepper's input, are written in place after the last read of its
+    output, which may be that input.  A row is idle once glued or frozen.
+
+    A row is frozen when its stepped X or Y fails sde.in_box (out of the
+    doubled box, or not finite: a non-finite u, from a singular X sigma
+    say, makes Y's step so).  A box exit commits its exiting state; a
+    non-finite row keeps its last finite X, Y, A and B, with no truncation
+    or clip event for the step.  Frozen rows stay in the estimators; the
+    part counts the non-finite ones and names its lowest."""
     n_steps, width, d = normals.shape
     sqdt = np.sqrt(grid.dts)
     state = np.repeat(np.array([x0, y0], dtype=float), width, axis=0)  # X rows, Y rows
     X, Y = state[:width], state[width:]
     glued, alive = np.zeros(width, dtype=bool), np.ones(width, dtype=bool)
     A, B = np.zeros(width), np.zeros(width)
+    nonfinite, first = 0, None    # first: the lowest frozen row, when, if non-finite
     A_rec = np.empty((width, grid.sample_idx.size))
     B_rec = np.empty((width, grid.sample_idx.size))
     dist_rec = np.empty((width, grid.eps_idx.size))
@@ -434,94 +421,105 @@ def _pair_block_steps(pair, x0, y0, cfg, grid, normals, tables=None, run="",
     floor = DIST_FLOOR_COEFF * (1.0 + float(np.linalg.norm(x0 - y0)))
     power, limit = 2.0 - 2.0 * cfg.alpha, 2.0 * cfg.L
     trunc = clip = 0
-    for k in range(n_steps):
-        t, dt = grid.ts[k], grid.dts[k]
-        dW = normals[k] * sqdt[k]
-        b, s = pair.step_eval(t, state, None if tables is None else tables[k])
-        bX, bY, sX, sY = b[:width], b[width:], s[:width], s[width:]
-        sXi = _sigma_inverse(sX, t, run, first)  # only the X copy's inverse enters u
-        D = X - Y
-        dist = _row_norm(D)
-        glued |= dist < floor
-        act = alive & ~glued
-        idle = ~act[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            t, dt = grid.ts[k], grid.dts[k]
+            dW = normals[k] * sqdt[k]
+            b, s = pair.step_eval(t, state, None if tables is None else tables[k])
+            bX, bY, sX, sY = b[:width], b[width:], s[:width], s[width:]
+            sXi = _sigma_inverse(sX)  # only the X copy's inverse enters u
+            D = X - Y
+            dist = _row_norm(D)
+            glued |= dist < floor
+            act = alive & ~glued
+            idle = ~act[:, None]
             if power:
                 g = D / (np.minimum(dist ** power, 1.0) * grid.eta_vals[k])[:, None]
             else:       # alpha = 1: dist ** 0.0 is 1.0 for every dist, NaN included
                 g = D / grid.eta_vals[k]
-        np.copyto(g, 0.0, where=idle)
-        u = _matvec(sXi, g)
-        unorm = _row_norm(u)
-        over = unorm > N_TRUNC
-        if over.any():
-            trunc += int((over & act).sum())
-            u[over] *= (N_TRUNC / unorm[over])[:, None]
-        corr = _matvec(sY, u)
-        step_len = _row_norm(corr) * dt
-        overshoot = act & (step_len > dist)
-        if overshoot.any():
-            clip += int(overshoot.sum())
-            scale = dist[overshoot] / step_len[overshoot]
-            u[overshoot] *= scale[:, None]
-            corr[overshoot] *= scale[:, None]
-        np.copyto(u, 0.0, where=idle)
-        np.copyto(corr, 0.0, where=idle)
-        X_new = X + bX * dt + _matvec(sX, dW)
-        Y_new = Y + (bY + corr) * dt + _matvec(sY, dW)
-        np.copyto(Y_new, X_new, where=glued[:, None])
-        np.copyto(X, X_new, where=alive[:, None])
-        np.copyto(Y, Y_new, where=alive[:, None])
-        A += _row_dot(u, dW)
-        B += _row_dot(u, u) * dt
-        far = _row_max_abs(state) > limit
-        alive &= ~(far[:width] | far[width:])
-        j = sample_pos.get(k + 1)
-        if j is not None:
-            A_rec[:, j] = A
-            B_rec[:, j] = B
-        j = eps_pos.get(k + 1)
-        if j is not None:
-            dist_rec[:, j] = _row_norm(X - Y)
-    return {"A": A_rec, "B": B_rec, "dist": dist_rec, "X": X, "Y": Y,
-            "glued": glued, "alive": alive, "trunc": trunc, "clip": clip,
-            "events": width * n_steps}
+            np.copyto(g, 0.0, where=idle)
+            u = _matvec(sXi, g)
+            unorm = _row_norm(u)
+            over = unorm > N_TRUNC
+            if over.any():
+                trunc += int((over & act).sum())
+                u[over] *= (N_TRUNC / unorm[over])[:, None]
+            corr = _matvec(sY, u)
+            step_len = _row_norm(corr) * dt
+            overshoot = act & (step_len > dist)
+            if overshoot.any():
+                clip += int(overshoot.sum())
+                scale = dist[overshoot] / step_len[overshoot]
+                u[overshoot] *= scale[:, None]
+                corr[overshoot] *= scale[:, None]
+            np.copyto(u, 0.0, where=idle)
+            np.copyto(corr, 0.0, where=idle)
+            X_new = X + bX * dt + _matvec(sX, dW)
+            Y_new = Y + (bY + corr) * dt + _matvec(sY, dW)
+            np.copyto(Y_new, X_new, where=glued[:, None])
+            ok = in_box(X_new, limit) & in_box(Y_new, limit)
+            out, keep = alive & ~ok, alive
+            if out.any():
+                bad = out & ~np.isfinite(np.hstack([X_new, Y_new])).all(axis=-1)
+                i = int(np.argmax(out))
+                if first is None or i < first[0]:
+                    first = (i, grid.ts[k + 1], bool(bad[i]))
+                nonfinite += int(bad.sum())
+                keep = alive & ~bad
+                u[bad] = 0.0
+                trunc -= int((over & act & bad).sum())
+                clip -= int((overshoot & bad).sum())
+            np.copyto(X, X_new, where=keep[:, None])
+            np.copyto(Y, Y_new, where=keep[:, None])
+            alive &= ok
+            A += _row_dot(u, dW)
+            B += _row_dot(u, u) * dt
+            j = sample_pos.get(k + 1)
+            if j is not None:
+                A_rec[:, j] = A
+                B_rec[:, j] = B
+            j = eps_pos.get(k + 1)
+            if j is not None:
+                dist_rec[:, j] = _row_norm(X - Y)
+    return {"A": A_rec, "B": B_rec, "dist": dist_rec, "X": X, "Y": Y, "glued": glued,
+            "alive": alive, "nonfinite": nonfinite, "first": first, "trunc": trunc,
+            "clip": clip, "events": width * n_steps}
 
 
 def _advance_pair_block(pair, x0, y0, cfg, grid, seed, block_index, width):
-    """The first width paths of a Philox block of a run, on a draw of their
-    own (perfbench/spans.py wraps this name)."""
+    """A run's first width paths of a Philox block, own draw (spans.py wraps it)."""
     start = block_index * _rng.BLOCK
     tables = pair.tables(grid.ts[:-1]) if pair.tables is not None else None
     normals = _rng.lane_normals(seed, start, start + width, grid.dts.size, pair.d)
-    return _pair_block_steps(pair, x0, y0, cfg, grid, normals, tables, "", start)
+    return _pair_block_steps(pair, x0, y0, cfg, grid, normals, tables)
 
 
 def _pair_ensemble(name, pair, x, y, cfg, grid, tables, seed) -> Ensemble:
     """One checked run as an sde.Ensemble, whose result is its
-    CouplingResult."""
+    CouplingResult; it fails if its frozen rows exceed BOX_EXIT_LIMIT."""
 
     def advance(normals, start):
-        return _pair_block_steps(pair, x, y, cfg, grid, normals, tables, name,
-                                 start)
+        return _pair_block_steps(pair, x, y, cfg, grid, normals, tables)
 
     def finish(parts, draws, procs):
         cat = {k: np.concatenate([q[k] for q in parts])
                for k in ("A", "B", "dist", "X", "Y", "glued", "alive")}
-        if not (np.isfinite(cat["A"]).all() and np.isfinite(cat["B"]).all()):
-            raise RuntimeError(f"{name}: non-finite Girsanov accumulators")
         frac = float((~cat["alive"]).mean())
         if frac > BOX_EXIT_LIMIT:
+            i = int(np.argmax(~cat["alive"]))
+            # parts are in path order, so path i is the first row a part names
+            _, t, nf = next(q["first"] for q in parts if q["first"])
             raise RuntimeError(
                 f"{name}: coupling box exit rate {frac:.1%} exceeds "
-                f"{BOX_EXIT_LIMIT:.0%}; enlarge L or move the start points inward; "
-                f"first exited path {int(np.argmax(~cat['alive']))}")
+                f"{BOX_EXIT_LIMIT:.0%}; " + ("non-finite rows count as exits" if nf
+                else "enlarge L or move the start points inward") + f"; first "
+                f"exited path {i} at t={t:.6g}{' (non-finite)' * nf}")
         return CouplingResult(
             cfg=cfg, x=x, y=y, r=float(np.linalg.norm(x - y)),
             sample_times=grid.ts[grid.sample_idx], A=cat["A"], B=cat["B"],
             eps_times=grid.eps_times, dist_at_eps=cat["dist"],
             final_X=cat["X"], final_Y=cat["Y"], glued=cat["glued"],
-            box_exit=~cat["alive"],
+            box_exit=~cat["alive"], nonfinite_rows=sum(q["nonfinite"] for q in parts),
             trunc_events=sum(q["trunc"] for q in parts),
             clip_events=sum(q["clip"] for q in parts),
             total_events=sum(q["events"] for q in parts),

@@ -4,9 +4,10 @@ Paths are advanced in row ranges (parallel.row_ranges) on their Philox
 lanes (see rng), so any run is bit-identical for a fixed (seed, config)
 regardless of worker count: a row's results are a pure function of its
 own lane, and the parent sums them per Philox block and adds the block
-sums in fixed order.  Paths that leave the doubled box, or turn
-non-finite, are frozen at their exit value, flagged, and excluded from
-estimators with the count reported.
+sums in fixed order.  One bad-row rule serves both engines: a row whose
+stepped state leaves the doubled box or is not finite (in_box) is frozen,
+flagged and counted, and only the whole run decides whether it fails.
+Here a frozen row keeps its exit value, NaN too, and estimators drop it.
 
 The engine streams: a range holds its normals, the current state and the
 alive masks, never whole paths.  A statistic of the plain ensemble is a
@@ -92,6 +93,13 @@ class SimSpec:
         return self.T / self.n_steps
 
 
+def in_box(X, limit):
+    """Rows of (N, d) X with max_i |X_i| <= limit; a non-finite row fails."""
+    if X.shape[-1] == 1:
+        return np.abs(X[:, 0]) <= limit
+    return np.abs(X).max(axis=-1) <= limit
+
+
 def _advance_block(models, x0s, spec, normals, width):
     """The paths of the first width rows of normals (step-major, (n_steps,
     rows, d)) for every model, on shared Brownian increments, as a
@@ -112,12 +120,10 @@ def _advance_block(models, x0s, spec, normals, width):
         for i, (model, tables) in enumerate(models):
             # every row takes the same step; a frozen row keeps its value, so
             # a path's bits do not depend on which other paths have escaped
-            al = alive[i]
             b, s = model.step_eval(t, X[i], None if tables is None else tables[k])
             step = X[i] + b * spec.h + np.einsum("...ij,...j->...i", s, dw)
-            X[i] = np.where(al[:, None], step, X[i])
-            # a non-finite row fails the test and is frozen as escaped
-            al[~(np.abs(X[i]).max(axis=-1) <= limit)] = False
+            X[i] = np.where(alive[i][:, None], step, X[i])
+            alive[i] &= in_box(X[i], limit)     # a non-finite row is frozen as escaped
         yield k + 1, X, alive
 
 
@@ -351,9 +357,7 @@ def transform_consistency(zmap, x0, steps_list, n_paths: int, seed: int) -> dict
     mx = original_model(zmap.coeffs, grid.d)
     my = transformed_model(zmap)
     y0 = zmap.forward(0.0, x0)
-    errs = []
-    ses = []
-    drops = []
+    rows = []
     for n_steps in steps_list:
         spec = SimSpec(T=grid.T, n_steps=int(n_steps), n_paths=n_paths,
                        seed=seed, L=grid.L)
@@ -373,11 +377,8 @@ def transform_consistency(zmap, x0, steps_list, n_paths: int, seed: int) -> dict
             mean, se, n_ok = _mean_se(worst, ok)
             return mean, se, ok.size - n_ok
 
-        err, se, n_drop = run_stats([mx, my], [x0, y0], spec,
-                                    [BlockStat(block, finish)])[0]
-        errs.append(err)
-        ses.append(se)
-        drops.append(n_drop)
+        rows.append(run_stats([mx, my], [x0, y0], spec, [BlockStat(block, finish)])[0])
+    errs, ses, drops = (list(v) for v in zip(*rows))
     hs = [grid.T / int(n) for n in steps_list]
     errs_arr = np.asarray(errs)
     decreasing = bool(np.all(np.diff(errs_arr) < 0)) if len(errs) > 1 else True

@@ -161,7 +161,8 @@ def test_report_json_carries_pair_counters(capsys, monkeypatch, tmp_path,
     assert sorted(metrics["harnack"]) == ["calibration", "log", "power"]
     for c in metrics["harnack"].values():
         assert sorted(c) == ["box_exit_rows", "clip_events", "draws",
-                             "total_events", "trunc_events", "workers"]
+                             "nonfinite_rows", "total_events", "trunc_events",
+                             "workers"]
         assert c["workers"] == 2
         assert 0 <= c["trunc_events"] <= c["total_events"]
     assert metrics["harnack"]["log"]["draws"] == 9000

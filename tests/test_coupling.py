@@ -5,6 +5,7 @@ bounds, coalescence, and determinism of the pair simulation.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -204,23 +205,23 @@ def test_sigma_inverse_closed_form():
     rng = np.random.default_rng(5)
     for d in (1, 2):
         s = rng.normal(size=(500, d, d))
-        np.testing.assert_allclose(_sigma_inverse(s, 0.0), np.linalg.inv(s),
+        np.testing.assert_allclose(_sigma_inverse(s), np.linalg.inv(s),
                                    rtol=1e-10, atol=0.0)
+    # a singular or non-finite row gives a non-finite row, with no warning
+    # and no error; the pair step flags it and leaves the other rows alone
     s = rng.normal(size=(6, 2, 2))
     s[4] = [[1.0, 2.0], [0.5, 1.0]]               # det == 0
-    with pytest.raises(np.linalg.LinAlgError, match=r"^1 singular .* t=0\.37: worst path 4"):
-        _sigma_inverse(s, 0.37)
     s1 = rng.normal(size=(6, 1, 1))
     s1[1] = np.nan
     s1[3] = 0.0
-    with pytest.raises(np.linalg.LinAlgError, match=r"^run 2: 2 singular .* worst path 11"):
-        _sigma_inverse(s1, 0.37, "run 2", 10)
-    # the pair engine raises at the first step of a degenerate pair; the
-    # count is of the failing task's rows, so it depends on the packing
-    with pytest.raises(np.linalg.LinAlgError, match=r"^run 0 \(seed 1, x=\[0\.25\], "
-                       r"y=\[-0\.25\]\): \d singular .* t=0: worst path 0"):
-        simulate_pair(additive_pair(sigma_scale=0.0), [0.25], [-0.25],
-                      unit_cfg(m=10, n_paths=4), seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inv, inv1 = _sigma_inverse(s), _sigma_inverse(s1)
+    bad = ~np.isfinite(inv).all(axis=(-2, -1))
+    assert bad.tolist() == [False] * 4 + [True, False]
+    bad1 = ~np.isfinite(inv1).all(axis=(-2, -1))
+    assert bad1.tolist() == [False, True, False, True, False, False]
+    np.testing.assert_allclose(inv[~bad], np.linalg.inv(s[~bad]), rtol=1e-10)
 
 
 def test_martingale_mean_one_and_negative_control():
@@ -374,8 +375,56 @@ def test_box_exit_error_names_the_first_exited_path(monkeypatch):
     first = int(np.argmax(simulate_pair(*run).box_exit))
     monkeypatch.undo()
     assert first > 0
-    with pytest.raises(RuntimeError, match=f"box exit .*; first exited path {first}$"):
+    with pytest.raises(RuntimeError, match=r"box exit .*; enlarge L .*; first exited "
+                       rf"path {first} at t=0\.\d+$"):
         simulate_pair(*run)
+
+
+def nan_band_pair(band):
+    # drift NaN on |x - 0.7| < band, unit diffusion (the probe of a drift
+    # that is singular at a few points)
+    return SdeModel(d=1, drift=lambda t, x: np.where(np.abs(x - 0.7) < band,
+                                                     np.nan, 0.0),
+                    sigma=lambda t, x: np.ones(x.shape + (1,)))
+
+
+def test_glued_nan_rows_are_frozen_finite_and_counted(monkeypatch):
+    # x = y glues every row from the start, so u is 0; a row whose X turns
+    # NaN keeps its last finite X = Y and counts as a box exit
+    monkeypatch.setattr(coupling, "BOX_EXIT_LIMIT", 1.0)
+    res = simulate_pair(nan_band_pair(1e-3), [0.25], [0.25],
+                        unit_cfg(n_paths=4000, L=2.0), seed=1)
+    assert np.isfinite(res.final_X).all() and np.isfinite(res.final_Y).all()
+    assert np.array_equal(res.final_X, res.final_Y)
+    assert res.nonfinite_rows == res.box_exit.sum() > 100
+    assert not res.A.any() and not res.B.any()
+    assert res.counters()["nonfinite_rows"] == res.counters()["box_exit_rows"]
+
+
+# name: (pair factory, x, y, cfg, the exit rate and the tail of the message)
+FAILING_RUNS = {
+    "nan-band": (lambda: nan_band_pair(1e-3), [0.25], [-0.25],
+                 unit_cfg(n_paths=4000, L=2.0), "32.9%", "path 0 at t=0.12"),
+    "sigma-0": (lambda: additive_pair(sigma_scale=0.0), [0.25], [-0.25],
+                unit_cfg(m=10, n_paths=4), "100.0%", "path 0 at t=0.1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_RUNS))
+def test_nonfinite_rows_fail_a_run_by_its_whole_count(monkeypatch, name):
+    # the frozen rows are counted over the whole run, so the message does
+    # not depend on how the rows were cut into tasks
+    make, x, y, cfg, rate, tail = FAILING_RUNS[name]
+    msgs = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("ZVLAB_THREADS", threads)
+        with pytest.raises(RuntimeError) as err:
+            simulate_pair(make(), x, y, cfg, seed=1)
+        msgs.append(str(err.value))
+    assert msgs[0] == msgs[1] == (
+        f"run 0 (seed 1, x=[0.25], y=[-0.25]): coupling box exit rate {rate} "
+        f"exceeds 1%; non-finite rows count as exits; first exited {tail} "
+        "(non-finite)")
 
 
 def reference_pair_block_steps(pair, x0, y0, cfg, grid, normals):
@@ -386,6 +435,7 @@ def reference_pair_block_steps(pair, x0, y0, cfg, grid, normals):
     sqdt = np.sqrt(grid.dts)
     X, Y = (np.broadcast_to(v, (width, d)).astype(float) for v in (x0, y0))
     glued, alive = np.zeros(width, dtype=bool), np.ones(width, dtype=bool)
+    nonfinite, t_out = np.zeros(width, dtype=bool), np.zeros(width)
     A, B = np.zeros(width), np.zeros(width)
     A_rec = np.empty((width, grid.sample_idx.size))
     B_rec = np.empty((width, grid.sample_idx.size))
@@ -400,7 +450,7 @@ def reference_pair_block_steps(pair, x0, y0, cfg, grid, normals):
         dW = normals[:, k] * sqdt[k]
         b, s = pair.step_eval(t, np.concatenate([X, Y]), None)
         bX, bY, sX, sY = b[:width], b[width:], s[:width], s[width:]
-        sXi = coupling._sigma_inverse(sX, t)
+        sXi = coupling._sigma_inverse(sX)
         D = X - Y
         dist = coupling._row_norm(D)
         glued |= dist < floor
@@ -412,13 +462,11 @@ def reference_pair_block_steps(pair, x0, y0, cfg, grid, normals):
         unorm = coupling._row_norm(u)
         over = unorm > coupling.N_TRUNC
         if over.any():
-            trunc += int((over & act).sum())
             u[over] *= (coupling.N_TRUNC / unorm[over])[:, None]
         corr = np.einsum("...ij,...j->...i", sY, u)
         step_len = coupling._row_norm(corr) * dt
         overshoot = act & (step_len > dist)
         if overshoot.any():
-            clip += int(overshoot.sum())
             scale = dist[overshoot] / step_len[overshoot]
             u[overshoot] *= scale[:, None]
             corr[overshoot] *= scale[:, None]
@@ -427,12 +475,20 @@ def reference_pair_block_steps(pair, x0, y0, cfg, grid, normals):
         X_new = X + bX * dt + np.einsum("...ij,...j->...i", sX, dW)
         Y_new = Y + (bY + corr) * dt + np.einsum("...ij,...j->...i", sY, dW)
         Y_new = np.where(glued[:, None], X_new, Y_new)
-        X = np.where(alive[:, None], X_new, X)
-        Y = np.where(alive[:, None], Y_new, Y)
+        # a non-finite row is frozen before its step: no state, u or event
+        finite = np.isfinite(np.concatenate([X_new, Y_new], axis=-1)).all(axis=-1)
+        bad = alive & ~finite
+        trunc += int((over & act & ~bad).sum())
+        clip += int((overshoot & ~bad).sum())
+        u[bad] = 0.0
+        X = np.where((alive & ~bad)[:, None], X_new, X)
+        Y = np.where((alive & ~bad)[:, None], Y_new, Y)
         A += np.einsum("...i,...i->...", u, dW)
         B += np.einsum("...i,...i->...", u, u) * dt
-        out = alive & ((np.abs(X).max(axis=-1) > limit)
-                       | (np.abs(Y).max(axis=-1) > limit))
+        out = alive & (~finite | (np.abs(X_new).max(axis=-1) > limit)
+                       | (np.abs(Y_new).max(axis=-1) > limit))
+        t_out[out] = grid.ts[k + 1]
+        nonfinite |= bad
         alive &= ~out
         j = sample_pos.get(k + 1)
         if j is not None:
@@ -441,8 +497,11 @@ def reference_pair_block_steps(pair, x0, y0, cfg, grid, normals):
         j = eps_pos.get(k + 1)
         if j is not None:
             dist_rec[:, j] = coupling._row_norm(X - Y)
+    i = int(np.argmax(~alive))      # the lowest frozen row, if any
+    first = (i, t_out[i], bool(nonfinite[i])) if not alive.all() else None
     return {"A": A_rec, "B": B_rec, "dist": dist_rec, "X": X, "Y": Y,
-            "glued": glued, "alive": alive, "trunc": trunc, "clip": clip,
+            "glued": glued, "alive": alive, "nonfinite": int(nonfinite.sum()),
+            "first": first, "trunc": trunc, "clip": clip,
             "events": width * n_steps}
 
 
@@ -457,6 +516,15 @@ def aliasing_pair():
     # drift and sigma are views of the engine's state array, which it
     # writes over in place after the step
     return SdeModel(d=1, drift=lambda t, x: x, sigma=lambda t, x: x[..., None])
+
+
+def bad_band_pair():
+    # drift NaN near 0.7 and sigma 0 near -0.6: rows that cross a band turn
+    # non-finite on X (drift) or on Y's correction (a singular X-copy sigma)
+    return SdeModel(d=1, drift=lambda t, x: np.where(np.abs(x - 0.7) < 2e-3,
+                                                     np.nan, -0.5 * x),
+                    sigma=lambda t, x: np.where(np.abs(x + 0.6) < 2e-3,
+                                                0.0, 1.0)[..., None])
 
 
 def singular_1d_pair():
@@ -480,6 +548,9 @@ LEAN_STEP_RUNS = {
             lambda o: o["X"].shape[1] == 2 and not o["glued"].any()),
     "aliasing": (aliasing_pair, [0.5], [0.2], unit_cfg(m=100, theta=1.9), 3, 256,
                  lambda o: o["glued"].any() and o["alive"].all()),
+    "non-finite": (bad_band_pair, [0.25], [-0.25], unit_cfg(m=100, L=1.5), 3, 1024,
+                   lambda o: o["nonfinite"] > 1 and np.isfinite(o["X"]).all()
+                   and np.isfinite(o["Y"]).all() and np.isfinite(o["A"]).all()),
     "transformed": (singular_1d_pair, [0.25], [-0.25], unit_cfg(m=100, L=2.0), 3,
                     256, lambda o: o["alive"].all() and not o["glued"].any()),
 }
@@ -499,7 +570,8 @@ def test_pair_step_matches_the_reference(name):
     got = coupling._pair_block_steps(pair, x0, y0, cfg, grid,
                                      zrng.lane_normals(seed, 0, width, grid.dts.size,
                                                        pair.d), tables)
-    ref = reference_pair_block_steps(pair, x0, y0, cfg, grid, normals)
+    with np.errstate(all="ignore"):         # a non-finite row's arithmetic
+        ref = reference_pair_block_steps(pair, x0, y0, cfg, grid, normals)
     assert reached(ref)
     assert got.keys() == ref.keys()
     for key, val in ref.items():
@@ -588,32 +660,59 @@ def test_packed_runs_match_the_one_block_reference(monkeypatch, threads):
     assert batch[0].draws >= 9000 and (threads != "1" or batch[0].draws == 9000)
 
 
-@pytest.mark.parametrize("threads", ["1", "3"])
-def test_sigma_error_names_the_run_and_the_path(monkeypatch, threads):
-    # sigma is nan above thr, which only path 8220 passes before its last
-    # step (pure Brownian X = Y, glued from the start), so the error names
-    # that path of run 1, whichever task holds it
-    monkeypatch.setenv("ZVLAB_THREADS", threads)
+def nan_sigma_run():
+    """A run whose sigma is NaN above a level that only path 8220 passes
+    before its last step (pure Brownian X = Y, glued from the start), and
+    the time that path is frozen: one step after it passes the level."""
     cfg = unit_cfg(m=20, n_paths=9000, L=4.0)
     grid = build_coupling_grid(cfg)
     dW = zrng.lane_normals(7, 0, 9000, grid.dts.size, 1)[..., 0] * np.sqrt(
         grid.dts)[:, None]
-    top = np.cumsum(dW, axis=0)[:-1].max(axis=0)      # X at the stepped times
-    order = np.argsort(top)
-    thr = 0.5 * (top[order[-1]] + top[order[-2]])
+    path = np.cumsum(dW, axis=0)[:-1]                 # X at the stepped times
+    order = np.argsort(path.max(axis=0))
+    thr = 0.5 * (path.max(axis=0)[order[-1]] + path.max(axis=0)[order[-2]])
     assert order[-1] == 8220 >= zrng.BLOCK
+    t_out = grid.ts[int(np.argmax(path[:, 8220] > thr)) + 2]
 
     def sigma(t, x):
         return np.where(x > thr, np.nan, 1.0)[..., None]
 
     pair = SdeModel(d=1, drift=lambda t, x: np.zeros_like(x), sigma=sigma)
+    return (pair, [0.0], [0.0], cfg, 7), t_out
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_sigma_error_names_the_run_and_the_path(monkeypatch, threads):
+    # with no exit allowed, the one NaN-sigma row fails its run, and the
+    # error names that path of run 1, whichever task holds it, and its time
+    monkeypatch.setenv("ZVLAB_THREADS", threads)
+    monkeypatch.setattr(coupling, "BOX_EXIT_LIMIT", 0.0)
+    run, t_out = nan_sigma_run()
     good = (additive_pair(), [0.25], [-0.25], unit_cfg(m=20, n_paths=256), 1)
-    with pytest.raises(np.linalg.LinAlgError) as err:
-        simulate_pairs([good, (pair, [0.0], [0.0], cfg, 7)])
-    assert str(err.value).startswith(
-        "run 1 (seed 7, x=[0.0], y=[0.0]): 1 singular or non-finite sigma "
-        "row(s) at t=")
-    assert "worst path 8220 sigma=[[nan]] det=nan" in str(err.value)
+    with pytest.raises(RuntimeError) as err:
+        simulate_pairs([good, run])
+    assert str(err.value) == (
+        "run 1 (seed 7, x=[0.0], y=[0.0]): coupling box exit rate 0.0% exceeds "
+        "0%; non-finite rows count as exits; first exited path 8220 at "
+        f"t={t_out:.6g} (non-finite)")
+
+
+def test_a_few_nonfinite_rows_leave_the_run_to_complete(monkeypatch):
+    # the NaN-sigma row is frozen at its last finite state and counted;
+    # the other 8999 rows step on, bit for bit the same at 1 and 3 workers
+    run, _ = nan_sigma_run()
+    got = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("ZVLAB_THREADS", threads)
+        got.append(simulate_pair(*run))
+    assert got[1].workers == 3
+    for name in ("A", "B", "dist_at_eps", "final_X", "final_Y", "glued",
+                 "box_exit"):
+        assert getattr(got[0], name).tobytes() == getattr(got[1], name).tobytes(), name
+    res = got[0]
+    assert np.flatnonzero(res.box_exit).tolist() == [8220]
+    assert np.isfinite(res.final_X).all() and np.isfinite(res.final_Y).all()
+    assert res.counters()["nonfinite_rows"] == res.counters()["box_exit_rows"] == 1
 
 
 def test_one_pair_batch_builds_its_step_tables_once(monkeypatch):
