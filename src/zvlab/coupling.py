@@ -397,8 +397,10 @@ def _pair_block_steps(pair, x0, y0, cfg, grid, normals, tables=None):
     """Advance the paths of a run on their normals, step-major (n_steps,
     width, d); normals is only read, so runs may share one draw.  tables
     is pair.tables(grid.ts[:-1]) or None.  X and Y, the halves of the
-    stepper's input, are written in place after the last read of its
-    output, which may be that input.  A row is idle once glued or frozen.
+    stepper's input, are stepped into a second buffer after the last read
+    of its output, which may be that input; the buffer is swapped in
+    while no row has frozen, and copied in under the mask after that.  A
+    row is idle once glued or frozen; the idle masks run once a row is.
 
     A row is frozen when its stepped X or Y fails sde.in_box (out of the
     doubled box, or not finite: a non-finite u, from a singular X sigma
@@ -409,7 +411,10 @@ def _pair_block_steps(pair, x0, y0, cfg, grid, normals, tables=None):
     n_steps, width, d = normals.shape
     sqdt = np.sqrt(grid.dts)
     state = np.repeat(np.array([x0, y0], dtype=float), width, axis=0)  # X rows, Y rows
-    X, Y = state[:width], state[width:]
+    stepped = np.empty_like(state)
+    X, Y, Xn, Yn = state[:width], state[width:], stepped[:width], stepped[width:]
+    dW, D, g = (np.empty((width, d)) for _ in range(3))
+    step_len, inc = np.empty(width), np.empty(width)
     glued, alive = np.zeros(width, dtype=bool), np.ones(width, dtype=bool)
     A, B = np.zeros(width), np.zeros(width)
     nonfinite, first = 0, None    # first: the lowest frozen row, when, if non-finite
@@ -424,20 +429,22 @@ def _pair_block_steps(pair, x0, y0, cfg, grid, normals, tables=None):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k in range(n_steps):
             t, dt = grid.ts[k], grid.dts[k]
-            dW = normals[k] * sqdt[k]
+            np.multiply(normals[k], sqdt[k], out=dW)
             b, s = pair.step_eval(t, state, None if tables is None else tables[k])
             bX, bY, sX, sY = b[:width], b[width:], s[:width], s[width:]
             sXi = _sigma_inverse(sX)  # only the X copy's inverse enters u
-            D = X - Y
+            np.subtract(X, Y, out=D)
             dist = _row_norm(D)
             glued |= dist < floor
             act = alive & ~glued
-            idle = ~act[:, None]
+            idle = None if act.all() else ~act[:, None]
             if power:
-                g = D / (np.minimum(dist ** power, 1.0) * grid.eta_vals[k])[:, None]
+                np.divide(D, (np.minimum(dist ** power, 1.0) * grid.eta_vals[k])[:, None],
+                          out=g)
             else:       # alpha = 1: dist ** 0.0 is 1.0 for every dist, NaN included
-                g = D / grid.eta_vals[k]
-            np.copyto(g, 0.0, where=idle)
+                np.divide(D, grid.eta_vals[k], out=g)
+            if idle is not None:
+                np.copyto(g, 0.0, where=idle)
             u = _matvec(sXi, g)
             unorm = _row_norm(u)
             over = unorm > N_TRUNC
@@ -445,22 +452,25 @@ def _pair_block_steps(pair, x0, y0, cfg, grid, normals, tables=None):
                 trunc += int((over & act).sum())
                 u[over] *= (N_TRUNC / unorm[over])[:, None]
             corr = _matvec(sY, u)
-            step_len = _row_norm(corr) * dt
+            np.multiply(_row_norm(corr), dt, out=step_len)
             overshoot = act & (step_len > dist)
             if overshoot.any():
                 clip += int(overshoot.sum())
                 scale = dist[overshoot] / step_len[overshoot]
                 u[overshoot] *= scale[:, None]
                 corr[overshoot] *= scale[:, None]
-            np.copyto(u, 0.0, where=idle)
-            np.copyto(corr, 0.0, where=idle)
-            X_new = X + bX * dt + _matvec(sX, dW)
-            Y_new = Y + (bY + corr) * dt + _matvec(sY, dW)
-            np.copyto(Y_new, X_new, where=glued[:, None])
-            ok = in_box(X_new, limit) & in_box(Y_new, limit)
+            if idle is not None:
+                np.copyto(u, 0.0, where=idle)
+                np.copyto(corr, 0.0, where=idle)
+            np.add(X + bX * dt, _matvec(sX, dW), out=Xn)
+            np.add(Y + (bY + corr) * dt, _matvec(sY, dW), out=Yn)
+            if idle is not None:
+                np.copyto(Yn, Xn, where=glued[:, None])
+            ok = in_box(stepped, limit)
+            ok = ok[:width] & ok[width:]
             out, keep = alive & ~ok, alive
             if out.any():
-                bad = out & ~np.isfinite(np.hstack([X_new, Y_new])).all(axis=-1)
+                bad = out & ~np.isfinite(np.hstack([Xn, Yn])).all(axis=-1)
                 i = int(np.argmax(out))
                 if first is None or i < first[0]:
                     first = (i, grid.ts[k + 1], bool(bad[i]))
@@ -469,11 +479,14 @@ def _pair_block_steps(pair, x0, y0, cfg, grid, normals, tables=None):
                 u[bad] = 0.0
                 trunc -= int((over & act & bad).sum())
                 clip -= int((overshoot & bad).sum())
-            np.copyto(X, X_new, where=keep[:, None])
-            np.copyto(Y, Y_new, where=keep[:, None])
+            if keep.all():
+                state, stepped, X, Y, Xn, Yn = stepped, state, Xn, Yn, X, Y
+            else:
+                np.copyto(X, Xn, where=keep[:, None])
+                np.copyto(Y, Yn, where=keep[:, None])
             alive &= ok
             A += _row_dot(u, dW)
-            B += _row_dot(u, u) * dt
+            B += np.multiply(_row_dot(u, u), dt, out=inc)
             j = sample_pos.get(k + 1)
             if j is not None:
                 A_rec[:, j] = A

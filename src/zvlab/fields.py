@@ -315,10 +315,11 @@ class CoefficientSet:
 
 
 def constant_sigma(value: np.ndarray) -> Evaluator:
+    """sigma = value at every point, as a read-only broadcast view: no copy
+    per call, and a caller that wrote into it would raise."""
     value = np.atleast_2d(np.asarray(value, dtype=float))
 
     def ev(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(value, x.shape[:-1] + value.shape).copy()
+        return np.broadcast_to(value, np.shape(x)[:-1] + value.shape)
 
     return ev

@@ -14,7 +14,8 @@ The singular part b0 is absorbed exactly.  lam is raised on a fixed
 quadrupling ladder until the interpolated phi has Lipschitz constant
 below GRAD_TARGET, which makes Phi_t bi-Lipschitz with explicit bounds.
 In 1-d the interpolated Phi_t is then a strictly increasing piecewise-
-linear function, and its inverse is computed exactly, cell by cell; in
+linear function, and its inverse, phi and the mean slope of phi are
+affine in y on each cell of one table per step time (StepTable); in
 2-d the inverse is the contraction fixed point x <- y - phi(t, x).
 """
 
@@ -65,57 +66,65 @@ def _bucket(v, lo, inv_bw, nb):
     return np.fmax(np.fmin((v - lo) * inv_bw, nb + 1), 0.0).astype(np.int64)
 
 
-def _cell_table(img: np.ndarray) -> tuple:
-    """_image_cell's table for strictly increasing node images img: 4n + 2
-    buckets, span / (4n) wide from img[0], the last holding no image and
-    taking NaN and +inf; the count of images below each bucket, as int32;
-    img with a NaN appended; and the most images one bucket holds."""
-    n = img.size
-    nb = 4 * n
-    lo, inv_bw = img[0], nb / (img[-1] - img[0])
-    below = np.searchsorted(_bucket(img, lo, inv_bw, nb), np.arange(nb + 2),
-                            "left").astype(np.int32)
-    pad = np.append(img, np.nan)          # no row steps past n
-    return pad, lo, inv_bw, nb, below, int(np.diff(below).max())
+def _cell_tables(brk: np.ndarray) -> list:
+    """_image_cell's table for each row of brk (S, N), strictly increasing
+    breakpoints, all built in one pass: 2N + 2 buckets, span / (2N) wide
+    from the row's first point, the last holding no point and taking NaN
+    and +inf; the count of points below each bucket, as int32; the row
+    with a NaN appended; and the most points one bucket of any row holds."""
+    S, N = brk.shape
+    nb = 2 * N
+    lo, inv_bw = brk[:, 0], nb / (brk[:, -1] - brk[:, 0])
+    bk = _bucket(brk, lo[:, None], inv_bw[:, None], nb)
+    bk += (nb + 2) * np.arange(S)[:, None]              # one bucket range per row
+    count = np.bincount(bk.ravel(), minlength=S * (nb + 2)).reshape(S, nb + 2)
+    below = np.cumsum(count, axis=1, dtype=np.int32)
+    below -= count
+    pad = np.concatenate([brk, np.full((S, 1), np.nan)], axis=1)   # no row steps past N
+    passes = int(count[:, :-1].max())
+    return [(pad[i], lo[i], inv_bw[i], nb, below[i], passes) for i in range(S)]
 
 
 def _image_cell(table: tuple, y: np.ndarray) -> np.ndarray:
-    """j in [0, n-2] with img[j] <= y < img[j+1], clamped at the ends, for
-    the node images img of _cell_table(img): searchsorted(img, y, "right")
-    - 1 clipped (NaN sorts last).  A bucket index never decreases as y
-    grows, so images in lower buckets are < y and those in higher ones >
-    y: from the count of the lower ones, j steps over the images in y's
-    bucket, one compare each.  There is at most one when every image cell
-    is wider than a bucket, as grad_sup < 1/2 makes it for every map
-    build_zvonkin returns."""
+    """The cell of each y among the N + 1 cells of the breakpoints brk of
+    _cell_tables, the two rays included: searchsorted(brk, y, "right")
+    (NaN sorts last).  A bucket index never decreases as y grows, so
+    points in lower buckets are < y and those in higher ones > y: from the
+    count of the lower ones, j steps over the points in y's bucket, one
+    compare each.  There is at most one when every cell is wider than a
+    bucket.  For a map build_zvonkin returns, grad_sup < 1/2 makes every
+    cell of its StepTable at least h/4 wide, about one bucket of a span
+    near 2L + h."""
     pad, lo, inv_bw, nb, below, passes = table
     # one cast to intp here: numpy casts an int32 index at every gather
     j = below[_bucket(y, lo, inv_bw, nb)].astype(np.intp)
     for _ in range(passes):
         j += y >= pad[j]
-    return np.clip(j - 1, 0, pad.size - 3)
+    return j
 
 
 @dataclass(frozen=True)
 class StepTable:
     """What the 1-d transformed stepper computes once per time t, for every
-    row: phi_t at the nodes, the cell search table of the node images
-    xs + phi_t, the image cell widths, and the cell slopes of phi_t, cell
-    i at i + 1 with 0 on the clamped rays beyond +-L, with their
-    differences."""
+    row.  Its breakpoints in y merge the node images x_i + phi_t(x_i) with
+    the images of the half-cell points x_i - h/2 and L + h/2, which
+    interleave with them.  On each of their 2n + 2 cells, the rays
+    included, x = Phi_t^{-1}(y) is affine in y, and so are phi_t(x) and
+    the mean slope G(x) of phi_t over [x - h/2, x + h/2]: coef holds, per
+    cell, the offset and slope in y of phi, then those of G."""
 
-    vals: np.ndarray
     cells: tuple
-    width: np.ndarray
-    slope: np.ndarray
-    dslope: np.ndarray
+    coef: np.ndarray
 
-    def invert(self, y: np.ndarray):
-        """Exact inverse of y, any shape, at the table's time: (x, phi_t(x))."""
-        j = _image_cell(self.cells, y)
-        f = np.clip((y - self.cells[0][j]) / self.width[j], 0.0, 1.0)
-        phi = self.vals[j] * (1.0 - f) + self.vals[j + 1] * f
-        return y - phi, phi
+    def eval(self, y: np.ndarray):
+        """(x, phi_t(x), G(x)) at x = Phi_t^{-1}(y), for y of any shape: one
+        cell search, one gather and one multiply-add each for phi and G."""
+        c = self.coef.take(_image_cell(self.cells, y), axis=0)
+        # phi and G are flat on the rays, so clamping y there changes
+        # nothing, and +-inf meets no 0 * inf
+        yc = np.clip(y, self.cells[0][0], self.cells[0][-2])
+        phi = c[..., 0] + c[..., 1] * yc
+        return y - phi, phi, c[..., 2] + c[..., 3] * yc
 
 
 class LambdaSearchError(RuntimeError):
@@ -155,10 +164,10 @@ class ZvonkinMap:
         """Solve x + phi(t, x) = y.  Returns (x, iterations).
 
         1-d: exact.  Phi_t is piecewise linear on the nodes and strictly
-        increasing (grad_sup < 1), so each y lies in one cell of the node
-        images xs + phi_t(xs), extended past +-L by the slope-1 rays
-        where the clamped phi is constant; x = y - phi with phi affine
-        in that cell (phi = 0 gives back y bit for bit).  iterations = 1.
+        increasing (grad_sup < 1), so each y lies in one cell of the merged
+        breakpoints of StepTable, between the slope-1 rays past +-L where
+        the clamped phi is constant; x = y - phi with phi affine in that
+        cell (phi = 0 gives back y bit for bit).  iterations = 1.
 
         2-d: the contraction x <- y - phi(t, x), started at y, which is
         within sup |phi| of the solution.  Convergence rate is grad_sup
@@ -178,7 +187,7 @@ class ZvonkinMap:
         single = y.ndim == 1
         pts = y[None, :] if single else y
         if self.grid.d == 1:
-            x, its = self.step_table(t).invert(pts)[0], 1
+            x, its = self.step_tables([t])[0].eval(pts)[0], 1
         else:
             x, its = self._invert_fixed_point(t, pts, max_iter)
         self._check_escape(t, pts, x, on_escape)
@@ -195,20 +204,42 @@ class ZvonkinMap:
                 f"{out} preimage(s) outside the doubled box at t={t:.6g}: "
                 f"worst row {i} y={y[i]} maps back to x={x[i]}")
 
-    def step_table(self, t: float) -> StepTable:
-        """The 1-d stepper's row-independent work at t (1-d maps only)."""
-        g = self.grid
-        vals = self.phi.time_slice(t)[:, 0]
-        img = g.xs + vals
-        width = np.diff(img)
-        if not np.all(width > 0.0):
-            raise ValueError(f"Phi_t is not strictly increasing at t={t:.6g}")
-        slope = np.concatenate(([0.0], np.diff(vals) / g.h, [0.0, 0.0]))
-        return StepTable(vals, _cell_table(img), width, slope, np.diff(slope))
-
     def step_tables(self, ts) -> list:
-        """step_table at each of the times ts, for a run that steps on them."""
-        return [self.step_table(t) for t in ts]
+        """The StepTable at each of the times ts, for a run that steps on
+        them, all built in one pass over stacked (len(ts), ...) arrays (1-d
+        maps only)."""
+        g = self.grid
+        s = np.asarray(ts, dtype=float) / g.dt          # phi.time_slice at each t
+        k = np.clip(np.floor(s), 0, g.m - 1).astype(np.intp)
+        w = np.clip(s - k, 0.0, 1.0)[:, None]
+        vals = (1.0 - w) * self.phi.values[k, :, 0] + w * self.phi.values[k + 1, :, 0]
+        # x, phi and G at the breakpoints in x: x_i - h/2 then x_i for each
+        # node i, then L + h/2, with a unit step past each end, which makes
+        # the rays cells of zero slope.  phi at x_i - h/2 is the mean of its
+        # cell, clamped beyond +-L; G there is the cell slope, 0 beyond
+        # +-L, and at x_i the mean of the two beside it
+        n, S = g.n, len(s)
+        at = np.zeros((3, S, 2 * n + 3))
+        at[0] = np.concatenate([[-g.L - 0.5 * g.h - 1.0],
+                                np.stack([g.xs - 0.5 * g.h, g.xs], axis=1).ravel(),
+                                [g.L + 0.5 * g.h, g.L + 0.5 * g.h + 1.0]])
+        at[1, :, 2:-1:2] = vals
+        at[1, :, 3:-2:2] = 0.5 * (vals[:, :-1] + vals[:, 1:])
+        at[1, :, :2], at[1, :, -2:] = vals[:, :1], vals[:, -1:]
+        at[2, :, 3:-2:2] = np.diff(vals, axis=1) / g.h
+        at[2, :, 2:-1:2] = 0.5 * (at[2, :, 1:-2:2] + at[2, :, 3:-1:2])
+        y = at[0]
+        y += at[1]                                       # the breakpoints in y
+        if not (up := np.diff(y[:, 1:-1], axis=1) > 0.0).all():
+            t = ts[int(np.argmin(up.all(axis=1)))]
+            raise ValueError(f"Phi_t is not strictly increasing at t={t:.6g}")
+        # per cell, phi's and then G's offset and slope in y
+        coef = np.empty((S, 2 * n + 2, 2, 2))
+        off, sl = coef[..., 0].transpose(2, 0, 1), coef[..., 1].transpose(2, 0, 1)
+        np.divide(np.diff(at[1:], axis=2), np.diff(y, axis=1), out=sl)
+        np.subtract(at[1:, :, :-1], np.multiply(sl, y[:, :-1], out=off), out=off)
+        return [StepTable(c, f) for c, f in
+                zip(_cell_tables(y[:, 1:-1]), coef.reshape(S, 2 * n + 2, 4))]
 
     def _invert_fixed_point(self, t: float, pts: np.ndarray, max_iter: int):
         x = pts.copy()
@@ -250,23 +281,20 @@ class ZvonkinMap:
                     table: StepTable | None = None):
         """(Z, Sigma) = (b1 + b2 + lam phi, (I + grad phi) sigma) at the
         preimages x = Phi_t^{-1}(y) of y (N, d); on_escape is as in invert.
-        In 1-d phi comes from the inversion's cell, and grad phi is the mean
-        slope over [x - h/2, x + h/2] that grad_phi_at's central difference
-        measures: two neighbouring cell slopes blended, 0 on the clamped rays
-        beyond +-L, and Sigma is the one product (1 + G) sigma that the 1x1
-        matrix product computes.  table is step_table(t), which a caller
-        stepping on fixed times builds once; without it, it is built here."""
+        In 1-d one cell search in the merged table of StepTable gives x, phi
+        and G, the mean slope over [x - h/2, x + h/2] that grad_phi_at's
+        central difference measures (0 on the clamped rays beyond +-L), and
+        Sigma is the one product (1 + G) sigma that the 1x1 matrix product
+        computes.  table is step_tables([t])[0], which a caller stepping on
+        fixed times builds once; without it, it is built here."""
         g = self.grid
         y = np.asarray(y, dtype=float)
         if g.d == 1:
-            tab = self.step_table(t) if table is None else table
-            x1, phi = tab.invert(y[:, 0])                   # flat (N,)
+            tab = self.step_tables([t])[0] if table is None else table
+            x1, phi, G = tab.eval(y[:, 0])                  # flat (N,)
             x = x1[:, None]
             self._check_escape(t, y, x, on_escape)
             Z = self.lam * phi[:, None]
-            c = np.clip((x1 + g.L) / g.h + 0.5, 0.0, g.n)  # x - h/2 in cells, plus 1
-            k = np.fmin(c, g.n).astype(np.int64)           # NaN: the top cell, weight NaN
-            G = tab.slope[k] + (c - k) * tab.dslope[k]
         else:
             x, _ = self.invert(t, y, on_escape=on_escape)
             Z = self.lam * self.phi.eval(t, x)

@@ -5,6 +5,7 @@ sizes; statistical verdict content is covered by the module tests."""
 import csv
 import io
 import json
+import pathlib
 
 import pytest
 
@@ -296,3 +297,21 @@ def test_one_path_gives_no_verdict(capsys, argv, rows):
     assert code == 3
     by_id = {r["check-id"]: r for r in parse_csv(out)}
     assert [by_id[row]["verdict"] for row in rows] == ["inconclusive"] * len(rows)
+
+
+VERDICTS = json.loads((pathlib.Path(__file__).parent / "data" / "verdicts.json")
+                      .read_text())
+
+
+def test_verdict_table(capsys, monkeypatch):
+    # the exit code and every (check-id, verdict) row of ten commands, as
+    # data/verdicts.json records them: a change that moves the last digits
+    # of a cell must keep every verdict
+    monkeypatch.setenv("ZVLAB_THREADS", "2")
+    got = []
+    for entry in VERDICTS:
+        code, out, _ = run_cli(capsys, *entry["argv"])
+        got.append({"argv": entry["argv"], "exit_code": code,
+                    "verdicts": [[r["check-id"], r["verdict"]]
+                                 for r in parse_csv(out)]})
+    assert got == VERDICTS

@@ -553,6 +553,12 @@ LEAN_STEP_RUNS = {
                    and np.isfinite(o["Y"]).all() and np.isfinite(o["A"]).all()),
     "transformed": (singular_1d_pair, [0.25], [-0.25], unit_cfg(m=100, L=2.0), 3,
                     256, lambda o: o["alive"].all() and not o["glued"].any()),
+    # a row glues at step 2 and the first freezes at step 35 of 286: the
+    # stepped state is swapped in with the glued masks on, then copied in
+    # under the frozen mask
+    "glue-then-freeze": (additive_pair, [0.25], [-0.25],
+                         unit_cfg(m=100, L=1.0, theta=1.99), 3, 256,
+                         lambda o: o["glued"].any() and not o["alive"].all()),
 }
 
 
@@ -717,22 +723,23 @@ def test_a_few_nonfinite_rows_leave_the_run_to_complete(monkeypatch):
 
 def test_one_pair_batch_builds_its_step_tables_once(monkeypatch):
     # c11's shape: 13 runs of one transformed pair on one step grid, each
-    # with its own seed; the map's step table is built once per step, in
-    # the calling process, and no task rebuilds it
+    # with its own seed; the map's step tables are built in one
+    # step_tables call over the grid's step times, in the calling process,
+    # and no task rebuilds them
     monkeypatch.setenv("ZVLAB_THREADS", "1")
-    pair = singular_1d_pair()
     built = []
-    orig = ZvonkinMap.step_table
+    orig = ZvonkinMap.step_tables
 
-    def spy(self, t):
-        built.append(t)
-        return orig(self, t)
+    def spy(self, ts):
+        built.append(list(ts))
+        return orig(self, ts)
 
-    monkeypatch.setattr(ZvonkinMap, "step_table", spy)
+    monkeypatch.setattr(ZvonkinMap, "step_tables", spy)
+    pair = singular_1d_pair()         # its model holds the patched method
     cfg = unit_cfg(m=20, n_paths=64, L=4.0)
     simulate_pairs([(pair, [0.1 * (i % 3)], [-0.1], cfg, 100 + i)
                     for i in range(13)])
-    assert built == list(build_coupling_grid(cfg).ts[:-1])
+    assert built == [list(build_coupling_grid(cfg).ts[:-1])]
 
 
 def test_h5_certificate_measures_constants():

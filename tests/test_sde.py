@@ -14,6 +14,7 @@ import pytest
 from zvlab import parallel
 from zvlab import rng as zrng
 from zvlab import sde
+from zvlab.coupling import CouplingConfig, simulate_pair
 from zvlab.fields import (CoefficientSet, GridSpec, NormSpec,
                           constant_sigma, trapezoid_weights)
 from zvlab.sde import (SdeModel, SimSpec, bump_family_report, bump_family_stat,
@@ -425,19 +426,37 @@ def test_transform_consistency_builds_each_step_table_once(monkeypatch,
                                                           singular_map_small):
     # the transformed model's step tables are built once per level, before
     # the pass, not once per stepper call: two levels of 9000 paths (two
-    # Philox blocks), one step_table call per step of each level
+    # Philox blocks), one step_tables call per level over its step times
     monkeypatch.setenv("ZVLAB_THREADS", "1")
     built = []
-    orig = ZvonkinMap.step_table
+    orig = ZvonkinMap.step_tables
 
-    def spy(self, t):
-        built.append(t)
-        return orig(self, t)
+    def spy(self, ts):
+        built.append(list(ts))
+        return orig(self, ts)
 
-    monkeypatch.setattr(ZvonkinMap, "step_table", spy)
+    monkeypatch.setattr(ZvonkinMap, "step_tables", spy)
     transform_consistency(singular_map_small, np.array([0.2]), [100, 200],
                           9000, seed=23)
-    assert built == [k * (1.0 / n) for n in (100, 200) for k in range(n)]
+    assert built == [[k * (1.0 / n) for k in range(n)] for n in (100, 200)]
+
+
+def test_engines_run_on_a_read_only_sigma(singular_map_small):
+    # constant_sigma gives a read-only view, not a copy per call: both
+    # engines and the transformed stepper only read a model's sigma (a
+    # write into it would raise)
+    s = SIG1(0.0, np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="read-only"):
+        s[0] = 2.0
+    zm = singular_map_small
+    rep = transform_consistency(zm, np.array([0.2]), [25, 50], 300, seed=4)
+    assert np.isfinite(rep["error"]).all()
+    cfg = CouplingConfig(T=1.0, m=20, n_paths=300, L=2.0, K_T=1.0,
+                         delta_T=1.0, lam_T=1.0)
+    for pair in (transformed_model(zm), SdeModel(d=1, drift=lambda t, x: -x,
+                                                 sigma=SIG1)):
+        res = simulate_pair(pair, [0.25], [-0.25], cfg, seed=3)
+        assert np.isfinite(res.A).all() and res.box_exit.sum() == 0
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from zvlab.fields import (CoefficientSet, GridFunction, GridSpec, constant_sigma
 from zvlab.pde import sample_operator
 from zvlab.sde import SdeModel
 from zvlab.zvonkin import (InverseEscape, LambdaSearchError, ZvonkinMap,
-                           _cell_table, _image_cell, bilipschitz_certificate, build_zvonkin,
+                           _cell_tables, _image_cell, bilipschitz_certificate, build_zvonkin,
                            ellipticity_certificate,
                            interp_lipschitz_sup, roundtrip_certificate,
                            transformed_constants)
@@ -151,8 +151,8 @@ def test_cell_index_matches_searchsorted():
             rng.uniform(knots[0] - 1.0, knots[-1] + 1.0, 1000),
             knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
             [-np.inf, -1e300, 1e300, np.inf, np.nan]])
-        ref = np.clip(np.searchsorted(knots, y, side="right") - 1, 0, grid.n - 2)
-        table = _cell_table(knots)
+        ref = np.searchsorted(knots, y, side="right")      # the cell, rays included
+        table = _cell_tables(knots[None])[0]
         assert table[4].dtype == np.int32               # the bucket counts
         assert np.array_equal(_image_cell(table, y), ref)
         # an (N, 1) column gives the column shape
@@ -194,6 +194,52 @@ def test_transformed_1d_matches_the_composite(singular_map, monkeypatch):
         singular_map.transformed(0.37, np.array([[0.0], [1.0], [2.5 * g.L]]))
     msg = str(ei.value)
     assert "t=0.37" in msg and "worst row 2" in msg and "y=[5.]" in msg
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_merged_table_matches_the_formulas(singular_map):
+    # invert and transformed read x, phi and grad phi as affine pieces of
+    # y; the formulas they replace are phi interpolated between the node
+    # images at the preimage, and grad_phi_at's central difference there.
+    # Queries: random points, the node images, the images of the half-cell
+    # points, both rays, and +-inf and NaN, which give x = +-inf and NaN
+    g = singular_map.grid
+    shifted = replace(singular_map, phi=GridFunction(
+        g, singular_map.phi.values + 0.05 + 0.1 * g.ts[:, None, None]))
+    rng = np.random.default_rng(12)
+    t = 0.37
+    half = np.append(g.xs - 0.5 * g.h, g.L + 0.5 * g.h)[:, None]
+    for zm in (singular_map, shifted):
+        vals = zm.phi.time_slice(t)[:, 0]
+        img = g.xs + vals
+        y = np.concatenate([
+            rng.uniform(-1.9 * g.L, 1.9 * g.L, 2000), img,
+            (half + zm.phi.eval(t, half))[:, 0],
+            rng.uniform(1.0, 3.0, 40) * g.L * np.repeat([-1.0, 1.0], 20)])[:, None]
+        phi = np.interp(y, img, vals)         # constant past the end images
+        x0 = y - phi
+        S0 = (1.0 + zm.grad_phi_at(t, x0)) * zm.coeffs.sigma(t, x0)
+        x, _ = zm.invert(t, y, on_escape="flag")
+        Z, S = zm.transformed(t, y, on_escape="flag")
+        for got, ref in ((x, x0), (Z, zm.lam * phi), (S, S0)):
+            np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())
+        y = np.array([[-np.inf], [np.inf], [np.nan]])
+        x, _ = zm.invert(t, y, on_escape="flag")
+        Z, S = zm.transformed(t, y, on_escape="flag")
+        assert x[:2, 0].tolist() == [-np.inf, np.inf] and np.isnan(x[2, 0])
+        assert Z[:2, 0].tolist() == (zm.lam * vals[[0, -1]]).tolist()
+        assert S[:2].ravel().tolist() == [1.0, 1.0]
+        assert np.isnan(Z[2, 0]) and np.isnan(S[2]).all()
+    # phi = 0: y itself, Z = b1 and Sigma = sigma, bit for bit
+    cs = CoefficientSet(sigma=lambda t, x: (1.0 + 0.3 * np.sin(x))[..., None],
+                        b1=lambda t, x: -0.7 * x, kappa1=0.5, kappa2=2.0)
+    zero = replace(singular_map, coeffs=cs, phi=GridFunction(
+        g, np.zeros_like(singular_map.phi.values)))
+    y = rng.uniform(-1.9 * g.L, 1.9 * g.L, (500, 1))
+    Z, S = zero.transformed(t, y, on_escape="flag")
+    assert np.array_equal(zero.invert(t, y, on_escape="flag")[0], y)
+    assert np.array_equal(Z, cs.b1(t, y)) and np.array_equal(S, cs.sigma(t, y))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
