@@ -400,7 +400,7 @@ def _pair_block_steps(pair, x0, y0, cfg, grid, normals, tables=None):
     stepper's input, are stepped into a second buffer after the last read
     of its output, which may be that input; the buffer is swapped in
     while no row has frozen, and copied in under the mask after that.  A
-    row is idle once glued or frozen; the idle masks run once a row is.
+    row is idle once glued or frozen.
 
     A row is frozen when its stepped X or Y fails sde.in_box (out of the
     doubled box, or not finite: a non-finite u, from a singular X sigma
@@ -437,14 +437,13 @@ def _pair_block_steps(pair, x0, y0, cfg, grid, normals, tables=None):
             dist = _row_norm(D)
             glued |= dist < floor
             act = alive & ~glued
-            idle = None if act.all() else ~act[:, None]
+            idle = ~act[:, None]
             if power:
                 np.divide(D, (np.minimum(dist ** power, 1.0) * grid.eta_vals[k])[:, None],
                           out=g)
             else:       # alpha = 1: dist ** 0.0 is 1.0 for every dist, NaN included
                 np.divide(D, grid.eta_vals[k], out=g)
-            if idle is not None:
-                np.copyto(g, 0.0, where=idle)
+            np.copyto(g, 0.0, where=idle)
             u = _matvec(sXi, g)
             unorm = _row_norm(u)
             over = unorm > N_TRUNC
@@ -459,15 +458,12 @@ def _pair_block_steps(pair, x0, y0, cfg, grid, normals, tables=None):
                 scale = dist[overshoot] / step_len[overshoot]
                 u[overshoot] *= scale[:, None]
                 corr[overshoot] *= scale[:, None]
-            if idle is not None:
-                np.copyto(u, 0.0, where=idle)
-                np.copyto(corr, 0.0, where=idle)
+            np.copyto(u, 0.0, where=idle)
+            np.copyto(corr, 0.0, where=idle)
             np.add(X + bX * dt, _matvec(sX, dW), out=Xn)
             np.add(Y + (bY + corr) * dt, _matvec(sY, dW), out=Yn)
-            if idle is not None:
-                np.copyto(Yn, Xn, where=glued[:, None])
-            ok = in_box(stepped, limit)
-            ok = ok[:width] & ok[width:]
+            np.copyto(Yn, Xn, where=glued[:, None])
+            ok = in_box(stepped, limit).reshape(2, width).all(axis=0)
             out, keep = alive & ~ok, alive
             if out.any():
                 bad = out & ~np.isfinite(np.hstack([Xn, Yn])).all(axis=-1)

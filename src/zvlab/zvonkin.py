@@ -37,6 +37,7 @@ LAMBDA_FACTOR = 4.0
 MAX_LAMBDA_STEPS = 12
 INVERT_TOL = 1e-10
 INVERT_MAX_ITER = 40
+TABLE_BLOCK = 64           # step times whose tables step_tables builds together
 
 
 def interp_lipschitz_sup(phi_vals: np.ndarray, grid: GridSpec) -> float:
@@ -78,8 +79,7 @@ def _cell_tables(brk: np.ndarray) -> list:
     bk = _bucket(brk, lo[:, None], inv_bw[:, None], nb)
     bk += (nb + 2) * np.arange(S)[:, None]              # one bucket range per row
     count = np.bincount(bk.ravel(), minlength=S * (nb + 2)).reshape(S, nb + 2)
-    below = np.cumsum(count, axis=1, dtype=np.int32)
-    below -= count
+    below = (np.cumsum(count, axis=1) - count).astype(np.int32)
     pad = np.concatenate([brk, np.full((S, 1), np.nan)], axis=1)   # no row steps past N
     passes = int(count[:, :-1].max())
     return [(pad[i], lo[i], inv_bw[i], nb, below[i], passes) for i in range(S)]
@@ -205,9 +205,12 @@ class ZvonkinMap:
                 f"worst row {i} y={y[i]} maps back to x={x[i]}")
 
     def step_tables(self, ts) -> list:
-        """The StepTable at each of the times ts, for a run that steps on
-        them, all built in one pass over stacked (len(ts), ...) arrays (1-d
-        maps only)."""
+        """The StepTable at each of the times ts (1-d maps only), built in
+        stacked passes of TABLE_BLOCK steps, which bound the temporaries."""
+        return [tab for i in range(0, len(ts), TABLE_BLOCK)
+                for tab in self._table_block(ts[i:i + TABLE_BLOCK])]
+
+    def _table_block(self, ts) -> list:
         g = self.grid
         s = np.asarray(ts, dtype=float) / g.dt          # phi.time_slice at each t
         k = np.clip(np.floor(s), 0, g.m - 1).astype(np.intp)
@@ -228,8 +231,7 @@ class ZvonkinMap:
         at[1, :, :2], at[1, :, -2:] = vals[:, :1], vals[:, -1:]
         at[2, :, 3:-2:2] = np.diff(vals, axis=1) / g.h
         at[2, :, 2:-1:2] = 0.5 * (at[2, :, 1:-2:2] + at[2, :, 3:-1:2])
-        y = at[0]
-        y += at[1]                                       # the breakpoints in y
+        y = np.add(at[0], at[1], out=at[0])              # the breakpoints in y
         if not (up := np.diff(y[:, 1:-1], axis=1) > 0.0).all():
             t = ts[int(np.argmin(up.all(axis=1)))]
             raise ValueError(f"Phi_t is not strictly increasing at t={t:.6g}")
