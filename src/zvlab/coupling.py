@@ -29,7 +29,8 @@ import numpy as np
 
 # unused here; perfbench/spans.py patches run_tasks in this module
 from .parallel import run_tasks  # noqa: F401
-from .sde import Ensemble, SdeModel, in_box, run_ensembles
+from .sde import (Ensemble, SdeModel, _matvec, _row_dot, _row_norm, in_box,
+                  run_ensembles)
 from . import rng as _rng
 
 MAX_HALVINGS = 8          # step halves at T - 2^{-k} T, k = 1..MAX_HALVINGS
@@ -367,30 +368,6 @@ def _sigma_inverse(s: np.ndarray) -> np.ndarray:
         a, b, c, e = s[:, 0, 0], s[:, 0, 1], s[:, 1, 0], s[:, 1, 1]
         return np.stack([np.stack([e, -b], axis=-1), np.stack([-c, a], axis=-1)],
                         axis=-2) / (a * e - b * c)[:, None, None]
-
-
-def _row_norm(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of an (N, d) array.  In 1-d it is |v|,
-    which equals sqrt(v**2) bit for bit wherever v**2 neither underflows
-    nor overflows, and skips the square, the sum and the root."""
-    if v.shape[-1] == 1:
-        return np.abs(v[:, 0])
-    return np.linalg.norm(v, axis=-1)
-
-
-def _matvec(s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """s v for each row of an (N, d, d) stack and an (N, d) array.  In 1-d
-    it is the one product s[:, :, 0] * v that einsum's sum would hold."""
-    if v.shape[-1] == 1:
-        return s[:, :, 0] * v
-    return np.einsum("...ij,...j->...i", s, v)
-
-
-def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """<u, v> for each row of two (N, d) arrays; in 1-d the one product."""
-    if u.shape[-1] == 1:
-        return u[:, 0] * v[:, 0]
-    return np.einsum("...i,...i->...", u, v)
 
 
 def _pair_block_steps(pair, x0, y0, cfg, grid, normals, tables=None):

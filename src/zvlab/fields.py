@@ -167,7 +167,7 @@ class GridFunction:
         """Linear-in-time interpolation of the stored slices."""
         g = self.grid
         s = t / g.dt
-        k = int(np.clip(np.floor(s), 0, g.m - 1)) if g.m > 0 else 0
+        k = int(np.clip(np.floor(s), 0, g.m - 1))
         w = s - k
         w = min(max(w, 0.0), 1.0)
         if w == 0.0:

@@ -5,10 +5,10 @@ number does.  sde.run_ensembles cuts each draw group's paths into
 row_ranges: near-equal contiguous ranges, a multiple of the pool's
 processes and none over PACK_ROWS.  A row's bits do not depend on the
 rows beside it (the 2-d map inverse stops each row on its own update),
-so a task returns per-row results, the parent puts them back in path
-order and sums them in a fixed order: a pairwise tree of Philox block
-sums, or integer counters.  So a run with ZVLAB_THREADS=1 and
-ZVLAB_THREADS=8 produces byte-identical numbers.
+so a task returns per-row results, and the parent puts them back in
+path order and reduces a run's rows whole: one numpy sum over them, or
+integer counters.  So a run with ZVLAB_THREADS=1 and ZVLAB_THREADS=8
+produces byte-identical numbers.
 
 ZVLAB_THREADS counts forked worker processes.  The engines' per-step
 numpy passes each hold the GIL, so threads cannot overlap them; forked
@@ -153,18 +153,3 @@ def run_tasks(fn, args_list, workers: int | None = None) -> list:
             pipe.close()
         todo.close()
         queue.close()
-
-
-def tree_reduce(items, combine):
-    """Pairwise reduction in fixed order; independent of how items were produced."""
-    items = list(items)
-    if not items:
-        raise ValueError("tree_reduce of empty sequence")
-    while len(items) > 1:
-        nxt = []
-        for i in range(0, len(items) - 1, 2):
-            nxt.append(combine(items[i], items[i + 1]))
-        if len(items) % 2:
-            nxt.append(items[-1])
-        items = nxt
-    return items[0]

@@ -3,11 +3,13 @@
 Paths are advanced in row ranges (parallel.row_ranges) on their Philox
 lanes (see rng), so any run is bit-identical for a fixed (seed, config)
 regardless of worker count: a row's results are a pure function of its
-own lane, and the parent sums them per Philox block and adds the block
-sums in fixed order.  One bad-row rule serves both engines: a row whose
-stepped state leaves the doubled box or is not finite (in_box) is frozen,
-flagged and counted, and only the whole run decides whether it fails.
-Here a frozen row keeps its exit value, NaN too, and estimators drop it.
+own lane, and the parent puts them back in path order and sums each
+statistic's rows with one numpy call, as the pair checks do.  One bad-row
+rule serves both engines: a row whose stepped state leaves the doubled
+box or is not finite (in_box) is frozen, flagged and counted, and only
+the whole run decides whether it fails.  Here a frozen row keeps its exit
+value, NaN too, and estimators drop it.  The row kernels of both engines
+(_matvec, _row_dot, _row_norm) live here too.
 
 The engine streams: a range holds its normals, the current state and the
 alive masks, never whole paths.  A statistic of the plain ensemble is a
@@ -36,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import Evaluator, NormSpec, trapezoid_weights
-from .parallel import pool_size, row_ranges, run_tasks, tree_reduce
+from .parallel import pool_size, row_ranges, run_tasks
 from . import rng as _rng
 
 ESCAPE_WARN = 0.01        # estimator-quality threshold, recorded
@@ -54,9 +56,9 @@ class SdeModel:
     do it once per step.  A stepper with work that depends on t alone
     comes with tables(ts), that work at each of the times ts; both engines
     build it once per run and step grid and pass each step's entry to
-    step_eval, which hands it to the stepper as stepper(t, X, table).  The
-    pair engine writes over its input after each call: an evaluator may
-    return its input but must not keep it.
+    step_eval, which hands it to the stepper as stepper(t, X, table).  Both
+    engines write over its input after each call: an evaluator may return
+    its input but must not keep it.
     """
 
     d: int
@@ -100,13 +102,37 @@ def in_box(X, limit):
     return np.abs(X).max(axis=-1) <= limit
 
 
+def _row_norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (N, d) array.  In 1-d it is |v|,
+    which equals sqrt(v**2) bit for bit wherever v**2 neither underflows
+    nor overflows, and skips the square, the sum and the root."""
+    if v.shape[-1] == 1:
+        return np.abs(v[:, 0])
+    return np.linalg.norm(v, axis=-1)
+
+
+def _matvec(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """s v for each row of an (N, d, d) stack and an (N, d) array.  In 1-d
+    it is the one product s[:, :, 0] * v that einsum's sum would hold."""
+    if v.shape[-1] == 1:
+        return s[:, :, 0] * v
+    return np.einsum("...ij,...j->...i", s, v)
+
+
+def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<u, v> for each row of two (N, d) arrays; in 1-d the one product."""
+    if u.shape[-1] == 1:
+        return u[:, 0] * v[:, 0]
+    return np.einsum("...i,...i->...", u, v)
+
+
 def _advance_block(models, x0s, spec, normals, width):
     """The paths of the first width rows of normals (step-major, (n_steps,
     rows, d)) for every model, on shared Brownian increments, as a
     generator of (k, X, alive) at each node k = 0..n_steps, with one array
     of each per model.  models pairs each SdeModel with its step tables (or
-    None).  X and alive are the engine's own: X[i] is replaced at the next
-    step and alive[i] updated in place, so a reader copies what it keeps."""
+    None).  X and alive are the engine's own, written in place at the next
+    step, so a reader copies what it keeps."""
     d = models[0][0].d
     sqrt_h = math.sqrt(spec.h)
     X = [np.broadcast_to(np.asarray(x0, dtype=float), (width, d)).copy()
@@ -121,8 +147,8 @@ def _advance_block(models, x0s, spec, normals, width):
             # every row takes the same step; a frozen row keeps its value, so
             # a path's bits do not depend on which other paths have escaped
             b, s = model.step_eval(t, X[i], None if tables is None else tables[k])
-            step = X[i] + b * spec.h + np.einsum("...ij,...j->...i", s, dw)
-            X[i] = np.where(alive[i][:, None], step, X[i])
+            step = X[i] + b * spec.h + _matvec(s, dw)
+            np.copyto(X[i], step, where=alive[i][:, None])
             alive[i] &= in_box(X[i], limit)     # a non-finite row is frozen as escaped
         yield k + 1, X, alive
 
@@ -232,27 +258,17 @@ def run_stats(models, x0s, spec: SimSpec, stats) -> list:
     return run_ensembles([plain_ensemble(models, x0s, spec, stats)])[0]
 
 
-def _block_sum(a, keep=None):
-    """The sum over the rows of a (rows first) kept by the mask keep: each
-    Philox block's rows summed, then the block sums added in the fixed
-    tree order.  The bits do not depend on how tasks cut the rows."""
-    sums = []
-    for s in range(0, len(a), _rng.BLOCK):
-        b = a[s:s + _rng.BLOCK]
-        sums.append((b if keep is None else b[keep[s:s + _rng.BLOCK]]).sum(axis=0))
-    return tree_reduce(sums, lambda u, v: u + v)
-
-
 def _mean_se(a, keep):
     """Sample mean and its standard error over the rows of a kept by keep,
-    from _block_sum's sums of the rows and of their squares, and the count
-    of kept rows (a count of 0 is taken as 1 in the quotients).  Only kept
-    rows are squared, so a dropped row's value never overflows."""
-    n_ok = int(keep.sum())
+    from one numpy sum each of the kept rows and of their squares, in path
+    order, and the count of kept rows (a count of 0 is taken as 1 in the
+    quotients).  Only kept rows are squared, so a dropped row's value
+    never overflows."""
+    kept = a[keep]
+    n_ok = len(kept)
     n = max(n_ok, 1)
-    mean = _block_sum(a, keep) / n
-    sq = np.square(a, out=np.zeros_like(a), where=keep)
-    var = np.maximum(_block_sum(sq, keep) / n - mean ** 2, 0.0)
+    mean = kept.sum(axis=0) / n
+    var = np.maximum(np.square(kept).sum(axis=0) / n - mean ** 2, 0.0)
     return mean, np.sqrt(var / n), n_ok
 
 
@@ -300,8 +316,8 @@ def integrate_stat(x0, spec: SimSpec) -> BlockStat:
 
     def finish(terminal, escaped, alive_nodes, sum_dw, sum_dw2):
         count = spec.n_paths * spec.n_steps
-        mean = _block_sum(sum_dw) / count
-        var = _block_sum(sum_dw2) / count - mean ** 2
+        mean = sum_dw.sum(axis=0) / count
+        var = sum_dw2.sum(axis=0) / count - mean ** 2
         frac = float(escaped.mean())
         if frac > ESCAPE_ERROR:
             first = int(np.argmax(escaped))

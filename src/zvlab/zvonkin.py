@@ -28,7 +28,7 @@ import numpy as np
 from .coupling import pair_constants
 from .fields import CoefficientSet, GridFunction, GridSpec
 from .pde import sample_operator, solve_phi_system
-from .sde import SdeModel
+from .sde import SdeModel, in_box
 from . import rng as _rng
 
 GRAD_TARGET = 0.5          # Lipschitz target for phi
@@ -159,8 +159,7 @@ class ZvonkinMap:
             return x + self.phi.eval(t, x[None, :])[0]
         return x + self.phi.eval(t, x)
 
-    def invert(self, t: float, y: np.ndarray, max_iter: int = INVERT_MAX_ITER,
-               on_escape: str = "raise"):
+    def invert(self, t: float, y: np.ndarray, on_escape: str = "raise"):
         """Solve x + phi(t, x) = y.  Returns (x, iterations).
 
         1-d: exact.  Phi_t is piecewise linear on the nodes and strictly
@@ -175,7 +174,7 @@ class ZvonkinMap:
         INVERT_TOL, so its bits do not depend on the rows beside it, and
         only the rows still moving are swept again; iterations is the
         count of sweeps.  Raises, naming the worst row, if a row has not
-        stopped in max_iter sweeps.
+        stopped in INVERT_MAX_ITER sweeps.
 
         Preimages outside the doubled box mean y sits too close to the
         wall for the interpolated map: on_escape="raise" raises
@@ -189,17 +188,17 @@ class ZvonkinMap:
         if self.grid.d == 1:
             x, its = self.step_tables([t])[0].eval(pts)[0], 1
         else:
-            x, its = self._invert_fixed_point(t, pts, max_iter)
+            x, its = self._invert_fixed_point(t, pts)
         self._check_escape(t, pts, x, on_escape)
         return (x[0], its) if single else (x, its)
 
     def _check_escape(self, t: float, y: np.ndarray, x: np.ndarray, on_escape: str):
-        """Under on_escape="raise", InverseEscape if a row of x left the doubled box."""
+        """Under on_escape="raise", InverseEscape if a row of x left the
+        doubled box or is not finite (in_box, the engines' rule)."""
         if on_escape != "raise":
             return
-        size = np.abs(x).max(axis=-1)
-        if out := int(np.count_nonzero(size > 2.0 * self.grid.L)):
-            i = int(np.argmax(size))
+        if out := int(np.count_nonzero(~in_box(x, 2.0 * self.grid.L))):
+            i = int(np.argmax(np.abs(x).max(axis=-1)))     # a NaN row is the worst
             raise InverseEscape(
                 f"{out} preimage(s) outside the doubled box at t={t:.6g}: "
                 f"worst row {i} y={y[i]} maps back to x={x[i]}")
@@ -243,10 +242,10 @@ class ZvonkinMap:
         return [StepTable(c, f) for c, f in
                 zip(_cell_tables(y[:, 1:-1]), coef.reshape(S, 2 * n + 2, 4))]
 
-    def _invert_fixed_point(self, t: float, pts: np.ndarray, max_iter: int):
+    def _invert_fixed_point(self, t: float, pts: np.ndarray):
         x = pts.copy()
         live = np.arange(len(pts))          # rows still moving
-        for its in range(1, max_iter + 1):
+        for its in range(1, INVERT_MAX_ITER + 1):
             xl = x[live]
             xn = pts[live] - self.phi.eval(t, xl)
             step = np.abs(xn - xl).max(axis=-1)
@@ -258,7 +257,8 @@ class ZvonkinMap:
         w = int(np.argmax(step))
         raise RuntimeError(
             f"map inversion stalled at t={t:.6g}: last update {step[w]:.3e} "
-            f"after max_iter={max_iter} sweeps, worst row {live[w]} y={pts[live[w]]}")
+            f"after INVERT_MAX_ITER={INVERT_MAX_ITER} sweeps, "
+            f"worst row {live[w]} y={pts[live[w]]}")
 
     def grad_phi_at(self, t: float, x: np.ndarray) -> np.ndarray:
         """Jacobian of the interpolated phi by central differences with
@@ -310,17 +310,16 @@ class ZvonkinMap:
         return Z, np.einsum("...ij,...jk->...ik", np.eye(g.d) + G, s)
 
 
-def build_zvonkin(coeffs: CoefficientSet, grid: GridSpec,
-                  max_steps: int = MAX_LAMBDA_STEPS) -> ZvonkinMap:
+def build_zvonkin(coeffs: CoefficientSet, grid: GridSpec) -> ZvonkinMap:
     """Solve the phi system on a quadrupling lam ladder until the map is tame.
 
     Raises LambdaSearchError with the full (lam, sup_grad) trace if
-    max_steps quadruplings are not enough.
+    MAX_LAMBDA_STEPS quadruplings are not enough.
     """
     op = sample_operator(coeffs, grid)        # every rung marches on it
     trace = []
     lam = LAMBDA_START
-    for _ in range(max_steps):
+    for _ in range(MAX_LAMBDA_STEPS):
         phi = solve_phi_system(op, lam)             # (m+1, n[, n], d)
         s = interp_lipschitz_sup(phi, grid)
         trace.append((lam, s))

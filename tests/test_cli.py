@@ -5,7 +5,10 @@ sizes; statistical verdict content is covered by the module tests."""
 import csv
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -303,15 +306,62 @@ VERDICTS = json.loads((pathlib.Path(__file__).parent / "data" / "verdicts.json")
                       .read_text())
 
 
+def verdict_table(runs):
+    """VERDICTS' layout from each of its commands' (exit code, stdout)."""
+    return [{"argv": e["argv"], "exit_code": code,
+             "verdicts": [[r["check-id"], r["verdict"]] for r in parse_csv(out)]}
+            for e, (code, out) in zip(VERDICTS, runs)]
+
+
 def test_verdict_table(capsys, monkeypatch):
     # the exit code and every (check-id, verdict) row of ten commands, as
     # data/verdicts.json records them: a change that moves the last digits
     # of a cell must keep every verdict
     monkeypatch.setenv("ZVLAB_THREADS", "2")
-    got = []
-    for entry in VERDICTS:
-        code, out, _ = run_cli(capsys, *entry["argv"])
-        got.append({"argv": entry["argv"], "exit_code": code,
-                    "verdicts": [[r["check-id"], r["verdict"]]
-                                 for r in parse_csv(out)]})
-    assert got == VERDICTS
+    runs = [run_cli(capsys, *e["argv"])[:2] for e in VERDICTS]
+    assert verdict_table(runs) == VERDICTS
+
+
+def avx512_targets():
+    """numpy's AVX-512 dispatch targets that this host runs."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:                       # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)
+            and (t.startswith("AVX512") or t == "X86_V4")]
+
+
+NO_AVX512_PROBE = """\
+import contextlib, io, json, sys
+from zvlab.cli import main
+targets, argvs = map(json.loads, sys.argv[1:])
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:
+    from numpy.core import _multiarray_umath as umath
+runs = []
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        runs.append((main(argv), out.getvalue()))
+print(json.dumps([[umath.__cpu_features__[t] for t in targets], runs]))
+"""
+
+
+def test_verdict_table_without_avx512():
+    # the same table with numpy's AVX-512 kernels switched off, all ten
+    # commands in one process: a verdict must not hang on which SIMD
+    # kernel computed a cell
+    targets = avx512_targets()
+    if not targets:
+        pytest.skip("numpy reports no AVX-512 dispatch target on this host")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+               ZVLAB_THREADS="2",
+               PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_AVX512_PROBE, json.dumps(targets),
+         json.dumps([e["argv"] for e in VERDICTS])],
+        env=env, check=True, capture_output=True, text=True)
+    enabled, runs = json.loads(done.stdout)
+    assert not any(enabled), targets
+    assert verdict_table(runs) == VERDICTS

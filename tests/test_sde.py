@@ -19,8 +19,9 @@ from zvlab.fields import (CoefficientSet, GridSpec, NormSpec,
                           constant_sigma, trapezoid_weights)
 from zvlab.sde import (SdeModel, SimSpec, bump_family_report, bump_family_stat,
                        integrate, integrate_stat, interval_bump, k_pq,
-                       krylov_estimate, krylov_stat, run_stats,
+                       krylov_estimate, krylov_stat, original_model, run_stats,
                        transform_consistency, transformed_model)
+from zvlab.scenarios import get_scenario
 from zvlab.zvonkin import ZvonkinMap, build_zvonkin
 
 SIG1 = constant_sigma(np.array([[1.0]]))
@@ -193,7 +194,7 @@ def test_increment_mean_bound_counts_every_increment(monkeypatch):
 def test_one_pass_feeds_every_statistic(monkeypatch):
     # run_stats steps each row range once for all of its statistics, and
     # each result is bit-identical to a pass of its own (9000 paths: two
-    # Philox blocks, so the block sums go through the tree reduce)
+    # Philox blocks)
     spec = SimSpec(T=1.0, n_steps=100, n_paths=9000, seed=4, L=8.0)
     model, x0 = brownian_model(), np.array([0.1])
     ns = NormSpec(p=4, q=4, d=1)
@@ -249,6 +250,37 @@ def test_run_stats_bits_do_not_depend_on_the_ranges(monkeypatch, pack):
                         paths.tobytes(), alive.tobytes()))
     assert 0.01 < ens.escape_fraction < 0.2 and est["n_excluded"] > 0
     assert digests[0] == digests[1] == digests[2]
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_plain_statistics_sum_the_rows_whole(monkeypatch, workers):
+    # additive-1d's plain pass at seed 1 on 20,000 paths: three Philox
+    # blocks, the last one partial.  A statistic is numpy's one sum over
+    # the concatenated kept rows, over their count, at any worker count;
+    # here a sum per block, the block sums then added, gives other bits
+    monkeypatch.setenv("ZVLAB_THREADS", workers)
+    sc = get_scenario("additive-1d")
+    spec = SimSpec(T=sc.grid.T, n_steps=sc.grid.m, n_paths=20000, seed=1,
+                   L=sc.grid.L)
+    x0, ns = np.array(sc.x0), NormSpec(p=4.0, q=16.0, d=1)
+    f, norm_fn = interval_bump(0.0, 0.05)
+    kry = krylov_stat(spec, f, ns, norm_fn(ns, 0.0, spec.T))
+    ing = integrate_stat(x0, spec)
+    rows = [sde.BlockStat(st.block, lambda *r: r) for st in (kry, ing)]
+    est, ens, (acc, ok), (*_, sum_dw, sum_dw2) = run_stats(
+        [original_model(sc.coeffs, 1)], [x0], spec, [kry, ing, *rows])
+    kept = acc[ok]
+    mean = kept.sum() / len(kept)
+    assert est["estimate"] == mean
+    assert est["se"] == math.sqrt(max(np.square(kept).sum() / len(kept) - mean ** 2,
+                                      0.0) / len(kept))
+    count = spec.n_paths * spec.n_steps
+    assert ens.rng_report["increment_mean"] == sum_dw.sum(axis=0) / count
+    assert ens.rng_report["increment_var"] == (sum_dw2.sum(axis=0) / count
+                                               - (sum_dw.sum(axis=0) / count) ** 2)
+    blocks = [kept[ok[:s].sum():ok[:s + zrng.BLOCK].sum()].sum()
+              for s in range(0, spec.n_paths, zrng.BLOCK)]
+    assert len(blocks) == 3 and (blocks[0] + blocks[1]) + blocks[2] != kept.sum()
 
 
 def test_block_memory_stays_near_its_normals(monkeypatch):

@@ -60,11 +60,12 @@ def test_lambda_ladder_and_boundary_layer_oracle():
         assert abs(zm.phi.values[kk, mid, 0] - oracle) <= 1e-5 * max(oracle, 1e-3)
 
 
-def test_ladder_exhaustion_raises_with_trace():
+def test_ladder_exhaustion_raises_with_trace(monkeypatch):
     grid = GridSpec(d=1, n=301, m=50, L=6.0, T=1.0)
     cs = CoefficientSet(sigma=SIG1, b0=const_b0(1.5), kappa1=0.5, kappa2=0.5)
+    monkeypatch.setattr(zvonkin, "MAX_LAMBDA_STEPS", 1)
     with pytest.raises(LambdaSearchError) as ei:
-        build_zvonkin(cs, grid, max_steps=1)
+        build_zvonkin(cs, grid)
     assert len(ei.value.trace) == 1 and ei.value.trace[0][1] > 0.5
 
 
@@ -270,16 +271,18 @@ def small_2d_map():
     return build_zvonkin(cs, grid)
 
 
-def test_inversion_errors_name_the_input(singular_map, small_2d_map):
+def test_inversion_errors_name_the_input(singular_map, small_2d_map, monkeypatch):
     # only the 2-d fixed point can stall
     y2 = np.array([[0.0, 0.0], [0.5, -0.3], [1.0, 1.0]])
     x2, its = small_2d_map.invert(0.37, y2)
     assert 1 < its <= 40
     assert np.abs(small_2d_map.forward(0.37, x2) - y2).max() <= 1e-9
-    with pytest.raises(RuntimeError, match="stalled") as ei:
-        small_2d_map.invert(0.37, y2, max_iter=1)
+    with monkeypatch.context() as m:
+        m.setattr(zvonkin, "INVERT_MAX_ITER", 1)
+        with pytest.raises(RuntimeError, match="stalled") as ei:
+            small_2d_map.invert(0.37, y2)
     msg = str(ei.value)
-    assert "t=0.37" in msg and "max_iter=1" in msg and "worst row" in msg
+    assert "t=0.37" in msg and "INVERT_MAX_ITER=1" in msg and "worst row" in msg
     zm = singular_map
     # beyond 2L the clamped map is flat, so the preimage is y - phi(L)
     y_out = np.array([[0.0], [1.0], [2.5 * zm.grid.L]])
@@ -289,6 +292,17 @@ def test_inversion_errors_name_the_input(singular_map, small_2d_map):
     assert "t=0.37" in msg and "worst row 2" in msg and "y=[5.]" in msg
     x, _ = zm.invert(0.37, y_out, on_escape="flag")
     assert np.abs(x[2]).max() > 2.0 * zm.grid.L
+
+
+def test_a_nan_preimage_is_an_escape(singular_map):
+    # the engines' box test: a non-finite row of x fails it, so raise mode
+    # names the NaN row and flag mode returns it as it is
+    y = np.array([[0.1], [np.nan]])
+    with pytest.raises(InverseEscape) as ei:
+        singular_map.invert(0.37, y)
+    assert "1 preimage(s)" in str(ei.value) and "worst row 1" in str(ei.value)
+    x, _ = singular_map.invert(0.37, y, on_escape="flag")
+    assert np.isfinite(x[0]).all() and np.isnan(x[1]).all()
 
 
 def test_2d_inverse_is_row_local(small_2d_map):
