@@ -484,7 +484,7 @@ def _pair_ensemble(name, pair, x, y, cfg, grid, tables, seed) -> Ensemble:
     """One checked run as an sde.Ensemble, whose result is its
     CouplingResult; it fails if its frozen rows exceed BOX_EXIT_LIMIT."""
 
-    def advance(normals, start):
+    def advance(normals):
         return _pair_block_steps(pair, x, y, cfg, grid, normals, tables)
 
     def finish(parts, draws, procs):

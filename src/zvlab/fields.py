@@ -163,23 +163,18 @@ class GridFunction:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid function contains non-finite values")
 
-    def time_slice(self, t: float) -> np.ndarray:
-        """Linear-in-time interpolation of the stored slices."""
+    def time_slice(self, t) -> np.ndarray:
+        """Linear-in-time interpolation of the stored slices at one time t,
+        or at each of an array of times, stacked on the leading axes."""
         g = self.grid
-        s = t / g.dt
-        k = int(np.clip(np.floor(s), 0, g.m - 1))
-        w = s - k
-        w = min(max(w, 0.0), 1.0)
-        if w == 0.0:
-            return self.values[k]
-        if w == 1.0:
-            return self.values[k + 1]
+        s = np.asarray(t, dtype=float) / g.dt
+        k = np.clip(np.floor(s), 0, g.m - 1).astype(np.intp)
+        w = np.clip(s - k, 0.0, 1.0)
+        w = w.reshape(w.shape + (1,) * (self.values.ndim - 1))
         return (1.0 - w) * self.values[k] + w * self.values[k + 1]
 
     def eval(self, t: float, x: np.ndarray) -> np.ndarray:
-        sl = self.time_slice(t)
-        out, _ = interp_space(self.grid, sl, x)
-        return out
+        return interp_space(self.grid, self.time_slice(t), x)[0]
 
 
 def interp_space(grid: GridSpec, slice_vals: np.ndarray, x: np.ndarray):
@@ -189,8 +184,6 @@ def interp_space(grid: GridSpec, slice_vals: np.ndarray, x: np.ndarray):
     along unchanged.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1 and grid.d == 1 and x.shape[-1] != 1:
-        x = x[:, None]
     if x.shape[-1] != grid.d:
         raise ValueError(f"points have dimension {x.shape[-1]}, grid is {grid.d}-d")
     u = (x + grid.L) / grid.h
@@ -227,41 +220,36 @@ def sample_field(ev: Evaluator, grid: GridSpec, cap_singular: bool = False):
     non-finite value (a point singularity sitting on a node) are
     replaced by the componentwise mean of their finite axis neighbours
     one mesh-width away, magnitude-capped at the largest neighbour
-    magnitude.  Returns (values (m+1, n[, n], *components),
-    capped_node_count).
+    magnitude; one more evaluator call per slice gives the neighbours of
+    all of them.  As |mean| <= max |v|, the cap acts only at roundoff.
+    Returns (values (m+1, n[, n], *components), capped_node_count).
     """
     nodes = grid.nodes()
     spatial = (grid.n,) * grid.d
+    steps = np.stack([s * e for e in grid.h * np.eye(grid.d) for s in (-1.0, 1.0)])
     slices = []
     capped = 0
-    offsets = grid.h * np.eye(grid.d)
     for t in grid.ts:
         vals = np.asarray(ev(float(t), nodes), dtype=float)
         comp = vals.shape[1:]
-        bad = ~np.isfinite(vals).reshape(nodes.shape[0], -1).all(axis=1)
-        if cap_singular and bad.any():
-            idx = np.nonzero(bad)[0]
-            for i in idx:
-                nb = []
-                for j in range(grid.d):
-                    for s in (-1.0, 1.0):
-                        p = nodes[i] + s * offsets[j]
-                        v = np.asarray(ev(float(t), p[None, :]), dtype=float).reshape(comp)
-                        if np.all(np.isfinite(v)):
-                            nb.append(v)
-                if not nb:
-                    raise ValueError("singular node with no finite neighbours")
-                nb = np.stack(nb)
-                cap = float(np.max(np.sqrt(np.sum(nb.reshape(len(nb), -1) ** 2, axis=1))))
-                repl = nb.mean(axis=0)
-                mag = float(np.sqrt(np.sum(repl ** 2)))
-                if mag > cap > 0.0:
-                    repl = repl * (cap / mag)
-                vals[i] = repl
-            capped += len(idx)
-        elif bad.any():
+        bad = np.nonzero(~np.isfinite(vals).reshape(len(nodes), -1).all(axis=1))[0]
+        if bad.size and not cap_singular:
             raise ValueError("non-finite field values (pass cap_singular=True for "
                              "fields with a node singularity)")
+        if bad.size:
+            pts = (nodes[bad, None] + steps).reshape(-1, grid.d)
+            nb = np.asarray(ev(float(t), pts), dtype=float).reshape(len(bad), len(steps), -1)
+            ok = np.isfinite(nb).all(axis=2)
+            if not ok.any(axis=1).all():
+                raise ValueError("singular node with no finite neighbours")
+            nb = np.where(ok[..., None], nb, 0.0)         # a skipped neighbour adds 0
+            cap = np.sqrt(np.sum(nb ** 2, axis=2)).max(axis=1)
+            repl = nb.sum(axis=1) / ok.sum(axis=1)[:, None]
+            mag = np.sqrt(np.sum(repl ** 2, axis=1))
+            big = (mag > cap) & (cap > 0.0)
+            repl[big] *= (cap[big] / mag[big])[:, None]
+            vals[bad] = repl.reshape(bad.shape + comp)
+            capped += bad.size
         slices.append(vals.reshape(spatial + comp))
     return np.stack(slices), capped
 

@@ -13,7 +13,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 CSV_COLUMNS = ("scenario", "check-id", "value", "ci-low", "ci-high",
                "threshold", "verdict", "provenance-tag")
@@ -53,12 +53,7 @@ class RunReport:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
     def exit_code(self) -> int:
-        verdicts = {c.verdict for c in self.checks}
-        if "fail" in verdicts:
-            return 2
-        if "inconclusive" in verdicts:
-            return 3
-        return 0
+        return combined_exit_code([self])
 
 
 def _fmt(x) -> str:
@@ -89,15 +84,7 @@ def json_payload(reports) -> str:
             "seed": rep.seed,
             "config": rep.config,
             "config_hash": rep.config_hash,
-            "checks": [{
-                "check_id": c.check_id,
-                "value": c.value,
-                "ci_low": c.ci_low,
-                "ci_high": c.ci_high,
-                "threshold": c.threshold,
-                "verdict": c.verdict,
-                "provenance": c.provenance,
-            } for c in rep.checks],
+            "checks": [asdict(c) for c in rep.checks],
             "timings_s": {k: round(v, 6) for k, v in rep.timings.items()},
             "metrics": rep.metrics,
         })
@@ -105,9 +92,6 @@ def json_payload(reports) -> str:
 
 
 def combined_exit_code(reports) -> int:
-    codes = [rep.exit_code() for rep in reports]
-    if 2 in codes:
-        return 2
-    if 3 in codes:
-        return 3
-    return 0
+    """2 if any check fails, else 3 if any is inconclusive, else 0."""
+    verdicts = {c.verdict for rep in reports for c in rep.checks}
+    return 2 if "fail" in verdicts else 3 if "inconclusive" in verdicts else 0

@@ -156,8 +156,8 @@ def _advance_block(models, x0s, spec, normals, width):
 @dataclass(frozen=True)
 class Ensemble:
     """n_paths paths on seed's Philox lanes at n_steps steps in dimension
-    d, as run_ensembles runs them: advance(normals, start) steps paths
-    start.. on their normals, step-major (n_steps, rows, d), and returns the
+    d, as run_ensembles runs them: advance(normals) steps one range of
+    paths on their normals, step-major (n_steps, rows, d), and returns the
     range's part; finish(parts, draws, procs) is the result from the parts
     in path order, the Philox lanes the ensemble paid for and the processes
     the pool ran on."""
@@ -200,7 +200,7 @@ def run_ensembles(ensembles) -> list:
                 for e in sorted(members, key=lambda m: m.n_paths)}
         normals = dict(zip(stop, _rng.lane_normals(
             seed, a, list(stop.values()), list(stop), d)))
-        return [e.advance(normals[e.n_steps][:, :min(b, e.n_paths) - a], a)
+        return [e.advance(normals[e.n_steps][:, :min(b, e.n_paths) - a])
                 for e in members]
 
     parts = [[] for _ in ensembles]               # in path order
@@ -233,7 +233,7 @@ def plain_ensemble(models, x0s, spec: SimSpec, stats) -> Ensemble:
     ts = [k * spec.h for k in range(spec.n_steps)]
     members = [(m, None if m.tables is None else m.tables(ts)) for m in models]
 
-    def advance(normals, start):
+    def advance(normals):
         folds = [st.block(normals) for st in stats]
         for k, X, alive in _advance_block(members, x0s, spec, normals,
                                           normals.shape[1]):
@@ -372,7 +372,7 @@ def transform_consistency(zmap, x0, steps_list, n_paths: int, seed: int) -> dict
     x0 = np.asarray(x0, dtype=float)
     mx = original_model(zmap.coeffs, grid.d)
     my = transformed_model(zmap)
-    y0 = zmap.forward(0.0, x0)
+    y0 = zmap.forward(0.0, x0[None])
     rows = []
     for n_steps in steps_list:
         spec = SimSpec(T=grid.T, n_steps=int(n_steps), n_paths=n_paths,
@@ -383,9 +383,8 @@ def transform_consistency(zmap, x0, steps_list, n_paths: int, seed: int) -> dict
             worst = np.zeros(normals.shape[1])
 
             def step(k, X, alive):
-                img = X[0] + zmap.phi.eval(k * spec.h, X[0])
-                np.maximum(worst, np.sqrt(np.sum((img - X[1]) ** 2, axis=-1)),
-                           out=worst)
+                img = zmap.forward(k * spec.h, X[0])
+                np.maximum(worst, _row_norm(img - X[1]), out=worst)
 
             return step, lambda X, alive: (worst, alive[0] & alive[1])
 

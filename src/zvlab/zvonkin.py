@@ -153,10 +153,8 @@ class ZvonkinMap:
     # -- point evaluation ---------------------------------------------------
 
     def forward(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Phi_t(x) = x + phi(t, x)."""
+        """Phi_t(x) = x + phi(t, x) at the rows of x (N, d)."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return x + self.phi.eval(t, x[None, :])[0]
         return x + self.phi.eval(t, x)
 
     def invert(self, t: float, y: np.ndarray, on_escape: str = "raise"):
@@ -183,14 +181,12 @@ class ZvonkinMap:
         outside the box.  Both errors name t and the worst row of y.
         """
         y = np.asarray(y, dtype=float)
-        single = y.ndim == 1
-        pts = y[None, :] if single else y
         if self.grid.d == 1:
-            x, its = self.step_tables([t])[0].eval(pts)[0], 1
+            x, its = self.step_tables([t])[0].eval(y)[0], 1
         else:
-            x, its = self._invert_fixed_point(t, pts)
-        self._check_escape(t, pts, x, on_escape)
-        return (x[0], its) if single else (x, its)
+            x, its = self._invert_fixed_point(t, y)
+        self._check_escape(t, y, x, on_escape)
+        return x, its
 
     def _check_escape(self, t: float, y: np.ndarray, x: np.ndarray, on_escape: str):
         """Under on_escape="raise", InverseEscape if a row of x left the
@@ -211,16 +207,13 @@ class ZvonkinMap:
 
     def _table_block(self, ts) -> list:
         g = self.grid
-        s = np.asarray(ts, dtype=float) / g.dt          # phi.time_slice at each t
-        k = np.clip(np.floor(s), 0, g.m - 1).astype(np.intp)
-        w = np.clip(s - k, 0.0, 1.0)[:, None]
-        vals = (1.0 - w) * self.phi.values[k, :, 0] + w * self.phi.values[k + 1, :, 0]
+        vals = self.phi.time_slice(ts)[..., 0]             # (S, n)
         # x, phi and G at the breakpoints in x: x_i - h/2 then x_i for each
         # node i, then L + h/2, with a unit step past each end, which makes
         # the rays cells of zero slope.  phi at x_i - h/2 is the mean of its
         # cell, clamped beyond +-L; G there is the cell slope, 0 beyond
         # +-L, and at x_i the mean of the two beside it
-        n, S = g.n, len(s)
+        n, S = g.n, len(ts)
         at = np.zeros((3, S, 2 * n + 3))
         at[0] = np.concatenate([[-g.L - 0.5 * g.h - 1.0],
                                 np.stack([g.xs - 0.5 * g.h, g.xs], axis=1).ravel(),
@@ -262,20 +255,12 @@ class ZvonkinMap:
 
     def grad_phi_at(self, t: float, x: np.ndarray) -> np.ndarray:
         """Jacobian of the interpolated phi by central differences with
-        step h/2, (..., d, d)."""
+        step h/2 at the rows of x (N, d), (N, d, d)."""
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = x[None, :] if single else x
         delta = 0.5 * self.grid.h
-        d = self.grid.d
-        cols = []
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = delta
-            cols.append((self.phi.eval(t, pts + e) - self.phi.eval(t, pts - e))
-                        / (2.0 * delta))
-        out = np.stack(cols, axis=-1)
-        return out[0] if single else out
+        cols = [(self.phi.eval(t, x + e) - self.phi.eval(t, x - e)) / (2.0 * delta)
+                for e in delta * np.eye(self.grid.d)]
+        return np.stack(cols, axis=-1)
 
     # -- transformed coefficients -------------------------------------------
 
@@ -351,8 +336,8 @@ def bilipschitz_certificate(zmap: ZvonkinMap, n_pairs: int = 256, seed: int = 21
     violations = 0
     for t in ts:
         t = float(t)
-        fx = xs + zmap.phi.eval(t, xs)
-        fy = ys + zmap.phi.eval(t, ys)
+        fx = zmap.forward(t, xs)
+        fy = zmap.forward(t, ys)
         base = np.sqrt(np.sum((xs - ys) ** 2, axis=-1))
         img = np.sqrt(np.sum((fx - fy) ** 2, axis=-1))
         slack = 1e-6 * base + 1e-9
@@ -377,11 +362,11 @@ def roundtrip_certificate(zmap: ZvonkinMap, n_points: int = 256, seed: int = 22)
     worst_bwd = 0.0
     for t in ts:
         t = float(t)
-        img = xs + zmap.phi.eval(t, xs)
+        img = zmap.forward(t, xs)
         back, _ = zmap.invert(t, img)
         worst_fwd = max(worst_fwd, float(np.max(np.abs(back - xs))))
         pre, _ = zmap.invert(t, ys)
-        img2 = pre + zmap.phi.eval(t, pre)
+        img2 = zmap.forward(t, pre)
         worst_bwd = max(worst_bwd, float(np.max(np.abs(img2 - ys))))
     tol = 10 * INVERT_TOL
     return {"roundtrip_x": worst_fwd, "roundtrip_y": worst_bwd,

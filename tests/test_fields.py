@@ -174,6 +174,47 @@ def test_sample_infers_matrix_components():
     assert np.array_equal(vals[k, i, j], ev(grid.ts[k], x)[0])
 
 
+def _marked_field(value, where_nan, where_inf):
+    """A 2-d scalar field: value everywhere, NaN and +inf on the points
+    that the two predicates of (x, y) pick."""
+
+    def ev(t, x):
+        x = np.asarray(x)
+        out = np.full(x.shape[:-1], value)
+        out[where_nan(x[..., 0], x[..., 1])] = np.nan
+        out[where_inf(x[..., 0], x[..., 1])] = np.inf
+        return out
+
+    return ev
+
+
+def test_sample_cap_skips_nonfinite_neighbours_and_shrinks_to_the_cap():
+    # the origin is +inf and its east neighbour NaN, so each is repaired
+    # from the three finite 0.1s beside it, skipping the other; the mean
+    # of three 0.1s rounds one ulp above 0.1 and is shrunk back
+    grid = GridSpec(d=2, n=5, m=1, L=1.0, T=1.0)
+    near = lambda a, b: np.abs(a - b) < 0.25 * grid.h
+    ev = _marked_field(0.1, lambda x, y: near(x, grid.h) & near(y, 0.0),
+                       lambda x, y: near(x, 0.0) & near(y, 0.0))
+    assert (0.1 + 0.1 + 0.1) / 3 == np.nextafter(0.1, 1.0)
+    vals, capped = sample_field(ev, grid, cap_singular=True)
+    assert capped == 2 * (grid.m + 1)
+    c = grid.n // 2
+    repaired = np.zeros((grid.n, grid.n), dtype=bool)
+    repaired[c, c] = repaired[c + 1, c] = True
+    assert np.all(vals[:, repaired] <= 0.1)
+    assert np.all(vals[:, repaired] >= np.nextafter(0.1, 0.0))
+    assert np.all(vals[:, ~repaired] == 0.1)
+
+
+def test_sample_cap_raises_without_finite_neighbours():
+    grid = GridSpec(d=2, n=5, m=1, L=1.0, T=1.0)
+    ev = _marked_field(1.0, lambda x, y: np.zeros_like(x, dtype=bool),
+                       lambda x, y: np.hypot(x, y) < 1.5 * grid.h)
+    with pytest.raises(ValueError, match="singular node with no finite neighbours"):
+        sample_field(ev, grid, cap_singular=True)
+
+
 # ---------------------------------------------------------------------------
 # interpolation and clamping
 
@@ -193,6 +234,21 @@ def test_gridfunction_time_interpolation():
     vals = np.tile(grid.ts[:, None], (1, grid.n))
     g = GridFunction(grid, vals)
     assert g.time_slice(0.777)[0] == pytest.approx(0.777, abs=1e-14)
+
+
+def test_time_slice_stacks_scalar_calls():
+    # an array of times gives the bytes of one scalar call per time: on
+    # nodes, between them, below 0 and above T (clamped to the end slices)
+    grid = GridSpec(d=2, n=5, m=4, L=1.0, T=2.0)
+    rng = np.random.default_rng(5)
+    g = GridFunction(grid, rng.standard_normal((grid.m + 1, grid.n, grid.n, 2)))
+    ts = np.concatenate([grid.ts, [0.1, 0.777, 1.9999, -0.3, 2.5]])
+    stacked = g.time_slice(ts)
+    assert stacked.shape == (len(ts),) + g.values.shape[1:]
+    assert stacked.tobytes() == np.stack([g.time_slice(float(t)) for t in ts]).tobytes()
+    assert np.array_equal(stacked[:grid.m + 1], g.values)
+    assert np.array_equal(stacked[-2], g.values[0])
+    assert np.array_equal(stacked[-1], g.values[-1])
 
 
 def test_gridfunction_rejects_nonfinite():
