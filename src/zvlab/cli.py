@@ -30,9 +30,9 @@ from .fields import GridSpec, NormSpec
 from .pde import sample_operator, solve_phi_system, verify_apriori
 from .report import RunReport, combined_exit_code, csv_payload, json_payload
 from .scenarios import Scenario, get_scenario, scenario_names
-from .sde import (SdeModel, SimSpec, bump_family_stat, integrate_stat,
-                  interval_bump, krylov_stat, original_model, plain_ensemble,
-                  run_ensembles, transformed_model)
+from .sde import (ESCAPE_WARN, SdeModel, SimSpec, bump_family_stat,
+                  integrate_stat, interval_bump, krylov_stat, original_model,
+                  plain_ensemble, run_ensembles, transformed_model)
 from .zvonkin import (GRAD_TARGET, bilipschitz_certificate, build_zvonkin,
                       ellipticity_certificate, roundtrip_certificate,
                       transformed_constants)
@@ -191,8 +191,8 @@ def stage_build_transform(rep: RunReport, sc: Scenario, args):
     bl = bilipschitz_certificate(zm, n_pairs=pairs, seed=args.seed + 10)
     rep.add("bilip-violations", float(bl["violations"]),
             "pass" if bl["passed"] else "fail", threshold=0.0)
-    rep.add("bilip-ratio-min", bl["ratio_min"], "pass", threshold=0.5)
-    rep.add("bilip-ratio-max", bl["ratio_max"], "pass", threshold=1.5)
+    rep.add("bilip-ratio-min", bl["ratio_min"], "pass", threshold=bl["lower_bound"])
+    rep.add("bilip-ratio-max", bl["ratio_max"], "pass", threshold=bl["upper_bound"])
     rt = roundtrip_certificate(zm, n_points=pairs // 4, seed=args.seed + 11)
     rep.add("roundtrip-defect", max(rt["roundtrip_x"], rt["roundtrip_y"]),
             "pass" if rt["passed"] else "fail", threshold=rt["tol"])
@@ -222,7 +222,7 @@ def stage_build_transform(rep: RunReport, sc: Scenario, args):
 def stage_simulate(rep: RunReport, sc: Scenario, args, ens):
     rr = ens.rng_report
     rep.add("escape-fraction", ens.escape_fraction,
-            "pass" if ens.escape_fraction <= 0.01 else "fail", threshold=0.01)
+            "fail" if rr["escape_warn"] else "pass", threshold=ESCAPE_WARN)
     rep.add("rng-increment-mean", float(np.max(np.abs(rr["increment_mean"]))),
             "pass" if rr["mean_ok"] else "fail")
     rep.add("rng-increment-var", float(np.mean(rr["increment_var"])),
@@ -253,13 +253,10 @@ def stage_couple(rep: RunReport, sc: Scenario, args, inputs, res):
         rep.add("h5-certificate", float(cert["passed"]),
                 "pass" if cert["passed"] else "fail", threshold=1.0)
     mg = verify_martingale(res)
-    worst = max(abs(m - 1.0) / se if se > 0 else 0.0
-                for m, se in zip(mg["means"], mg["ses"]))
-    rep.add("girsanov-worst-zscore", worst,
-            "pass" if mg["passed"] else "fail", threshold=3.0)
+    rep.add("girsanov-worst-zscore", mg["worst_zscore"], mg["verdict"],
+            threshold=3.0)
     mb = verify_moment_bound(res)
-    rep.add("moment-lhs", mb["lhs"], "pass" if mb["passed"] else "fail",
-            threshold=mb["threshold"])
+    rep.add("moment-lhs", mb["lhs"], mb["verdict"], threshold=mb["threshold"])
     co = coalescence_report(res)
     rep.add("coalescence-decreasing", float(co["decreasing"]),
             "pass" if co["decreasing"] else "fail", threshold=1.0)

@@ -70,16 +70,15 @@ class CouplingConfig:
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.T <= 0 or self.L <= 0:
-            raise ValueError(f"T and L must be positive, got T={self.T}, L={self.L}")
+        for name in ("T", "L", "K_T", "delta_T", "lam_T"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
         if self.m < 2 or self.m % 2:
             raise ValueError("m must be even (halved segments need T/(2h) "
                              f"steps), got {self.m}")
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
-        if min(self.K_T, self.delta_T, self.lam_T) <= 0:
-            raise ValueError("K_T, delta_T, lam_T must be positive, got "
-                             f"{self.K_T}, {self.delta_T}, {self.lam_T}")
         if not 0.5 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (1/2, 1], got {self.alpha}")
         if not 0.0 < self.theta < 2.0 * self.alpha:
@@ -145,8 +144,10 @@ def power_harnack_exponent(cfg: CouplingConfig, r: float,
     """Cost exponent of (P f)^gamma(y) <= P f^gamma(x) exp{...} at theta(gamma).
 
     `corrected` is (gamma-1) log moment_bound_rhs at theta(gamma), in closed
-    form; `printed` evaluates the source's stated constant, whose denominator
-    is never positive for admissible gamma (flagged degenerate).
+    form; `printed` is the source's stated constant, whose denominator
+    printed_den is never positive: dgt >= s/4 for s = sqrt(lam) alpha
+    (sqrt(gamma) - 1) > 0, so s - 4 dgt <= 0 while dgt and the decay are
+    positive.  It is infinite for r > 0 (flagged degenerate).
     """
     g = cfg.gamma if gamma is None else gamma
     th = theta_for_gamma(cfg, g)
@@ -158,14 +159,8 @@ def power_harnack_exponent(cfg: CouplingConfig, r: float,
         4.0 * cfg.delta_T * (rl * cfg.alpha * (rg - 1.0) - 2.0 * cfg.delta_T))
     dgt = max(cfg.delta_T, rl * cfg.alpha * (rg - 1.0) / 4.0)
     printed_den = 4.0 * dgt * (rl * cfg.alpha * (rg - 1.0) - 4.0 * dgt) * decay
-    if printed_den > 0:
-        printed = rg * (rg - 1.0) * cfg.K_T * _dist_scale(r, cfg.alpha) / printed_den
-        degenerate = False
-    else:
-        printed = math.inf if r > 0 else 0.0
-        degenerate = True
-    return {"corrected": corrected, "printed": printed,
-            "printed_degenerate": degenerate, "theta": th, "gamma": g}
+    return {"corrected": corrected, "printed": math.inf if r > 0 else 0.0,
+            "printed_degenerate": printed_den <= 0, "theta": th, "gamma": g}
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +272,7 @@ def build_coupling_grid(cfg: CouplingConfig) -> CouplingGrid:
 @dataclass
 class CouplingResult:
     cfg: CouplingConfig
-    x: np.ndarray
-    y: np.ndarray
-    r: float
+    r: float                      # |x - y| of the start points
     sample_times: np.ndarray      # (n_s,)
     A: np.ndarray                 # (N, n_s) int v.dW at sample times
     B: np.ndarray                 # (N, n_s) int |v|^2 dt
@@ -332,13 +325,13 @@ def decide(lhs: float, rhs: float, slack: float, scale: float = 1.0,
            noise: float = 0.0, cap: float | None = None) -> tuple[str, float]:
     """The one verdict rule: (verdict, threshold) for the claim lhs <= rhs.
 
-    The threshold is verdict_threshold(lhs, rhs, slack, scale).  With a
-    cap, a noise level that is not <= cap (above it, or nan, as the SE of
-    one sample is) gives "inconclusive" whatever lhs is; otherwise the
-    verdict is "pass" iff lhs <= threshold, else "fail".
+    The threshold is verdict_threshold(lhs, rhs, slack, scale).  A nan
+    slack (the SE of one sample is nan) gives "inconclusive" whatever lhs
+    is, and so, with a cap, does a noise level that is not <= cap;
+    otherwise the verdict is "pass" iff lhs <= threshold, else "fail".
     """
     thr = verdict_threshold(lhs, rhs, slack, scale)
-    if cap is not None and not noise <= cap:
+    if math.isnan(slack) or (cap is not None and not noise <= cap):
         return "inconclusive", thr
     return ("pass" if lhs <= thr else "fail"), thr
 
@@ -349,13 +342,14 @@ def within(lhs: float, rhs: float, slack: float, scale: float = 1.0) -> bool:
 
 
 def _exp_stats(logw: np.ndarray, vals=None) -> tuple[float, float]:
-    """Mean and SE of exp(logw)*vals, max-shifted so the sum cannot overflow."""
+    """Mean and SE of exp(logw)*vals, max-shifted so the sum cannot
+    overflow; one sample has no SE, nan."""
     n = logw.size
     m = float(logw.max())
     z = np.exp(logw - m)
     if vals is not None:
         z = z * np.asarray(vals, dtype=float)
-    sd = float(z.std(ddof=1)) if n > 1 else 0.0
+    sd = float(z.std(ddof=1)) if n > 1 else math.nan
     return math.exp(m) * float(z.mean()), math.exp(m) * sd / math.sqrt(n)
 
 
@@ -501,7 +495,7 @@ def _pair_ensemble(name, pair, x, y, cfg, grid, tables, seed) -> Ensemble:
                 else "enlarge L or move the start points inward") + f"; first "
                 f"exited path {i} at t={t:.6g}{' (non-finite)' * nf}")
         return CouplingResult(
-            cfg=cfg, x=x, y=y, r=float(np.linalg.norm(x - y)),
+            cfg=cfg, r=float(np.linalg.norm(x - y)),
             sample_times=grid.ts[grid.sample_idx], A=cat["A"], B=cat["B"],
             eps_times=grid.eps_times, dist_at_eps=cat["dist"],
             final_X=cat["X"], final_Y=cat["Y"], glued=cat["glued"],
@@ -556,33 +550,32 @@ def simulate_pair(pair: SdeModel, x, y, cfg: CouplingConfig,
 
 
 def verify_martingale(res: CouplingResult, drop_half_term: bool = False) -> dict:
-    """E R_s = 1 within 3 SE at every sample time.  drop_half_term is the
-    negative control: weights without the -1/2 int |v|^2 term must fail."""
+    """E R_s = 1 within 3 SE at every sample time, both sides decided;
+    worst_zscore is the largest |E R_s - 1| / SE (0 where the SE is 0, nan
+    where it is nan).  drop_half_term is the negative control: weights
+    without the -1/2 int |v|^2 term must fail."""
     stats = [_exp_stats(res.log_weights(j, drop_half_term))
              for j in range(res.sample_times.size)]
-    offending = [float(t) for t, (mu, se) in zip(res.sample_times, stats)
-                 if not (within(mu, 1.0, 3.0 * se) and within(1.0, mu, 3.0 * se))]
+    sides = [decide(a, b, 3.0 * se)[0] for m, se in stats
+             for a, b in ((m, 1.0), (1.0, m))]
+    verdict = next((v for v in ("fail", "inconclusive") if v in sides), "pass")
     return {"times": res.sample_times.tolist(), "means": [m for m, _ in stats],
-            "ses": [se for _, se in stats], "offending": offending,
-            "passed": not offending}
+            "ses": [se for _, se in stats],
+            "worst_zscore": max(abs(m - 1.0) / se if se != 0 else 0.0
+                                for m, se in stats),
+            "verdict": verdict, "passed": verdict == "pass"}
 
 
 def verify_moment_bound(res: CouplingResult) -> dict:
     """sup_s E R_s^{1+gamma0} against the closed-form bound at the config's
     theta; equality holds exactly when x = y."""
     g0 = gamma0(res.cfg)
-    stats = [_exp_stats((1.0 + g0) * res.log_weights(j))
-             for j in range(res.sample_times.size)]
-    lhs_all = [mu for mu, _ in stats]
-    i = int(np.argmax(lhs_all))
-    lhs, se = stats[i]
-    rel = se / lhs if lhs > 0 else 0.0
+    lhs, se = max((_exp_stats((1.0 + g0) * res.log_weights(j))
+                   for j in range(res.sample_times.size)), key=lambda s: s[0])
     rhs = moment_bound_rhs(res.cfg, res.r)
-    verdict, thr = decide(lhs, rhs, 3.0 * rel * rhs)
-    return {"gamma0": g0, "lhs": lhs, "rel_se": rel, "rhs": rhs,
-            "threshold": thr, "lhs_by_time": lhs_all,
-            "worst_time": float(res.sample_times[i]),
-            "passed": verdict == "pass"}
+    verdict, thr = decide(lhs, rhs, 3.0 * (se / lhs if lhs > 0 else 0.0) * rhs)
+    return {"gamma0": g0, "lhs": lhs, "rhs": rhs, "threshold": thr,
+            "verdict": verdict, "passed": verdict == "pass"}
 
 
 def coalescence_report(res: CouplingResult) -> dict:
@@ -617,10 +610,10 @@ def verify_power_harnack(res: CouplingResult, fs) -> dict:
     cfg = res.cfg
     if cfg.gamma is None:
         raise ValueError("power-Harnack check needs cfg.gamma")
-    th = theta_for_gamma(cfg)
+    expo = power_harnack_exponent(cfg, res.r)
+    th = expo["theta"]
     if cfg.theta != th:
         raise ValueError(f"power-Harnack run needs theta = {th!r}, got {cfg.theta!r}")
-    expo = power_harnack_exponent(cfg, res.r)
     logR = res.log_weights()
     g = cfg.gamma
     checks = []
@@ -643,7 +636,6 @@ def verify_power_harnack(res: CouplingResult, fs) -> dict:
                        "combined_rel_se": combined, "threshold": thr,
                        "verdict": verdict})
     return {"checks": checks, "exponent": expo, "theta": th,
-        "glued_fraction": float(res.glued.mean()),
         "passed": all(c["verdict"] == "pass" for c in checks),
         "inconclusive": any(c["verdict"] == "inconclusive" for c in checks)}
 
@@ -667,11 +659,9 @@ def verify_log_harnack(res: CouplingResult, fs, kappa1: float,
         combined_abs = math.hypot(lhs_se, mx_se / mx)
         verdict, thr = decide(lhs, rhs, 3.0 * combined_abs,
                               noise=combined_abs, cap=LOG_SE_CAP)
-        checks.append({"f": label, "lhs": lhs, "rhs": rhs,
-                       "abs_se": combined_abs, "threshold": thr,
+        checks.append({"f": label, "lhs": lhs, "rhs": rhs, "threshold": thr,
                        "verdict": verdict})
-    return {"checks": checks, "quad_cost": quad, "k1_hat": k1_hat,
-        "glued_fraction": float(res.glued.mean()),
+    return {"checks": checks, "k1_hat": k1_hat,
         "passed": all(c["verdict"] == "pass" for c in checks),
         "inconclusive": any(c["verdict"] == "inconclusive" for c in checks)}
 
@@ -683,7 +673,6 @@ def calibrate_k1(res: CouplingResult, fs, kappa1: float) -> dict:
         raise ValueError("calibration needs x != y")
     # at k1_hat = 0 each check's rhs is log E[f(X)], so lhs - rhs is the
     # gap the quadratic cost has to cover
-    needed = [(c["lhs"] - c["rhs"]) * kappa1 * res.cfg.T / res.r ** 2
-              for c in verify_log_harnack(res, fs, kappa1, 0.0)["checks"]]
-    k1 = K1_SAFETY * max(max(needed), 0.01)
-    return {"k1_hat": k1, "needed": needed, "r": res.r}
+    needed = max((c["lhs"] - c["rhs"]) * kappa1 * res.cfg.T / res.r ** 2
+                 for c in verify_log_harnack(res, fs, kappa1, 0.0)["checks"])
+    return {"k1_hat": K1_SAFETY * max(needed, 0.01)}

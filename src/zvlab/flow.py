@@ -11,7 +11,7 @@ sup |grad psi| <= exp(Lip(b1) T) is checked on the solved field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,10 +70,8 @@ class FlowMap:
     psi: np.ndarray                     # (m+1, N, d)
     grad_psi: np.ndarray                # (m+1, N, d, d)
     n_sub: int
-    tol_flow: float
     psi_inv: np.ndarray | None = None
     grad_psi_inv: np.ndarray | None = None
-    info: dict = field(default_factory=dict)
 
     def sup_grad(self) -> float:
         """Largest operator norm of grad psi over the whole grid."""
@@ -114,21 +112,12 @@ def solve_flow(b1: Evaluator, grid: GridSpec, jac=None, lip: float | None = None
         return psi, grad
 
     psi, grad = integrate(n_sub)
-    achieved = None
     for _ in range(8):
-        psi2, grad2 = integrate(2 * n_sub)
-        diff = float(np.max(np.abs(psi2 - psi)))
-        if diff <= tol / 4.0:
-            achieved = diff
-            psi, grad = psi2, grad2
-            n_sub *= 2
-            break
-        psi, grad = psi2, grad2
         n_sub *= 2
-    if achieved is None:
-        raise RuntimeError("flow integrator could not reach the accuracy target")
-    return FlowMap(grid=grid, psi=psi, grad_psi=grad, n_sub=n_sub, tol_flow=tol,
-                   info={"richardson_defect": achieved})
+        prev, (psi, grad) = psi, integrate(n_sub)
+        if float(np.max(np.abs(psi - prev))) <= tol / 4.0:
+            return FlowMap(grid=grid, psi=psi, grad_psi=grad, n_sub=n_sub)
+    raise RuntimeError("flow integrator could not reach the accuracy target")
 
 
 def solve_inverse_flow(fm: FlowMap, b1: Evaluator, jac=None) -> FlowMap:

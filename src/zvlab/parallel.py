@@ -46,7 +46,7 @@ def n_workers() -> int:
         except ValueError:
             raise SystemExit(f"ZVLAB_THREADS must be an integer, got {env!r}")
         if k < 1:
-            raise SystemExit("ZVLAB_THREADS must be >= 1")
+            raise SystemExit(f"ZVLAB_THREADS must be >= 1, got {env!r}")
         return k
     # the CPUs this process may run on, where the platform reports them
     if hasattr(os, "sched_getaffinity"):

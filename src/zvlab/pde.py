@@ -313,7 +313,6 @@ class SweepResult:
     lambdas: list
     norms: list
     slope: float
-    c_hat: float
     non_increasing: bool
     envelope_ok: bool
 
@@ -336,7 +335,8 @@ def lambda_sweep(coeffs: CoefficientSet, grid: GridSpec, lambdas,
     """
     lambdas = sorted(float(l) for l in lambdas)
     if ns.decay_exponent <= 0:
-        raise ValueError("decay prediction has non-positive exponent")
+        raise ValueError("decay prediction has non-positive exponent, "
+                         f"got {ns.decay_exponent} for p={ns.p}, q={ns.q}")
 
     op = sample_operator(coeffs, grid)      # inherited by the forked workers
 
@@ -356,5 +356,5 @@ def lambda_sweep(coeffs: CoefficientSet, grid: GridSpec, lambdas,
     non_increasing = all(norms[i + 1] <= norms[i] * (1 + 1e-12)
                          for i in range(len(norms) - 1))
     return SweepResult(lambdas=list(lambdas), norms=list(map(float, norms)),
-                       slope=slope, c_hat=float(c_hat),
-                       non_increasing=non_increasing, envelope_ok=envelope_ok)
+                       slope=slope, non_increasing=non_increasing,
+                       envelope_ok=envelope_ok)

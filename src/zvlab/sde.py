@@ -32,7 +32,7 @@ occupation-functional estimate against the mixed L^p_q norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -89,6 +89,10 @@ class SimSpec:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        for name in ("T", "L"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
 
     @property
     def h(self) -> float:
@@ -281,7 +285,7 @@ class PathEnsemble:
     terminal: np.ndarray            # (N, d)
     escaped: np.ndarray             # (N,) bool
     escape_fraction: float
-    rng_report: dict = field(default_factory=dict)
+    rng_report: dict
 
 
 def integrate_stat(x0, spec: SimSpec) -> BlockStat:
@@ -517,9 +521,8 @@ def bump_family_stat(spec: SimSpec, ns: NormSpec, widths) -> BlockStat:
         med = float(np.median(ratios))
         with np.errstate(divide="ignore", invalid="ignore"):   # med = 0 is possible
             max_over_median = float(ratios.max() / med)
-        return {"widths": widths, "estimates": means.tolist(), "se": ses.tolist(),
-                "norms": norms.tolist(), "ratios": ratios.tolist(),
-                "median_ratio": med, "max_ratio": float(ratios.max()),
+        return {"se": ses.tolist(), "norms": norms.tolist(),
+                "ratios": ratios.tolist(), "median_ratio": med,
                 "max_over_median": max_over_median,
                 "n_used": n_ok[0], "passed": bool(ratios.max() <= 3.0 * med)}
 

@@ -347,8 +347,8 @@ def bilipschitz_certificate(zmap: ZvonkinMap, n_pairs: int = 256, seed: int = 21
         worst_low = min(worst_low, float(ratio.min()))
         worst_high = max(worst_high, float(ratio.max()))
     return {"violations": violations, "ratio_min": worst_low,
-            "ratio_max": worst_high, "pairs": n_pairs * len(ts),
-            "passed": violations == 0}
+            "ratio_max": worst_high, "lower_bound": 1 - s, "upper_bound": 1 + s,
+            "pairs": n_pairs * len(ts), "passed": violations == 0}
 
 
 def roundtrip_certificate(zmap: ZvonkinMap, n_points: int = 256, seed: int = 22) -> dict:
@@ -378,7 +378,8 @@ def ellipticity_certificate(zmap: ZvonkinMap, n_points: int = 256, seed: int = 2
     g = zmap.grid
     cs = zmap.coeffs
     if not (cs.kappa1 and cs.kappa2):
-        raise ValueError("coefficient set carries no ellipticity certificate")
+        raise ValueError("coefficient set carries no ellipticity certificate: "
+                         f"kappa1={cs.kappa1}, kappa2={cs.kappa2}")
     box = 0.9 * g.L * np.ones(g.d)
     ys = _rng.uniform_points(seed, 24, n_points, -box, box)
     ts = _rng.uniform_points(seed, 25, 4, 0.0, g.T)

@@ -290,6 +290,7 @@ def test_gamma_below_threshold_is_config_error(capsys):
      [f"{kind}-harnack-{f}" for kind in ("power", "log")
       for f in ("f_shift_sin", "f_bump", "f_level")]),
     (("krylov", "--scenario", "singular-1d"), ["krylov-bump-max-over-median"]),
+    (("couple", "--scenario", "additive-1d"), ["girsanov-worst-zscore", "moment-lhs"]),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_one_path_gives_no_verdict(capsys, argv, rows):

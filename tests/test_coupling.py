@@ -149,6 +149,17 @@ def test_config_validation():
         unit_cfg(alpha=0.5)
     with pytest.raises(ValueError, match="gamma"):
         unit_cfg(gamma=1.0)
+    with pytest.raises(ValueError, match="n_paths must be >= 1, got 0"):
+        unit_cfg(n_paths=0)
+
+
+@pytest.mark.parametrize("name", ["T", "L", "K_T", "delta_T", "lam_T"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0])
+def test_config_rejects_out_of_range_constants(name, value):
+    # NaN passes a "<= 0" test; each constant must be positive and finite
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, "
+                                         f"got {value}$"):
+        unit_cfg(**{name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -887,6 +898,9 @@ def test_decide_is_the_one_verdict_rule():
     assert decide(0.0, 1.0, 0.5, noise=99.0) == ("pass", 1.5)
     # a nan noise (the SE of one sample) is not <= cap: no verdict
     assert decide(0.0, 1.0, 0.5, noise=math.nan, cap=0.1) == ("inconclusive", 1.5)
+    # nor is there one on a nan slack, with or without a cap
+    assert decide(0.0, 1.0, math.nan)[0] == "inconclusive"
+    assert decide(2.0, 1.0, math.nan, noise=0.0, cap=0.1)[0] == "inconclusive"
     # with no slack the roundoff floor is 64 ulps of the larger operand,
     # times scale
     assert decide(1.0 + 64 * eps, 1.0, 0.0) == ("pass", 1.0 + 64 * eps)
@@ -895,6 +909,16 @@ def test_decide_is_the_one_verdict_rule():
     assert decide(1e6 * (1.0 + 60 * eps), 1e6, 0.0)[0] == "pass"
     # within is the same rule, reduced to a bool
     assert within(1.5, 1.0, 0.5) and not within(np.nextafter(1.5, 2.0), 1.0, 0.5)
+
+
+def test_one_path_gives_no_martingale_or_moment_verdict():
+    # one sample has a nan SE: the z-score is nan and neither check decides
+    res = simulate_pair(additive_pair(), [0.3], [-0.3], unit_cfg(n_paths=1), seed=7)
+    mg, mb = verify_martingale(res), verify_moment_bound(res)
+    assert all(math.isnan(se) for se in mg["ses"])
+    assert math.isnan(mg["worst_zscore"])
+    assert (mg["verdict"], mg["passed"]) == ("inconclusive", False)
+    assert (mb["verdict"], mb["passed"]) == ("inconclusive", False)
 
 
 def test_every_coupling_check_decides_through_one_rule(monkeypatch):

@@ -264,3 +264,92 @@ def test_constant_sigma_helper():
     out = ev(0.0, np.zeros((7, 1)))
     assert out.shape == (7, 1, 1)
     assert np.all(out == 2.0)
+
+
+# ---------------------------------------------------------------------------
+# input checks across the layers
+
+
+def _no_gamma():
+    from zvlab.coupling import CouplingConfig, theta_for_gamma
+    theta_for_gamma(CouplingConfig(T=1.0, m=2, n_paths=1, L=1.0, K_T=1.0,
+                                   delta_T=1.0, lam_T=1.0))
+
+
+def _calibrate_at_equal_points():
+    from zvlab.coupling import CouplingConfig, calibrate_k1, simulate_pair
+    from zvlab.sde import SdeModel
+    pair = SdeModel(d=1, drift=lambda t, x: np.zeros_like(x),
+                    sigma=constant_sigma(np.eye(1)))
+    cfg = CouplingConfig(T=1.0, m=2, n_paths=1, L=1.0, K_T=1.0, delta_T=1.0,
+                         lam_T=1.0)
+    calibrate_k1(simulate_pair(pair, [0.0], [0.0], cfg, seed=1), [], kappa1=1.0)
+
+
+def _ellipticity_without_kappa():
+    from zvlab.fields import CoefficientSet
+    from zvlab.zvonkin import ZvonkinMap, ellipticity_certificate
+    coeffs = CoefficientSet(sigma=constant_sigma(np.eye(1)))
+    zm = ZvonkinMap(grid=grid1(n=5, m=1), coeffs=coeffs, lam=1.0, phi=None,
+                    grad_sup=0.0, trace=[])
+    ellipticity_certificate(zm)
+
+
+def _too_many_widths():
+    from zvlab.sde import SimSpec, bump_family_stat
+    bump_family_stat(SimSpec(T=1.0, n_steps=100, n_paths=8, seed=1, L=4.0),
+                     NormSpec(p=4.0, q=16.0), [0.1] * 256)
+
+
+def _sweep_without_decay():
+    from zvlab.pde import lambda_sweep
+    # 2/q + d/p = 8/3 >= 2: the predicted exponent (2 - beta) / 2 is negative
+    lambda_sweep(None, None, [10.0], NormSpec(p=1.5, q=1.5, d=2))
+
+
+def _threads(monkeypatch, value):
+    from zvlab import parallel
+    monkeypatch.setenv("ZVLAB_THREADS", value)
+    parallel.n_workers()
+
+
+INPUT_CHECKS = {
+    "grid-d": (ValueError, lambda mp: GridSpec(d=3, n=5, m=1, L=1.0, T=1.0),
+               "d must be 1 or 2, got 3"),
+    "grid-m": (ValueError, lambda mp: GridSpec(d=1, n=5, m=0, L=1.0, T=1.0),
+               "m must be >= 1, got 0"),
+    "grid-L": (ValueError, lambda mp: GridSpec(d=1, n=5, m=1, L=math.nan, T=1.0),
+               "L must be positive and finite, got nan"),
+    "grid-T": (ValueError, lambda mp: GridSpec(d=1, n=5, m=1, L=1.0, T=0.0),
+               "T must be positive and finite, got 0.0"),
+    "norm-d": (ValueError, lambda mp: NormSpec(p=4.0, q=16.0, d=3),
+               "d must be 1 or 2, got 3"),
+    "gridfunction-shape": (
+        ValueError, lambda mp: GridFunction(grid1(n=5, m=1), np.zeros((2, 4))),
+        r"values shape \(2, 4\), expected \(2, 5\)"),
+    "interp-dimension": (
+        ValueError,
+        lambda mp: interp_space(grid1(n=5, m=1), np.zeros(5), np.zeros((3, 2))),
+        "points have dimension 2, grid is 1-d"),
+    "theta-no-gamma": (ValueError, lambda mp: _no_gamma(), "no gamma supplied"),
+    "calibrate-equal-points": (ValueError, lambda mp: _calibrate_at_equal_points(),
+                               "needs x != y"),
+    "ellipticity-no-kappa": (ValueError, lambda mp: _ellipticity_without_kappa(),
+                             "no ellipticity certificate: kappa1=0.0, kappa2=0.0"),
+    "bump-widths": (ValueError, lambda mp: _too_many_widths(),
+                    "at most 255 bump widths, got 256"),
+    "sweep-decay": (ValueError, lambda mp: _sweep_without_decay(),
+                    "non-positive exponent, got -0.33.* for p=1.5, q=1.5"),
+    "threads-not-int": (SystemExit, lambda mp: _threads(mp, "two"),
+                        "ZVLAB_THREADS must be an integer, got 'two'"),
+    "threads-below-1": (SystemExit, lambda mp: _threads(mp, "0"),
+                        "ZVLAB_THREADS must be >= 1, got '0'"),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_CHECKS))
+def test_input_checks_name_their_input(monkeypatch, case):
+    # each check refuses its input before any work, and the message names it
+    exc, call, match = INPUT_CHECKS[case]
+    with pytest.raises(exc, match=match):
+        call(monkeypatch)

@@ -50,6 +50,14 @@ def test_fd_jacobian_matches_analytic(linear_flow):
     assert np.abs(fm2.grad_psi - fm.grad_psi).max() <= 1e-6
 
 
+def test_unreachable_accuracy_target_raises():
+    # eight doublings cannot bring the Richardson defect below 1e-300
+    grid = GridSpec(d=1, n=5, m=1, L=1.0, T=0.02)
+    with pytest.raises(RuntimeError, match="could not reach the accuracy target"):
+        solve_flow(lambda t, x: -x, grid, jac=lambda t, x: -np.ones(x.shape + (1,)),
+                   lip=1.0, tol=1e-300)
+
+
 def test_ou_closed_form_and_gronwall():
     grid = GridSpec(d=1, n=201, m=50, L=4.0, T=0.5)
     fm = solve_flow(lambda t, x: -x, grid, lip=1.0)

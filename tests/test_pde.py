@@ -94,6 +94,16 @@ def test_solution_derivatives_match_manufactured_oracle():
     assert np.array_equal(material, du_dt)
 
 
+def test_mixed_second_derivative_in_2d():
+    # u = x y: the composed central differences are exact, D^2 u[0, 1] = 1
+    grid = GridSpec(d=2, n=9, m=2, L=1.0, T=1.0)
+    x, y = np.meshgrid(grid.xs, grid.xs, indexing="ij")
+    u = np.broadcast_to((x * y)[None, :, :, None], (grid.m + 1, 9, 9, 1))
+    op = {"grid": grid, "b1": np.zeros((grid.m + 1, 9, 9, 2))}
+    hess = derivative_fields(op, u)[2]
+    assert np.all(hess[..., 0, 1] == 1.0) and np.all(hess[..., 1, 0] == 1.0)
+
+
 def test_constant_source_matches_ode_oracle():
     # spatially constant source, drift -x: the solution away from the walls
     # follows u' = lam*u + 1, u(T)=0, so sup|u| = (1 - exp(-lam*T))/lam

@@ -418,6 +418,17 @@ def test_integrate_preconditions():
         SimSpec(T=1.0, n_steps=0, n_paths=8, seed=1, L=4.0)
 
 
+@pytest.mark.parametrize("name, value", [("T", 0.0), ("T", math.nan), ("T", math.inf),
+                                         ("L", -1.0), ("L", math.nan)])
+def test_sim_spec_rejects_out_of_range_horizon_and_box(name, value):
+    # with L = -1 every row would freeze at step one and the run would fail
+    # as "domain too small"; the spec is refused up front instead
+    kw = dict(T=1.0, n_steps=100, n_paths=8, seed=1, L=4.0)
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, "
+                                         f"got {value}$"):
+        SimSpec(**{**kw, name: value})
+
+
 # ---------------------------------------------------------------------------
 # transform consistency
 

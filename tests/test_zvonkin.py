@@ -332,7 +332,9 @@ def test_certificates_on_singular_map(singular_map):
     zm = singular_map
     bl = bilipschitz_certificate(zm)
     assert bl["passed"] and bl["violations"] == 0
-    assert bl["ratio_min"] >= 0.5 and bl["ratio_max"] <= 1.5
+    # the sandwich 1 -+ GRAD_TARGET is the certificate's own bound
+    assert (bl["lower_bound"], bl["upper_bound"]) == (0.5, 1.5)
+    assert bl["lower_bound"] <= bl["ratio_min"] and bl["ratio_max"] <= bl["upper_bound"]
     el = ellipticity_certificate(zm)
     assert el["passed"], el
     tc = transformed_constants(zm)
