@@ -236,11 +236,8 @@ def stage_krylov(rep: RunReport, sc: Scenario, args, est, fam):
     rep.add("krylov-ratio", est["ratio"], "info",
             ci_low=est["ci95"][0] / est["f_norm"],
             ci_high=est["ci95"][1] / est["f_norm"])
-    # a zero median ratio (most bumps saw no path) leaves nothing to compare
-    verdict = ("inconclusive" if not fam["median_ratio"] > 0
-               else "pass" if fam["passed"] else "fail")
-    rep.add("krylov-bump-max-over-median", fam["max_over_median"], verdict,
-            threshold=3.0)
+    rep.add("krylov-bump-max-over-median", fam["max_over_median"], fam["verdict"],
+            threshold=fam["threshold"])
 
 
 def stage_couple(rep: RunReport, sc: Scenario, args, inputs, res):

@@ -367,11 +367,20 @@ def _sigma_inverse(s: np.ndarray) -> np.ndarray:
 def _pair_block_steps(pair, x0, y0, cfg, grid, normals, tables=None):
     """Advance the paths of a run on their normals, step-major (n_steps,
     width, d); normals is only read, so runs may share one draw.  tables
-    is pair.tables(grid.ts[:-1]) or None.  X and Y, the halves of the
-    stepper's input, are stepped into a second buffer after the last read
-    of its output, which may be that input; the buffer is swapped in
-    while no row has frozen, and copied in under the mask after that.  A
-    row is idle once glued or frozen.
+    is pair.tables(grid.ts[:-1]) or None.
+
+    Every quantity the step computes goes into a buffer allocated once per
+    range, D doubling as the drift g and then as the correction corr; only
+    the stepper, sigma's inverse, the 2-d row norms and the rare branches
+    (truncation, clip, exit) allocate.  X and Y, the halves of the
+    stepper's input, are stepped together, X + b dt + s dW with corr
+    added into the Y half of b dt's buffer first, into a second buffer
+    after the last read of the stepper's output, which may be that input;
+    the buffer is swapped in while no row has frozen, and copied in under
+    the mask after that.  A constant sigma (a stride-0 view, as
+    fields.constant_sigma gives) is taken as its one matrix: inverted
+    once per step, not per row, and s dW is formed once for both copies.
+    A row is idle once glued or frozen.
 
     A row is frozen when its stepped X or Y fails sde.in_box (out of the
     doubled box, or not finite: a non-finite u, from a singular X sigma
@@ -382,10 +391,13 @@ def _pair_block_steps(pair, x0, y0, cfg, grid, normals, tables=None):
     n_steps, width, d = normals.shape
     sqdt = np.sqrt(grid.dts)
     state = np.repeat(np.array([x0, y0], dtype=float), width, axis=0)  # X rows, Y rows
-    stepped = np.empty_like(state)
-    X, Y, Xn, Yn = state[:width], state[width:], stepped[:width], stepped[width:]
-    dW, D, g = (np.empty((width, d)) for _ in range(3))
-    step_len, inc = np.empty(width), np.empty(width)
+    stepped, inc = np.empty_like(state), np.empty_like(state)
+    X, Y = state[:width], state[width:]
+    dW, D, u = (np.empty((width, d)) for _ in range(3))
+    dist, r = np.empty(width), np.empty(width)    # r: damping, |u|, step length
+    ok2 = np.empty(2 * width, dtype=bool)
+    act, idle, over, overshoot, ok, out = (np.empty(width, dtype=bool)
+                                           for _ in range(6))
     glued, alive = np.zeros(width, dtype=bool), np.ones(width, dtype=bool)
     A, B = np.zeros(width), np.zeros(width)
     nonfinite, first = 0, None    # first: the lowest frozen row, when, if non-finite
@@ -402,42 +414,52 @@ def _pair_block_steps(pair, x0, y0, cfg, grid, normals, tables=None):
             t, dt = grid.ts[k], grid.dts[k]
             np.multiply(normals[k], sqdt[k], out=dW)
             b, s = pair.step_eval(t, state, None if tables is None else tables[k])
-            bX, bY, sX, sY = b[:width], b[width:], s[:width], s[width:]
-            sXi = _sigma_inverse(sX)  # only the X copy's inverse enters u
+            # X's and Y's sigma, or the one sigma of every row if it is constant
+            sXY = s[None, :1] if s.strides[0] == 0 else s.reshape(2, width, d, d)
+            sXi = _sigma_inverse(sXY[0])  # only the X copy's inverse enters u
             np.subtract(X, Y, out=D)
-            dist = _row_norm(D)
-            glued |= dist < floor
-            act = alive & ~glued
-            idle = ~act[:, None]
+            _row_norm(D, out=dist)
+            glued |= np.less(dist, floor, out=act)  # act is set on the next line
+            np.greater(alive, glued, out=act)       # alive and not glued
+            np.logical_not(act, out=idle)
             if power:
-                np.divide(D, (np.minimum(dist ** power, 1.0) * grid.eta_vals[k])[:, None],
-                          out=g)
+                np.power(dist, power, out=r)
+                np.minimum(r, 1.0, out=r)
+                np.multiply(r, grid.eta_vals[k], out=r)
+                np.divide(D, r[:, None], out=D)
             else:       # alpha = 1: dist ** 0.0 is 1.0 for every dist, NaN included
-                np.divide(D, grid.eta_vals[k], out=g)
-            np.copyto(g, 0.0, where=idle)
-            u = _matvec(sXi, g)
-            unorm = _row_norm(u)
-            over = unorm > N_TRUNC
+                np.divide(D, grid.eta_vals[k], out=D)
+            np.copyto(D, 0.0, where=idle[:, None])
+            _matvec(sXi, D, out=u)
+            _row_norm(u, out=r)
+            np.greater(r, N_TRUNC, out=over)
             if over.any():
                 trunc += int((over & act).sum())
-                u[over] *= (N_TRUNC / unorm[over])[:, None]
-            corr = _matvec(sY, u)
-            np.multiply(_row_norm(corr), dt, out=step_len)
-            overshoot = act & (step_len > dist)
+                u[over] *= (N_TRUNC / r[over])[:, None]
+            corr = _matvec(sXY[-1], u, out=D)
+            np.multiply(_row_norm(corr, out=r), dt, out=r)
+            np.greater(r, dist, out=overshoot)
+            overshoot &= act
             if overshoot.any():
                 clip += int(overshoot.sum())
-                scale = dist[overshoot] / step_len[overshoot]
+                scale = dist[overshoot] / r[overshoot]
                 u[overshoot] *= scale[:, None]
                 corr[overshoot] *= scale[:, None]
-            np.copyto(u, 0.0, where=idle)
-            np.copyto(corr, 0.0, where=idle)
-            np.add(X + bX * dt, _matvec(sX, dW), out=Xn)
-            np.add(Y + (bY + corr) * dt, _matvec(sY, dW), out=Yn)
-            np.copyto(Yn, Xn, where=glued[:, None])
-            ok = in_box(stepped, limit).reshape(2, width).all(axis=0)
-            out, keep = alive & ~ok, alive
-            if out.any():
-                bad = out & ~np.isfinite(np.hstack([Xn, Yn])).all(axis=-1)
+            np.copyto(u, 0.0, where=idle[:, None])
+            np.copyto(corr, 0.0, where=idle[:, None])
+            np.multiply(b[:width], dt, out=inc[:width])
+            np.add(b[width:], corr, out=inc[width:])
+            inc[width:] *= dt
+            np.add(state, inc, out=stepped)
+            halves = stepped.reshape(2, width, d)
+            np.add(halves, _matvec(sXY, dW, out=inc.reshape(2, width, d)[:len(sXY)]),
+                   out=halves)
+            np.copyto(stepped[width:], stepped[:width], where=glued[:, None])
+            in_box(stepped, limit, out=ok2, work=inc)
+            np.logical_and(ok2[:width], ok2[width:], out=ok)
+            keep = alive
+            if np.greater(alive, ok, out=out).any():   # alive and not ok
+                bad = out & ~np.isfinite(halves).all(axis=(0, 2))
                 i = int(np.argmax(out))
                 if first is None or i < first[0]:
                     first = (i, grid.ts[k + 1], bool(bad[i]))
@@ -447,20 +469,20 @@ def _pair_block_steps(pair, x0, y0, cfg, grid, normals, tables=None):
                 trunc -= int((over & act & bad).sum())
                 clip -= int((overshoot & bad).sum())
             if keep.all():
-                state, stepped, X, Y, Xn, Yn = stepped, state, Xn, Yn, X, Y
+                state, stepped = stepped, state
+                X, Y = state[:width], state[width:]
             else:
-                np.copyto(X, Xn, where=keep[:, None])
-                np.copyto(Y, Yn, where=keep[:, None])
+                np.copyto(state.reshape(2, width, d), halves, where=keep[:, None])
             alive &= ok
-            A += _row_dot(u, dW)
-            B += np.multiply(_row_dot(u, u), dt, out=inc)
+            A += _row_dot(u, dW, out=r)
+            B += np.multiply(_row_dot(u, u, out=r), dt, out=r)
             j = sample_pos.get(k + 1)
             if j is not None:
                 A_rec[:, j] = A
                 B_rec[:, j] = B
             j = eps_pos.get(k + 1)
             if j is not None:
-                dist_rec[:, j] = _row_norm(X - Y)
+                _row_norm(np.subtract(X, Y, out=D), out=dist_rec[:, j])
     return {"A": A_rec, "B": B_rec, "dist": dist_rec, "X": X, "Y": Y, "glued": glued,
             "alive": alive, "nonfinite": nonfinite, "first": first, "trunc": trunc,
             "clip": clip, "events": width * n_steps}

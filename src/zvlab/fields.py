@@ -14,6 +14,7 @@ route.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -304,10 +305,13 @@ class CoefficientSet:
 
 def constant_sigma(value: np.ndarray) -> Evaluator:
     """sigma = value at every point, as a read-only broadcast view: no copy
-    per call, and a caller that wrote into it would raise."""
+    per call, and a caller that wrote into it would raise.  The view is
+    built once per row count (np.broadcast_to is slow beside a step)."""
     value = np.atleast_2d(np.asarray(value, dtype=float))
+    view = functools.lru_cache(maxsize=8)(
+        lambda rows: np.broadcast_to(value, rows + value.shape))
 
     def ev(t, x):
-        return np.broadcast_to(value, np.shape(x)[:-1] + value.shape)
+        return view(np.shape(x)[:-1])
 
     return ev

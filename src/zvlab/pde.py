@@ -188,7 +188,8 @@ def _solve_bicgstab(st: dict, lam: float, gamma: float, rhs: np.ndarray,
         sol, info = bicgstab(A, b[:, k], M=M, rtol=1e-10, atol=1e-13, maxiter=10_000,
                              x0=guess[:, k])
         if info != 0:
-            raise RuntimeError(f"implicit 2-d solve failed to converge (info={info})")
+            raise RuntimeError(f"implicit 2-d solve failed to converge: component "
+                               f"k={k}, lam={lam:g}, BiCGStab info={info}")
         w_in[..., k] = sol.reshape(ni, ni)
     return w
 

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from zvlab import rng as zrng
 from zvlab.cli import main
 
 
@@ -318,6 +319,28 @@ def test_verdict_table(capsys, monkeypatch):
     # the exit code and every (check-id, verdict) row of ten commands, as
     # data/verdicts.json records them: a change that moves the last digits
     # of a cell must keep every verdict
+    monkeypatch.setenv("ZVLAB_THREADS", "2")
+    runs = [run_cli(capsys, *e["argv"])[:2] for e in VERDICTS]
+    assert verdict_table(runs) == VERDICTS
+
+
+@pytest.mark.parametrize("factor", [1.0 + 2.0 ** -52, 1.0 - 2.0 ** -52],
+                         ids=["up", "down"])
+def test_verdict_table_under_a_last_bit_perturbation(capsys, monkeypatch, factor):
+    # every normal the engines draw moved by one or two ulps, up and then
+    # down: the forked tasks inherit the patch, and a verdict must not hang
+    # on the last bit of a draw
+    real = zrng.lane_normals
+
+    def perturbed(*args):
+        out = real(*args)
+        for part in out if isinstance(out, list) else [out]:
+            part *= factor
+        return out
+
+    monkeypatch.setattr(zrng, "lane_normals", perturbed)
+    moved = zrng.lane_normals(3, 0, 4, 5, 1)
+    assert (moved != real(3, 0, 4, 5, 1)).all()
     monkeypatch.setenv("ZVLAB_THREADS", "2")
     runs = [run_cli(capsys, *e["argv"])[:2] for e in VERDICTS]
     assert verdict_table(runs) == VERDICTS

@@ -25,7 +25,7 @@ from zvlab.coupling import (CouplingConfig, _sigma_inverse, build_coupling_grid,
                             verify_power_harnack, within)
 from zvlab import rng as zrng
 from zvlab.fields import CoefficientSet, GridSpec, constant_sigma
-from zvlab.scenarios import get_scenario
+from zvlab.scenarios import get_scenario, holder_sigma
 from zvlab.sde import SdeModel, transformed_model
 from zvlab.zvonkin import ZvonkinMap, build_zvonkin
 
@@ -543,6 +543,19 @@ def singular_1d_pair():
     return transformed_model(build_zvonkin(sc.coeffs, replace(sc.grid, n=201, m=200)))
 
 
+def constant_sigma_pair():
+    # additive-1d's sigma: one read-only stride-0 view for all rows, which
+    # the engine inverts once per step
+    pair = SdeModel(d=1, drift=lambda t, x: -0.5 * x, sigma=constant_sigma([[1.0]]))
+    assert pair.sigma(0.0, np.zeros((4, 1))).strides[0] == 0
+    return pair
+
+
+def holder_sigma_pair():
+    # holder-sigma's diffusion, which depends on the state
+    return SdeModel(d=1, drift=lambda t, x: -0.5 * x, sigma=holder_sigma)
+
+
 # name: (pair factory, x0, y0, cfg, seed, width, the branch the run must reach)
 LEAN_STEP_RUNS = {
     "glued": (additive_pair, [0.25], [-0.25], unit_cfg(m=400, K_T=0.01, theta=1.9),
@@ -570,6 +583,14 @@ LEAN_STEP_RUNS = {
     "glue-then-freeze": (additive_pair, [0.25], [-0.25],
                          unit_cfg(m=100, L=1.0, theta=1.99), 3, 256,
                          lambda o: o["glued"].any() and not o["alive"].all()),
+    "constant-sigma": (constant_sigma_pair, [0.25], [-0.25],
+                       unit_cfg(m=100, L=1.0, theta=1.99), 3, 256,
+                       lambda o: o["glued"].any() and not o["alive"].all()
+                       and o["clip"] > 0),
+    "holder-sigma": (holder_sigma_pair, [0.25], [-0.25],
+                     unit_cfg(m=100, L=1.0, theta=1.99), 3, 256,
+                     lambda o: o["glued"].any() and not o["alive"].all()
+                     and o["clip"] > 0),
 }
 
 

@@ -392,6 +392,28 @@ def test_zero_b0_gives_the_marched_zero_corrector(name):
             solve_phi_system(op, float("nan"))
 
 
+def test_2d_solve_failure_names_component_lam_and_info(monkeypatch):
+    # BiCGStab reports no convergence (info > 0) on its second solve, the
+    # first step's component k = 1; the error names it, lam and the info
+    import scipy.sparse.linalg as sla
+    real, calls = sla.bicgstab, []
+
+    def failing(A, b, **kwargs):
+        calls.append(1)
+        sol, info = real(A, b, **kwargs)
+        return sol, info if len(calls) == 1 else 7
+
+    monkeypatch.setattr(sla, "bicgstab", failing)
+    co = CoefficientSet(sigma=unit_sigma(2), b0=lambda t, x: 0.4 * np.sin(x),
+                        kappa1=0.5, kappa2=0.5)
+    op = sample_operator(co, GridSpec(d=2, n=9, m=4, L=2.0, T=1.0))
+    with pytest.raises(RuntimeError) as err:
+        solve_phi_system(op, 10.0)
+    assert str(err.value) == ("implicit 2-d solve failed to converge: component "
+                              "k=1, lam=10, BiCGStab info=7")
+    assert len(calls) == 2
+
+
 def test_build_transform_without_b0_loads_no_scipy():
     # scipy is loaded only by the solves that a singular part needs
     import os
