@@ -29,8 +29,8 @@ import numpy as np
 
 # unused here; perfbench/spans.py patches run_tasks in this module
 from .parallel import run_tasks  # noqa: F401
-from .sde import (Ensemble, SdeModel, _matvec, _row_dot, _row_norm, in_box,
-                  run_ensembles)
+from .sde import (Ensemble, SdeModel, _matvec, _row_dot, _row_norm, _step_tables,
+                  in_box, run_ensembles)
 from . import rng as _rng
 
 MAX_HALVINGS = 8          # step halves at T - 2^{-k} T, k = 1..MAX_HALVINGS
@@ -355,19 +355,19 @@ def _exp_stats(logw: np.ndarray, vals=None) -> tuple[float, float]:
 
 def _sigma_inverse(s: np.ndarray) -> np.ndarray:
     """Closed-form inverse of a (N, d, d) stack, d in {1, 2}: 1/s or the adjugate
-    over the determinant; a singular or non-finite row gives a non-finite row."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if s.shape[-1] == 1:
-            return 1.0 / s
-        a, b, c, e = s[:, 0, 0], s[:, 0, 1], s[:, 1, 0], s[:, 1, 1]
-        return np.stack([np.stack([e, -b], axis=-1), np.stack([-c, a], axis=-1)],
-                        axis=-2) / (a * e - b * c)[:, None, None]
+    over the determinant; a singular or non-finite row gives a non-finite row,
+    so call it under an errstate that ignores divide, over and invalid."""
+    if s.shape[-1] == 1:
+        return 1.0 / s
+    a, b, c, e = s[:, 0, 0], s[:, 0, 1], s[:, 1, 0], s[:, 1, 1]
+    return np.stack([np.stack([e, -b], axis=-1), np.stack([-c, a], axis=-1)],
+                    axis=-2) / (a * e - b * c)[:, None, None]
 
 
-def _pair_block_steps(pair, x0, y0, cfg, grid, normals, tables=None):
+def _pair_block_steps(pair, x0, y0, cfg, grid, normals):
     """Advance the paths of a run on their normals, step-major (n_steps,
-    width, d); normals is only read, so runs may share one draw.  tables
-    is pair.tables(grid.ts[:-1]) or None.
+    width, d); normals is only read, so runs may share one draw.  A pair's
+    step tables are built here, one sde.TABLE_BLOCK block at a time.
 
     Every quantity the step computes goes into a buffer allocated once per
     range, D doubling as the drift g and then as the correction corr; only
@@ -410,10 +410,10 @@ def _pair_block_steps(pair, x0, y0, cfg, grid, normals, tables=None):
     power, limit = 2.0 - 2.0 * cfg.alpha, 2.0 * cfg.L
     trunc = clip = 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for k in range(n_steps):
+        for k, table in enumerate(_step_tables(pair, grid.ts[:-1])):
             t, dt = grid.ts[k], grid.dts[k]
             np.multiply(normals[k], sqdt[k], out=dW)
-            b, s = pair.step_eval(t, state, None if tables is None else tables[k])
+            b, s = pair.step_eval(t, state, table)
             # X's and Y's sigma, or the one sigma of every row if it is constant
             sXY = s[None, :1] if s.strides[0] == 0 else s.reshape(2, width, d, d)
             sXi = _sigma_inverse(sXY[0])  # only the X copy's inverse enters u
@@ -491,17 +491,16 @@ def _pair_block_steps(pair, x0, y0, cfg, grid, normals, tables=None):
 def _advance_pair_block(pair, x0, y0, cfg, grid, seed, block_index, width):
     """A run's first width paths of a Philox block, own draw (spans.py wraps it)."""
     start = block_index * _rng.BLOCK
-    tables = pair.tables(grid.ts[:-1]) if pair.tables is not None else None
     normals = _rng.lane_normals(seed, start, start + width, grid.dts.size, pair.d)
-    return _pair_block_steps(pair, x0, y0, cfg, grid, normals, tables)
+    return _pair_block_steps(pair, x0, y0, cfg, grid, normals)
 
 
-def _pair_ensemble(name, pair, x, y, cfg, grid, tables, seed) -> Ensemble:
+def _pair_ensemble(name, pair, x, y, cfg, grid, seed) -> Ensemble:
     """One checked run as an sde.Ensemble, whose result is its
     CouplingResult; it fails if its frozen rows exceed BOX_EXIT_LIMIT."""
 
     def advance(normals):
-        return _pair_block_steps(pair, x, y, cfg, grid, normals, tables)
+        return _pair_block_steps(pair, x, y, cfg, grid, normals)
 
     def finish(parts, draws, procs):
         cat = {k: np.concatenate([q[k] for q in parts])
@@ -533,22 +532,18 @@ def _pair_ensemble(name, pair, x, y, cfg, grid, tables, seed) -> Ensemble:
 def pair_ensembles(runs) -> list[Ensemble]:
     """The coupled runs, each (pair, x, y, cfg, seed), as sde.Ensembles for
     sde.run_ensembles; every run is checked here, before any is stepped.
-    A pair's step tables are built once per step grid, here, so forked
-    tasks inherit them.  Runs with the same seed share their draws, and
-    a run with fewer paths takes the leading rows it has."""
-    out, tables = [], {}
+    Each task builds a pair's step tables (_pair_block_steps).  Runs
+    with the same seed share their draws, and a run with fewer paths
+    takes the leading rows it has."""
+    out = []
     for i, (pair, x, y, cfg, seed) in enumerate(runs):
         x, y = (np.asarray(v, dtype=float).reshape(pair.d) for v in (x, y))
         name = f"run {i} (seed {seed}, x={x.tolist()}, y={y.tolist()})"
         if max(np.abs(x).max(), np.abs(y).max()) > 0.5 * cfg.L:
             raise ValueError(f"{name}: start points must lie in the inner"
                              f" half of the box, |x|, |y| <= 0.5 L = {0.5 * cfg.L:g}")
-        grid = build_coupling_grid(cfg)
-        key = (id(pair), grid.dts.tobytes())
-        if pair.tables is not None and key not in tables:
-            tables[key] = pair.tables(grid.ts[:-1])
-        out.append(_pair_ensemble(name, pair, x, y, cfg, grid, tables.get(key),
-                                  seed))
+        out.append(_pair_ensemble(name, pair, x, y, cfg,
+                                  build_coupling_grid(cfg), seed))
     return out
 
 

@@ -11,12 +11,12 @@ the whole run decides whether it fails.  Here a frozen row keeps its exit
 value, NaN too, and estimators drop it.  The row kernels of both engines
 (_matvec, _row_dot, _row_norm) live here too.
 
-The engine streams: a range holds its normals, the current state and the
-alive masks, never whole paths.  A statistic of the plain ensemble is a
-BlockStat, which folds each node of a range into per-row accumulators as
-the engine yields it and then gives its per-row results, and a finish
-step on the rows of every path, so that run_stats can feed several
-statistics from one pass.
+The engine streams: a range holds its normals, the current state, the
+alive masks and one block of step tables, never whole paths.  A statistic
+of the plain ensemble is a BlockStat, which folds each node of a range
+into per-row accumulators as the engine yields it and then gives its
+per-row results, and a finish step on the rows of every path, so that
+run_stats can feed several statistics from one pass.
 
 Both path engines run through run_ensembles.  An Ensemble is paths on
 one seed's Philox lanes at one step count: the plain pass
@@ -45,6 +45,7 @@ ESCAPE_WARN = 0.01        # estimator-quality threshold, recorded
 ESCAPE_ERROR = 0.20       # hard failure: domain too small for the scenario
 ROW_CHUNK = 256           # rows per pass of bump-family's row sums
 BUMP_MAX_OVER_MEDIAN = 3.0   # bump family: pass bound on max / median ratio
+TABLE_BLOCK = 64          # step times per block of tables a path engine holds
 
 
 @dataclass
@@ -56,10 +57,10 @@ class SdeModel:
     transformed SDE, whose drift and diffusion share one map inversion)
     do it once per step.  A stepper with work that depends on t alone
     comes with tables(ts), that work at each of the times ts; both engines
-    build it once per run and step grid and pass each step's entry to
-    step_eval, which hands it to the stepper as stepper(t, X, table).  Both
-    engines write over its input after each call: an evaluator may return
-    its input but must not keep it.
+    build it in their step loop, TABLE_BLOCK step times at a time, and pass
+    each step's entry to step_eval, which hands it to the stepper as
+    stepper(t, X, table).  Both engines write over its input after each
+    call: an evaluator may return its input but must not keep it.
     """
 
     d: int
@@ -135,27 +136,35 @@ def _row_dot(u: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
     return np.einsum("...i,...i->...", u, v, out=out)
 
 
+def _step_tables(model, ts):
+    """model's step table at each step time of ts in turn (None without
+    tables), from one model.tables call per block of TABLE_BLOCK times as
+    the engine's step loop reaches it: a task holds one block, not a run's."""
+    for i in range(0, len(ts), TABLE_BLOCK):
+        block = ts[i:i + TABLE_BLOCK]
+        yield from model.tables(block) if model.tables else [None] * len(block)
+
+
 def _advance_block(models, x0s, spec, normals, width):
     """The paths of the first width rows of normals (step-major, (n_steps,
-    rows, d)) for every model, on shared Brownian increments, as a
-    generator of (k, X, alive) at each node k = 0..n_steps, with one array
-    of each per model.  models pairs each SdeModel with its step tables (or
-    None).  X and alive are the engine's own, written in place at the next
-    step, so a reader copies what it keeps."""
-    d = models[0][0].d
+    rows, d)) for every SdeModel of models, on shared Brownian increments,
+    as a generator of (k, X, alive) at each node k = 0..n_steps, with one
+    array of each per model.  X and alive are the engine's own, written in
+    place at the next step, so a reader copies what it keeps."""
+    d = models[0].d
     sqrt_h = math.sqrt(spec.h)
     X = [np.broadcast_to(np.asarray(x0, dtype=float), (width, d)).copy()
          for x0 in x0s]
     alive = [np.ones(width, dtype=bool) for _ in models]
     yield 0, X, alive
     limit = 2.0 * spec.L
-    for k in range(spec.n_steps):
-        t = k * spec.h
+    ts = [k * spec.h for k in range(spec.n_steps)]
+    for k, tables in enumerate(zip(*(_step_tables(m, ts) for m in models))):
         dw = normals[k, :width] * sqrt_h
-        for i, (model, tables) in enumerate(models):
+        for i, (model, table) in enumerate(zip(models, tables)):
             # every row takes the same step; a frozen row keeps its value, so
             # a path's bits do not depend on which other paths have escaped
-            b, s = model.step_eval(t, X[i], None if tables is None else tables[k])
+            b, s = model.step_eval(ts[k], X[i], table)
             step = X[i] + b * spec.h + _matvec(s, dw)
             np.copyto(X[i], step, where=alive[i][:, None])
             alive[i] &= in_box(X[i], limit)     # a non-finite row is frozen as escaped
@@ -237,14 +246,12 @@ class BlockStat:
 
 def plain_ensemble(models, x0s, spec: SimSpec, stats) -> Ensemble:
     """run_stats' pass as an Ensemble, whose result is the statistics'
-    results.  A model's step tables are built here, once for the step
-    grid, so forked tasks inherit them."""
-    ts = [k * spec.h for k in range(spec.n_steps)]
-    members = [(m, None if m.tables is None else m.tables(ts)) for m in models]
+    results.  Each task builds its models' step tables itself, block by
+    block (_advance_block), so forked tasks inherit the models alone."""
 
     def advance(normals):
         folds = [st.block(normals) for st in stats]
-        for k, X, alive in _advance_block(members, x0s, spec, normals,
+        for k, X, alive in _advance_block(models, x0s, spec, normals,
                                           normals.shape[1]):
             for step, _ in folds:
                 step(k, X, alive)

@@ -37,7 +37,6 @@ LAMBDA_FACTOR = 4.0
 MAX_LAMBDA_STEPS = 12
 INVERT_TOL = 1e-10
 INVERT_MAX_ITER = 40
-TABLE_BLOCK = 64           # step times whose tables step_tables builds together
 
 
 def interp_lipschitz_sup(phi_vals: np.ndarray, grid: GridSpec) -> float:
@@ -201,11 +200,8 @@ class ZvonkinMap:
 
     def step_tables(self, ts) -> list:
         """The StepTable at each of the times ts (1-d maps only), built in
-        stacked passes of TABLE_BLOCK steps, which bound the temporaries."""
-        return [tab for i in range(0, len(ts), TABLE_BLOCK)
-                for tab in self._table_block(ts[i:i + TABLE_BLOCK])]
-
-    def _table_block(self, ts) -> list:
+        one stacked pass whose temporaries grow with len(ts): the path
+        engines pass one block of sde.TABLE_BLOCK step times at a time."""
         g = self.grid
         vals = self.phi.time_slice(ts)[..., 0]             # (S, n)
         # x, phi and G at the breakpoints in x: x_i - h/2 then x_i for each
@@ -272,8 +268,8 @@ class ZvonkinMap:
         and G, the mean slope over [x - h/2, x + h/2] that grad_phi_at's
         central difference measures (0 on the clamped rays beyond +-L), and
         Sigma is the one product (1 + G) sigma that the 1x1 matrix product
-        computes.  table is step_tables([t])[0], which a caller stepping on
-        fixed times builds once; without it, it is built here."""
+        computes.  table is step_tables([t])[0], which the path engines
+        build in blocks of step times; without it, it is built here."""
         g = self.grid
         y = np.asarray(y, dtype=float)
         if g.d == 1:

@@ -5,6 +5,7 @@ bounds, coalescence, and determinism of the pair simulation.
 """
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -218,14 +219,16 @@ def test_sigma_inverse_closed_form():
         s = rng.normal(size=(500, d, d))
         np.testing.assert_allclose(_sigma_inverse(s), np.linalg.inv(s),
                                    rtol=1e-10, atol=0.0)
-    # a singular or non-finite row gives a non-finite row, with no warning
-    # and no error; the pair step flags it and leaves the other rows alone
+    # a singular or non-finite row gives a non-finite row, and under the
+    # pair loop's errstate no warning and no error; the pair step flags it
+    # and leaves the other rows alone
     s = rng.normal(size=(6, 2, 2))
     s[4] = [[1.0, 2.0], [0.5, 1.0]]               # det == 0
     s1 = rng.normal(size=(6, 1, 1))
     s1[1] = np.nan
     s1[3] = 0.0
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), np.errstate(divide="ignore", over="ignore",
+                                                invalid="ignore"):
         warnings.simplefilter("error")
         inv, inv1 = _sigma_inverse(s), _sigma_inverse(s1)
     bad = ~np.isfinite(inv).all(axis=(-2, -1))
@@ -598,16 +601,16 @@ LEAN_STEP_RUNS = {
 def test_pair_step_matches_the_reference(name):
     # the in-place state, 1-d products and copyto masks change no bit
     # on the same noise, which the engine reads step-major, and with the
-    # step tables built once where the pair has them
+    # step tables built by the engine where the pair has them (286 steps:
+    # four block boundaries of TABLE_BLOCK)
     make, x0, y0, cfg, seed, width, reached = LEAN_STEP_RUNS[name]
     pair, x0, y0 = make(), np.array(x0), np.array(y0)
     grid = build_coupling_grid(cfg)
     normals = zrng.block_normals(seed, 0, grid.dts.size, pair.d, width)
-    tables = pair.tables(grid.ts[:-1]) if pair.tables is not None else None
-    assert (tables is not None) == (name == "transformed")
+    assert (pair.tables is not None) == (name == "transformed")
     got = coupling._pair_block_steps(pair, x0, y0, cfg, grid,
                                      zrng.lane_normals(seed, 0, width, grid.dts.size,
-                                                       pair.d), tables)
+                                                       pair.d))
     with np.errstate(all="ignore"):         # a non-finite row's arithmetic
         ref = reference_pair_block_steps(pair, x0, y0, cfg, grid, normals)
     assert reached(ref)
@@ -755,9 +758,9 @@ def test_a_few_nonfinite_rows_leave_the_run_to_complete(monkeypatch):
 
 def test_one_pair_batch_builds_its_step_tables_once(monkeypatch):
     # c11's shape: 13 runs of one transformed pair on one step grid, each
-    # with its own seed; the map's step tables are built in one
-    # step_tables call over the grid's step times, in the calling process,
-    # and no task rebuilds them
+    # with its own seed and so its own task; each task builds the map's
+    # step tables once, in one step_tables call per block of TABLE_BLOCK
+    # step times, in order (115 steps: a block of 64, then one of 51)
     monkeypatch.setenv("ZVLAB_THREADS", "1")
     built = []
     orig = ZvonkinMap.step_tables
@@ -768,10 +771,31 @@ def test_one_pair_batch_builds_its_step_tables_once(monkeypatch):
 
     monkeypatch.setattr(ZvonkinMap, "step_tables", spy)
     pair = singular_1d_pair()         # its model holds the patched method
-    cfg = unit_cfg(m=20, n_paths=64, L=4.0)
+    cfg = unit_cfg(m=40, n_paths=64, L=4.0)
     simulate_pairs([(pair, [0.1 * (i % 3)], [-0.1], cfg, 100 + i)
                     for i in range(13)])
-    assert built == [list(build_coupling_grid(cfg).ts[:-1])]
+    ts = list(build_coupling_grid(cfg).ts[:-1])
+    assert len(ts) == 115
+    assert built == 13 * [ts[i:i + sde.TABLE_BLOCK]
+                          for i in range(0, len(ts), sde.TABLE_BLOCK)]
+
+
+def test_pair_run_holds_one_block_of_step_tables(monkeypatch):
+    # a task builds one block of TABLE_BLOCK step tables at a time and drops
+    # it before the next, so quadrupling the steps (286 to 1144) barely moves
+    # the traced peak; prebuilding every table would add about 19 MB
+    monkeypatch.setenv("ZVLAB_THREADS", "1")
+    pair = singular_1d_pair()
+    peaks = []
+    for m in (100, 400):
+        tracemalloc.start()
+        try:
+            simulate_pairs([(pair, [0.25], [-0.25], unit_cfg(m=m, n_paths=64, L=2.0),
+                             3)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2e6, peaks
 
 
 def test_h5_certificate_measures_constants():

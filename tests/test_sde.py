@@ -467,9 +467,10 @@ def test_transform_consistency_singular_decreases(singular_map_small):
 
 def test_transform_consistency_builds_each_step_table_once(monkeypatch,
                                                           singular_map_small):
-    # the transformed model's step tables are built once per level, before
-    # the pass, not once per stepper call: two levels of 9000 paths (two
-    # Philox blocks), one step_tables call per level over its step times
+    # the transformed model's step tables are built by the task, not once
+    # per stepper call: at two levels of 9000 paths (two Philox blocks, one
+    # task each), one step_tables call per block of TABLE_BLOCK step times,
+    # in order, so each table is built once per task and a block at a time
     monkeypatch.setenv("ZVLAB_THREADS", "1")
     built = []
     orig = ZvonkinMap.step_tables
@@ -481,7 +482,8 @@ def test_transform_consistency_builds_each_step_table_once(monkeypatch,
     monkeypatch.setattr(ZvonkinMap, "step_tables", spy)
     transform_consistency(singular_map_small, np.array([0.2]), [100, 200],
                           9000, seed=23)
-    assert built == [[k * (1.0 / n) for k in range(n)] for n in (100, 200)]
+    assert built == [[k * (1.0 / n) for k in range(i, min(i + sde.TABLE_BLOCK, n))]
+                     for n in (100, 200) for i in range(0, n, sde.TABLE_BLOCK)]
 
 
 def test_engines_run_on_a_read_only_sigma(singular_map_small):
