@@ -22,20 +22,21 @@ import numpy as np
 from . import __version__
 from .coupling import (CouplingConfig, calibrate_k1, coalescence_report,
                        gamma_threshold, h5_certificate, pair_ensembles,
-                       theta_for_gamma, verify_log_harnack, verify_martingale,
-                       verify_moment_bound, verify_power_harnack)
+                       theta_for_gamma, truncation_rows, verify_log_harnack,
+                       verify_martingale, verify_moment_bound,
+                       verify_power_harnack)
 # unused here; perfbench/spans.py resolves simulate_pair through this module
 from .coupling import simulate_pair  # noqa: F401
 from .fields import GridSpec, NormSpec
-from .pde import sample_operator, solve_phi_system, verify_apriori
+from .pde import phi_rows, sample_operator, solve_phi_system
 from .report import RunReport, combined_exit_code, csv_payload, json_payload
 from .scenarios import Scenario, get_scenario, scenario_names
-from .sde import (ESCAPE_WARN, SdeModel, SimSpec, bump_family_stat,
-                  integrate_stat, interval_bump, krylov_stat, original_model,
-                  plain_ensemble, run_ensembles, transformed_model)
-from .zvonkin import (GRAD_TARGET, bilipschitz_certificate, build_zvonkin,
-                      ellipticity_certificate, roundtrip_certificate,
-                      transformed_constants)
+from .sde import (SdeModel, SimSpec, bump_family_stat, integrate_stat,
+                  interval_bump, krylov_stat, original_model, plain_ensemble,
+                  run_ensembles, transformed_model)
+from .zvonkin import (bilipschitz_certificate, build_zvonkin,
+                      ellipticity_certificate, identity_rows,
+                      roundtrip_certificate, transformed_constants)
 
 SIM_PATHS = 10_000
 COUPLE_PATHS = 20_000
@@ -161,83 +162,37 @@ def _ensembles(rep: RunReport, sc: Scenario, args, reads) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# stages; each appends CheckRecords to the report
+# stages; each lists the checks whose rows it reports, over the ensembles
+# it reads
 
 
 def stage_solve_pde(rep: RunReport, sc: Scenario, args):
-    grid = _grid(sc, args)
     lam = args.lam if args.lam is not None else 10.0
-    op = sample_operator(sc.coeffs, grid)
-    phi = solve_phi_system(op, lam)
-    sup_phi = float(np.abs(phi).max())
-    rep.add("pde-lambda", lam, "info")
-    rep.add("pde-sup-phi", sup_phi, "pass" if np.isfinite(sup_phi) else "fail")
-    rep.add("pde-capped-nodes", float(op["capped"]), "info")
-    if sc.b0_norm is not None:       # None exactly when b0 is None
-        # the L^p-L^q estimate: lam ||phi|| + ||(d_t + b1.grad) phi|| +
-        # ||phi||_{W^2} over ||b0||, in the scenario's (p, q)
-        ap = verify_apriori(op, lam, phi, -op["b0"], sc.b0_norm)
-        rep.add("pde-apriori-ratio", ap["ratio"], "info")
+    op = sample_operator(sc.coeffs, _grid(sc, args))
+    # sc.b0_norm is None exactly when b0 is: the L^p-L^q estimate's norm
+    rep.checks += phi_rows(op, lam, solve_phi_system(op, lam), sc.b0_norm)
 
 
 def stage_build_transform(rep: RunReport, sc: Scenario, args):
-    grid = _grid(sc, args)
     pairs = 1000 if args.fast else 4000
-    zm = build_zvonkin(sc.coeffs, grid)
-    rep.add("zvonkin-lambda", zm.lam, "info", provenance="fit")
-    rep.add("zvonkin-grad-sup", zm.grad_sup,
-            "pass" if zm.grad_sup < GRAD_TARGET else "fail",
-            threshold=GRAD_TARGET)
-    bl = bilipschitz_certificate(zm, n_pairs=pairs, seed=args.seed + 10)
-    rep.add("bilip-violations", float(bl["violations"]),
-            "pass" if bl["passed"] else "fail", threshold=0.0)
-    rep.add("bilip-ratio-min", bl["ratio_min"], "pass", threshold=bl["lower_bound"])
-    rep.add("bilip-ratio-max", bl["ratio_max"], "pass", threshold=bl["upper_bound"])
-    rt = roundtrip_certificate(zm, n_points=pairs // 4, seed=args.seed + 11)
-    rep.add("roundtrip-defect", max(rt["roundtrip_x"], rt["roundtrip_y"]),
-            "pass" if rt["passed"] else "fail", threshold=rt["tol"])
-    el = ellipticity_certificate(zm, n_points=pairs // 4, seed=args.seed + 12)
-    rep.add("ellipticity-min-eig", el["min_eig"],
-            "pass" if el["passed"] else "fail", threshold=el["lower_bound"])
-    rep.add("ellipticity-max-eig", el["max_eig"],
-            "pass" if el["passed"] else "fail", threshold=el["upper_bound"])
+    zm = build_zvonkin(sc.coeffs, _grid(sc, args))
+    rep.checks += bilipschitz_certificate(zm, n_pairs=pairs, seed=args.seed + 10)["rows"]
+    rep.checks += roundtrip_certificate(zm, n_points=pairs // 4, seed=args.seed + 11)["rows"]
+    rep.checks += ellipticity_certificate(zm, n_points=pairs // 4,
+                                          seed=args.seed + 12)["rows"]
     if sc.coeffs.b0 is None:
-        # no singular part: the transform must be the identity bit-for-bit
-        pts = np.linspace(-grid.L / 2, grid.L / 2, 41)[:, None]
-        Z, _ = zm.transformed(0.5 * grid.T, pts)
-        same = bool(np.all(Z == sc.coeffs.b1(0.5 * grid.T, pts)))
-        rep.add("identity-drift-nodes", float(same),
-                "pass" if same else "fail", threshold=1.0,
-                provenance="identity")
-        rep.add("identity-grad-sup", zm.grad_sup,
-                "pass" if zm.grad_sup == 0.0 else "fail", threshold=0.0,
-                provenance="identity")
+        rep.checks += identity_rows(zm)
     else:
-        tc = transformed_constants(zm, n_pairs=128, seed=args.seed + 13)
-        rep.add("transformed-lip-Z", tc["lip_Z"],
-                "pass" if np.isfinite(tc["lip_Z"]) else "fail")
+        rep.checks += transformed_constants(zm, n_pairs=128, seed=args.seed + 13)["rows"]
     return zm
 
 
 def stage_simulate(rep: RunReport, sc: Scenario, args, ens):
-    rr = ens.rng_report
-    rep.add("escape-fraction", ens.escape_fraction,
-            "fail" if rr["escape_warn"] else "pass", threshold=ESCAPE_WARN)
-    rep.add("rng-increment-mean", float(np.max(np.abs(rr["increment_mean"]))),
-            "pass" if rr["mean_ok"] else "fail")
-    rep.add("rng-increment-var", float(np.mean(rr["increment_var"])),
-            "pass" if rr["var_ok"] else "fail")
-    alive = ~ens.escaped
-    rep.add("terminal-mean", float(ens.terminal[alive, 0].mean()), "info")
-    rep.add("terminal-var", float(ens.terminal[alive, 0].var()), "info")
+    rep.checks += ens.rows
 
 
 def stage_krylov(rep: RunReport, sc: Scenario, args, est, fam):
-    rep.add("krylov-ratio", est["ratio"], "info",
-            ci_low=est["ci95"][0] / est["f_norm"],
-            ci_high=est["ci95"][1] / est["f_norm"])
-    rep.add("krylov-bump-max-over-median", fam["max_over_median"], fam["verdict"],
-            threshold=fam["threshold"])
+    rep.checks += est["rows"] + fam["rows"]
 
 
 def stage_couple(rep: RunReport, sc: Scenario, args, inputs, res):
@@ -246,23 +201,11 @@ def stage_couple(rep: RunReport, sc: Scenario, args, inputs, res):
         rep.add(f"coupling-{key}", consts[key], "info",
                 provenance="closed-form" if consts["declared"] else "sampled")
     if consts["declared"]:
-        cert = h5_certificate(pair, res.cfg, seed=args.seed + 20)
-        rep.add("h5-certificate", float(cert["passed"]),
-                "pass" if cert["passed"] else "fail", threshold=1.0)
-    mg = verify_martingale(res)
-    rep.add("girsanov-worst-zscore", mg["worst_zscore"], mg["verdict"],
-            threshold=3.0)
-    mb = verify_moment_bound(res)
-    rep.add("moment-lhs", mb["lhs"], mb["verdict"], threshold=mb["threshold"])
-    co = coalescence_report(res)
-    rep.add("coalescence-decreasing", float(co["decreasing"]),
-            "pass" if co["decreasing"] else "fail", threshold=1.0)
-    rep.add("coalescence-final-median", co["medians"][-1],
-            "pass" if co["final_ok"] else "fail",
-            threshold=co["final_scale_bound"])
-    rep.add("truncation-fraction", res.trunc_events / res.total_events,
-            "pass" if res.trunc_events < 0.001 * res.total_events else "fail",
-            threshold=0.001)
+        rep.checks += h5_certificate(pair, res.cfg, seed=args.seed + 20)["rows"]
+    rep.checks += verify_martingale(res)["rows"]
+    rep.checks += verify_moment_bound(res)["rows"]
+    rep.checks += coalescence_report(res)["rows"]
+    rep.checks += truncation_rows(res)
     rep.metrics["couple"] = {"couple": res.counters()}
 
 
@@ -270,23 +213,12 @@ def stage_harnack(rep: RunReport, sc: Scenario, args, power, cal, log):
     """Power Harnack rows from the power run; log Harnack rows from the
     log run (the couple stage's run), with k1 fitted on the calibration
     run."""
-    cfg = power.cfg
-    rep.add("harnack-gamma", cfg.gamma, "info")
-    rep.add("harnack-gamma-threshold", gamma_threshold(cfg), "info",
-            provenance="closed-form")
-    pw = verify_power_harnack(power, list(HARNACK_FS))
-    for c in pw["checks"]:
-        rep.add(f"power-harnack-{c['f']}", c["lhs"], c["verdict"],
-                threshold=c["threshold"])
-    rep.add("power-exponent-corrected", pw["exponent"]["corrected"],
-            "info", provenance="closed-form")
-    k1_hat = calibrate_k1(cal, list(HARNACK_FS), kappa1=cfg.lam_T)["k1_hat"]
-    rep.add("log-harnack-k1", k1_hat, "info", provenance="fit")
-    logrep = verify_log_harnack(log, list(HARNACK_FS), kappa1=cfg.lam_T,
-                                k1_hat=k1_hat)
-    for c in logrep["checks"]:
-        rep.add(f"log-harnack-{c['f']}", c["lhs"], c["verdict"],
-                threshold=c["threshold"])
+    kappa1 = power.cfg.lam_T
+    rep.checks += verify_power_harnack(power, HARNACK_FS)["rows"]
+    k1 = calibrate_k1(cal, HARNACK_FS, kappa1=kappa1)
+    rep.checks += k1["rows"]
+    rep.checks += verify_log_harnack(log, HARNACK_FS, kappa1=kappa1,
+                                     k1_hat=k1["k1_hat"])["rows"]
     rep.metrics["harnack"] = {"power": power.counters(),
                               "calibration": cal.counters(),
                               "log": log.counters()}

@@ -11,7 +11,8 @@ R, the R^{1+gamma0} moment bound, the coalescence trend, and the power-
 and log-Harnack inequalities.  The power check passes on the corrected
 constant (theta(gamma) substituted into the moment bound); the source's
 printed constant, degenerate for every admissible gamma, is recorded
-beside it.  Every verdict comes from one rule, decide().
+beside it.  Every statistical verdict comes from one rule, decide(), and
+each check builds its own report rows.
 
 A coupled run is an sde.Ensemble (pair_ensembles), so it shares its
 Philox draws with the plain pass and the other runs of its seed, in the
@@ -29,6 +30,7 @@ import numpy as np
 
 # unused here; perfbench/spans.py patches run_tasks in this module
 from .parallel import run_tasks  # noqa: F401
+from .report import CheckRecord, all_pass, joint_verdict, pass_fail
 from .sde import (Ensemble, SdeModel, _matvec, _row_dot, _row_norm, _step_tables,
                   in_box, run_ensembles)
 from . import rng as _rng
@@ -38,12 +40,16 @@ N_SAMPLE_TIMES = 8        # E R_s checked on this many times
 COALESCENCE_FRACTIONS = (0.2, 0.1, 0.05)   # plus the stop gap itself
 DIST_FLOOR_COEFF = 1e-8   # gluing threshold, scaled by (1 + |x-y|)
 BOX_EXIT_LIMIT = 0.01     # hard error above this exit fraction
+SE_SLACK = 3.0            # every check's statistical slack, in SEs
 SE_REL_CAP = 0.10         # power check: max gamma-amplified relative SE
 LOG_SE_CAP = 0.05         # log check: max absolute SE in log units
 ROUNDOFF_ULPS = 64        # verdict floor, in ulps of the larger operand
 N_TRUNC = 1e3             # cap on the Girsanov integrand's norm |u|
 H5_PAIRS = 512            # h5_certificate: sampled start pairs
 H5_TIMES = 5              # h5_certificate: sampled times in [0, T - stop gap]
+H5_SLACK = 1e-9           # h5_certificate: slack on each configured constant
+TRUNC_LIMIT = 0.001       # truncation-fraction: pass bound on truncated events
+COALESCENCE_SCALE = 10.0  # final median bound, in units of sqrt(eta(stop))
 K1_SAFETY = 2.0           # calibrate_k1: factor on the calibrated constant
 STOP_GAP = 0.02           # runs stop at T - STOP_GAP T
 
@@ -144,10 +150,10 @@ def power_harnack_exponent(cfg: CouplingConfig, r: float,
     """Cost exponent of (P f)^gamma(y) <= P f^gamma(x) exp{...} at theta(gamma).
 
     `corrected` is (gamma-1) log moment_bound_rhs at theta(gamma), in closed
-    form; `printed` is the source's stated constant, whose denominator
-    printed_den is never positive: dgt >= s/4 for s = sqrt(lam) alpha
-    (sqrt(gamma) - 1) > 0, so s - 4 dgt <= 0 while dgt and the decay are
-    positive.  It is infinite for r > 0 (flagged degenerate).
+    form; `printed_degenerate` flags the source's stated constant, whose
+    denominator printed_den is never positive: dgt >= s/4 for s = sqrt(lam)
+    alpha (sqrt(gamma) - 1) > 0, so s - 4 dgt <= 0 while dgt and the decay
+    are positive.
     """
     g = cfg.gamma if gamma is None else gamma
     th = theta_for_gamma(cfg, g)
@@ -159,8 +165,7 @@ def power_harnack_exponent(cfg: CouplingConfig, r: float,
         4.0 * cfg.delta_T * (rl * cfg.alpha * (rg - 1.0) - 2.0 * cfg.delta_T))
     dgt = max(cfg.delta_T, rl * cfg.alpha * (rg - 1.0) / 4.0)
     printed_den = 4.0 * dgt * (rl * cfg.alpha * (rg - 1.0) - 4.0 * dgt) * decay
-    return {"corrected": corrected, "printed": math.inf if r > 0 else 0.0,
-            "printed_degenerate": printed_den <= 0, "theta": th, "gamma": g}
+    return {"corrected": corrected, "printed_degenerate": printed_den <= 0, "theta": th}
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +219,12 @@ def h5_certificate(pair: SdeModel, cfg: CouplingConfig, seed: int = 5) -> dict:
     got = pair_constants(pair, xs[keep], ys[keep],
                          np.linspace(0.0, cfg.T - cfg.stop_gap, H5_TIMES),
                          cfg.alpha)
-    oks = {"K_T_ok": within(got["K_T"], cfg.K_T, 1e-9),
-           "delta_T_ok": within(got["delta_T"], cfg.delta_T, 1e-9),
-           "lam_T_ok": within(cfg.lam_T, got["lam_T"], 1e-9)}
-    return {**got, **oks, "passed": all(oks.values())}
+    sides = [decide(got["K_T"], cfg.K_T, H5_SLACK)[0],
+             decide(got["delta_T"], cfg.delta_T, H5_SLACK)[0],
+             decide(cfg.lam_T, got["lam_T"], H5_SLACK)[0]]
+    verdict = joint_verdict(sides)
+    rows = [CheckRecord("h5-certificate", float(verdict == "pass"), verdict, 1.0)]
+    return {**got, "lam_T_ok": sides[2] == "pass", "rows": rows, "passed": all_pass(rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +341,6 @@ def decide(lhs: float, rhs: float, slack: float, scale: float = 1.0,
     if math.isnan(slack) or (cap is not None and not noise <= cap):
         return "inconclusive", thr
     return ("pass" if lhs <= thr else "fail"), thr
-
-
-def within(lhs: float, rhs: float, slack: float, scale: float = 1.0) -> bool:
-    """lhs <= rhs up to the statistical slack and the roundoff floor."""
-    return decide(lhs, rhs, slack, scale)[0] == "pass"
 
 
 def _exp_stats(logw: np.ndarray, vals=None) -> tuple[float, float]:
@@ -567,20 +569,19 @@ def simulate_pair(pair: SdeModel, x, y, cfg: CouplingConfig,
 
 
 def verify_martingale(res: CouplingResult, drop_half_term: bool = False) -> dict:
-    """E R_s = 1 within 3 SE at every sample time, both sides decided;
-    worst_zscore is the largest |E R_s - 1| / SE (0 where the SE is 0, nan
-    where it is nan).  drop_half_term is the negative control: weights
-    without the -1/2 int |v|^2 term must fail."""
+    """E R_s = 1 within SE_SLACK SE at every sample time, both sides
+    decided; worst_zscore is the largest |E R_s - 1| / SE (0 where the SE
+    is 0, nan where it is nan).  drop_half_term is the negative control:
+    weights without the -1/2 int |v|^2 term must fail."""
     stats = [_exp_stats(res.log_weights(j, drop_half_term))
              for j in range(res.sample_times.size)]
-    sides = [decide(a, b, 3.0 * se)[0] for m, se in stats
-             for a, b in ((m, 1.0), (1.0, m))]
-    verdict = next((v for v in ("fail", "inconclusive") if v in sides), "pass")
+    verdict = joint_verdict(decide(a, b, SE_SLACK * se)[0] for m, se in stats
+                            for a, b in ((m, 1.0), (1.0, m)))
+    worst = max(abs(m - 1.0) / se if se != 0 else 0.0 for m, se in stats)
     return {"times": res.sample_times.tolist(), "means": [m for m, _ in stats],
-            "ses": [se for _, se in stats],
-            "worst_zscore": max(abs(m - 1.0) / se if se != 0 else 0.0
-                                for m, se in stats),
-            "verdict": verdict, "passed": verdict == "pass"}
+            "ses": [se for _, se in stats], "worst_zscore": worst,
+            "verdict": verdict, "passed": verdict == "pass",
+            "rows": [CheckRecord("girsanov-worst-zscore", worst, verdict, SE_SLACK)]}
 
 
 def verify_moment_bound(res: CouplingResult) -> dict:
@@ -590,9 +591,10 @@ def verify_moment_bound(res: CouplingResult) -> dict:
     lhs, se = max((_exp_stats((1.0 + g0) * res.log_weights(j))
                    for j in range(res.sample_times.size)), key=lambda s: s[0])
     rhs = moment_bound_rhs(res.cfg, res.r)
-    verdict, thr = decide(lhs, rhs, 3.0 * (se / lhs if lhs > 0 else 0.0) * rhs)
+    verdict, thr = decide(lhs, rhs, SE_SLACK * (se / lhs if lhs > 0 else 0.0) * rhs)
     return {"gamma0": g0, "lhs": lhs, "rhs": rhs, "threshold": thr,
-            "verdict": verdict, "passed": verdict == "pass"}
+            "verdict": verdict, "passed": verdict == "pass",
+            "rows": [CheckRecord("moment-lhs", lhs, verdict, threshold=thr)]}
 
 
 def coalescence_report(res: CouplingResult) -> dict:
@@ -600,12 +602,22 @@ def coalescence_report(res: CouplingResult) -> dict:
     the almost-sure coincidence at T, which no finite run can certify."""
     med = np.median(res.dist_at_eps, axis=0)
     eps = res.cfg.T - res.eps_times
-    scale = 10.0 * math.sqrt(eta(float(res.eps_times[-1]), res.cfg))
-    return {"eps": eps.tolist(), "medians": med.tolist(),
-            "decreasing": bool(np.all(np.diff(med) < 0)),
-            "final_scale_bound": scale,
-            "final_ok": within(float(med[-1]), scale, 0.0),
-            "glued_fraction": float(res.glued.mean())}
+    scale = COALESCENCE_SCALE * math.sqrt(eta(float(res.eps_times[-1]), res.cfg))
+    decreasing = bool(np.all(np.diff(med) < 0))
+    final = decide(float(med[-1]), scale, 0.0)[0]
+    rows = [CheckRecord("coalescence-decreasing", float(decreasing),
+                        pass_fail(decreasing), 1.0),
+            CheckRecord("coalescence-final-median", float(med[-1]), final, scale)]
+    return {"eps": eps.tolist(), "medians": med.tolist(), "decreasing": decreasing,
+            "final_ok": final == "pass", "glued_fraction": float(res.glued.mean()),
+            "rows": rows}
+
+
+def truncation_rows(res: CouplingResult) -> list:
+    """The share of Girsanov-integrand steps truncated at |u| = N_TRUNC."""
+    return [CheckRecord("truncation-fraction", res.trunc_events / res.total_events,
+                        pass_fail(res.trunc_events < TRUNC_LIMIT * res.total_events),
+                        threshold=TRUNC_LIMIT)]
 
 
 def _positive_values(i, f, res):
@@ -634,6 +646,9 @@ def verify_power_harnack(res: CouplingResult, fs) -> dict:
     logR = res.log_weights()
     g = cfg.gamma
     checks = []
+    rows = [CheckRecord("harnack-gamma", g, "info"),
+            CheckRecord("harnack-gamma-threshold", gamma_threshold(cfg), "info",
+                        provenance="closed-form")]
     for i, f in enumerate(fs):
         label, fY, fX = _positive_values(i, f, res)
         base, base_se = _exp_stats(logR, fY)
@@ -647,23 +662,24 @@ def verify_power_harnack(res: CouplingResult, fs) -> dict:
         rhs = rhs_mean * math.exp(expo["corrected"])
         combined = math.hypot(rel_lhs, rel_rhs)
         # lhs = base**g carries g times the relative rounding of base
-        verdict, thr = decide(lhs, rhs, 3.0 * combined * rhs, scale=g,
+        verdict, thr = decide(lhs, rhs, SE_SLACK * combined * rhs, scale=g,
                               noise=combined, cap=SE_REL_CAP)
-        checks.append({"f": label, "lhs": lhs, "rhs": rhs,
-                       "combined_rel_se": combined, "threshold": thr,
+        checks.append({"lhs": lhs, "rhs": rhs, "combined_rel_se": combined,
                        "verdict": verdict})
-    return {"checks": checks, "exponent": expo, "theta": th,
-        "passed": all(c["verdict"] == "pass" for c in checks),
-        "inconclusive": any(c["verdict"] == "inconclusive" for c in checks)}
+        rows.append(CheckRecord(f"power-harnack-{label}", lhs, verdict, threshold=thr))
+    rows.append(CheckRecord("power-exponent-corrected", expo["corrected"], "info",
+                            provenance="closed-form"))
+    return {"checks": checks, "exponent": expo, "theta": th, "rows": rows,
+            "passed": all_pass(rows)}
 
 
 def verify_log_harnack(res: CouplingResult, fs, kappa1: float,
                        k1_hat: float) -> dict:
     """E[R log f(Y)] <= log E[f(X)] + k1_hat |x-y|^2/(kappa1 T) per function,
-    with k1_hat calibrated elsewhere and frozen."""
+    with k1_hat calibrated elsewhere and frozen; one row per function."""
     logR = res.log_weights()
     quad = k1_hat * res.r ** 2 / (kappa1 * res.cfg.T)
-    checks = []
+    checks, rows = [], []
     for i, f in enumerate(fs):
         label, fY, fX = _positive_values(i, f, res)
         lhs, lhs_se = _exp_stats(logR, np.log(fY))
@@ -674,13 +690,11 @@ def verify_log_harnack(res: CouplingResult, fs, kappa1: float,
         # both terms are absolute uncertainties in log units; lhs itself may
         # sit near zero, so a relative cap would be meaningless
         combined_abs = math.hypot(lhs_se, mx_se / mx)
-        verdict, thr = decide(lhs, rhs, 3.0 * combined_abs,
+        verdict, thr = decide(lhs, rhs, SE_SLACK * combined_abs,
                               noise=combined_abs, cap=LOG_SE_CAP)
-        checks.append({"f": label, "lhs": lhs, "rhs": rhs, "threshold": thr,
-                       "verdict": verdict})
-    return {"checks": checks, "k1_hat": k1_hat,
-        "passed": all(c["verdict"] == "pass" for c in checks),
-        "inconclusive": any(c["verdict"] == "inconclusive" for c in checks)}
+        checks.append({"lhs": lhs, "rhs": rhs, "verdict": verdict})
+        rows.append(CheckRecord(f"log-harnack-{label}", lhs, verdict, threshold=thr))
+    return {"checks": checks, "rows": rows, "passed": all_pass(rows)}
 
 
 def calibrate_k1(res: CouplingResult, fs, kappa1: float) -> dict:
@@ -692,4 +706,6 @@ def calibrate_k1(res: CouplingResult, fs, kappa1: float) -> dict:
     # gap the quadratic cost has to cover
     needed = max((c["lhs"] - c["rhs"]) * kappa1 * res.cfg.T / res.r ** 2
                  for c in verify_log_harnack(res, fs, kappa1, 0.0)["checks"])
-    return {"k1_hat": K1_SAFETY * max(needed, 0.01)}
+    k1_hat = K1_SAFETY * max(needed, 0.01)
+    return {"k1_hat": k1_hat, "rows": [CheckRecord("log-harnack-k1", k1_hat, "info",
+                                                   provenance="fit")]}

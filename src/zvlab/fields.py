@@ -276,16 +276,14 @@ def lp_lq_norm(values: np.ndarray, grid: GridSpec, ns: NormSpec) -> float:
 @dataclass
 class CoefficientSet:
     """Evaluators for one problem: diffusion a = sigma sigma^T / 2, drift
-    parts b1 (Lipschitz), b2 (bounded), b0 (singular, integrable), zero
-    order c, and source f, with the ellipticity constants kappa1 and
-    kappa2 that ellipticity_certificate and the coupled stages read.
+    parts b1 (Lipschitz) and b0 (singular, integrable), and source f, with
+    the ellipticity constants kappa1 and kappa2 that
+    ellipticity_certificate and the coupled stages read.
     """
 
     sigma: Evaluator
     b1: Evaluator | None = None
-    b2: Evaluator | None = None
     b0: Evaluator | None = None
-    c: Evaluator | None = None
     f: Evaluator | None = None
     kappa1: float = 0.0
     kappa2: float = 0.0
@@ -297,7 +295,7 @@ class CoefficientSet:
     def total_drift(self, t: float, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        for ev in (self.b1, self.b2, self.b0):
+        for ev in (self.b1, self.b0):
             if ev is not None:
                 out = out + np.asarray(ev(t, x), dtype=float)
         return out

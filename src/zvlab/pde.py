@@ -3,10 +3,10 @@
 Solves, backward in time from zero terminal data on [-L, L]^d with
 homogeneous Dirichlet walls,
 
-    d_t u + tr(a D^2 u) + B . grad u + c u = lam * u + f,
+    d_t u + tr(a D^2 u) + B . grad u = lam * u + f,
 
 componentwise for K right-hand sides sharing one operator, where
-B = b1 + b2 + b0 and b0 enters through its node-capped grid sample.
+B = b1 + b0 and b0 enters through its node-capped grid sample.
 Marching is theta-scheme in the time-to-go variable: a few damped
 implicit-Euler startup steps (they kill the stiff transient that pure
 Crank-Nicolson turns into slow step-to-step oscillation when lam*dt is
@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import CoefficientSet, GridSpec, NormSpec, lp_lq_norm, sample_field
+from .report import CheckRecord, pass_fail
 
 # Floor for the spectral parameter when it appears multiplicatively in
 # estimates; sweeps start at 10, so max(lam, LAMBDA_FLOOR) = lam there.
@@ -57,8 +58,7 @@ def sample_operator(coeffs: CoefficientSet, grid: GridSpec) -> dict:
     Keys: grid; stencil, every slice's stencil of L (`_stencil`); the
     grid samples b1 and b0 (node-capped), (m+1, n^d, d), and the source f,
     (m+1, n^d, 1), zero where the coefficient is absent; capped, the
-    number of capped b0 nodes.  B = b1+b2+b0 and c enter only the
-    stencils.
+    number of capped b0 nodes.  B = b1 + b0 enters only the stencils.
     """
     g = grid
     N = g.n ** g.d
@@ -71,11 +71,9 @@ def sample_operator(coeffs: CoefficientSet, grid: GridSpec) -> dict:
 
     a, _ = sample(coeffs.a, (g.d, g.d), False)
     b1, _ = sample(coeffs.b1, (g.d,), False)
-    b2, _ = sample(coeffs.b2, (g.d,), False)
     b0, capped = sample(coeffs.b0, (g.d,), True)
-    c, _ = sample(coeffs.c, (), False)
     f, _ = sample(coeffs.f, (), False)
-    return {"grid": g, "stencil": _stencil(a, b1 + b2 + b0, c, g),
+    return {"grid": g, "stencil": _stencil(a, b1 + b0, g),
             "b1": b1, "b0": b0, "f": f[..., None], "capped": capped}
 
 
@@ -83,10 +81,10 @@ def sample_operator(coeffs: CoefficientSet, grid: GridSpec) -> dict:
 # the discrete operator: one stencil per time slice
 
 
-def _stencil(a: np.ndarray, B: np.ndarray, c: np.ndarray, g: GridSpec) -> dict:
+def _stencil(a: np.ndarray, B: np.ndarray, g: GridSpec) -> dict:
     """Interior stencils of L at every time slice, as {offset: coefficients}.
 
-    a, B and c are the grid samples, (m+1, n^d, ...).  An offset is a
+    a and B are the grid samples, (m+1, n^d, ...).  An offset is a
     d-tuple of steps in {-1, 0, 1}; its coefficients, of shape
     (m+1,) + (n-2,)*d, weight that neighbour of each interior node at
     each slice.  Second differences on each axis, the mixed difference in
@@ -100,7 +98,7 @@ def _stencil(a: np.ndarray, B: np.ndarray, c: np.ndarray, g: GridSpec) -> dict:
     shape = (g.m + 1,) + (g.n,) * d
     a = a.reshape(shape + (d, d))[inner]
     B = B.reshape(shape + (d,))[inner]
-    diag = c.reshape(shape)[inner]
+    diag = 0.0
     st = {}
     for ax, step in enumerate(np.eye(d, dtype=int).tolist()):
         s = a[..., ax, ax] / h ** 2
@@ -239,7 +237,7 @@ def solve_phi_system(op: dict, lam: float) -> np.ndarray:
     """Solve the d-component corrector system with source -b0 per component.
 
     The corrector phi satisfies, componentwise,
-        d_t phi + tr(a D^2 phi) + (b1+b2+b0) . grad phi = lam*phi - b0,
+        d_t phi + tr(a D^2 phi) + (b1 + b0) . grad phi = lam*phi - b0,
     zero at t = T.  Returned with K = d components.  A b0 that is 0 at
     every node gives phi = +0.0 at every node, as the march of its zero
     source does, without the march (or scipy).
@@ -287,8 +285,8 @@ def derivative_fields(op: dict, u: np.ndarray) -> tuple:
 
 def verify_apriori(op: dict, lam: float, u: np.ndarray, source: np.ndarray,
                    ns: NormSpec) -> dict:
-    """Left/right sides of the maximal-regularity estimate on this grid,
-    for u = solve_backward(op, lam, source).
+    """The ratio of the left to the right side of the maximal-regularity
+    estimate on this grid, for u = solve_backward(op, lam, source).
 
     lhs = lam_eff ||u|| + ||(d_t + b1.grad) u|| + (||u|| + ||grad u|| + ||D2 u||),
     rhs = ||source|| (f, or b0 for the phi system), all in the mixed norm
@@ -298,15 +296,24 @@ def verify_apriori(op: dict, lam: float, u: np.ndarray, source: np.ndarray,
     """
     g = op["grid"]
     _, grad, hess, material = derivative_fields(op, u)
-    rep = {"u": lp_lq_norm(u, g, ns), "grad": lp_lq_norm(grad, g, ns),
-           "hess": lp_lq_norm(hess, g, ns), "material": lp_lq_norm(material, g, ns),
-           "source": lp_lq_norm(source.reshape(u.shape), g, ns),
-           "lam_eff": max(lam, LAMBDA_FLOOR)}
-    rep["sobolev"] = rep["u"] + rep["grad"] + rep["hess"]
-    rep["lhs"] = rep["lam_eff"] * rep["u"] + rep["material"] + rep["sobolev"]
-    rep["f_norm"] = rep["source"]
-    rep["ratio"] = rep["lhs"] / rep["f_norm"] if rep["f_norm"] > 0 else math.inf
-    return rep
+    norm_u = lp_lq_norm(u, g, ns)
+    sobolev = norm_u + lp_lq_norm(grad, g, ns) + lp_lq_norm(hess, g, ns)
+    lhs = max(lam, LAMBDA_FLOOR) * norm_u + lp_lq_norm(material, g, ns) + sobolev
+    rhs = lp_lq_norm(source.reshape(u.shape), g, ns)
+    return {"ratio": lhs / rhs if rhs > 0 else math.inf}
+
+
+def phi_rows(op: dict, lam: float, phi: np.ndarray, ns: NormSpec | None) -> list:
+    """The rows of phi = solve_phi_system(op, lam): sup |phi| must be finite;
+    with ns, the norm of b0, verify_apriori's ratio for the source -b0."""
+    sup_phi = float(np.abs(phi).max())
+    rows = [CheckRecord("pde-lambda", lam, "info"),
+            CheckRecord("pde-sup-phi", sup_phi, pass_fail(np.isfinite(sup_phi))),
+            CheckRecord("pde-capped-nodes", float(op["capped"]), "info")]
+    if ns is not None:
+        ratio = verify_apriori(op, lam, phi, -op["b0"], ns)["ratio"]
+        rows.append(CheckRecord("pde-apriori-ratio", ratio, "info"))
+    return rows
 
 
 @dataclass

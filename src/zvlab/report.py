@@ -1,9 +1,10 @@
 """Run reports: typed check records serialized to CSV and JSON.
 
-The CSV carries only the numeric payload — one row per (scenario, check)
-— so that two runs of the same configuration produce byte-identical
-files regardless of worker count or wall time.  The JSON mirror adds
-timings, per-stage counters and the configuration with its content hash.
+Each check builds its own rows, bounds and verdicts included.  The CSV
+carries only the numeric payload — one row per (scenario, check) — so
+that two runs of the same configuration produce byte-identical files
+regardless of worker count or wall time.  The JSON mirror adds timings,
+per-stage counters and the configuration with its content hash.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ class RunReport:
         blob = json.dumps(self.config, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
-    def exit_code(self) -> int:
-        return combined_exit_code([self])
-
 
 def _fmt(x) -> str:
     if x is None:
@@ -91,7 +89,23 @@ def json_payload(reports) -> str:
     return json.dumps(out, indent=2, sort_keys=True, default=str) + "\n"
 
 
+def pass_fail(ok) -> str:
+    """The verdict of a claim that holds exactly when ok is true."""
+    return "pass" if ok else "fail"
+
+
+def joint_verdict(verdicts) -> str:
+    """fail if any fails, else inconclusive if any is, else pass (info decides nothing)."""
+    vs = set(verdicts)
+    return "fail" if "fail" in vs else "inconclusive" if "inconclusive" in vs else "pass"
+
+
+def all_pass(rows) -> bool:
+    """Whether the rows' joint verdict is pass."""
+    return joint_verdict(r.verdict for r in rows) == "pass"
+
+
 def combined_exit_code(reports) -> int:
     """2 if any check fails, else 3 if any is inconclusive, else 0."""
-    verdicts = {c.verdict for rep in reports for c in rep.checks}
-    return 2 if "fail" in verdicts else 3 if "inconclusive" in verdicts else 0
+    verdict = joint_verdict(c.verdict for rep in reports for c in rep.checks)
+    return {"pass": 0, "fail": 2, "inconclusive": 3}[verdict]

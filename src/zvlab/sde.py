@@ -39,9 +39,12 @@ import numpy as np
 
 from .fields import Evaluator, NormSpec, trapezoid_weights
 from .parallel import pool_size, row_ranges, run_tasks
+from .report import CheckRecord, pass_fail
 from . import rng as _rng
 
 ESCAPE_WARN = 0.01        # estimator-quality threshold, recorded
+INCREMENT_SE = 4          # integrate: increment mean bound, in SEs
+INCREMENT_VAR_RTOL = 0.05   # integrate: relative increment variance bound
 ESCAPE_ERROR = 0.20       # hard failure: domain too small for the scenario
 ROW_CHUNK = 256           # rows per pass of bump-family's row sums
 BUMP_MAX_OVER_MEDIAN = 3.0   # bump family: pass bound on max / median ratio
@@ -298,12 +301,13 @@ class PathEnsemble:
     escaped: np.ndarray             # (N,) bool
     escape_fraction: float
     rng_report: dict
+    rows: list
 
 
 def integrate_stat(x0, spec: SimSpec) -> BlockStat:
     """integrate's statistic: terminal points, escapes and the increments'
-    sample moments.  The increment mean is over n_paths * n_steps draws
-    per axis, so its 4-SE bound is 4 sqrt(h / (n_paths * n_steps))."""
+    sample moments, with their rows.  The increment mean is over n_paths *
+    n_steps draws per axis, so its SE is sqrt(h / (n_paths * n_steps))."""
     x0 = np.asarray(x0, dtype=float)
     if spec.n_steps < 100:
         raise ValueError("step too coarse: need n_steps >= 100 (h <= T/100), "
@@ -341,15 +345,19 @@ def integrate_stat(x0, spec: SimSpec) -> BlockStat:
                 f"domain too small for scenario: {frac:.1%} of paths escaped; "
                 f"first escaped path {first} at "
                 f"t={alive_nodes[first] * spec.h:.6g}")
-        rng_report = {
-            "increment_mean": mean,
-            "increment_var": var,
-            "mean_ok": bool(np.all(np.abs(mean) <= 4 * math.sqrt(spec.h / count))),
-            "var_ok": bool(np.all(np.abs(var - spec.h) <= 0.05 * spec.h)),
-            "escape_warn": frac > ESCAPE_WARN,
-        }
-        return PathEnsemble(terminal=terminal, escaped=escaped,
-                            escape_fraction=frac, rng_report=rng_report)
+        mean_ok = np.all(np.abs(mean) <= INCREMENT_SE * math.sqrt(spec.h / count))
+        var_ok = np.all(np.abs(var - spec.h) <= INCREMENT_VAR_RTOL * spec.h)
+        kept = terminal[~escaped, 0]
+        rows = [CheckRecord("escape-fraction", frac, pass_fail(frac <= ESCAPE_WARN),
+                            ESCAPE_WARN),
+                CheckRecord("rng-increment-mean", float(np.max(np.abs(mean))),
+                            pass_fail(mean_ok)),
+                CheckRecord("rng-increment-var", float(np.mean(var)), pass_fail(var_ok)),
+                CheckRecord("terminal-mean", float(kept.mean()), "info"),
+                CheckRecord("terminal-var", float(kept.var()), "info")]
+        return PathEnsemble(terminal=terminal, escaped=escaped, escape_fraction=frac,
+                            rng_report={"increment_mean": mean, "increment_var": var},
+                            rows=rows)
 
     return BlockStat(block, finish)
 
@@ -457,11 +465,12 @@ def krylov_stat(spec: SimSpec, f, ns: NormSpec, f_norm: float) -> BlockStat:
 
     def finish(acc, ok):
         mean, se, n_ok = _mean_se(acc, ok)
-        return {"estimate": mean, "se": se,
-                "ci95": (mean - 1.96 * se, mean + 1.96 * se),
-                "n_used": n_ok, "n_excluded": ok.size - n_ok,
-                "f_norm": f_norm, "ratio": mean / f_norm,
-                "k_pq": k_pq(ns)}
+        row = CheckRecord("krylov-ratio", mean / f_norm, "info",
+                          ci_low=(mean - 1.96 * se) / f_norm,
+                          ci_high=(mean + 1.96 * se) / f_norm)
+        return {"estimate": mean, "se": se, "n_used": n_ok,
+                "n_excluded": ok.size - n_ok, "f_norm": f_norm,
+                "ratio": mean / f_norm, "k_pq": k_pq(ns), "rows": [row]}
 
     return BlockStat(block, finish)
 
@@ -535,11 +544,10 @@ def bump_family_stat(spec: SimSpec, ns: NormSpec, widths) -> BlockStat:
         with np.errstate(divide="ignore", invalid="ignore"):   # med = 0 is possible
             max_over_median = float(ratios.max() / med)
         verdict = ("inconclusive" if not med > 0
-                   else "pass" if ratios.max() <= BUMP_MAX_OVER_MEDIAN * med
-                   else "fail")
-        return {"ratios": ratios.tolist(), "median_ratio": med,
-                "max_over_median": max_over_median,
-                "threshold": BUMP_MAX_OVER_MEDIAN, "verdict": verdict,
+                   else pass_fail(ratios.max() <= BUMP_MAX_OVER_MEDIAN * med))
+        return {"ratios": ratios.tolist(), "max_over_median": max_over_median,
+                "rows": [CheckRecord("krylov-bump-max-over-median", max_over_median,
+                                     verdict, threshold=BUMP_MAX_OVER_MEDIAN)],
                 "passed": verdict == "pass"}
 
     return BlockStat(block, finish)

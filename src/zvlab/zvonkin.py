@@ -2,12 +2,12 @@
 
 phi solves the vector backward system (one component per coordinate)
 
-    d_t phi + tr(a D^2 phi) + (b1 + b2 + b0) . grad phi = lam phi - b0,
+    d_t phi + tr(a D^2 phi) + (b1 + b0) . grad phi = lam phi - b0,
 
-so the map Phi_t(x) = x + phi(t, x) turns dX = (b1+b2+b0) dt + sigma dW
+so the map Phi_t(x) = x + phi(t, x) turns dX = (b1 + b0) dt + sigma dW
 into dY = Z(t, Y) dt + Sigma(t, Y) dW with
 
-    Z     = (b1 + b2 + lam phi) o Phi^{-1},
+    Z     = (b1 + lam phi) o Phi^{-1},
     Sigma = ((I + grad phi) sigma) o Phi^{-1}.
 
 The singular part b0 is absorbed exactly.  lam is raised on a fixed
@@ -28,6 +28,7 @@ import numpy as np
 from .coupling import pair_constants
 from .fields import CoefficientSet, GridFunction, GridSpec
 from .pde import sample_operator, solve_phi_system
+from .report import CheckRecord, all_pass, pass_fail
 from .sde import SdeModel, in_box
 from . import rng as _rng
 
@@ -37,6 +38,8 @@ LAMBDA_FACTOR = 4.0
 MAX_LAMBDA_STEPS = 12
 INVERT_TOL = 1e-10
 INVERT_MAX_ITER = 40
+ROUNDTRIP_TOL = 10 * INVERT_TOL
+ELLIPTICITY_RTOL = 1e-9
 
 
 def interp_lipschitz_sup(phi_vals: np.ndarray, grid: GridSpec) -> float:
@@ -262,7 +265,7 @@ class ZvonkinMap:
 
     def transformed(self, t: float, y: np.ndarray, on_escape: str = "raise",
                     table: StepTable | None = None):
-        """(Z, Sigma) = (b1 + b2 + lam phi, (I + grad phi) sigma) at the
+        """(Z, Sigma) = (b1 + lam phi, (I + grad phi) sigma) at the
         preimages x = Phi_t^{-1}(y) of y (N, d); on_escape is as in invert.
         In 1-d one cell search in the merged table of StepTable gives x, phi
         and G, the mean slope over [x - h/2, x + h/2] that grad_phi_at's
@@ -282,9 +285,8 @@ class ZvonkinMap:
             x, _ = self.invert(t, y, on_escape=on_escape)
             Z = self.lam * self.phi.eval(t, x)
             G = self.grad_phi_at(t, x)
-        for ev in (self.coeffs.b1, self.coeffs.b2):
-            if ev is not None:
-                Z = Z + np.asarray(ev(t, x), dtype=float)
+        if self.coeffs.b1 is not None:
+            Z = Z + np.asarray(self.coeffs.b1(t, x), dtype=float)
         s = np.asarray(self.coeffs.sigma(t, x), dtype=float)
         if g.d == 1:
             return Z, (1.0 + G)[:, None, None] * s
@@ -316,7 +318,8 @@ def build_zvonkin(coeffs: CoefficientSet, grid: GridSpec) -> ZvonkinMap:
 
 
 def bilipschitz_certificate(zmap: ZvonkinMap, n_pairs: int = 256, seed: int = 21) -> dict:
-    """Sampled two-sided bound (1-s)|x-y| <= |Phi x - Phi y| <= (1+s)|x-y|.
+    """Sampled two-sided bound (1-s)|x-y| <= |Phi x - Phi y| <= (1+s)|x-y|,
+    each side counted on its own, after the map's lam and grad_sup < s.
 
     With s = GRAD_TARGET = 1/2 this is the [1/2, 3/2] sandwich.  Slack
     1e-6 |x-y| + 1e-9 absorbs interpolation roundoff.
@@ -329,7 +332,7 @@ def bilipschitz_certificate(zmap: ZvonkinMap, n_pairs: int = 256, seed: int = 21
     s = GRAD_TARGET
     worst_low = np.inf
     worst_high = 0.0
-    violations = 0
+    low = high = 0
     for t in ts:
         t = float(t)
         fx = zmap.forward(t, xs)
@@ -337,36 +340,40 @@ def bilipschitz_certificate(zmap: ZvonkinMap, n_pairs: int = 256, seed: int = 21
         base = np.sqrt(np.sum((xs - ys) ** 2, axis=-1))
         img = np.sqrt(np.sum((fx - fy) ** 2, axis=-1))
         slack = 1e-6 * base + 1e-9
-        violations += int(np.count_nonzero(img < (1 - s) * base - slack))
-        violations += int(np.count_nonzero(img > (1 + s) * base + slack))
+        low += int(np.count_nonzero(img < (1 - s) * base - slack))
+        high += int(np.count_nonzero(img > (1 + s) * base + slack))
         ratio = img / np.maximum(base, 1e-300)
         worst_low = min(worst_low, float(ratio.min()))
         worst_high = max(worst_high, float(ratio.max()))
-    return {"violations": violations, "ratio_min": worst_low,
+    rows = [CheckRecord("zvonkin-lambda", zmap.lam, "info", provenance="fit"),
+            CheckRecord("zvonkin-grad-sup", zmap.grad_sup, pass_fail(zmap.grad_sup < s), s),
+            CheckRecord("bilip-violations", float(low + high),
+                        pass_fail(low + high == 0), 0.0),
+            CheckRecord("bilip-ratio-min", worst_low, pass_fail(low == 0), 1 - s),
+            CheckRecord("bilip-ratio-max", worst_high, pass_fail(high == 0), 1 + s)]
+    return {"violations": low + high, "ratio_min": worst_low,
             "ratio_max": worst_high, "lower_bound": 1 - s, "upper_bound": 1 + s,
-            "pairs": n_pairs * len(ts), "passed": violations == 0}
+            "pairs": n_pairs * len(ts), "rows": rows, "passed": all_pass(rows)}
 
 
 def roundtrip_certificate(zmap: ZvonkinMap, n_points: int = 256, seed: int = 22) -> dict:
-    """sup |Phi^{-1}(Phi(x)) - x| and |Phi(Phi^{-1}(y)) - y| on samples."""
+    """sup |Phi^{-1}(Phi(x)) - x| and |Phi(Phi^{-1}(y)) - y| on samples, the
+    larger against ROUNDTRIP_TOL."""
     g = zmap.grid
     box = 0.9 * g.L * np.ones(g.d)
     xs = _rng.uniform_points(seed, 17, n_points, -box, box)
     ys = _rng.uniform_points(seed, 18, n_points, -box, box)
     ts = _rng.uniform_points(seed, 19, 4, 0.0, g.T)
-    worst_fwd = 0.0
-    worst_bwd = 0.0
+    worst = 0.0
     for t in ts:
         t = float(t)
-        img = zmap.forward(t, xs)
-        back, _ = zmap.invert(t, img)
-        worst_fwd = max(worst_fwd, float(np.max(np.abs(back - xs))))
+        back, _ = zmap.invert(t, zmap.forward(t, xs))
         pre, _ = zmap.invert(t, ys)
-        img2 = zmap.forward(t, pre)
-        worst_bwd = max(worst_bwd, float(np.max(np.abs(img2 - ys))))
-    tol = 10 * INVERT_TOL
-    return {"roundtrip_x": worst_fwd, "roundtrip_y": worst_bwd,
-            "tol": tol, "passed": worst_fwd <= tol and worst_bwd <= tol}
+        worst = max(worst, float(np.max(np.abs(back - xs))),
+                    float(np.max(np.abs(zmap.forward(t, pre) - ys))))
+    rows = [CheckRecord("roundtrip-defect", worst, pass_fail(worst <= ROUNDTRIP_TOL),
+                        ROUNDTRIP_TOL)]
+    return {"rows": rows, "passed": all_pass(rows)}
 
 
 def ellipticity_certificate(zmap: ZvonkinMap, n_points: int = 256, seed: int = 23) -> dict:
@@ -387,11 +394,25 @@ def ellipticity_certificate(zmap: ZvonkinMap, n_points: int = 256, seed: int = 2
         eig = np.linalg.eigvalsh(0.5 * np.einsum("...ij,...kj->...ik", S, S))
         emin = min(emin, float(eig.min()))
         emax = max(emax, float(eig.max()))
-    lo_bound = 0.25 * cs.kappa1
-    hi_bound = 2.25 * cs.kappa2
-    return {"min_eig": emin, "max_eig": emax, "lower_bound": lo_bound,
-            "upper_bound": hi_bound,
-            "passed": emin >= lo_bound * (1 - 1e-9) and emax <= hi_bound * (1 + 1e-9)}
+    lo, hi = 0.25 * cs.kappa1, 2.25 * cs.kappa2
+    rows = [CheckRecord("ellipticity-min-eig", emin,
+                        pass_fail(emin >= lo * (1 - ELLIPTICITY_RTOL)), lo),
+            CheckRecord("ellipticity-max-eig", emax,
+                        pass_fail(emax <= hi * (1 + ELLIPTICITY_RTOL)), hi)]
+    return {"rows": rows, "passed": all_pass(rows)}
+
+
+def identity_rows(zmap: ZvonkinMap) -> list:
+    """A map with no singular part is the identity: Z = b1 bit for bit on
+    [-L/2, L/2] at T/2, and grad_sup = 0."""
+    g = zmap.grid
+    pts = np.linspace(-g.L / 2, g.L / 2, 41)[:, None]
+    Z, _ = zmap.transformed(0.5 * g.T, pts)
+    same = bool(np.all(Z == zmap.coeffs.b1(0.5 * g.T, pts)))
+    return [CheckRecord("identity-drift-nodes", float(same), pass_fail(same), 1.0,
+                        provenance="identity"),
+            CheckRecord("identity-grad-sup", zmap.grad_sup, pass_fail(zmap.grad_sup == 0.0),
+                        0.0, provenance="identity")]
 
 
 def transformed_constants(zmap: ZvonkinMap, n_pairs: int = 128, seed: int = 26) -> dict:
@@ -405,4 +426,6 @@ def transformed_constants(zmap: ZvonkinMap, n_pairs: int = 128, seed: int = 26) 
     ys = _rng.uniform_points(seed, 28, n_pairs, -box, box)
     ts = _rng.uniform_points(seed, 29, 4, 0.0, g.T)
     pair = SdeModel(d=g.d, stepper=zmap.transformed)
-    return {**pair_constants(pair, xs, ys, ts, alpha=1.0), "alpha": 1.0}
+    got = pair_constants(pair, xs, ys, ts, alpha=1.0)
+    return {**got, "alpha": 1.0, "rows": [CheckRecord(
+        "transformed-lip-Z", got["lip_Z"], pass_fail(np.isfinite(got["lip_Z"])))]}

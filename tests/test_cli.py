@@ -9,11 +9,15 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from zvlab import rng as zrng
-from zvlab.cli import main
+from zvlab.cli import build_parser, main, run_command, stage_build_transform
+from zvlab.report import RunReport
+from zvlab.scenarios import get_scenario
 
 
 def run_cli(capsys, *argv):
@@ -316,7 +320,7 @@ def verdict_table(runs):
 
 
 def test_verdict_table(capsys, monkeypatch):
-    # the exit code and every (check-id, verdict) row of ten commands, as
+    # the exit code and every (check-id, verdict) row of eleven commands, as
     # data/verdicts.json records them: a change that moves the last digits
     # of a cell must keep every verdict
     monkeypatch.setenv("ZVLAB_THREADS", "2")
@@ -373,7 +377,7 @@ print(json.dumps([[umath.__cpu_features__[t] for t in targets], runs]))
 
 
 def test_verdict_table_without_avx512():
-    # the same table with numpy's AVX-512 kernels switched off, all ten
+    # the same table with numpy's AVX-512 kernels switched off, all eleven
     # commands in one process: a verdict must not hang on which SIMD
     # kernel computed a cell
     targets = avx512_targets()
@@ -389,3 +393,36 @@ def test_verdict_table_without_avx512():
     enabled, runs = json.loads(done.stdout)
     assert not any(enabled), targets
     assert verdict_table(runs) == VERDICTS
+
+
+def test_singular_and_lipschitz_drift_together(monkeypatch):
+    # the title's case, which no scenario builds: the singular b0 of
+    # singular-1d beside the Lipschitz b1 = -x, on its --fast grid.  The
+    # map's certificates pass, its transformed drift is b1 + lam phi at the
+    # preimages, and a short coupled run on it passes every check
+    monkeypatch.setenv("ZVLAB_THREADS", "2")
+    base = get_scenario("singular-1d")
+    sc = replace(base, name="singular-lipschitz",
+                 coeffs=replace(base.coeffs, b1=lambda t, x: -x))
+    args = build_parser().parse_args(["couple", "--scenario", sc.name, "--fast",
+                                      "--paths", "2000", "--seed", "3"])
+    rep = RunReport(scenario=sc.name, seed=args.seed, config={})
+    zm = stage_build_transform(rep, sc, args)
+    assert [(c.check_id, c.verdict) for c in rep.checks] == [
+        ("zvonkin-lambda", "info"), ("zvonkin-grad-sup", "pass"),
+        ("bilip-violations", "pass"), ("bilip-ratio-min", "pass"),
+        ("bilip-ratio-max", "pass"), ("roundtrip-defect", "pass"),
+        ("ellipticity-min-eig", "pass"), ("ellipticity-max-eig", "pass"),
+        ("transformed-lip-Z", "pass")]
+    y = np.linspace(-1.8, 1.8, 181)[:, None]
+    for t in (0.0, 0.37, 0.9):
+        Z, _ = zm.transformed(t, y)
+        x, _ = zm.invert(t, y)
+        assert np.abs(Z - (-x + zm.lam * zm.phi.eval(t, x))).max() <= 1e-12
+    rep = RunReport(scenario=sc.name, seed=args.seed, config={})
+    run_command(rep, sc, args)
+    assert [(c.check_id, c.verdict) for c in rep.checks] == [
+        ("coupling-K_T", "info"), ("coupling-delta_T", "info"),
+        ("coupling-lam_T", "info"), ("girsanov-worst-zscore", "pass"),
+        ("moment-lhs", "pass"), ("coalescence-decreasing", "pass"),
+        ("coalescence-final-median", "pass"), ("truncation-fraction", "pass")]

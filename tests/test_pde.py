@@ -126,7 +126,7 @@ def test_constant_source_matches_ode_oracle():
 def test_discrete_max_principle_with_upwinding(d):
     # strong constant convection along x so the cell Peclet number exceeds
     # 2; f <= 0 must give u >= 0 without node-to-node oscillation
-    def b2(t, x):
+    def b1(t, x):
         out = np.zeros_like(np.asarray(x, dtype=float))
         out[..., 0] = 30.0
         return out
@@ -134,7 +134,7 @@ def test_discrete_max_principle_with_upwinding(d):
     def f(t, x):
         return -np.ones(np.asarray(x).shape[:-1])
 
-    coeffs = CoefficientSet(sigma=unit_sigma(d), b2=b2, f=f,
+    coeffs = CoefficientSet(sigma=unit_sigma(d), b1=b1, f=f,
                             kappa1=0.5, kappa2=0.5)
     grid = GridSpec(d=d, n=41, m=100, L=1.0, T=1.0)
     assert 30.0 * grid.h / 0.5 > 2.0  # the switch is actually exercised

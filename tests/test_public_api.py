@@ -57,6 +57,19 @@ def test_no_stage_takes_a_default():
         assert not defaulted, f"{fn.__name__} defaults {defaulted}"
 
 
+def test_cli_decides_no_verdict():
+    # every row's verdict and bound come from the check that measures it;
+    # the CLI only lists checks, so it names no verdict but info and passes
+    # no threshold
+    tree = ast.parse((ROOT / "src" / "zvlab" / "cli.py").read_text())
+    verdicts = [node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and node.value in ("pass", "fail", "inconclusive")]
+    thresholds = [node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.keyword) and node.arg == "threshold"]
+    assert not verdicts and not thresholds, (verdicts, thresholds)
+
+
 def test_trace_patches_resolve(monkeypatch):
     # perfbench/spans.py wraps zvlab functions by name for
     # `perfbench/run.py --trace 1`; building the wrappers (without

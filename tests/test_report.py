@@ -66,11 +66,11 @@ def test_config_hash_tracks_config():
 
 def test_exit_codes():
     rep = make_report()
-    assert rep.exit_code() == 0
+    assert combined_exit_code([rep]) == 0
     rep.add("soft", 1.0, "inconclusive")
-    assert rep.exit_code() == 3
+    assert combined_exit_code([rep]) == 3
     rep.add("hard", 1.0, "fail")
-    assert rep.exit_code() == 2          # fail dominates inconclusive
+    assert combined_exit_code([rep]) == 2          # fail dominates inconclusive
     ok = RunReport(scenario="s", seed=1, config={})
     ok.add("only", 0.0, "pass")
     assert combined_exit_code([ok, rep]) == 2

@@ -27,6 +27,10 @@ from zvlab.zvonkin import ZvonkinMap, build_zvonkin
 SIG1 = constant_sigma(np.array([[1.0]]))
 
 
+def row_verdicts(ens):
+    return {r.check_id: r.verdict for r in ens.rows}
+
+
 def brownian_model():
     return SdeModel(d=1, drift=lambda t, x: np.zeros_like(x), sigma=SIG1)
 
@@ -169,8 +173,9 @@ def test_brownian_terminal_variance_and_rng_sanity():
     v = ens.terminal[:, 0].var()
     se = v * math.sqrt(2.0 / (spec.n_paths - 1))
     assert abs(v - 1.0) <= 3 * se
-    assert ens.rng_report["mean_ok"] and ens.rng_report["var_ok"]
-    assert not ens.rng_report["escape_warn"]
+    verdicts = row_verdicts(ens)
+    for row in ("escape-fraction", "rng-increment-mean", "rng-increment-var"):
+        assert verdicts[row] == "pass"
 
 
 def test_increment_mean_bound_counts_every_increment(monkeypatch):
@@ -179,7 +184,7 @@ def test_increment_mean_bound_counts_every_increment(monkeypatch):
     # the sqrt(n_steps) looser 4 sqrt(h / n_paths) must fail the check
     spec = SimSpec(T=1.0, n_steps=200, n_paths=1000, seed=11, L=10.0)
     fair = integrate(brownian_model(), np.array([0.0]), spec)
-    assert fair.rng_report["mean_ok"]
+    assert row_verdicts(fair)["rng-increment-mean"] == "pass"
     draw = zrng.lane_normals
     monkeypatch.setattr(zrng, "lane_normals",
                         lambda *a, **k: [z + 0.05 for z in draw(*a, **k)])
@@ -187,8 +192,8 @@ def test_increment_mean_bound_counts_every_increment(monkeypatch):
     mean = abs(ens.rng_report["increment_mean"][0])
     assert (4 * math.sqrt(spec.h / (spec.n_paths * spec.n_steps)) < mean
             <= 4 * math.sqrt(spec.h / spec.n_paths))
-    assert not ens.rng_report["mean_ok"]
-    assert ens.rng_report["var_ok"]          # a shift leaves the variance
+    assert row_verdicts(ens)["rng-increment-mean"] == "fail"
+    assert row_verdicts(ens)["rng-increment-var"] == "pass"   # a shift leaves the variance
 
 
 def test_one_pass_feeds_every_statistic(monkeypatch):
@@ -350,7 +355,7 @@ def test_escape_freezing_and_error_policy():
     assert 0.01 < ens.escape_fraction <= 0.20
     assert np.all(np.isfinite(ens.terminal))
     assert np.abs(ens.terminal[ens.escaped]).max() <= 2.0 + 4 * math.sqrt(spec2.h)
-    assert ens.rng_report["escape_warn"]
+    assert row_verdicts(ens)["escape-fraction"] == "fail"
 
 
 def test_escape_error_names_the_first_escaped_path(monkeypatch):

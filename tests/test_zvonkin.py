@@ -320,7 +320,7 @@ def test_singular_part_cancels_in_transformed_drift(singular_map):
     for t in (0.0, 0.37, 0.9):
         vals, _ = zm.transformed(t, y)
         assert np.all(np.isfinite(vals))
-        # b1 = b2 = 0 here, so |Z| <= lam * sup|phi| exactly; the raw b0
+        # b1 = 0 here, so |Z| <= lam * sup|phi| exactly; the raw b0
         # near the origin is an order of magnitude larger
         assert np.abs(vals).max() <= zm.lam * np.abs(zm.phi.values).max() * (1 + 1e-9)
     with np.errstate(divide="ignore", invalid="ignore"):
