@@ -20,11 +20,11 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .coupling import (CouplingConfig, calibrate_k1, coalescence_report,
-                       gamma_threshold, h5_certificate, pair_ensembles,
-                       theta_for_gamma, truncation_rows, verify_log_harnack,
-                       verify_martingale, verify_moment_bound,
-                       verify_power_harnack)
+from .coupling import (SAMPLED_FLOOR, CouplingConfig, calibrate_k1,
+                       coalescence_report, constant_rows, gamma_threshold,
+                       h5_certificate, pair_ensembles, theta_for_gamma,
+                       truncation_rows, verify_log_harnack, verify_martingale,
+                       verify_moment_bound, verify_power_harnack)
 # unused here; perfbench/spans.py resolves simulate_pair through this module
 from .coupling import simulate_pair  # noqa: F401
 from .fields import GridSpec, NormSpec
@@ -95,11 +95,8 @@ def _coupling_inputs(sc: Scenario, args):
         return pair, consts, np.array(cs.x), np.array(cs.y)
     zm = build_zvonkin(sc.coeffs, _grid(sc, args))
     consts = transformed_constants(zm, n_pairs=128, seed=args.seed + 900)
-    consts["declared"] = False
-    # the sampled one-sided/alignment statistics can be <= 0 (no singular
-    # part); any upper bound is a valid constant, so floor them
-    consts["K_T"] = max(consts["K_T"], 0.05)
-    consts["delta_T"] = max(consts["delta_T"], 0.05)
+    consts.update(declared=False, K_T=max(consts["K_T"], SAMPLED_FLOOR),
+                  delta_T=max(consts["delta_T"], SAMPLED_FLOOR))
     pair = transformed_model(zm)
     x = np.full(sc.d, 0.25)
     return pair, consts, x, -x
@@ -197,9 +194,8 @@ def stage_krylov(rep: RunReport, sc: Scenario, args, est, fam):
 
 def stage_couple(rep: RunReport, sc: Scenario, args, inputs, res):
     pair, consts = inputs[:2]
-    for key in ("K_T", "delta_T", "lam_T"):
-        rep.add(f"coupling-{key}", consts[key], "info",
-                provenance="closed-form" if consts["declared"] else "sampled")
+    rep.checks += constant_rows(res.cfg, "closed-form" if consts["declared"]
+                                else "sampled")
     if consts["declared"]:
         rep.checks += h5_certificate(pair, res.cfg, seed=args.seed + 20)["rows"]
     rep.checks += verify_martingale(res)["rows"]

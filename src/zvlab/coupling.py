@@ -17,8 +17,11 @@ each check builds its own report rows.
 A coupled run is an sde.Ensemble (pair_ensembles), so it shares its
 Philox draws with the plain pass and the other runs of its seed, in the
 one pool call of sde.run_ensembles.  The pair step loop stays its own,
-with the plain engine's one bad-row rule (_pair_block_steps): a row that
-leaves the box or turns non-finite is frozen and counted as a box exit.
+with the plain engine's frozen-row rule (see sde): a row that leaves the
+box or turns non-finite is counted as a box exit, and no check reads it.
+Reading it at its frozen state would err by about the frozen share too,
+which BOX_EXIT_LIMIT caps at 1 %; one rule means a check reads the same
+rows whichever engine made them.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ TRUNC_LIMIT = 0.001       # truncation-fraction: pass bound on truncated events
 COALESCENCE_SCALE = 10.0  # final median bound, in units of sqrt(eta(stop))
 K1_SAFETY = 2.0           # calibrate_k1: factor on the calibrated constant
 STOP_GAP = 0.02           # runs stop at T - STOP_GAP T
+SAMPLED_FLOOR = 0.05      # on sampled K_T, delta_T (may be <= 0): any upper bound is valid
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,13 @@ class CouplingConfig:
     @property
     def stop_gap(self) -> float:
         return STOP_GAP * self.T
+
+
+def constant_rows(cfg: CouplingConfig, provenance: str) -> list:
+    """The info rows of the run's K_T, delta_T and lam_T: declared
+    ("closed-form"), or sampled and floored at SAMPLED_FLOOR ("sampled")."""
+    return [CheckRecord(f"coupling-{key}", getattr(cfg, key), "info",
+                        provenance=provenance) for key in ("K_T", "delta_T", "lam_T")]
 
 
 def eta(t, cfg: CouplingConfig):
@@ -278,17 +289,19 @@ def build_coupling_grid(cfg: CouplingConfig) -> CouplingGrid:
 
 @dataclass
 class CouplingResult:
+    """A coupled run; the per-path arrays hold its K paths alive at the end,
+    in path order, and box_exit flags the others."""
     cfg: CouplingConfig
     r: float                      # |x - y| of the start points
     sample_times: np.ndarray      # (n_s,)
-    A: np.ndarray                 # (N, n_s) int v.dW at sample times
-    B: np.ndarray                 # (N, n_s) int |v|^2 dt
+    A: np.ndarray                 # (K, n_s) int v.dW at sample times
+    B: np.ndarray                 # (K, n_s) int |v|^2 dt
     eps_times: np.ndarray
-    dist_at_eps: np.ndarray       # (N, n_eps)
-    final_X: np.ndarray           # (N, d) at T - stop gap
+    dist_at_eps: np.ndarray       # (K, n_eps)
+    final_X: np.ndarray           # (K, d) at T - stop gap
     final_Y: np.ndarray
-    glued: np.ndarray             # (N,) coalesced by the end
-    box_exit: np.ndarray          # (N,) frozen: left the box or turned non-finite
+    glued: np.ndarray             # (K,) coalesced by the end
+    box_exit: np.ndarray          # (n_paths,) frozen: left the box or turned non-finite
     nonfinite_rows: int           # box_exit rows frozen as non-finite
     trunc_events: int
     clip_events: int
@@ -377,19 +390,18 @@ def _pair_block_steps(pair, x0, y0, cfg, grid, normals):
     (truncation, clip, exit) allocate.  X and Y, the halves of the
     stepper's input, are stepped together, X + b dt + s dW with corr
     added into the Y half of b dt's buffer first, into a second buffer
-    after the last read of the stepper's output, which may be that input;
-    the buffer is swapped in while no row has frozen, and copied in under
-    the mask after that.  A constant sigma (a stride-0 view, as
+    after the last read of the stepper's output, which may be that input,
+    and that buffer is swapped in.  A constant sigma (a stride-0 view, as
     fields.constant_sigma gives) is taken as its one matrix: inverted
     once per step, not per row, and s dW is formed once for both copies.
     A row is idle once glued or frozen.
 
     A row is frozen when its stepped X or Y fails sde.in_box (out of the
     doubled box, or not finite: a non-finite u, from a singular X sigma
-    say, makes Y's step so).  A box exit commits its exiting state; a
-    non-finite row keeps its last finite X, Y, A and B, with no truncation
-    or clip event for the step.  Frozen rows stay in the estimators; the
-    part counts the non-finite ones and names its lowest."""
+    say, makes Y's step so).  It is flagged in alive and counted at that
+    step, a non-finite one with no truncation or clip event, and the part
+    names its lowest.  It steps on, idle, and is never read again: the
+    run's finish leaves it out of every estimator."""
     n_steps, width, d = normals.shape
     sqdt = np.sqrt(grid.dts)
     state = np.repeat(np.array([x0, y0], dtype=float), width, axis=0)  # X rows, Y rows
@@ -431,7 +443,6 @@ def _pair_block_steps(pair, x0, y0, cfg, grid, normals):
                 np.divide(D, r[:, None], out=D)
             else:       # alpha = 1: dist ** 0.0 is 1.0 for every dist, NaN included
                 np.divide(D, grid.eta_vals[k], out=D)
-            np.copyto(D, 0.0, where=idle[:, None])
             _matvec(sXi, D, out=u)
             _row_norm(u, out=r)
             np.greater(r, N_TRUNC, out=over)
@@ -447,8 +458,8 @@ def _pair_block_steps(pair, x0, y0, cfg, grid, normals):
                 scale = dist[overshoot] / r[overshoot]
                 u[overshoot] *= scale[:, None]
                 corr[overshoot] *= scale[:, None]
+            # idle rows' weights stand still; corr needs no mask: Y is X's or unread
             np.copyto(u, 0.0, where=idle[:, None])
-            np.copyto(corr, 0.0, where=idle[:, None])
             np.multiply(b[:width], dt, out=inc[:width])
             np.add(b[width:], corr, out=inc[width:])
             inc[width:] *= dt
@@ -459,22 +470,16 @@ def _pair_block_steps(pair, x0, y0, cfg, grid, normals):
             np.copyto(stepped[width:], stepped[:width], where=glued[:, None])
             in_box(stepped, limit, out=ok2, work=inc)
             np.logical_and(ok2[:width], ok2[width:], out=ok)
-            keep = alive
             if np.greater(alive, ok, out=out).any():   # alive and not ok
                 bad = out & ~np.isfinite(halves).all(axis=(0, 2))
                 i = int(np.argmax(out))
                 if first is None or i < first[0]:
                     first = (i, grid.ts[k + 1], bool(bad[i]))
                 nonfinite += int(bad.sum())
-                keep = alive & ~bad
-                u[bad] = 0.0
                 trunc -= int((over & act & bad).sum())
                 clip -= int((overshoot & bad).sum())
-            if keep.all():
-                state, stepped = stepped, state
-                X, Y = state[:width], state[width:]
-            else:
-                np.copyto(state.reshape(2, width, d), halves, where=keep[:, None])
+            state, stepped = stepped, state
+            X, Y = state[:width], state[width:]
             alive &= ok
             A += _row_dot(u, dW, out=r)
             B += np.multiply(_row_dot(u, u, out=r), dt, out=r)
@@ -505,11 +510,10 @@ def _pair_ensemble(name, pair, x, y, cfg, grid, seed) -> Ensemble:
         return _pair_block_steps(pair, x, y, cfg, grid, normals)
 
     def finish(parts, draws, procs):
-        cat = {k: np.concatenate([q[k] for q in parts])
-               for k in ("A", "B", "dist", "X", "Y", "glued", "alive")}
-        frac = float((~cat["alive"]).mean())
+        alive = np.concatenate([q["alive"] for q in parts])
+        frac = float((~alive).mean())
         if frac > BOX_EXIT_LIMIT:
-            i = int(np.argmax(~cat["alive"]))
+            i = int(np.argmax(~alive))
             # parts are in path order, so path i is the first row a part names
             _, t, nf = next(q["first"] for q in parts if q["first"])
             raise RuntimeError(
@@ -517,12 +521,14 @@ def _pair_ensemble(name, pair, x, y, cfg, grid, seed) -> Ensemble:
                 f"{BOX_EXIT_LIMIT:.0%}; " + ("non-finite rows count as exits" if nf
                 else "enlarge L or move the start points inward") + f"; first "
                 f"exited path {i} at t={t:.6g}{' (non-finite)' * nf}")
+        cat = {k: np.concatenate([q[k][q["alive"]] for q in parts])
+               for k in ("A", "B", "dist", "X", "Y", "glued")}
         return CouplingResult(
             cfg=cfg, r=float(np.linalg.norm(x - y)),
             sample_times=grid.ts[grid.sample_idx], A=cat["A"], B=cat["B"],
             eps_times=grid.eps_times, dist_at_eps=cat["dist"],
             final_X=cat["X"], final_Y=cat["Y"], glued=cat["glued"],
-            box_exit=~cat["alive"], nonfinite_rows=sum(q["nonfinite"] for q in parts),
+            box_exit=~alive, nonfinite_rows=sum(q["nonfinite"] for q in parts),
             trunc_events=sum(q["trunc"] for q in parts),
             clip_events=sum(q["clip"] for q in parts),
             total_events=sum(q["events"] for q in parts),

@@ -4,12 +4,15 @@ Paths are advanced in row ranges (parallel.row_ranges) on their Philox
 lanes (see rng), so any run is bit-identical for a fixed (seed, config)
 regardless of worker count: a row's results are a pure function of its
 own lane, and the parent puts them back in path order and sums each
-statistic's rows with one numpy call, as the pair checks do.  One bad-row
-rule serves both engines: a row whose stepped state leaves the doubled
-box or is not finite (in_box) is frozen, flagged and counted, and only
-the whole run decides whether it fails.  Here a frozen row keeps its exit
-value, NaN too, and estimators drop it.  The row kernels of both engines
-(_matvec, _row_dot, _row_norm) live here too.
+statistic's rows with one numpy call, as the pair checks do.  One frozen-row
+rule serves both engines: a row whose stepped state leaves the doubled box
+or is not finite (in_box) is frozen, flagged and counted, only the whole run
+decides whether it fails, and no estimator reads it (a coupled run keeps
+just its paths alive at the end).  Reading it at its frozen value would err
+by about the frozen share too, at most 1 % of a coupled run
+(coupling.BOX_EXIT_LIMIT); one rule means a check reads the same rows
+whichever engine made them.  Here a frozen row keeps its exit value, NaN
+too.  The engines' row kernels (_matvec, _row_dot, _row_norm) live here.
 
 The engine streams: a range holds its normals, the current state, the
 alive masks and one block of step tables, never whole paths.  A statistic
@@ -433,12 +436,6 @@ def transform_consistency(zmap, x0, steps_list, n_paths: int, seed: int) -> dict
 # occupation functionals (Krylov content)
 
 
-def k_pq(ns: NormSpec) -> int:
-    """Smallest integer strictly greater than log2(2 / (2 - d/p - 2/q))."""
-    val = math.log2(2.0 / (2.0 - ns.beta))
-    return math.floor(val) + 1
-
-
 def krylov_stat(spec: SimSpec, f, ns: NormSpec, f_norm: float) -> BlockStat:
     """krylov_estimate's statistic: Monte Carlo E int_0^T f(s, X_s) ds
     against f_norm, the mixed norm of the evaluator f in closed form
@@ -470,7 +467,7 @@ def krylov_stat(spec: SimSpec, f, ns: NormSpec, f_norm: float) -> BlockStat:
                           ci_high=(mean + 1.96 * se) / f_norm)
         return {"estimate": mean, "se": se, "n_used": n_ok,
                 "n_excluded": ok.size - n_ok, "f_norm": f_norm,
-                "ratio": mean / f_norm, "k_pq": k_pq(ns), "rows": [row]}
+                "ratio": mean / f_norm, "rows": [row]}
 
     return BlockStat(block, finish)
 

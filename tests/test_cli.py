@@ -268,6 +268,7 @@ def test_couple_stage_fast(capsys):
                            "--seed", "2", "--fast")
     assert code == 0
     by_id = {r["check-id"]: r for r in parse_csv(out)}
+    assert by_id["coupling-K_T"]["provenance-tag"] == "closed-form"
     assert by_id["h5-certificate"]["verdict"] == "pass"
     assert by_id["girsanov-worst-zscore"]["verdict"] == "pass"
     assert float(by_id["moment-lhs"]["value"]) <= float(

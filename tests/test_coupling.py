@@ -404,10 +404,11 @@ def nan_band_pair(band):
 
 def test_glued_nan_rows_are_frozen_finite_and_counted(monkeypatch):
     # x = y glues every row from the start, so u is 0; a row whose X turns
-    # NaN keeps its last finite X = Y and counts as a box exit
+    # NaN counts as a box exit and is left out, so the kept rows are finite
     monkeypatch.setattr(coupling, "BOX_EXIT_LIMIT", 1.0)
     res = simulate_pair(nan_band_pair(1e-3), [0.25], [0.25],
                         unit_cfg(n_paths=4000, L=2.0), seed=1)
+    assert len(res.final_X) == len(res.A) == 4000 - res.box_exit.sum()
     assert np.isfinite(res.final_X).all() and np.isfinite(res.final_Y).all()
     assert np.array_equal(res.final_X, res.final_Y)
     assert res.nonfinite_rows == res.box_exit.sum() > 100
@@ -576,13 +577,11 @@ LEAN_STEP_RUNS = {
     "aliasing": (aliasing_pair, [0.5], [0.2], unit_cfg(m=100, theta=1.9), 3, 256,
                  lambda o: o["glued"].any() and o["alive"].all()),
     "non-finite": (bad_band_pair, [0.25], [-0.25], unit_cfg(m=100, L=1.5), 3, 1024,
-                   lambda o: o["nonfinite"] > 1 and np.isfinite(o["X"]).all()
-                   and np.isfinite(o["Y"]).all() and np.isfinite(o["A"]).all()),
+                   lambda o: o["nonfinite"] > 1),
     "transformed": (singular_1d_pair, [0.25], [-0.25], unit_cfg(m=100, L=2.0), 3,
                     256, lambda o: o["alive"].all() and not o["glued"].any()),
-    # a row glues at step 2 and the first freezes at step 35 of 286: the
-    # stepped state is swapped in with the glued masks on, then copied in
-    # under the frozen mask
+    # a row glues at step 2 and the first freezes at step 35 of 286: glued
+    # and frozen rows both ride on in the swapped-in state
     "glue-then-freeze": (additive_pair, [0.25], [-0.25],
                          unit_cfg(m=100, L=1.0, theta=1.99), 3, 256,
                          lambda o: o["glued"].any() and not o["alive"].all()),
@@ -599,10 +598,11 @@ LEAN_STEP_RUNS = {
 
 @pytest.mark.parametrize("name", sorted(LEAN_STEP_RUNS))
 def test_pair_step_matches_the_reference(name):
-    # the in-place state, 1-d products and copyto masks change no bit
-    # on the same noise, which the engine reads step-major, and with the
-    # step tables built by the engine where the pair has them (286 steps:
-    # four block boundaries of TABLE_BLOCK)
+    # the in-place state, 1-d products and copyto masks change no bit of a
+    # row alive at the end, nor any counter, on the same noise, which the
+    # engine reads step-major, and with the step tables built by the engine
+    # where the pair has them (286 steps: four block boundaries of
+    # TABLE_BLOCK); a frozen row is never read again, so its bits may differ
     make, x0, y0, cfg, seed, width, reached = LEAN_STEP_RUNS[name]
     pair, x0, y0 = make(), np.array(x0), np.array(y0)
     grid = build_coupling_grid(cfg)
@@ -615,12 +615,43 @@ def test_pair_step_matches_the_reference(name):
         ref = reference_pair_block_steps(pair, x0, y0, cfg, grid, normals)
     assert reached(ref)
     assert got.keys() == ref.keys()
+    kept = ref["alive"]
+    assert np.array_equal(got["alive"], kept)
     for key, val in ref.items():
         if isinstance(val, np.ndarray):
             assert got[key].dtype == val.dtype and got[key].shape == val.shape, key
-            assert got[key].tobytes() == val.tobytes(), key
+            assert got[key][kept].tobytes() == val[kept].tobytes(), key
         else:
             assert got[key] == val, key
+
+
+def test_martingale_reads_only_the_rows_alive_at_the_end(monkeypatch):
+    # the box-exit run: a few rows leave the box, and verify_martingale's
+    # means and SEs are _exp_stats over the other rows alone, bit for bit
+    # at 1 and 2 workers; the frozen rows would move them
+    make, x0, y0, cfg, seed, width, _ = LEAN_STEP_RUNS["box-exit"]
+    cfg = replace(cfg, n_paths=width)
+    grid = build_coupling_grid(cfg)
+    part = coupling._pair_block_steps(make(), np.array(x0), np.array(y0), cfg, grid,
+                                      zrng.lane_normals(seed, 0, width,
+                                                        grid.dts.size, 1))
+    kept = part["alive"]
+    assert 0 < (~kept).sum() <= coupling.BOX_EXIT_LIMIT * width
+
+    def stats(rows):
+        return [coupling._exp_stats(-part["A"][rows, j] - 0.5 * part["B"][rows, j])
+                for j in range(grid.sample_idx.size)]
+
+    want = stats(kept)
+    assert want[-1] != stats(slice(None))[-1]
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ZVLAB_THREADS", threads)
+        res = simulate_pair(make(), x0, y0, cfg, seed)
+        assert res.workers == int(threads)
+        assert np.array_equal(res.box_exit, ~kept)
+        rep = verify_martingale(res)
+        assert rep["means"] == [m for m, _ in want]
+        assert rep["ses"] == [se for _, se in want]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -676,8 +707,9 @@ def test_packed_runs_match_the_one_block_reference(monkeypatch, threads):
     # (and at 4 a middle one starts mid-chunk); runs 0
     # and 1 share their draws (theta differs), run 2 takes the leading
     # 8200 rows of them, and the pool forks one process per worker.  The
-    # state-dependent sigma glues most rows of run 0, not all, and some
-    # rows leave the box or are clipped
+    # state-dependent sigma glues every row of run 0 that stays in the box
+    # and a few of run 1's, and some rows of run 0 leave the box or are
+    # clipped
     monkeypatch.setenv("ZVLAB_THREADS", threads)
     pair = SdeModel(d=1, drift=lambda t, x: -0.5 * x,
                     sigma=lambda t, x: (1.0 + 0.5 * np.sin(3.0 * x))[..., None])
@@ -688,14 +720,15 @@ def test_packed_runs_match_the_one_block_reference(monkeypatch, threads):
     batch = simulate_pairs(runs)
     for run, got in zip(runs, batch, strict=True):
         ref, (trunc, clip, events) = one_block_reference(*run)
+        kept = ref["alive"]      # the result holds the rows alive at the end
         for key, name in (("A", "A"), ("B", "B"), ("dist", "dist_at_eps"),
                           ("X", "final_X"), ("Y", "final_Y"), ("glued", "glued")):
-            assert getattr(got, name).tobytes() == ref[key].tobytes(), name
+            assert getattr(got, name).tobytes() == ref[key][kept].tobytes(), name
         assert np.array_equal(got.box_exit, ~ref["alive"])
         assert (got.trunc_events, got.clip_events, got.total_events) == (
             trunc, clip, events)
         assert got.workers == int(threads)
-    assert batch[0].glued.any() and not batch[0].glued.all()
+    assert batch[0].glued.all() and batch[1].glued.any() and not batch[1].glued.all()
     assert batch[0].box_exit.any() and batch[0].clip_events > 0
     assert [r.draws for r in batch][1:] == [0, 0]
     assert batch[0].draws >= 9000 and (threads != "1" or batch[0].draws == 9000)
@@ -739,8 +772,8 @@ def test_sigma_error_names_the_run_and_the_path(monkeypatch, threads):
 
 
 def test_a_few_nonfinite_rows_leave_the_run_to_complete(monkeypatch):
-    # the NaN-sigma row is frozen at its last finite state and counted;
-    # the other 8999 rows step on, bit for bit the same at 1 and 3 workers
+    # the NaN-sigma row is counted and left out; the other 8999 rows step
+    # on, bit for bit the same at 1 and 3 workers
     run, _ = nan_sigma_run()
     got = []
     for threads in ("1", "3"):
@@ -751,7 +784,7 @@ def test_a_few_nonfinite_rows_leave_the_run_to_complete(monkeypatch):
                  "box_exit"):
         assert getattr(got[0], name).tobytes() == getattr(got[1], name).tobytes(), name
     res = got[0]
-    assert np.flatnonzero(res.box_exit).tolist() == [8220]
+    assert np.flatnonzero(res.box_exit).tolist() == [8220] and len(res.A) == 8999
     assert np.isfinite(res.final_X).all() and np.isfinite(res.final_Y).all()
     assert res.counters()["nonfinite_rows"] == res.counters()["box_exit_rows"] == 1
 

@@ -18,7 +18,7 @@ from zvlab.coupling import CouplingConfig, simulate_pair
 from zvlab.fields import (CoefficientSet, GridSpec, NormSpec,
                           constant_sigma, trapezoid_weights)
 from zvlab.sde import (SdeModel, SimSpec, bump_family_report, bump_family_stat,
-                       integrate, integrate_stat, interval_bump, k_pq,
+                       integrate, integrate_stat, interval_bump,
                        krylov_estimate, krylov_stat, original_model, run_stats,
                        transform_consistency, transformed_model)
 from zvlab.scenarios import get_scenario
@@ -511,12 +511,6 @@ def test_engines_run_on_a_read_only_sigma(singular_map_small):
 
 # ---------------------------------------------------------------------------
 # occupation functionals
-
-
-def test_k_pq_arithmetic():
-    assert k_pq(NormSpec(p=4, q=4, d=1)) == 1
-    assert k_pq(NormSpec(p=4, q=16, d=1)) == 1
-    assert k_pq(NormSpec(p=2, q=4, d=1)) == 2      # log2 hits an integer
 
 
 def test_krylov_zero_function_and_range_error():
