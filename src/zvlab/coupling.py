@@ -307,7 +307,7 @@ class CouplingResult:
     clip_events: int
     total_events: int
     n_steps: int
-    draws: int                    # Philox lanes the run paid for (see simulate_pairs)
+    draws: int                    # Philox lanes it paid for (sde.run_ensembles)
     workers: int                  # processes its batch ran on (1: in-process)
 
     def counters(self) -> dict:
@@ -385,7 +385,7 @@ def _pair_block_steps(pair, x0, y0, cfg, grid, normals):
     step tables are built here, one sde.TABLE_BLOCK block at a time.
 
     Every quantity the step computes goes into a buffer allocated once per
-    range, D doubling as the drift g and then as the correction corr; only
+    tile, D doubling as the drift g and then as the correction corr; only
     the stepper, sigma's inverse, the 2-d row norms and the rare branches
     (truncation, clip, exit) allocate.  X and Y, the halves of the
     stepper's input, are stepped together, X + b dt + s dW with corr

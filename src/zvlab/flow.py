@@ -46,16 +46,16 @@ def _rk4_pair(b1, jac, t0, t1, pos, J, n_sub, box_limit):
     t = t0
     for _ in range(n_sub):
         k1p = np.asarray(b1(t, pos))
-        k1j = np.einsum("...ij,...jk->...ik", jac(t, pos), J)
+        k1j = np.matmul(jac(t, pos), J)
         p2 = pos + 0.5 * dt * k1p
         k2p = np.asarray(b1(t + 0.5 * dt, p2))
-        k2j = np.einsum("...ij,...jk->...ik", jac(t + 0.5 * dt, p2), J + 0.5 * dt * k1j)
+        k2j = np.matmul(jac(t + 0.5 * dt, p2), J + 0.5 * dt * k1j)
         p3 = pos + 0.5 * dt * k2p
         k3p = np.asarray(b1(t + 0.5 * dt, p3))
-        k3j = np.einsum("...ij,...jk->...ik", jac(t + 0.5 * dt, p3), J + 0.5 * dt * k2j)
+        k3j = np.matmul(jac(t + 0.5 * dt, p3), J + 0.5 * dt * k2j)
         p4 = pos + dt * k3p
         k4p = np.asarray(b1(t + dt, p4))
-        k4j = np.einsum("...ij,...jk->...ik", jac(t + dt, p4), J + dt * k3j)
+        k4j = np.matmul(jac(t + dt, p4), J + dt * k3j)
         pos = pos + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
         J = J + dt / 6.0 * (k1j + 2 * k2j + 2 * k3j + k4j)
         t += dt

@@ -1,14 +1,16 @@
 """Deterministic worker pool.
 
 How work is cut into tasks may depend on the worker count, but no
-number does.  sde.run_ensembles cuts each draw group's paths into
-row_ranges: near-equal contiguous ranges, a multiple of the pool's
-processes and none over PACK_ROWS.  A row's bits do not depend on the
-rows beside it (the 2-d map inverse stops each row on its own update),
-so a task returns per-row results, and the parent puts them back in
-path order and reduces a run's rows whole: one numpy sum over them, or
-integer counters.  So a run with ZVLAB_THREADS=1 and ZVLAB_THREADS=8
-produces byte-identical numbers.
+number does.  sde.run_ensembles makes each draw group's paths one task
+in one process, and otherwise cuts them into row_ranges: near-equal
+contiguous ranges, a multiple of the pool's processes and none over
+PACK_ROWS.  A task steps its paths in tile_cuts: tiles within PACK_BYTES
+of normals, and in one process within a Philox block.  A row's bits do
+not depend on the rows beside it (the 2-d map inverse stops each row on
+its own update), so a task returns per-row results, and the parent puts
+them back in path order and reduces a run's rows whole: one numpy sum
+over them, or integer counters.  So a run with ZVLAB_THREADS=1 and
+ZVLAB_THREADS=8 produces byte-identical numbers.
 
 ZVLAB_THREADS counts forked worker processes.  The engines' per-step
 numpy passes each hold the GIL, so threads cannot overlap them; forked
@@ -35,6 +37,7 @@ import traceback
 
 _JOB = None    # (fn, args_list) of the pool call in flight; children inherit it
 PACK_ROWS = 16384         # most paths one task advances
+PACK_BYTES = 128 << 20    # most bytes of normals one tile of a task holds
 _CAN_FORK = hasattr(os, "fork") and sys.platform != "darwin"
 
 
@@ -73,6 +76,14 @@ def row_ranges(n: int, procs: int) -> list[tuple[int, int]]:
     k = min(n, procs * -(-least // procs))
     cuts = [n * j // k for j in range(k + 1)]
     return list(zip(cuts, cuts[1:]))
+
+
+def tile_cuts(a: int, b: int, nbytes: int, most: int) -> list[int]:
+    """The cuts a = c_0 < ... < c_k = b of the fewest near-equal tiles of
+    paths a..b-1, whose normals take nbytes, of at most most paths and
+    about PACK_BYTES."""
+    k = min(b - a, max(-(-(b - a) // most), -(-nbytes // PACK_BYTES)))
+    return [a + (b - a) * j // k for j in range(k + 1)]
 
 
 def _serve(todo, out: int, *inherited):

@@ -9,8 +9,8 @@ Paths are grouped in blocks of fixed width BLOCK.  Block b is driven by
 Philox(key=(seed, b)); block_normals draws the block's whole increment
 array in a single call with a fixed shape, which pins the stream layout.
 Path i lives in lane i % BLOCK of block i // BLOCK.  The engines draw a
-range of paths with lane_normals, which gives the same lanes step-major,
-at one step count or, from one pass over the stream, at several.
+range of paths with lane_tiles, which gives the same lanes step-major, at
+several step counts from one pass over the stream, tile by tile.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 # Fixed block width.  Part of the reproducibility contract: changing it
 # changes every stream, so it is a constant, not a knob.
 BLOCK = 8192
-LANE_CHUNK = 256          # lanes per generator call in lane_normals
+LANE_CHUNK = 256          # lanes per generator call in lane_tiles
 
 
 def block_generator(seed: int, block_index: int) -> np.random.Generator:
@@ -41,46 +41,62 @@ def block_normals(seed: int, block_index: int, n_steps: int, d: int,
     return gen.standard_normal((w, n_steps, d))
 
 
-def lane_normals(seed: int, start: int, stop: int, n_steps, d: int):
+def lane_normals(seed: int, start: int, stop, n_steps, d: int):
     """The increments of paths start..stop-1, step-major: shape
     (n_steps, stop - start, d), path i at [:, i - start], bit for bit
     block_normals(seed, i // BLOCK, n_steps, d)[i % BLOCK].
 
     n_steps may be a sequence of step counts; then the result is a list of
     such arrays, one per count, each a view of one allocation, and stop may
-    be a sequence too, one stop per count.  Lane i of a block drawn at n
-    steps holds the block stream's normals [i n d, (i + 1) n d), so one
-    pass over the stream at the largest count, to the largest stop, holds
-    every count's lanes, and each is cut from it as it is drawn.
-
-    Each block is drawn from its first lane in calls of LANE_CHUNK lanes at
-    the largest count; successive calls continue one stream, so they give
-    the bits of one call.  Lanes before start are drawn and dropped, so the
-    draw costs stop - start + start % BLOCK lanes at the largest count.
-    """
+    be a sequence too, one stop per count: lane_tiles with one tile."""
     single = np.ndim(n_steps) == 0
     counts = [n_steps] if single else list(n_steps)
     stops = list(stop) if np.ndim(stop) else [stop] * len(counts)
-    flat = np.empty(sum(n * (s - start) for n, s in zip(counts, stops)) * d)
-    outs, at = [], 0
-    for n, s in zip(counts, stops):
-        outs.append(flat[at:at + n * (s - start) * d].reshape(n, s - start, d))
-        at += n * (s - start) * d
-    top, last = max(counts), max(stops)
-    buf = np.empty(LANE_CHUNK * top * d)
-    lane = start - start % BLOCK            # first lane of start's block
-    while lane < last:
+    got = {n: z for n, _, z in lane_tiles(seed, [start, max(stops)], stops, counts, d)}
+    outs = [got[n] for n in counts]
+    return outs[0] if single else outs
+
+
+def lane_tiles(seed: int, cuts, stops, counts, d: int):
+    """Paths cuts[0]..cuts[-1]-1 in tiles cuts[k]..cuts[k+1]-1, at each
+    step count counts[j] up to its stop stops[j] <= cuts[-1]: yields (n,
+    lo, z), z step-major as lane_normals gives it, for count n's tile from
+    path lo as soon as the stream completes it.  A count's tiles come in
+    path order in one buffer (the counts' share one allocation), so a
+    reader is done with z when it resumes.  Lane i of a block at n steps
+    holds the block stream's normals [i n d, (i + 1) n d), so one pass at
+    the largest count holds every count's lanes.  Each block is drawn from
+    its first lane, by one generator across tile edges, in calls of
+    LANE_CHUNK lanes at the largest count that give the bits of one call;
+    the lanes before cuts[0] are drawn and dropped."""
+    tiles = [[(lo, min(hi, s)) for lo, hi in zip(cuts, cuts[1:]) if min(hi, s) > lo]
+             for s in stops]
+    sizes = [n * d * max((hi - lo for lo, hi in t), default=0)
+             for n, t in zip(counts, tiles)]
+    flat, at = np.empty(sum(sizes)), np.cumsum([0] + sizes)
+    ladder = sorted(zip(counts, tiles, at), key=lambda c: c[0])   # smallest first
+    lane = cuts[0] - cuts[0] % BLOCK        # first lane of cuts[0]'s block
+    buf = np.empty(min(LANE_CHUNK, max(stops) - lane) * max(counts) * d)
+    while lane < max(stops):
         gen = block_generator(seed, lane // BLOCK)
-        lo, hi = max(start, lane) - lane, min(last, lane + BLOCK) - lane
-        pos, end = 0, hi * top * d
+        pos, end = 0, max(max(0, min(s, lane + BLOCK) - lane) * n
+                          for n, s in zip(counts, stops)) * d
         while pos < end:
             c = min(buf.size, end - pos)
             gen.standard_normal(out=buf[:c])
-            for out, s in zip(outs, stops):
-                _cut(buf[:c], pos, out, lo, min(hi, s - lane), lane + lo - start)
+            for n, t, a in ladder:
+                while t:
+                    lo, hi = t[0]
+                    z = flat[a:a + n * (hi - lo) * d].reshape(n, hi - lo, d)
+                    first = max(lo, lane) - lane
+                    _cut(buf[:c], pos, z, first, min(hi, lane + BLOCK) - lane,
+                         lane + first - lo)
+                    if hi > lane + BLOCK or (hi - lane) * n * d > pos + c:
+                        break                   # the tile goes on
+                    yield n, lo, z
+                    t.pop(0)
             pos += c
         lane += BLOCK
-    return outs[0] if single else outs
 
 
 def _cut(v, pos, out, lo, hi, col):

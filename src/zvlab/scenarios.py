@@ -67,8 +67,11 @@ def singular_b0_lp_norm(p: float = 4.0) -> float:
 
 
 def holder_sigma(t, x):
-    s = 1.0 + 0.3 / (1.0 + x ** 2) * np.abs(np.sin(x)) ** HOLDER_BETA
-    return s[..., None]
+    """1 + 0.3 / (1 + x^2) |sin x|^HOLDER_BETA, in that order, in place."""
+    s, w = np.square(x), np.sin(x)
+    np.divide(0.3, np.add(1.0, s, out=s), out=s)
+    np.power(np.abs(w, out=w), HOLDER_BETA, out=w)
+    return np.add(1.0, np.multiply(s, w, out=s), out=s)[..., None]
 
 
 def _neg_identity_drift(scale):

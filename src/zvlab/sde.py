@@ -1,6 +1,6 @@
 """Euler-Maruyama path engine and the statistics built on it.
 
-Paths are advanced in row ranges (parallel.row_ranges) on their Philox
+Paths are advanced in tiles of row ranges (parallel) on their Philox
 lanes (see rng), so any run is bit-identical for a fixed (seed, config)
 regardless of worker count: a row's results are a pure function of its
 own lane, and the parent puts them back in path order and sums each
@@ -14,9 +14,9 @@ by about the frozen share too, at most 1 % of a coupled run
 whichever engine made them.  Here a frozen row keeps its exit value, NaN
 too.  The engines' row kernels (_matvec, _row_dot, _row_norm) live here.
 
-The engine streams: a range holds its normals, the current state, the
+The engine streams: a tile holds its normals, the current state, the
 alive masks and one block of step tables, never whole paths.  A statistic
-of the plain ensemble is a BlockStat, which folds each node of a range
+of the plain ensemble is a BlockStat, which folds each node of a tile
 into per-row accumulators as the engine yields it and then gives its
 per-row results, and a finish step on the rows of every path, so that
 run_stats can feed several statistics from one pass.
@@ -24,7 +24,7 @@ run_stats can feed several statistics from one pass.
 Both path engines run through run_ensembles.  An Ensemble is paths on
 one seed's Philox lanes at one step count: the plain pass
 (plain_ensemble) or a coupled run (coupling.pair_ensembles).  Ensembles
-of one seed and dimension share each range's draw whatever their step
+of one seed and dimension share each task's draw whatever their step
 counts, and a command's ensembles go to the pool in one call.
 
 The module also houses the two checks that ride on simulated paths:
@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import Evaluator, NormSpec, trapezoid_weights
-from .parallel import pool_size, row_ranges, run_tasks
+from .parallel import pool_size, row_ranges, run_tasks, tile_cuts
 from .report import CheckRecord, pass_fail
 from . import rng as _rng
 
@@ -180,11 +180,11 @@ def _advance_block(models, x0s, spec, normals, width):
 @dataclass(frozen=True)
 class Ensemble:
     """n_paths paths on seed's Philox lanes at n_steps steps in dimension
-    d, as run_ensembles runs them: advance(normals) steps one range of
-    paths on their normals, step-major (n_steps, rows, d), and returns the
-    range's part; finish(parts, draws, procs) is the result from the parts
-    in path order, the Philox lanes the ensemble paid for and the processes
-    the pool ran on."""
+    d, as run_ensembles runs them: advance(normals) steps one tile of
+    paths on their normals, step-major (n_steps, rows, d), which the next
+    tile writes over, and returns the tile's part; finish(parts, draws,
+    procs) is the result from the parts in path order, the Philox lanes
+    the ensemble paid for and the processes the pool ran on."""
 
     seed: int
     d: int
@@ -198,41 +198,48 @@ def run_ensembles(ensembles) -> list:
     """Every ensemble from one pool call, finished in the order given.
 
     Ensembles with the same seed and dimension form a draw group, whatever
-    their step counts.  The pool's processes are shared out among the
-    groups, and each group's paths are cut into parallel.row_ranges for its
-    share.  A range is one task: it draws its lanes once, for every step
-    count of the ensembles that have paths in it, in one pass at the
-    largest (rng.lane_normals), each count over the rows its ensembles
-    have, and advances those ensembles in the order given.  The lanes,
-    with the leading lanes of a block that the draw drops, count in the
-    draws of the first of them at the largest count.  A row's bits do not
-    depend on the rows beside it, so every result is bit-identical to a run
-    made alone, at any worker count."""
+    their step counts.  In one process (pool_size of the call is 1) a group
+    is one task; otherwise the processes are shared out among the groups,
+    and a group's paths are cut into parallel.row_ranges for its share.
+    A task draws its lanes once, for the step count of each ensemble with
+    paths in it, in one pass (rng.lane_tiles) cut into parallel.tile_cuts,
+    and advances a count's ensembles, in the order given, on each tile as
+    the draw completes it.  The lanes, with those a task that starts inside
+    a block drops, count in the draws of the first ensemble at the largest
+    count.  A row's bits do not depend on the rows beside it, so every
+    result is bit-identical to a run made alone, at any worker count."""
     groups = {}               # (seed, d) -> indices of its ensembles
     for i, e in enumerate(ensembles):
         groups.setdefault((e.seed, e.d), []).append(i)
     sizes = [max(ensembles[i].n_paths for i in idx) for idx in groups.values()]
     # the processes the pool has: it forks no more than one per path
-    per_group = -(-pool_size(sum(sizes)) // len(groups))
-    tasks = [([i for i in idx if ensembles[i].n_paths > a], seed, d, a, b)
-             for (seed, d), idx, n in zip(groups, groups.values(), sizes)
-             for a, b in row_ranges(n, per_group)]
+    procs = pool_size(sum(sizes))
+    tasks = []
+    for (seed, d), idx, n in zip(groups, groups.values(), sizes):
+        for a, b in row_ranges(n, -(-procs // len(groups))) if procs > 1 else [(0, n)]:
+            have = [i for i in idx if ensembles[i].n_paths > a]
+            stop = {ensembles[i].n_steps: min(b, ensembles[i].n_paths)  # the widest
+                    for i in sorted(have, key=lambda i: ensembles[i].n_paths)}
+            nbytes = 8 * d * sum(m * (s - a) for m, s in stop.items())
+            tasks.append((have, seed, d, stop, tile_cuts(
+                a, b, nbytes, _rng.BLOCK if procs == 1 else b - a)))
 
-    def task(have, seed, d, a, b):
+    def task(have, seed, d, stop, cuts):
         members = [ensembles[i] for i in have]
-        stop = {e.n_steps: min(b, e.n_paths)     # the widest at each count
-                for e in sorted(members, key=lambda m: m.n_paths)}
-        normals = dict(zip(stop, _rng.lane_normals(
-            seed, a, list(stop.values()), list(stop), d)))
-        return [e.advance(normals[e.n_steps][:, :min(b, e.n_paths) - a])
-                for e in members]
+        parts = [[] for _ in members]
+        for n, lo, z in _rng.lane_tiles(seed, cuts, list(stop.values()), list(stop), d):
+            for e, part in zip(members, parts):
+                if e.n_steps == n and e.n_paths > lo:
+                    part.append(e.advance(z[:, :e.n_paths - lo]))
+        return parts
 
     parts = [[] for _ in ensembles]               # in path order
     draws = [0] * len(ensembles)
-    for (have, _, _, a, b), out in zip(tasks, run_tasks(task, tasks)):
-        draws[max(have, key=lambda i: ensembles[i].n_steps)] += b - a + a % _rng.BLOCK
-        for i, part in zip(have, out):
-            parts[i].append(part)
+    for (have, _, _, _, cuts), out in zip(tasks, run_tasks(task, tasks)):
+        a = cuts[0]
+        draws[max(have, key=lambda i: ensembles[i].n_steps)] += cuts[-1] - a + a % _rng.BLOCK
+        for i, got in zip(have, out):
+            parts[i] += got
     procs = pool_size(len(tasks))
     return [e.finish(p, n, procs) for e, p, n in zip(ensembles, parts, draws)]
 
@@ -240,7 +247,7 @@ def run_ensembles(ensembles) -> list:
 @dataclass(frozen=True)
 class BlockStat:
     """A statistic of the plain ensemble, split so that one pass can feed
-    several.  block(normals) opens one row range and returns (step, rows):
+    several.  block(normals) opens one tile of rows and returns (step, rows):
     step(k, X, alive) folds node k, as _advance_block yields it, into
     per-row accumulators, and rows(X, alive) is a tuple of per-row arrays
     from them and the last node, rows first.  finish(*rows) is the result

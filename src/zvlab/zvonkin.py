@@ -171,10 +171,11 @@ class ZvonkinMap:
         2-d: the contraction x <- y - phi(t, x), started at y, which is
         within sup |phi| of the solution.  Convergence rate is grad_sup
         < 1, geometric.  Each row stops once its own update is at most
-        INVERT_TOL, so its bits do not depend on the rows beside it, and
-        only the rows still moving are swept again; iterations is the
-        count of sweeps.  Raises, naming the worst row, if a row has not
-        stopped in INVERT_MAX_ITER sweeps.
+        INVERT_TOL, or is NaN, when the row comes back non-finite, so its
+        bits do not depend on the rows beside it, and only the rows still
+        moving are swept again; iterations is the count of sweeps.  Raises,
+        naming the worst row, if a row has not stopped in INVERT_MAX_ITER
+        sweeps.
 
         Preimages outside the doubled box mean y sits too close to the
         wall for the interpolated map: on_escape="raise" raises
@@ -242,7 +243,7 @@ class ZvonkinMap:
             xn = pts[live] - self.phi.eval(t, xl)
             step = np.abs(xn - xl).max(axis=-1)
             x[live] = xn
-            moving = ~(step <= INVERT_TOL)  # a NaN update keeps its row moving
+            moving = step > INVERT_TOL      # a NaN update stops its row, non-finite
             if not moving.any():
                 return x, its
             live, step = live[moving], step[moving]

@@ -182,6 +182,20 @@ def test_report_json_carries_pair_counters(capsys, monkeypatch, tmp_path,
     assert "workers" not in (tmp_path / "report.csv").read_text()
 
 
+def test_one_process_draws_each_lane_once(capsys, monkeypatch, tmp_path):
+    # in one process a draw group is one task, stepped in tiles, so 20,000
+    # paths (three Philox blocks, the last partial) cost 20,000 lanes; two
+    # ranges of 10,000 would also draw the 1808 lanes of block 1 before
+    # path 10,000
+    monkeypatch.setenv("ZVLAB_THREADS", "1")
+    code, _, _ = run_cli(capsys, "couple", "--scenario", "singular-1d", "--fast",
+                         "--paths", "20000", "--seed", "3", "--out", str(tmp_path))
+    assert code == 0
+    metrics = json.loads((tmp_path / "report.json").read_text())[0]["metrics"]
+    assert metrics["couple"]["couple"]["draws"] == 20000
+    assert metrics["couple"]["couple"]["workers"] == 1
+
+
 @pytest.mark.parametrize("scenario", ["additive-1d", "trivial-zero"])
 def test_full_pipeline_matches_separate_stages(capsys, monkeypatch, scenario):
     # full-pipeline runs each distinct ensemble once, in one run_ensembles
@@ -331,23 +345,30 @@ def test_verdict_table(capsys, monkeypatch):
 
 @pytest.mark.parametrize("factor", [1.0 + 2.0 ** -52, 1.0 - 2.0 ** -52],
                          ids=["up", "down"])
-def test_verdict_table_under_a_last_bit_perturbation(capsys, monkeypatch, factor):
+def test_verdict_table_under_a_last_bit_perturbation(capsys, monkeypatch, tmp_path,
+                                                     factor):
     # every normal the engines draw moved by one or two ulps, up and then
     # down: the forked tasks inherit the patch, and a verdict must not hang
-    # on the last bit of a draw
-    real = zrng.lane_normals
+    # on the last bit of a draw.  Each draw appends to a log, from whichever
+    # process makes it, so every command is seen to draw through the patch
+    real, log = zrng.lane_tiles, tmp_path / "draws.log"
 
     def perturbed(*args):
-        out = real(*args)
-        for part in out if isinstance(out, list) else [out]:
-            part *= factor
-        return out
+        with open(log, "a") as f:
+            f.write(".")
+        for n, lo, z in real(*args):
+            z *= factor
+            yield n, lo, z
 
-    monkeypatch.setattr(zrng, "lane_normals", perturbed)
+    monkeypatch.setattr(zrng, "lane_tiles", perturbed)
     moved = zrng.lane_normals(3, 0, 4, 5, 1)
-    assert (moved != real(3, 0, 4, 5, 1)).all()
+    assert (moved != next(real(3, [0, 4], [4], [5], 1))[2]).all()
     monkeypatch.setenv("ZVLAB_THREADS", "2")
-    runs = [run_cli(capsys, *e["argv"])[:2] for e in VERDICTS]
+    runs = []
+    for e in VERDICTS:
+        drawn = log.stat().st_size
+        runs.append(run_cli(capsys, *e["argv"])[:2])
+        assert log.stat().st_size > drawn, e["argv"]
     assert verdict_table(runs) == VERDICTS
 
 

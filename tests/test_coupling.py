@@ -28,7 +28,7 @@ from zvlab import rng as zrng
 from zvlab.fields import CoefficientSet, GridSpec, constant_sigma
 from zvlab.scenarios import get_scenario, holder_sigma
 from zvlab.sde import SdeModel, transformed_model
-from zvlab.zvonkin import ZvonkinMap, build_zvonkin
+from zvlab.zvonkin import InverseEscape, ZvonkinMap, build_zvonkin
 
 E1 = 1.0 - math.exp(-1.0)      # 0.6321205588285577
 
@@ -312,7 +312,7 @@ def test_worker_invariance_bitwise(monkeypatch):
     assert np.array_equal(runs[0].final_Y, runs[1].final_Y)
 
 
-def singular_2d_pair():
+def singular_2d_map():
     # b0 = 2 |x|^-1.2 x on the unit disc, unit diffusion, on a coarse grid
     def b0(t, x):
         r = np.sqrt(np.sum(x ** 2, axis=-1, keepdims=True))
@@ -321,7 +321,34 @@ def singular_2d_pair():
 
     cs = CoefficientSet(sigma=constant_sigma(np.eye(2)), b0=b0, kappa1=0.5,
                         kappa2=0.5)
-    return transformed_model(build_zvonkin(cs, GridSpec(d=2, n=21, m=20, L=2.0, T=1.0)))
+    return build_zvonkin(cs, GridSpec(d=2, n=21, m=20, L=2.0, T=1.0))
+
+
+def singular_2d_pair():
+    return transformed_model(singular_2d_map())
+
+
+def test_2d_inverse_returns_a_nan_row_as_an_escape(monkeypatch):
+    # the 2-d inverse stops a NaN row at once: under "flag" the stepper
+    # gives it back non-finite, the other row bit for bit as alone, and the
+    # plain engine freezes the row and runs on; under "raise" it is an
+    # InverseEscape that names it
+    zm = singular_2d_map()
+    pair = transformed_model(zm)
+    y = np.array([[0.1, 0.2], [np.nan, 0.0]])
+    (b, s), (b1, s1) = (pair.step_eval(0.1, v, None) for v in (y, y[:1]))
+    assert b[:1].tobytes() == b1.tobytes() and s[:1].tobytes() == s1.tobytes()
+    assert not np.isfinite(b[1]).all() and not np.isfinite(s[1]).all()
+    with pytest.raises(InverseEscape, match=r"t=0\.1: worst row 1 y=\[nan"):
+        zm.invert(0.1, y)
+    spec = sde.SimSpec(T=1.0, n_steps=20, n_paths=2, seed=0, L=2.0)
+    normals = np.zeros((20, 2, 2))
+    normals[3, 1, 0] = np.nan
+    with np.errstate(invalid="ignore"):
+        *_, (k, X, alive) = sde._advance_block([pair], [[0.1, 0.2]], spec,
+                                               normals, 2)
+    assert k == 20 and alive[0].tolist() == [True, False]
+    assert np.isfinite(X[0][0]).all() and np.isnan(X[0][1]).all()
 
 
 def test_2d_transformed_run_is_bitwise_worker_invariant(monkeypatch):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from zvlab.fields import GridSpec, NormSpec, lp_lq_norm, sample_field
-from zvlab.scenarios import (get_scenario, scenario_names, singular_b0,
-                             singular_b0_lp_norm)
+from zvlab.scenarios import (HOLDER_BETA, get_scenario, holder_sigma,
+                             scenario_names, singular_b0, singular_b0_lp_norm)
 
 ALL_NAMES = ["additive-1d", "holder-sigma", "ou-lipschitz",
              "singular-1d", "trivial-zero"]
@@ -82,6 +82,17 @@ def test_holder_sigma_bounds():
     assert s.max() <= 1.3
     assert sc.coeffs.sigma(0.0, np.zeros((1, 1)))[0, 0, 0] == 1.0
     assert sc.coeffs.kappa2 >= s.max() ** 2
+
+
+def test_holder_sigma_bits_equal_the_one_line_formula():
+    # holder_sigma computes in place, in the order of the one-line formula,
+    # so its bits are that formula's, on random rows with 0 and +-L among them
+    L = get_scenario("holder-sigma").grid.L
+    x = np.random.default_rng(3).uniform(-2 * L, 2 * L, (20000, 1))
+    x[:3, 0] = 0.0, L, -L
+    want = (1.0 + 0.3 / (1.0 + x ** 2) * np.abs(np.sin(x)) ** HOLDER_BETA)[..., None]
+    got = holder_sigma(0.0, x)
+    assert got.shape == (20000, 1, 1) and got.tobytes() == want.tobytes()
 
 
 def test_coupling_setup_only_on_testbed():

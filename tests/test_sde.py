@@ -110,6 +110,45 @@ def test_lane_normals_cut_each_count_to_its_own_stop(d):
                 n, start, stop)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_lane_tiles_are_block_lanes_as_the_stream_completes_them(d):
+    # a task's tiles, drawn in one pass over the stream: each is bit for bit
+    # its lanes of block_normals, at each of two counts with their own
+    # stops, for a range that starts inside a block and inside a chunk and
+    # spans three blocks, in tiles narrower and wider than a block.  A
+    # count's tiles come in path order in one buffer, and the smaller
+    # count's tile k completes before the larger count's
+    seed, B, c = 8, zrng.BLOCK, zrng.LANE_CHUNK
+    counts, start = (7, 5), B - 4 * c + 29
+    cuts = [start, start + 300, B + 40, 2 * B + 90, 2 * B + 700]
+    stops = (2 * B + 700, 2 * B + 95)
+    lanes = {n: np.concatenate([zrng.block_normals(seed, b, n, d) for b in range(3)])
+             for n in counts}
+    seen, bases = [], {}
+    for n, lo, z in zrng.lane_tiles(seed, cuts, stops, counts, d):
+        hi = min(cuts[cuts.index(lo) + 1], stops[counts.index(n)])
+        assert z.flags.c_contiguous and z.tobytes() == np.ascontiguousarray(
+            lanes[n][lo:hi].transpose(1, 0, 2)).tobytes(), (n, lo)
+        assert bases.setdefault(n, z.base) is z.base
+        seen.append((n, lo))
+    assert [lo for n, lo in seen if n == 7] == cuts[:-1]
+    assert [lo for n, lo in seen if n == 5] == cuts[:-1]     # 2B + 90..2B + 95
+    assert all(seen.index((5, lo)) < seen.index((7, lo)) for lo in cuts[:-1])
+    assert bases[5] is bases[7]
+
+
+def test_tile_cuts(monkeypatch):
+    # the fewest near-equal tiles of at most the rows given and of normals
+    # within PACK_BYTES: a 20,000-path one-process task in three tiles of at
+    # most one Philox block, a range of one tile, and a range cut by bytes
+    B = zrng.BLOCK
+    assert parallel.tile_cuts(0, 20000, 20000 * 800, B) == [0, 6666, 13333, 20000]
+    assert parallel.tile_cuts(100, 9100, 9000 * 800, 9000) == [100, 9100]
+    monkeypatch.setattr(parallel, "PACK_BYTES", 3000 * 800)
+    assert parallel.tile_cuts(100, 9100, 9000 * 800, 9000) == [100, 3100, 6100, 9100]
+    assert parallel.tile_cuts(0, 9000, 9000 * 800, B) == [0, 3000, 6000, 9000]
+
+
 def test_worker_count_invariance(monkeypatch):
     # 9000 paths are three row ranges at 3 workers, so the process pool is
     # actually exercised
@@ -185,9 +224,9 @@ def test_increment_mean_bound_counts_every_increment(monkeypatch):
     spec = SimSpec(T=1.0, n_steps=200, n_paths=1000, seed=11, L=10.0)
     fair = integrate(brownian_model(), np.array([0.0]), spec)
     assert row_verdicts(fair)["rng-increment-mean"] == "pass"
-    draw = zrng.lane_normals
-    monkeypatch.setattr(zrng, "lane_normals",
-                        lambda *a, **k: [z + 0.05 for z in draw(*a, **k)])
+    draw = zrng.lane_tiles
+    monkeypatch.setattr(zrng, "lane_tiles", lambda *a, **k: (
+        (n, lo, z + 0.05) for n, lo, z in draw(*a, **k)))
     ens = integrate(brownian_model(), np.array([0.0]), spec)
     mean = abs(ens.rng_report["increment_mean"][0])
     assert (4 * math.sqrt(spec.h / (spec.n_paths * spec.n_steps)) < mean
@@ -209,9 +248,10 @@ def test_one_pass_feeds_every_statistic(monkeypatch):
     ens0 = integrate(model, x0, spec)
     est0 = krylov_estimate(model, x0, spec, f, ns, f_norm=f_norm)
     fam0 = bump_family_report(model, x0, spec, ns, widths)
-    # the spy appends in the process that steps the range, so the range
-    # runs in this one: one range of all 9000 rows at one worker.  One pass
-    # per range does not depend on the worker count, and
+    # the spy appends in the process that steps the tile, so the tiles
+    # run in this one: one task of all 9000 rows at one worker, stepped in
+    # two tiles of at most one Philox block.  One pass per tile does not
+    # depend on the worker count, and
     # test_run_stats_bits_do_not_depend_on_the_ranges covers that
     monkeypatch.setenv("ZVLAB_THREADS", "1")
     ranges = []
@@ -221,7 +261,7 @@ def test_one_pass_feeds_every_statistic(monkeypatch):
     ens, est, fam = run_stats([model], [x0], spec, [
         integrate_stat(x0, spec), krylov_stat(spec, f, ns, f_norm=f_norm),
         bump_family_stat(spec, ns, widths)])
-    assert ranges == [9000]
+    assert ranges == [4500, 4500]
     assert np.array_equal(ens.terminal, ens0.terminal)
     assert np.array_equal(ens.escaped, ens0.escaped)
     assert ens.escape_fraction == ens0.escape_fraction
@@ -234,16 +274,24 @@ def test_one_pass_feeds_every_statistic(monkeypatch):
 @pytest.mark.parametrize("pack", [None, 2000])
 def test_run_stats_bits_do_not_depend_on_the_ranges(monkeypatch, pack):
     # 9000 paths, two Philox blocks, some of them escaped: every statistic
-    # is byte-identical at 1, 2 and 3 workers, also with ranges small
-    # enough that one straddles the block boundary (pack 2000: five ranges
-    # at 1 worker, 7200..9000 the last, and six at 3, 7500..9000)
+    # is byte-identical at 1, 2 and 3 workers, also with tiles and ranges
+    # small enough that one straddles the block boundary.  One worker
+    # steps one task in two tiles of 4500, 4500..9000 the second; pack
+    # 2000 caps a tile's normals at 2000 rows' worth, so one worker steps
+    # five tiles, 7200..9000 the last, and 3 workers six ranges of one
+    # tile each, 7500..9000 the last
     if pack is not None:
         monkeypatch.setattr(parallel, "PACK_ROWS", pack)
+        monkeypatch.setattr(parallel, "PACK_BYTES", pack * 100 * 8)
     spec = SimSpec(T=1.0, n_steps=100, n_paths=9000, seed=6, L=1.1)
     model = SdeModel(d=1, drift=lambda t, x: 0.8 * np.sin(3.0 * x) - 0.2 * x,
                      sigma=lambda t, x: (1.0 + 0.3 * np.cos(x))[..., None])
     x0, ns = np.array([0.2]), NormSpec(p=4, q=4, d=1)
     f, norm_fn = interval_bump(0.1, 0.2)
+    tiles = []
+    advance = sde._advance_block
+    monkeypatch.setattr(sde, "_advance_block",
+                        lambda *a: tiles.append(a[4]) or advance(*a))
     digests = []
     for w in ("1", "2", "3"):
         monkeypatch.setenv("ZVLAB_THREADS", w)
@@ -253,6 +301,8 @@ def test_run_stats_bits_do_not_depend_on_the_ranges(monkeypatch, pack):
         digests.append((ens.terminal.tobytes(), ens.escaped.tobytes(),
                         repr(ens.rng_report), repr(est), repr(fam),
                         paths.tobytes(), alive.tobytes()))
+    # the spy sees the tiles stepped in this process: the 1-worker run's
+    assert tiles == ([4500] * 2 if pack is None else [1800] * 5)
     assert 0.01 < ens.escape_fraction < 0.2 and est["n_excluded"] > 0
     assert digests[0] == digests[1] == digests[2]
 
@@ -474,8 +524,9 @@ def test_transform_consistency_builds_each_step_table_once(monkeypatch,
                                                           singular_map_small):
     # the transformed model's step tables are built by the task, not once
     # per stepper call: at two levels of 9000 paths (two Philox blocks, one
-    # task each), one step_tables call per block of TABLE_BLOCK step times,
-    # in order, so each table is built once per task and a block at a time
+    # task each, stepped in two tiles of 4500 paths), one step_tables call
+    # per block of TABLE_BLOCK step times, in order, so each table is built
+    # once per tile and a block at a time
     monkeypatch.setenv("ZVLAB_THREADS", "1")
     built = []
     orig = ZvonkinMap.step_tables
@@ -488,7 +539,8 @@ def test_transform_consistency_builds_each_step_table_once(monkeypatch,
     transform_consistency(singular_map_small, np.array([0.2]), [100, 200],
                           9000, seed=23)
     assert built == [[k * (1.0 / n) for k in range(i, min(i + sde.TABLE_BLOCK, n))]
-                     for n in (100, 200) for i in range(0, n, sde.TABLE_BLOCK)]
+                     for n in (100, 200) for _ in range(2)
+                     for i in range(0, n, sde.TABLE_BLOCK)]
 
 
 def test_engines_run_on_a_read_only_sigma(singular_map_small):
