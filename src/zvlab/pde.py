@@ -21,11 +21,11 @@ L is one stencil per time slice, all slices built in one pass
 keeps the implicit matrix an M-matrix and the scheme monotone.  lam
 enters only the implicit solve and the explicit half's -lam v.
 
-Linear algebra: in d=1 a direct banded (tridiagonal) solve with the
-bands read from the stencil; in d=2 the stencil is assembled into a
-sparse matrix and solved by diagonally preconditioned BiCGStab (rtol
-1e-10, atol 1e-13, at most 10^4 iterations), warm-started from the
-previous slice.
+Linear algebra: in d=1 a port of LAPACK's dgtsv (its bits, no scipy) on
+the bands read from the stencil, each run of equal slices factored once; in
+d=2 the stencil is assembled into a sparse matrix and solved by scipy's
+diagonally preconditioned BiCGStab (rtol 1e-10, atol 1e-13, at most 10^4
+iterations), warm-started from the previous slice.
 """
 
 from __future__ import annotations
@@ -127,31 +127,61 @@ def _apply(st: dict, v: np.ndarray, g: GridSpec) -> np.ndarray:
     return out.reshape(v.shape)
 
 
-def _solve_banded(st: dict, lam: float, gamma: float, rhs: np.ndarray,
-                  t: float) -> np.ndarray:
-    """1-d: solve (I + gamma*(lam - L)) w = rhs on interior nodes, w = 0 on
-    walls, with LAPACK gtsv on the three bands read from the stencil (the
-    routine scipy's solve_banded calls for one band each side).  Non-finite
-    input raises ValueError and a singular system LinAlgError, both naming
-    the slice time t."""
-    from scipy.linalg.lapack import dgtsv     # scipy.linalg loads slowly
-    dl = -gamma * st[(-1,)][1:]
+def _factor_bands(st: dict, lam: float, gamma: float) -> tuple:
+    """dgtsv's elimination of the bands of I + gamma*(lam - L) on one 1-d
+    slice, op for op, both pivot branches; it reads no right-hand side.
+    Returns gtsv's info (-1 for a non-finite band, i + 1 for a zero pivot
+    in row i, else 0) and, at 0, the interchanges, multipliers, U's bands
+    d, du and fill-in dl, as lists."""
+    dl, du = -gamma * st[(-1,)][1:], -gamma * st[(1,)][:-1]
     d = 1.0 + gamma * (lam - st[(0,)])
-    du = -gamma * st[(1,)][:-1]
-    b = rhs[1:-1]
-    if not all(np.isfinite(a).all() for a in (dl, d, du, b)):
+    if not all(np.isfinite(a).all() for a in (dl, d, du)):
+        return -1, None
+    dl, d, du = dl.tolist(), d.tolist(), du.tolist()
+    n, swap, fact = len(d), [], []
+    for i in range(n - 1):
+        swap.append(not abs(d[i]) >= abs(dl[i]))
+        if swap[i]:                          # rows i and i + 1 interchanged
+            fact.append(d[i] / dl[i])
+            d[i], d[i + 1], du[i] = dl[i], du[i] - fact[i] * d[i + 1], d[i + 1]
+            if i < n - 2:
+                dl[i], du[i + 1] = du[i + 1], -fact[i] * du[i + 1]
+        elif d[i] == 0.0:
+            return i + 1, None
+        else:
+            fact.append(dl[i] / d[i])
+            d[i + 1] -= fact[i] * du[i]
+            dl[i] = 0.0
+    return (n if d[-1] == 0.0 else 0), (swap, fact, d, du, dl)
+
+
+def _solve_banded(fac: tuple, rhs: np.ndarray, t: float) -> np.ndarray:
+    """1-d: solve (I + gamma*(lam - L)) w = rhs on interior nodes, w = 0 on
+    walls, by dgtsv's two sweeps of each column of rhs with one slice's
+    _factor_bands; the back substitution keeps its - DL(i)*B(i+2) term, 0
+    or not, as it can set the sign of a zero.  Non-finite input raises
+    ValueError and a singular system LinAlgError, both naming t."""
+    info, lu = fac
+    if info < 0 or not np.isfinite(rhs[1:-1]).all():
         raise ValueError(f"non-finite implicit system at t={t:.6g}")
-    if d.size == 1:           # one interior node: gtsv refuses empty bands
-        info = int(d[0] == 0.0)
-        x = b if info else b / d[0]
-    else:
-        # dl, d and du are fresh arrays; the shared stencil is never written
-        *_, x, info = dgtsv(dl, d, du, b, overwrite_dl=True, overwrite_d=True,
-                            overwrite_du=True)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular implicit system at t={t:.6g}")
+    swap, fact, d, du, dl = lu
+    n = len(d)
     w = np.zeros_like(rhs)
-    w[1:-1] = x
+    for k in range(rhs.shape[1]):
+        b = rhs[1:-1, k].tolist()
+        for i in range(n - 1):               # b = L^-1 P b
+            if swap[i]:
+                b[i], b[i + 1] = b[i + 1], b[i] - fact[i] * b[i + 1]
+            else:
+                b[i + 1] -= fact[i] * b[i]
+        b[-1] /= d[-1]                       # U w = b, from the last row up
+        if n > 1:
+            b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+        for i in range(n - 3, -1, -1):
+            b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+        w[1:-1, k] = b
     return w
 
 
@@ -212,7 +242,7 @@ def solve_backward(op: dict, lam: float, source: np.ndarray) -> np.ndarray:
     K = source.shape[-1]
     u = np.zeros((g.m + 1, g.n ** g.d, K))
     v = u[g.m]
-    st = None                                # stencil of slice k_old
+    st = key = None                          # stencil of slice k_old; fac's bands
     for j in range(g.m):
         k_old = g.m - j
         k_new = k_old - 1
@@ -226,7 +256,11 @@ def solve_backward(op: dict, lam: float, source: np.ndarray) -> np.ndarray:
         gamma = dt * theta
         st = {o: s[k_new] for o, s in op["stencil"].items()}
         if g.d == 1:
-            v = _solve_banded(st, lam, gamma, rhs, k_new * dt)
+            # slices with equal bands (time-independent coefficients) share fac
+            new = (gamma, *(s.tobytes() for s in st.values()))
+            if new != key:
+                fac, key = _factor_bands(st, lam, gamma), new
+            v = _solve_banded(fac, rhs, k_new * dt)
         else:
             v = _solve_bicgstab(st, lam, gamma, rhs, v, g.n)
         u[k_new] = v
@@ -240,7 +274,7 @@ def solve_phi_system(op: dict, lam: float) -> np.ndarray:
         d_t phi + tr(a D^2 phi) + (b1 + b0) . grad phi = lam*phi - b0,
     zero at t = T.  Returned with K = d components.  A b0 that is 0 at
     every node gives phi = +0.0 at every node, as the march of its zero
-    source does, without the march (or scipy).
+    source does, without the march.
     """
     b0 = op["b0"]
     if b0.any():

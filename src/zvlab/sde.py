@@ -51,7 +51,7 @@ INCREMENT_VAR_RTOL = 0.05   # integrate: relative increment variance bound
 ESCAPE_ERROR = 0.20       # hard failure: domain too small for the scenario
 ROW_CHUNK = 256           # rows per pass of bump-family's row sums
 BUMP_MAX_OVER_MEDIAN = 3.0   # bump family: pass bound on max / median ratio
-TABLE_BLOCK = 64          # step times per block of tables a path engine holds
+TABLE_BLOCK = 16          # step times per block of tables a path engine holds
 
 
 @dataclass

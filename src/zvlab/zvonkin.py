@@ -73,15 +73,16 @@ def _cell_tables(brk: np.ndarray) -> list:
     """_image_cell's table for each row of brk (S, N), strictly increasing
     breakpoints, all built in one pass: 2N + 2 buckets, span / (2N) wide
     from the row's first point, the last holding no point and taking NaN
-    and +inf; the count of points below each bucket, as int32; the row
-    with a NaN appended; and the most points one bucket of any row holds."""
+    and +inf; the count of points below each bucket, as intp, the index
+    type of a gather, so no step casts it; the row with a NaN appended;
+    and the most points one bucket of any row holds."""
     S, N = brk.shape
     nb = 2 * N
     lo, inv_bw = brk[:, 0], nb / (brk[:, -1] - brk[:, 0])
     bk = _bucket(brk, lo[:, None], inv_bw[:, None], nb)
     bk += (nb + 2) * np.arange(S)[:, None]              # one bucket range per row
     count = np.bincount(bk.ravel(), minlength=S * (nb + 2)).reshape(S, nb + 2)
-    below = (np.cumsum(count, axis=1) - count).astype(np.int32)
+    below = (np.cumsum(count, axis=1) - count).astype(np.intp)
     pad = np.concatenate([brk, np.full((S, 1), np.nan)], axis=1)   # no row steps past N
     passes = int(count[:, :-1].max())
     return [(pad[i], lo[i], inv_bw[i], nb, below[i], passes) for i in range(S)]
@@ -98,8 +99,7 @@ def _image_cell(table: tuple, y: np.ndarray) -> np.ndarray:
     cell of its StepTable at least h/4 wide, about one bucket of a span
     near 2L + h."""
     pad, lo, inv_bw, nb, below, passes = table
-    # one cast to intp here: numpy casts an int32 index at every gather
-    j = below[_bucket(y, lo, inv_bw, nb)].astype(np.intp)
+    j = below[_bucket(y, lo, inv_bw, nb)]
     for _ in range(passes):
         j += y >= pad[j]
     return j

@@ -820,7 +820,7 @@ def test_one_pair_batch_builds_its_step_tables_once(monkeypatch):
     # c11's shape: 13 runs of one transformed pair on one step grid, each
     # with its own seed and so its own task; each task builds the map's
     # step tables once, in one step_tables call per block of TABLE_BLOCK
-    # step times, in order (115 steps: a block of 64, then one of 51)
+    # step times, in order (115 steps: seven blocks of 16, then one of 3)
     monkeypatch.setenv("ZVLAB_THREADS", "1")
     built = []
     orig = ZvonkinMap.step_tables
@@ -843,7 +843,9 @@ def test_one_pair_batch_builds_its_step_tables_once(monkeypatch):
 def test_pair_run_holds_one_block_of_step_tables(monkeypatch):
     # a task builds one block of TABLE_BLOCK step tables at a time and drops
     # it before the next, so quadrupling the steps (286 to 1144) barely moves
-    # the traced peak; prebuilding every table would add about 19 MB
+    # the traced peak; prebuilding every table would add about 19 MB.  With
+    # blocks of 16 tables on the n = 201 grid the m = 100 run peaks near
+    # 1.5 MB; blocks of 64 took it to 4.4 MB
     monkeypatch.setenv("ZVLAB_THREADS", "1")
     pair = singular_1d_pair()
     peaks = []
@@ -856,6 +858,7 @@ def test_pair_run_holds_one_block_of_step_tables(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 2e6, peaks
+    assert peaks[0] < 2e6, peaks
 
 
 def test_h5_certificate_measures_constants():

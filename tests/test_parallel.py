@@ -226,8 +226,8 @@ def test_default_worker_count_follows_cpu_affinity(monkeypatch):
 
 def test_cli_import_leaves_the_pool_modules_unloaded():
     # multiprocessing and the executor cost about 15 ms at import, and the
-    # pool forks without them.  scipy costs more than half of the import;
-    # the PDE solves load it
+    # pool forks without them.  scipy would cost more than half of the
+    # import; only the 2-d PDE solve loads it
     probe = ("import sys, zvlab.cli; from zvlab.parallel import run_tasks; "
              "assert run_tasks(abs, [(-1,), (-2,)], workers=2) == [1, 2]; "
              "print(sorted(m for m in sys.modules "
@@ -237,6 +237,19 @@ def test_cli_import_leaves_the_pool_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_1d_build_transform_loads_no_scipy():
+    # the 1-d implicit step is a port of LAPACK's gtsv, so a 1-d transform
+    # is built, marched and certified without scipy
+    probe = ("import sys; from zvlab.cli import main; "
+             "rc = main(['build-transform', '--scenario', 'singular-1d', '--fast']); "
+             "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+             "file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    err = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stderr
+    assert err.strip().splitlines()[-1] == "0 []"
 
 
 # parallel.py imports only the standard library, so a newer interpreter

@@ -314,9 +314,14 @@ def test_decay_prediction_validates_exponents():
     assert NormSpec(p=4, q=4, d=1).decay_exponent == pytest.approx(0.625)
 
 
+def banded(st, lam, gamma, rhs, t):
+    """One implicit 1-d solve: factor the slice's bands, then sweep rhs."""
+    return pde._solve_banded(pde._factor_bands(st, lam, gamma), rhs, t)
+
+
 def test_banded_solve_is_lapack_gtsv_bit_for_bit():
-    # the 1-d implicit step calls gtsv on the three bands, the routine
-    # scipy's solve_banded uses for (1, 1) bands: same bits, walls at 0
+    # the 1-d implicit step is a port of gtsv, the routine scipy's
+    # solve_banded calls for (1, 1) bands: same bits, walls at 0
     from scipy.linalg import solve_banded
     rng = np.random.default_rng(5)
     lam, gamma, n = 2.0, 0.3, 41
@@ -329,24 +334,60 @@ def test_banded_solve_is_lapack_gtsv_bit_for_bit():
         ab[0, 1:] = -gamma * up[:-1]
         ab[1] = 1.0 + gamma * (lam - st[(0,)])
         ab[2, :-1] = -gamma * lo[1:]
-        w = pde._solve_banded(st, lam, gamma, rhs, 0.25)
+        w = banded(st, lam, gamma, rhs, 0.25)
         assert np.array_equal(w[1:-1], solve_banded((1, 1), ab, rhs[1:-1]))
         assert w[0, 0] == 0.0 and w[-1, 0] == 0.0
         assert np.array_equal(rhs, keep)
 
 
+def test_banded_port_matches_dgtsv_with_and_without_interchanges():
+    # every bit and every zero's sign is dgtsv's, whether the elimination
+    # interchanges rows (|sub-diagonal| > |diagonal|) or not.  The reference
+    # is the dgtsv scipy links: bit equality assumes a LAPACK built without
+    # fused multiply-add contraction, as x86-64 baseline builds are
+    from scipy.linalg.lapack import dgtsv
+    rng = np.random.default_rng(11)
+    lam, n = 1.5, 30
+    for k in range(8):
+        gamma = rng.uniform(0.1, 2.0)
+        st = {(-1,): rng.uniform(-3.0, 3.0, n - 2), (1,): rng.normal(size=n - 2),
+              (0,): rng.normal(size=n - 2)}
+        if k % 2:                           # diagonal about -gamma L_00: interchanges
+            st[(0,)] += lam + 1.0 / gamma
+        else:                               # no interchange
+            st[(-1,)] *= 1e-3
+        if k == 1:
+            # four decoupled rows first, where the back substitution's
+            # - DL(i)*B(i+2) term with DL(1) = +0.0 turns B(1) = -0.0 into +0.0
+            st[(-1,)][:5] = st[(1,)][:4] = st[(0,)][:5] = 0.0
+        fac = pde._factor_bands(st, lam, gamma)
+        assert fac[0] == 0 and any(fac[1][0]) == (k % 2 == 1)
+        dl = -gamma * st[(-1,)][1:]
+        d = 1.0 + gamma * (lam - st[(0,)])
+        du = -gamma * st[(1,)][:-1]
+        rhs = rng.normal(size=(n, 1))
+        rhs[1:5, 0] = [-0.0, -0.0, -1.0, 1.0]
+        *_, ref, info = dgtsv(dl, d, du, rhs[1:-1].copy())
+        assert info == 0
+        w = pde._solve_banded(fac, rhs, 0.25)
+        assert np.array_equal(w[1:-1], ref)
+        assert np.array_equal(np.signbit(w[1:-1]), np.signbit(ref))
+        if k == 1:
+            assert w[1, 0] == 0.0 and not np.signbit(w[1, 0])
+
+
 def test_banded_solve_one_interior_node():
-    # n = 3 leaves one interior node and empty off-diagonals, which gtsv
-    # refuses; the one equation is solved by division
+    # n = 3 leaves one interior node and empty off-diagonals, which scipy's
+    # gtsv wrapper refuses; gtsv's one equation is a division
     lam, gamma = 2.0, 0.3
     st = {(-1,): np.array([0.4]), (1,): np.array([0.7]), (0,): np.array([-1.3])}
     rhs = np.array([[5.0], [1.7], [-2.0]])
-    w = pde._solve_banded(st, lam, gamma, rhs, 0.25)
+    w = banded(st, lam, gamma, rhs, 0.25)
     assert np.array_equal(w[1], rhs[1] / (1.0 + gamma * (lam - st[(0,)])))
     assert w[0, 0] == 0.0 and w[-1, 0] == 0.0
     # 1 + gamma (lam - L_00) = 0
     with pytest.raises(np.linalg.LinAlgError, match="singular.*t=0.75"):
-        pde._solve_banded({**st, (0,): np.array([1.0])}, 0.0, 1.0, rhs, 0.75)
+        banded({**st, (0,): np.array([1.0])}, 0.0, 1.0, rhs, 0.75)
 
 
 def test_banded_solve_refuses_bad_systems():
@@ -357,15 +398,53 @@ def test_banded_solve_refuses_bad_systems():
     nan_diag = np.full(n - 2, -1.0)
     nan_diag[3] = np.nan
     with pytest.raises(ValueError, match="non-finite.*t=0.25"):
-        pde._solve_banded({**st, (0,): nan_diag}, lam, gamma, rhs, 0.25)
+        banded({**st, (0,): nan_diag}, lam, gamma, rhs, 0.25)
     rhs_bad = rhs.copy()
     rhs_bad[4] = np.inf
     with pytest.raises(ValueError, match="non-finite.*t=0.5"):
-        pde._solve_banded(st, lam, gamma, rhs_bad, 0.5)
+        banded(st, lam, gamma, rhs_bad, 0.5)
     # 1 + gamma (lam - L_00) = 0 on the diagonal, nothing off it
     singular = np.full(n - 2, lam + 1.0 / gamma)
     with pytest.raises(np.linalg.LinAlgError, match="singular.*t=0.75"):
-        pde._solve_banded({**st, (0,): singular}, lam, gamma, rhs, 0.75)
+        banded({**st, (0,): singular}, lam, gamma, rhs, 0.75)
+    # a zero pivot met during the elimination, not on the diagonal given:
+    # rows [1, 1] and [1, 1] with no interchange leave U's last pivot 0
+    ones = np.ones(2)
+    with pytest.raises(np.linalg.LinAlgError, match="singular.*t=1"):
+        banded({(-1,): -ones, (1,): -ones, (0,): zero[:2]}, 0.0, 1.0, rhs[:4], 1.0)
+
+
+def test_march_names_the_slice_it_cannot_solve():
+    # a bad slice raises when the march reaches it, naming its time: slice
+    # 5 (non-finite) before slice 3 (singular: dt = 1/8, theta = 1/2,
+    # 1 + dt/2 (0 - 16) = 0)
+    co = CoefficientSet(sigma=unit_sigma(), f=lambda t, x: np.ones(x.shape[:-1]))
+    op = sample_operator(co, GridSpec(d=1, n=9, m=8, L=1.0, T=1.0))
+    stencil = {o: s.copy() for o, s in op["stencil"].items()}
+    stencil[(-1,)][3] = stencil[(1,)][3] = 0.0
+    stencil[(0,)][3] = 16.0
+    stencil[(0,)][5, 2] = np.nan
+    bad = {**op, "stencil": stencil}
+    with pytest.raises(ValueError, match="non-finite.*t=0.625"):
+        solve_backward(bad, 0.0, op["f"])
+    stencil[(0,)][5, 2] = op["stencil"][(0,)][5, 2]
+    with pytest.raises(np.linalg.LinAlgError, match="singular.*t=0.375"):
+        solve_backward(bad, 0.0, op["f"])
+
+
+def test_march_factors_each_run_of_equal_slices_once(monkeypatch):
+    # coefficients constant in time: the implicit-Euler start and the
+    # Crank-Nicolson steps have one gamma each, so two factors; a drift
+    # that moves in time gives each of the m slices its own
+    calls = []
+    factor = pde._factor_bands
+    monkeypatch.setattr(pde, "_factor_bands", lambda *a: calls.append(a) or factor(*a))
+    grid = GridSpec(d=1, n=9, m=8, L=1.0, T=1.0)
+    for b1, factors in ((lambda t, x: -np.asarray(x), 2), (lambda t, x: t - np.asarray(x), 8)):
+        calls.clear()
+        co = CoefficientSet(sigma=unit_sigma(), b1=b1, f=lambda t, x: np.ones(x.shape[:-1]))
+        solve_f(co, grid, 1.0)
+        assert len(calls) == factors
 
 
 @pytest.mark.parametrize("name", ["trivial-zero", "ou-lipschitz", "additive-1d"])

@@ -154,7 +154,7 @@ def test_cell_index_matches_searchsorted():
             [-np.inf, -1e300, 1e300, np.inf, np.nan]])
         ref = np.searchsorted(knots, y, side="right")      # the cell, rays included
         table = _cell_tables(knots[None])[0]
-        assert table[4].dtype == np.int32               # the bucket counts
+        assert table[4].dtype == np.intp                # the bucket counts, as gathered
         assert np.array_equal(_image_cell(table, y), ref)
         # an (N, 1) column gives the column shape
         col = _image_cell(table, y[:, None])
